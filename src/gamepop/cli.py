@@ -18,7 +18,8 @@ import numpy as np
 
 from . import meta_solvers
 from .config import ConfigError, config_to_dict, load_config, parse_config
-from .engine import run_psro
+from .engine import _build_arena, run_psro
+from .policies import checkpoint_loads
 from .svgplot import RENDER_KINDS, PlotError, render_svg
 
 log = logging.getLogger("gamepop")
@@ -123,10 +124,6 @@ def evaluate_run(run_dir: str) -> int:
     """Re-evaluate a finished seed directory: rebuild the population from
     its checkpoints, re-solve the meta-strategy from the last payoff matrix,
     and report the profile's exploitability."""
-    from .engine import _build_arena, _derive_seed, ntmg_exploitability
-    from .games import exploitability
-    from .policies import PolicyMixture, checkpoint_loads
-
     config_path = os.path.join(os.path.dirname(os.path.abspath(run_dir)),
                                "config.json")
     if not os.path.exists(config_path):
@@ -137,14 +134,13 @@ def evaluate_run(run_dir: str) -> int:
         seed = int(os.path.basename(os.path.normpath(run_dir)).split("_")[-1])
     except ValueError as exc:
         raise ConfigError(f"{run_dir}: expected a seed_<n> directory") from exc
-    game, ops, is_ntmg = _build_arena(config)
+    arena = _build_arena(config)
 
     ckpt_dir = os.path.join(run_dir, "checkpoints")
     names = sorted(os.listdir(ckpt_dir)) if os.path.isdir(ckpt_dir) else []
     if not names:
         raise ConfigError(f"{run_dir}: no checkpoints to evaluate")
-    pops = ([ops.scratch(_derive_seed(seed, 0, 0, 6), "normal")],
-            [ops.scratch(_derive_seed(seed, 0, 1, 6), "normal")])
+    pops = arena.initial_populations(seed)
     last_iteration = 0
     for name in names:
         stem = name.rsplit(".", 1)[0]  # iter_0001_p0
@@ -159,11 +155,7 @@ def evaluate_run(run_dir: str) -> int:
     matrix = np.array([[float(v) for v in line.split()]
                        for line in lines[3:]])
     sigma_row, sigma_col = meta_solvers.solve(matrix, config.mss)
-    if is_ntmg:
-        value = ntmg_exploitability(pops, (sigma_row, sigma_col), ops.cfg)
-    else:
-        value = exploitability(game, (PolicyMixture(pops[0], sigma_row),
-                                      PolicyMixture(pops[1], sigma_col)))
+    value = arena.exploitability(pops, (sigma_row, sigma_col))
     print(f"iterations {last_iteration}")
     print(f"population {len(pops[0])} {len(pops[1])}")
     print(f"exploitability {float(value)!r}")

@@ -67,7 +67,7 @@ def _parse_game(obj, path):
 
 _DQN_FIELDS = ["replay_capacity", "batch_size", "lr", "gamma_discount",
                "epsilon", "target_update_every", "episodes", "optimizer",
-               "grad_clip", "soft_update_tau", "per_alpha", "is_beta"]
+               "grad_clip", "soft_update_tau"]
 
 
 def _parse_oracle(obj, path):

@@ -22,16 +22,17 @@ import numpy as np
 
 from . import meta_solvers, policies as pol
 from .games import (TraversalBudgetError, expected_value, exploitability,
-                    make_game, play_episode)
+                    make_game)
 from .games.ntmg import NtmgConfig, ntmg_payoff
-from .meta_solvers import MetaGame, extend_payoff
+from .meta_solvers import (MetaGame, extend_payoff, fill_payoff,
+                           monte_carlo_value)
 from .nets import ArchSignature
 from .oracles import (DqnConfig, PsdBonus, dqn_oracle, exact_oracle,
-                      ntmg_oracle, q_learning_oracle)
+                      ntmg_mixture_payoff, ntmg_oracle, q_learning_oracle)
 from .policies import (ParametricPolicy, PointPolicy, PolicyMixture,
                        TabularPolicy, checkpoint_dumps, fuse_parameters,
                        fuse_points, fuse_tabular, kl_to_ensemble,
-                       scratch_init)
+                       sample_member, scratch_init)
 
 MC_VALUE_EPISODES = 10_000
 
@@ -89,7 +90,7 @@ class Distill:
 
 @dataclass(frozen=True)
 class ExactOracle:
-    node_budget: int | None = None
+    pass
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,6 @@ class ParametricOps:
     kind = "parametric"
 
     def __init__(self, game, hidden_layers):
-        self.game = game
         self.signature = ArchSignature(game.encoding_dim(),
                                        tuple(hidden_layers),
                                        game.num_distinct_actions())
@@ -286,13 +286,11 @@ def init_new_policy(pop, sigma, t: int, method, seed, ops, game=None,
         return ops.copy(pop[-1])
     if isinstance(method, InheritBest):
         return ops.copy(pop[int(np.argmax(sigma))])
-    if isinstance(method, SampleFromNE):
+    if (isinstance(method, SampleFromNE)
+            or isinstance(method, NashFusion) and t < method.c):
         idx = np.random.default_rng(seed).choice(len(pop), p=sigma)
         return ops.copy(pop[idx])
     if isinstance(method, NashFusion):
-        if t < method.c:
-            idx = np.random.default_rng(seed).choice(len(pop), p=sigma)
-            return ops.copy(pop[idx])
         if method.top_k is None:
             selected = np.arange(len(pop))
             weights = sigma
@@ -318,13 +316,12 @@ def init_new_policy(pop, sigma, t: int, method, seed, ops, game=None,
 # Oracle dispatch
 
 
-def _train_oracle(spec, game, ops, init, opponent_mixture, player, seed,
+def _train_oracle(spec, game, init, opponent_mixture, player, seed,
                   psd_bonus=None, node_budget=None):
     """Returns (policy, learning_curve_or_None, trajectory_or_None)."""
     if isinstance(spec, ExactOracle):
-        budget = spec.node_budget if spec.node_budget is not None else node_budget
         return exact_oracle(game, opponent_mixture, player,
-                            node_budget=budget), None, None
+                            node_budget=node_budget), None, None
     if isinstance(spec, QLearningOracle):
         policy = q_learning_oracle(
             game, init if isinstance(init, TabularPolicy) else None,
@@ -338,10 +335,6 @@ def _train_oracle(spec, game, ops, init, opponent_mixture, player, seed,
             seed=int(np.random.default_rng(seed).integers(2 ** 31)),
             psd=psd_bonus)
         return policy, curve, None
-    if isinstance(spec, GradientOracle):
-        pairs = list(zip(opponent_mixture.members, opponent_mixture.weights))
-        policy, traj = ntmg_oracle(init, pairs, spec.steps, spec.lr, ops.cfg)
-        return policy, None, traj
     raise EngineError(f"unknown oracle spec {spec!r}")
 
 
@@ -374,9 +367,7 @@ def ntmg_best_response_value(opponent_pairs, cfg: NtmgConfig) -> float:
                                                     cfg.plane_bound)),
                                 opponent_pairs, _NTMG_BR_STEPS, _NTMG_BR_LR,
                                 cfg)
-        value = sum(w * ntmg_payoff(policy.x, p.x, cfg)
-                    for p, w in opponent_pairs)
-        best = max(best, value)
+        best = max(best, ntmg_mixture_payoff(policy.x, opponent_pairs, cfg))
     return best
 
 
@@ -396,25 +387,12 @@ def ntmg_exploitability(pops, sigmas, cfg: NtmgConfig) -> float:
 # Approximate exploitability (trained best responses)
 
 
-def _mixture_value(game, mixture_row, mixture_col, player, node_budget,
-                   seed) -> float:
+def _mixture_value(game, profile, player, seed) -> float:
     try:
-        return expected_value(game, (mixture_row, mixture_col))[player]
+        return expected_value(game, profile)[player]
     except TraversalBudgetError:
         rng = np.random.default_rng(_derive_seed(seed, player, 77))
-        total = 0.0
-        for _ in range(MC_VALUE_EPISODES):
-            r0 = _sample_from(mixture_row, rng)
-            r1 = _sample_from(mixture_col, rng)
-            total += play_episode(game, (r0, r1), rng)[player]
-        return total / MC_VALUE_EPISODES
-
-
-def _sample_from(policy_or_mixture, rng):
-    members = getattr(policy_or_mixture, "members", None)
-    if members is None:
-        return policy_or_mixture
-    return members[rng.choice(len(members), p=policy_or_mixture.weights)]
+        return monte_carlo_value(game, profile, MC_VALUE_EPISODES, rng, player)
 
 
 def _fit_init_to_oracle(init, game, oracle_spec, seed):
@@ -422,14 +400,11 @@ def _fit_init_to_oracle(init, game, oracle_spec, seed):
     members fall back to a seeded scratch network."""
     if not isinstance(oracle_spec, DqnOracle) or hasattr(init, "theta"):
         return init
-    signature = ArchSignature(game.encoding_dim(), oracle_spec.hidden_layers,
-                              game.num_distinct_actions())
-    return scratch_init("normal", signature,
-                        int(np.random.default_rng(seed).integers(2 ** 31)))
+    return ParametricOps(game, oracle_spec.hidden_layers).scratch(seed)
 
 
 def approximate_exploitability(game, profile, oracle_spec, seed,
-                               ops=None, node_budget=None) -> float:
+                               node_budget=None) -> float:
     """Exploitability with trained best responses in place of exact ones.
 
     Each player's response is initialized from a meta-strategy-sampled
@@ -441,17 +416,15 @@ def approximate_exploitability(game, profile, oracle_spec, seed,
         own = profile[player]
         opp = profile[1 - player]
         rng = np.random.default_rng(_derive_seed(seed, player, 11))
-        init = _fit_init_to_oracle(_sample_from(own, rng), game, oracle_spec,
+        init = _fit_init_to_oracle(sample_member(own, rng), game, oracle_spec,
                                    _derive_seed(seed, player, 13))
-        trained, _, _ = _train_oracle(oracle_spec, game, ops, init, opp,
-                                      player, _derive_seed(seed, player, 12),
+        trained, _, _ = _train_oracle(oracle_spec, game, init, opp, player,
+                                      _derive_seed(seed, player, 12),
                                       node_budget=node_budget)
         pair = (trained, opp) if player == 0 else (opp, trained)
-        v_trained = _mixture_value(game, pair[0], pair[1], player,
-                                   node_budget, seed)
+        v_trained = _mixture_value(game, pair, player, seed)
         base = (own, opp) if player == 0 else (opp, own)
-        v_current = _mixture_value(game, base[0], base[1], player,
-                                   node_budget, seed)
+        v_current = _mixture_value(game, base, player, seed)
         total += v_trained - v_current
     return total
 
@@ -570,68 +543,113 @@ class _RunWriter:
 # The loop
 
 
-def _build_arena(config: PsroConfig):
-    """Returns (game_or_none, ops, is_ntmg)."""
+class _Arena:
+    """One game family behind the four operations the loop needs: initial
+    populations, payoff fill, exploitability, and best-response training."""
+
+    game = None  # the game tree, for tree-only steps (distill, diagnostics)
+    ops = None  # the policy toolkit: TabularOps, ParametricOps or PointOps
+
+    def initial_populations(self, seed):
+        return tuple([self.ops.scratch(_derive_seed(seed, 0, player, 6),
+                                       "normal")] for player in (0, 1))
+
+
+class TreeArena(_Arena):
+    """An extensive-form game with tabular or network policies."""
+
+    def __init__(self, config: PsroConfig, game, ops):
+        self.config = config
+        self.game = game
+        self.ops = ops
+
+    def fill_payoffs(self, meta, pops, seed):
+        config = self.config
+        if config.payoff_mode == "exact":
+            return extend_payoff(meta, self.game, pops, "exact",
+                                 node_budget=config.node_budget)
+        return extend_payoff(meta, self.game, pops,
+                             ("monte_carlo", config.payoff_episodes, seed))
+
+    def exploitability(self, pops, sigmas):
+        return exploitability(self.game, (PolicyMixture(pops[0], sigmas[0]),
+                                          PolicyMixture(pops[1], sigmas[1])),
+                              self.config.node_budget)
+
+    def train(self, init, opponent, player, seed, psd_bonus):
+        return _train_oracle(self.config.oracle, self.game, init, opponent,
+                             player, seed, psd_bonus, self.config.node_budget)
+
+
+class PlaneArena(_Arena):
+    """The seven-hump plane game: point policies, closed-form payoffs,
+    gradient-ascent responses."""
+
+    def __init__(self, config: PsroConfig, cfg: NtmgConfig):
+        if not isinstance(config.oracle, GradientOracle):
+            raise EngineError("the mixture game needs the gradient oracle")
+        if config.psd.enabled:
+            raise EngineError("psd.enabled: the mixture game has no "
+                              "intrinsic-reward arm")
+        if config.eval.approx_oracle is not None:
+            raise EngineError("eval.approx_exploitability: the mixture game "
+                              "supports exact exploitability only")
+        self.ops = PointOps(cfg)
+        self.oracle = config.oracle
+        self.cfg = cfg
+
+    def fill_payoffs(self, meta, pops, seed):
+        return fill_payoff(meta, pops, lambda r, c: ntmg_payoff(
+            pops[0][r].x, pops[1][c].x, self.cfg))
+
+    def exploitability(self, pops, sigmas):
+        return ntmg_exploitability(pops, sigmas, self.cfg)
+
+    def train(self, init, opponent, player, seed, psd_bonus):
+        pairs = list(zip(opponent.members, opponent.weights))
+        policy, traj = ntmg_oracle(init, pairs, self.oracle.steps,
+                                   self.oracle.lr, self.cfg)
+        return policy, None, traj
+
+
+def _build_arena(config: PsroConfig) -> _Arena:
     name = config.game.get("name")
     params = config.game.get("params", {}) or {}
     if name == "ntmg":
-        cfg = NtmgConfig(**params)
-        if not isinstance(config.oracle, GradientOracle):
-            raise EngineError("the mixture game needs the gradient oracle")
-        return None, PointOps(cfg), True
+        return PlaneArena(config, NtmgConfig(**params))
     game = make_game(name, params)
     if isinstance(config.oracle, DqnOracle):
-        return game, ParametricOps(game, config.oracle.hidden_layers), False
-    if isinstance(config.oracle, (ExactOracle, QLearningOracle)):
-        return game, TabularOps(), False
-    raise EngineError("oracle spec does not fit the configured game")
-
-
-def _fill_payoffs(meta, game, pops, config, seed, is_ntmg, ops):
-    if is_ntmg:
-        rows, cols = len(pops[0]), len(pops[1])
-        out = meta.grown_to(rows, cols)
-        for r in range(rows):
-            for c in range(cols):
-                if not out.filled[r, c]:
-                    out.payoff[r, c] = ntmg_payoff(pops[0][r].x,
-                                                   pops[1][c].x, ops.cfg)
-                    out.filled[r, c] = True
-        return out
-    if config.payoff_mode == "exact":
-        return extend_payoff(meta, game, pops, "exact",
-                             node_budget=config.node_budget)
-    return extend_payoff(meta, game, pops,
-                         ("monte_carlo", config.payoff_episodes, seed))
+        ops = ParametricOps(game, config.oracle.hidden_layers)
+    elif isinstance(config.oracle, (ExactOracle, QLearningOracle)):
+        ops = TabularOps()
+    else:
+        raise EngineError("oracle spec does not fit the configured game")
+    return TreeArena(config, game, ops)
 
 
 def run_psro(config: PsroConfig, seed: int,
              out_dir: str | None = None) -> RunHistory:
     """Run the population loop for one seed. Writes incremental outputs when
     `out_dir` is given and returns the full history."""
-    game, ops, is_ntmg = _build_arena(config)
+    arena = _build_arena(config)
     writer = _RunWriter(out_dir)
-    pops = ([ops.scratch(_derive_seed(seed, 0, 0, 6), "normal")],
-            [ops.scratch(_derive_seed(seed, 0, 1, 6), "normal")])
-    meta = _fill_payoffs(MetaGame(), game, pops, config, _mix_seed(seed, 2),
-                         is_ntmg, ops)
+    pops = arena.initial_populations(seed)
+    meta = arena.fill_payoffs(MetaGame(), pops, _mix_seed(seed, 2))
     sigmas = (np.ones(1), np.ones(1))
     records = []
     # Outputs are written as each iteration completes, so a failing component
     # aborts the run with the partial history already on disk.
     for t in range(1, config.iterations + 1):
-        rec = _run_iteration(config, seed, t, game, ops, is_ntmg, pops,
-                             meta, sigmas, writer)
-        meta, sigmas = rec.pop("meta"), rec.pop("sigmas")
-        record = rec.pop("record")
+        meta, sigmas, record = _run_iteration(config, seed, t, arena, pops,
+                                              meta, sigmas, writer)
         records.append(record)
         writer.record(record)
         writer.payoff_matrix(t, meta)
     return RunHistory(records, pops, meta, sigmas)
 
 
-def _run_iteration(config, seed, t, game, ops, is_ntmg, pops, meta, sigmas,
-                   writer):
+def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
+    game, ops = arena.game, arena.ops
     t_fusion = 0.0
     t_br = 0.0
     kl_rows = []
@@ -653,7 +671,7 @@ def _run_iteration(config, seed, t, game, ops, is_ntmg, pops, meta, sigmas,
                                            ops, pops[player], sigma_own))
 
         psd_bonus = None
-        if config.psd.enabled and not is_ntmg:
+        if config.psd.enabled:
             rng = np.random.default_rng(_derive_seed(seed, t, player, 4))
             hull = [pops[player][i] for i in
                     rng.integers(len(pops[player]),
@@ -663,10 +681,9 @@ def _run_iteration(config, seed, t, game, ops, is_ntmg, pops, meta, sigmas,
             psd_bonus = PsdBonus(hull, config.psd.lam, gamma)
 
         start = time.perf_counter()
-        trained, curve, traj = _train_oracle(
-            config.oracle, game, ops, init, opponent, player,
-            _derive_seed(seed, t, player, 1), psd_bonus=psd_bonus,
-            node_budget=config.node_budget)
+        trained, curve, traj = arena.train(init, opponent, player,
+                                           _derive_seed(seed, t, player, 1),
+                                           psd_bonus)
         t_br += time.perf_counter() - start
         writer.curve(t, player, curve)
         writer.trajectory(t, player, traj)
@@ -677,8 +694,7 @@ def _run_iteration(config, seed, t, game, ops, is_ntmg, pops, meta, sigmas,
         pops[player].append(new_policies[player])
 
     start = time.perf_counter()
-    meta = _fill_payoffs(meta, game, pops, config, _mix_seed(seed, 2),
-                         is_ntmg, ops)
+    meta = arena.fill_payoffs(meta, pops, _mix_seed(seed, 2))
     t_payoff = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -689,26 +705,18 @@ def _run_iteration(config, seed, t, game, ops, is_ntmg, pops, meta, sigmas,
     exact = None
     every = config.eval.exact_exploitability_every
     if every and (t % every == 0 or t == config.iterations):
-        if is_ntmg:
-            exact = ntmg_exploitability(pops, sigmas, ops.cfg)
-        else:
-            kwargs = ({} if config.node_budget is None
-                      else {"node_budget": config.node_budget})
-            exact = exploitability(
-                game, (PolicyMixture(pops[0], sigma_row),
-                       PolicyMixture(pops[1], sigma_col)), **kwargs)
+        exact = arena.exploitability(pops, sigmas)
 
     approx = None
     spec = config.eval.approx_oracle
-    if spec is not None and not is_ntmg:
+    if spec is not None:
         cadence = config.eval.approx_every
         due = (t % cadence == 0) if cadence else (t == config.iterations)
         if due:
             approx = approximate_exploitability(
                 game, (PolicyMixture(pops[0], sigma_row),
                        PolicyMixture(pops[1], sigma_col)),
-                spec, _mix_seed(seed, t, 3), ops=ops,
-                node_budget=config.node_budget)
+                spec, _mix_seed(seed, t, 3), node_budget=config.node_budget)
 
     writer.kl_compare(kl_rows)
     record = IterationRecord(
@@ -719,7 +727,7 @@ def _run_iteration(config, seed, t, game, ops, is_ntmg, pops, meta, sigmas,
         pop_size_p1=len(pops[0]),
         pop_size_p2=len(pops[1]), t_meta=t_meta, t_br=t_br,
         t_fusion=t_fusion, t_payoff=t_payoff, kl_compare=kl_rows)
-    return {"meta": meta, "sigmas": sigmas, "record": record}
+    return meta, sigmas, record
 
 
 def _kl_compare_row(config, seed, t, player, game, ops, pop, sigma):

@@ -87,28 +87,37 @@ class Game:
         raise NotImplementedError
 
 
-def play_episode(game: Game, policies, rng: np.random.Generator,
-                 action_probs=None) -> tuple[float, float]:
-    """Sample one playthrough; ``policies[i]`` picks actions for player i.
+def sample_action(probs, actions, rng: np.random.Generator):
+    """Draw one of ``actions`` with probability proportional to ``probs``."""
+    probs = np.asarray(probs, dtype=float)
+    return actions[rng.choice(len(actions), p=probs / probs.sum())]
 
-    ``action_probs(policy, game, state, player)`` defaults to each policy's
-    evaluation-time distribution.
+
+def sample_episode(game: Game, choose, rng: np.random.Generator) -> State:
+    """Sample one playthrough and return its terminal state.
+
+    Chance outcomes are drawn from ``rng``; at each decision node
+    ``choose(state, player, legal_actions)`` returns the action taken.
     """
     state = game.initial_state()
     while not state.is_terminal:
-        if state.current_player == CHANCE:
+        player = state.current_player
+        if player == CHANCE:
             outcomes = state.chance_outcomes()
-            probs = np.array([p for _, p in outcomes])
-            idx = rng.choice(len(outcomes), p=probs / probs.sum())
-            state = state.child(outcomes[idx][0])
+            action = sample_action([p for _, p in outcomes],
+                                   [a for a, _ in outcomes], rng)
         else:
-            player = state.current_player
-            policy = policies[player]
-            if action_probs is None:
-                probs = policy.action_probs(game, state, player)
-            else:
-                probs = action_probs(policy, game, state, player)
-            legal = state.legal_actions()
-            idx = rng.choice(len(legal), p=np.asarray(probs) / np.sum(probs))
-            state = state.child(legal[idx])
-    return state.returns()
+            action = choose(state, player, state.legal_actions())
+        state = state.child(action)
+    return state
+
+
+def play_episode(game: Game, policies,
+                 rng: np.random.Generator) -> tuple[float, float]:
+    """Sample one playthrough; ``policies[i]`` plays its evaluation-time
+    distribution for player i."""
+    def choose(state, player, legal):
+        probs = policies[player].action_probs(game, state, player)
+        return sample_action(probs, legal, rng)
+
+    return sample_episode(game, choose, rng).returns()

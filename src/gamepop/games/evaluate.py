@@ -32,10 +32,11 @@ def _as_members(policy_or_mixture):
 
 
 class _Budget:
+    """Nodes a traversal may still visit; None stands for the default."""
     __slots__ = ("left",)
 
-    def __init__(self, budget: int):
-        self.left = budget
+    def __init__(self, budget: int | None):
+        self.left = DEFAULT_NODE_BUDGET if budget is None else budget
 
     def spend(self):
         self.left -= 1
@@ -45,7 +46,7 @@ class _Budget:
 
 
 def expected_value(game: Game, profile,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[float, float]:
+                   node_budget: int | None = None) -> tuple[float, float]:
     """Exact expected utilities of a (policy or mixture) profile."""
     members = [None, None]
     weights = [None, None]
@@ -82,7 +83,7 @@ def expected_value(game: Game, profile,
 
 
 def best_response(game: Game, opponent_mixture, responder: int,
-                  node_budget: int = DEFAULT_NODE_BUDGET):
+                  node_budget: int | None = None):
     """Exact best response of `responder` to an opponent policy mixture.
 
     Returns (policy, value). The policy is tabular and deterministic on every
@@ -188,12 +189,12 @@ def best_response(game: Game, opponent_mixture, responder: int,
 
 
 def exploitability(game: Game, profile,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> float:
+                   node_budget: int | None = None) -> float:
     """Sum over players of the gain from deviating to an exact best response."""
+    current = expected_value(game, profile, node_budget)
     total = 0.0
     for player in (0, 1):
         _, br_value = best_response(game, profile[1 - player], player,
                                     node_budget)
-        current = expected_value(game, profile, node_budget)[player]
-        total += br_value - current
+        total += br_value - current[player]
     return total

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import expected_value, play_episode
+from .policies import sample_member
 
 
 class SolverError(Exception):
@@ -54,11 +55,15 @@ class MetaGame:
         return MetaGame(payoff, filled)
 
 
-def _monte_carlo_entry(game, row_policy, col_policy, episodes: int,
-                       rng: np.random.Generator) -> float:
+def monte_carlo_value(game, profile, episodes: int, rng: np.random.Generator,
+                      player: int = 0) -> float:
+    """Mean sampled return of `player`; a mixture in the profile is sampled
+    once per playthrough."""
     total = 0.0
     for _ in range(episodes):
-        total += play_episode(game, (row_policy, col_policy), rng)[0]
+        members = (sample_member(profile[0], rng),
+                   sample_member(profile[1], rng))
+        total += play_episode(game, members, rng)[player]
     return total / episodes
 
 
@@ -70,25 +75,29 @@ def extend_payoff(meta: MetaGame, game, pops, eval_mode="exact",
     evaluated independently (per-entry seeds), so any fill order produces the
     same matrix; existing entries are never recomputed.
     """
+    def entry(r, c):
+        profile = (pops[0][r], pops[1][c])
+        if eval_mode == "exact":
+            return expected_value(game, profile, node_budget)[0]
+        mode, episodes, seed = eval_mode
+        if mode != "monte_carlo":
+            raise SolverError(f"unknown eval mode {mode!r}")
+        return monte_carlo_value(game, profile, episodes,
+                                 np.random.default_rng([seed, r, c]))
+
+    return fill_payoff(meta, pops, entry)
+
+
+def fill_payoff(meta: MetaGame, pops, entry) -> MetaGame:
+    """Fill every empty entry (r, c) of the meta-game with ``entry(r, c)``,
+    the row player's value of ``pops[0][r]`` against ``pops[1][c]``."""
     rows, cols = len(pops[0]), len(pops[1])
     out = meta.grown_to(rows, cols)
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
     for r in range(rows):
         for c in range(cols):
-            if out.filled[r, c]:
-                continue
-            if eval_mode == "exact":
-                value = expected_value(game, (pops[0][r], pops[1][c]),
-                                       **kwargs)[0]
-            else:
-                mode, episodes, seed = eval_mode
-                if mode != "monte_carlo":
-                    raise SolverError(f"unknown eval mode {mode!r}")
-                rng = np.random.default_rng([seed, r, c])
-                value = _monte_carlo_entry(game, pops[0][r], pops[1][c],
-                                           episodes, rng)
-            out.payoff[r, c] = value
-            out.filled[r, c] = True
+            if not out.filled[r, c]:
+                out.payoff[r, c] = entry(r, c)
+                out.filled[r, c] = True
     return out
 
 

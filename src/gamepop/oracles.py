@@ -15,12 +15,12 @@ import numpy as np
 
 from . import nets
 from .games import best_response
-from .games.base import CHANCE, Game
+from .games.base import Game, sample_action, sample_episode
 from .games.ntmg import (S_MATRIX, NtmgConfig, ntmg_densities,
                          ntmg_densities_jacobian, ntmg_payoff,
                          ntmg_payoff_grad)
 from .policies import (InfosetView, ParametricPolicy, PolicyMixture,
-                       TabularPolicy, floored, kl_divergence)
+                       TabularPolicy, floored, kl_divergence, sample_member)
 
 
 @dataclass
@@ -45,10 +45,6 @@ class DqnConfig:
     optimizer: str = "adam"
     grad_clip: float | None = None
     soft_update_tau: float | None = None
-    # Prioritized-replay parameters kept for config fidelity; replay here is
-    # uniform, so both are unused.
-    per_alpha: float = 0.6
-    is_beta: float = 0.4
 
     def __post_init__(self):
         if not (self.replay_capacity >= self.batch_size >= 1):
@@ -65,46 +61,29 @@ class DqnConfig:
             raise ValueError("optimizer must be sgd or adam")
 
 
-def _sample_member(mixture: PolicyMixture, rng: np.random.Generator):
-    idx = rng.choice(len(mixture.members), p=mixture.weights)
-    return mixture.members[idx]
-
-
-def _sample_action(probs, legal, rng):
-    probs = np.asarray(probs, dtype=float)
-    return legal[rng.choice(len(legal), p=probs / probs.sum())]
-
-
 def run_learner_episode(game: Game, player: int, select, opponent,
                         rng: np.random.Generator) -> tuple[list[Step], float]:
     """Play one episode; `select(view) -> global action id` drives the
     learner, the opponent plays its evaluation-time distribution. Returns the
     learner's transitions and terminal reward."""
-    state = game.initial_state()
     pending: tuple[InfosetView, int] | None = None
     steps: list[Step] = []
-    while not state.is_terminal:
-        current = state.current_player
-        if current == CHANCE:
-            outcomes = state.chance_outcomes()
-            probs = np.array([p for _, p in outcomes])
-            state = state.child(_sample_action(probs, [a for a, _ in outcomes],
-                                               rng))
-            continue
-        legal = state.legal_actions()
-        if current == player:
-            view = InfosetView(state.infoset_key(player), tuple(legal),
-                               game.encode_infoset(state, player))
-            action = select(view)
-            assert action in legal, "oracle selected an illegal action"
-            if pending is not None:
-                steps.append(Step(pending[0], pending[1], 0.0, view.key, False))
-            pending = (view, action)
-            state = state.child(action)
-        else:
-            probs = opponent.action_probs(game, state, current)
-            state = state.child(_sample_action(probs, legal, rng))
-    reward = state.returns()[player]
+
+    def choose(state, current, legal):
+        nonlocal pending
+        if current != player:
+            return sample_action(opponent.action_probs(game, state, current),
+                                 legal, rng)
+        view = InfosetView(state.infoset_key(player), tuple(legal),
+                           game.encode_infoset(state, player))
+        action = select(view)
+        assert action in legal, "oracle selected an illegal action"
+        if pending is not None:
+            steps.append(Step(pending[0], pending[1], 0.0, view.key, False))
+        pending = (view, action)
+        return action
+
+    reward = sample_episode(game, choose, rng).returns()[player]
     if pending is not None:
         steps.append(Step(pending[0], pending[1], reward, None, True))
     return steps, reward
@@ -113,8 +92,7 @@ def run_learner_episode(game: Game, player: int, select, opponent,
 def exact_oracle(game: Game, opponent_mixture, player: int,
                  node_budget=None) -> TabularPolicy:
     """Exact best response; initialization-independent by construction."""
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    policy, _ = best_response(game, opponent_mixture, player, **kwargs)
+    policy, _ = best_response(game, opponent_mixture, player, node_budget)
     return policy
 
 
@@ -151,7 +129,7 @@ def q_learning_oracle(game: Game, init: TabularPolicy | None,
         return view.legal_actions[int(np.argmax(q))]
 
     for _ in range(episodes):
-        opponent = _sample_member(opponent_mixture, rng)
+        opponent = sample_member(opponent_mixture, rng)
         steps, _ = run_learner_episode(game, player, select, opponent, rng)
         for step in steps:
             q = q_for(step.view)
@@ -284,7 +262,7 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
     curve = []
     window: list[float] = []
     for episode in range(cfg.episodes):
-        opponent = _sample_member(opponent_mixture, rng)
+        opponent = sample_member(opponent_mixture, rng)
         steps, reward = run_learner_episode(game, player, select, opponent, rng)
         rewards = np.array([s.reward for s in steps])
         if psd is not None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .games.base import CHANCE, Game, State
+from .games.base import Game, State, sample_action, sample_episode
 from .nets import ArchSignature
 
 KL_FLOOR = 1e-9
@@ -138,6 +138,15 @@ class PolicyMixture:
             raise PolicyError("weights must form a probability simplex")
         self.members = members
         self.weights = weights
+
+
+def sample_member(policy_or_mixture, rng: np.random.Generator):
+    """One member drawn by mixture weight; a plain policy is returned as is,
+    without a draw."""
+    members = getattr(policy_or_mixture, "members", None)
+    if members is None:
+        return policy_or_mixture
+    return members[rng.choice(len(members), p=policy_or_mixture.weights)]
 
 
 def _check_simplex(weights: np.ndarray, n: int, tol: float = 1e-6):
@@ -258,8 +267,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def sample_infoset_views(mixture: PolicyMixture, game: Game, player: int,
-                         num_states: int, seed: int,
-                         max_episodes: int | None = None) -> list[InfosetView]:
+                         num_states: int, seed: int) -> list[InfosetView]:
     """Distinct infosets of `player` visited by the mixture ensemble playing
     against a uniform opponent, in first-visit order.
 
@@ -269,39 +277,27 @@ def sample_infoset_views(mixture: PolicyMixture, game: Game, player: int,
     rng = np.random.default_rng(seed)
     views: list[InfosetView] = []
     seen: set[str] = set()
+
+    def choose(state, current, legal):
+        if current != player:
+            return sample_action(_uniform(len(legal)), legal, rng)
+        key = state.infoset_key(player)
+        view = InfosetView(key, tuple(legal),
+                           game.encode_infoset(state, player))
+        if key not in seen and len(views) < num_states:
+            seen.add(key)
+            views.append(view)
+        return sample_action(ensemble_distribution(mixture, view), legal, rng)
+
     episodes = 0
     since_new = 0
     patience = max(20, num_states // 2)
-    cap = max_episodes if max_episodes is not None else max(50, 10 * num_states)
+    cap = max(50, 10 * num_states)
     while len(views) < num_states and episodes < cap and since_new <= patience:
         episodes += 1
-        found_new = False
-        state = game.initial_state()
-        while not state.is_terminal:
-            current = state.current_player
-            legal = state.legal_actions()
-            if current == CHANCE:
-                outcomes = state.chance_outcomes()
-                probs = np.array([p for _, p in outcomes])
-                idx = rng.choice(len(outcomes), p=probs / probs.sum())
-                state = state.child(outcomes[idx][0])
-                continue
-            if current == player:
-                key = state.infoset_key(player)
-                view = InfosetView(key, tuple(legal),
-                                   game.encode_infoset(state, player))
-                if key not in seen:
-                    seen.add(key)
-                    views.append(view)
-                    found_new = True
-                    if len(views) >= num_states:
-                        break
-                probs = ensemble_distribution(mixture, view)
-            else:
-                probs = _uniform(len(legal))
-            idx = rng.choice(len(legal), p=probs / probs.sum())
-            state = state.child(legal[idx])
-        since_new = 0 if found_new else since_new + 1
+        known = len(views)
+        sample_episode(game, choose, rng)
+        since_new = 0 if len(views) > known else since_new + 1
     return views
 
 

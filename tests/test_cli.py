@@ -92,6 +92,13 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="episodes"):
             parse_config(config)
 
+    @pytest.mark.parametrize("field", ["per_alpha", "is_beta"])
+    def test_prioritized_replay_fields_rejected(self, tmp_path, field):
+        oracle = {"kind": "dqn", "hidden_layers": [8], field: 0.5}
+        with pytest.raises(ConfigError, match=f"oracle: unknown field "
+                                              f"'{field}'"):
+            parse_config(minimal_config(tmp_path, oracle=oracle))
+
     def test_bad_seed_list(self, tmp_path):
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(minimal_config(tmp_path, seeds=[]))

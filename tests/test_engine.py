@@ -7,7 +7,8 @@ import pytest
 from gamepop.engine import (Distill, DqnOracle, EngineError,
                             EvalSpec, ExactOracle, GradientOracle,
                             InheritBest, InheritLatest, NashFusion,
-                            ParametricOps, PsroConfig, QLearningOracle,
+                            ParametricOps, PsdSpec, PsroConfig,
+                            QLearningOracle,
                             SampleFromNE, Scratch, TabularOps,
                             approximate_exploitability, init_new_policy,
                             ntmg_exploitability, run_psro, top_k_filter)
@@ -286,6 +287,18 @@ class TestNtmgRun:
         value = ntmg_exploitability(history.populations, history.sigmas,
                                     NtmgConfig())
         assert value >= -1e-9
+
+    @pytest.mark.parametrize("spec, field", [
+        (dict(psd=PsdSpec(enabled=True)), "psd.enabled"),
+        (dict(eval=EvalSpec(approx_oracle=ExactOracle())),
+         "eval.approx_exploitability")])
+    def test_unsupported_options_rejected(self, spec, field):
+        config = PsroConfig(
+            game={"name": "ntmg", "params": {}},
+            oracle=GradientOracle(steps=5, lr=1.0), mss=Nash(),
+            init=(InheritLatest(), InheritLatest()), iterations=1, **spec)
+        with pytest.raises(EngineError, match=field):
+            run_psro(config, seed=0)
 
     def test_trajectories_written(self, tmp_path):
         config = PsroConfig(

@@ -1,0 +1,94 @@
+"""Golden outputs: small runs whose files are pinned across commits.
+
+Every case runs one seed and compares `results.csv` byte for byte, plus one
+SHA-256 over every other output file (payoff matrices, checkpoints, curves,
+trajectories, divergence diagnostics; `timings.csv` excluded). The values
+were recorded before the tree and plane runs shared one arena and episode
+sampling went through one function; a change that is meant to keep behaviour
+must keep them. Networks are tiny, so BLAS does little of the work.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+import gamepop.engine as engine
+from gamepop.config import parse_config
+from gamepop.games import TraversalBudgetError
+
+KUHN = {"name": "kuhn_poker", "params": {}}
+HEADER = ("# gamepop-results-v1\n"
+          "iteration,exploitability,approx_exploitability,pop_size_p1,"
+          "pop_size_p2\n")
+
+# name -> (config, results.csv rows, digest of the other outputs)
+CASES = {
+    # Learner episodes and Monte Carlo payoff entries.
+    "kuhn_q_learning_monte_carlo": (
+        {"game": KUHN, "oracle": {"kind": "q_learning", "episodes": 300},
+         "mss": {"kind": "nash"}, "init": {"method": "sample_from_ne"},
+         "iterations": 3, "seeds": [0],
+         "payoff": {"mode": "monte_carlo", "episodes": 200}},
+        "1,0.33333333333333337,,2,2\n2,0.25,,3,3\n"
+        "3,0.33965850960873767,,4,4\n",
+        "ce7cc9f8b1ff3fe1b1b5b752bbc6cc571c42dcca401333e53ce9179e5a527a63"),
+    # Approximate exploitability with the sampled mixture values that
+    # replace exact traversal past the node budget (forced in the test).
+    "kuhn_approx_monte_carlo_fallback": (
+        {"game": KUHN, "oracle": {"kind": "q_learning", "episodes": 200},
+         "mss": {"kind": "nash"}, "init": {"method": "inherit_latest"},
+         "iterations": 2, "seeds": [0],
+         "eval": {"exact_exploitability_every": 0,
+                  "approx_exploitability": {"kind": "q_learning",
+                                            "episodes": 200}},
+         "payoff": {"mode": "monte_carlo", "episodes": 100}},
+        "1,,,2,2\n2,,0.0798,3,3\n",
+        "0410d6a86e5502a9103ab554e67f0112f614fa5314a06442c7a247449c9c1de0"),
+    # Distillation and the divergence diagnostic both sample infosets.
+    "kuhn_distill": (
+        {"game": KUHN,
+         "oracle": {"kind": "dqn", "hidden_layers": [8], "episodes": 20,
+                    "batch_size": 8, "replay_capacity": 64},
+         "mss": {"kind": "nash"},
+         "init": {"method": "distill", "epochs": 3, "samples": 8, "lr": 0.1},
+         "iterations": 3, "seeds": [0],
+         "diagnostics": {"kl_compare": True, "kl_states": 16}},
+        "1,0.6666666666666665,,2,2\n2,0.6666666666666665,,3,3\n"
+        "3,0.6666666666666665,,4,4\n",
+        "307ff3508dd9610f1914dc531bfc7651ee0924b26694a64fd8f6d3983617a328"),
+    "ntmg": (
+        {"game": {"name": "ntmg", "params": {}},
+         "oracle": {"kind": "gradient", "steps": 30, "lr": 1.0},
+         "mss": {"kind": "nash"}, "init": {"method": "nash_fusion", "c": 0},
+         "iterations": 3, "seeds": [0],
+         "eval": {"exact_exploitability_every": 1}},
+        "1,1.928585573881245,,2,2\n2,1.59892663879549,,3,3\n"
+        "3,1.6129249371481837,,4,4\n",
+        "fad0faafcaf27cafffcbb625d00551b07108e9d35d916690615dedc8e1fb7415"),
+}
+
+
+def outputs_digest(run_dir) -> str:
+    digest = hashlib.sha256()
+    for root, _, files in sorted(os.walk(run_dir)):
+        for name in sorted(files):
+            if name in ("timings.csv", "results.csv"):
+                continue
+            path = os.path.join(root, name)
+            digest.update(os.path.relpath(path, run_dir).encode() + b"\0")
+            with open(path, "rb") as fh:
+                digest.update(hashlib.sha256(fh.read()).digest())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_outputs(name, tmp_path, monkeypatch):
+    data, rows, digest = CASES[name]
+    if name == "kuhn_approx_monte_carlo_fallback":
+        def over_budget(*args, **kwargs):
+            raise TraversalBudgetError("forced by the test")
+        monkeypatch.setattr(engine, "expected_value", over_budget)
+    engine.run_psro(parse_config(data), 0, out_dir=str(tmp_path))
+    assert (tmp_path / "results.csv").read_text() == HEADER + rows
+    assert outputs_digest(str(tmp_path)) == digest
