@@ -1,259 +1,167 @@
 """Declarative run configuration: JSON with exact field names.
 
-Unknown fields are errors, and every validation failure names the offending
-field, so sweep overrides and hand-edited configs fail loudly instead of
-silently drifting.
+The spec dataclasses are the schema: each field's type, default, JSON name
+and bounds are declared once, on the field (see `gamepop.specs`). This
+module reads JSON into those dataclasses and echoes them back, with the
+defaults materialized. Unknown fields are errors, and every validation
+failure names the offending field, so sweep overrides and hand-edited
+configs fail loudly instead of silently drifting.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
-from .engine import (DiagnosticsSpec, Distill, DqnOracle, EvalSpec,
-                     ExactOracle, GradientOracle, InheritBest, InheritLatest,
-                     NashFusion, PsdSpec, PsroConfig, QLearningOracle,
-                     SampleFromNE, Scratch)
-from .meta_solvers import FictitiousPlay, Nash, Prd, Uniform
-from .oracles import DqnConfig
+from .engine import (Distill, DqnOracle, EngineError, ExactOracle,
+                     GradientOracle, InheritBest, InheritLatest, NashFusion,
+                     PsroConfig, QLearningOracle, SampleFromNE, Scratch)
+from .meta_solvers import FictitiousPlay, Nash, Prd, SolverError, Uniform
 
 
 class ConfigError(Exception):
     pass
 
 
-def _require(obj, path, kind, predicate=None, reason=""):
-    if not isinstance(obj, kind) or isinstance(obj, bool) and kind is not bool:
-        raise ConfigError(f"{path}: expected {kind.__name__}")
-    if predicate is not None and not predicate(obj):
-        raise ConfigError(f"{path}: {reason}")
-    return obj
+# Tagged unions: name -> (tag key, what a tag names, {tag: spec class}).
+_UNIONS = {
+    "oracle": ("kind", "oracle kind",
+               {"exact": ExactOracle, "q_learning": QLearningOracle,
+                "dqn": DqnOracle, "gradient": GradientOracle}),
+    "mss": ("kind", "meta-strategy solver",
+            {"nash": Nash, "uniform": Uniform, "prd": Prd,
+             "fictitious_play": FictitiousPlay}),
+    "init": ("method", "init method",
+             {"scratch": Scratch, "inherit_latest": InheritLatest,
+              "inherit_best": InheritBest, "sample_from_ne": SampleFromNE,
+              "nash_fusion": NashFusion, "distill": Distill}),
+}
+
+# Annotation -> (accepted JSON value types, what the error says is expected).
+_SCALARS = {bool: (bool, "a boolean"), int: (int, "an integer"),
+            float: ((int, float), "a number"), str: (str, "a string")}
+
+# What a spec raises when a value breaks its declared bounds or choices.
+_SPEC_ERRORS = (EngineError, SolverError, ValueError)
+
+_TOP_REQUIRED = ("game", "oracle", "mss", "init", "iterations", "seeds")
+_TOP_OPTIONAL = ("psd", "eval", "payoff", "output_dir", "diagnostics",
+                 "node_budget")
 
 
-def _check_fields(obj, path, required, optional):
+@cache
+def _fields(cls) -> tuple:
+    """(JSON key, field, resolved annotation) for each field of a spec."""
+    hints = get_type_hints(cls)
+    return tuple((f.metadata.get("json", f.name), f, hints[f.name])
+                 for f in fields(cls))
+
+
+@cache
+def _keys(cls) -> frozenset:
+    """The JSON keys of a spec, counting those of an inline spec field."""
+    return frozenset(k for key, f, kind in _fields(cls)
+                     for k in (_keys(kind) if f.metadata.get("inline")
+                               else (key,)))
+
+
+def _check_keys(obj, path, required, optional):
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    unknown = set(obj) - set(required) - set(optional)
+    unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
-        raise ConfigError(f"{path}: unknown field {sorted(unknown)[0]!r}")
-    missing = set(required) - set(obj)
+        raise ConfigError(f"{path}: unknown field {unknown[0]!r}")
+    missing = sorted(set(required) - set(obj))
     if missing:
-        raise ConfigError(f"{path}: missing field {sorted(missing)[0]!r}")
+        raise ConfigError(f"{path}: missing field {missing[0]!r}")
 
 
-def _int(obj, path, minimum=None):
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ConfigError(f"{path}: expected an integer")
-    if minimum is not None and obj < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
-    return obj
+def _build(cls, kwargs, prefix):
+    """`cls(**kwargs)`, its bound errors named by their JSON path."""
+    try:
+        return cls(**kwargs)
+    except _SPEC_ERRORS as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _num(obj, path, minimum=None):
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    if minimum is not None and obj < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
-    return float(obj)
+def _read(cls, obj, path):
+    """A spec from its JSON object. Absent fields keep the dataclass default;
+    the fields of an inline spec sit in the same object."""
+    _check_keys(obj, path, (), _keys(cls))
+    kwargs = {}
+    for key, f, kind in _fields(cls):
+        if f.metadata.get("inline"):
+            kwargs[f.name] = _read(kind, {k: v for k, v in obj.items()
+                                          if k in _keys(kind)}, path)
+        elif key in obj:
+            kwargs[f.name] = _value(kind, f.metadata, obj[key],
+                                    f"{path}.{key}")
+    return _build(cls, kwargs, f"{path}.")
 
 
-def _parse_game(obj, path):
-    _check_fields(obj, path, ["name"], ["params"])
-    _require(obj["name"], f"{path}.name", str)
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}.params: expected an object")
-    return {"name": obj["name"], "params": params}
+def _value(kind, meta, value, path):
+    """One JSON value as a field of annotated type `kind`."""
+    if type(None) in get_args(kind):  # `X | None`
+        if value is None or value == meta.get("none"):
+            return None
+        kind = get_args(kind)[0]
+    if "union" in meta:
+        return _read_union(meta["union"], value, path)
+    if is_dataclass(kind):
+        return _read(kind, value, path)
+    if get_origin(kind) is tuple:  # `tuple[X, ...]`
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        return tuple(_value(get_args(kind)[0], {}, v, path) for v in value)
+    accepted, expected = _SCALARS[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool)
+                                           and kind is not bool):
+        raise ConfigError(f"{path}: expected {expected}")
+    return kind(value)
 
 
-_DQN_FIELDS = ["replay_capacity", "batch_size", "lr", "gamma_discount",
-               "epsilon", "target_update_every", "episodes", "optimizer",
-               "grad_clip", "soft_update_tau"]
+def _read_union(name, obj, path):
+    tag, noun, table = _UNIONS[name]
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if tag not in obj:
+        raise ConfigError(f"{path}: missing field {tag!r}")
+    cls = table.get(obj[tag]) if isinstance(obj[tag], str) else None
+    if cls is None:
+        raise ConfigError(f"{path}.{tag}: unknown {noun} {obj[tag]!r}")
+    return _read(cls, {k: v for k, v in obj.items() if k != tag}, path)
 
 
-def _parse_oracle(obj, path):
-    _check_fields(obj, path, ["kind"], ["episodes", "lr", "epsilon",
-                                        "gamma_discount", "steps",
-                                        "hidden_layers"] + _DQN_FIELDS)
-    kind = obj["kind"]
-    if kind == "exact":
-        _check_fields(obj, path, ["kind"], [])
-        return ExactOracle()
-    if kind == "q_learning":
-        _check_fields(obj, path, ["kind"],
-                      ["episodes", "lr", "epsilon", "gamma_discount"])
-        return QLearningOracle(
-            episodes=_int(obj.get("episodes", 5000), f"{path}.episodes", 1),
-            lr=_num(obj.get("lr", 0.1), f"{path}.lr"),
-            epsilon=_num(obj.get("epsilon", 0.1), f"{path}.epsilon", 0.0),
-            gamma_discount=_num(obj.get("gamma_discount", 1.0),
-                                f"{path}.gamma_discount", 0.0))
-    if kind == "dqn":
-        _check_fields(obj, path, ["kind"], ["hidden_layers"] + _DQN_FIELDS)
-        hidden = obj.get("hidden_layers", [64, 64])
-        if (not isinstance(hidden, list) or not hidden
-                or any(isinstance(h, bool) or not isinstance(h, int) or h < 1
-                       for h in hidden)):
-            raise ConfigError(f"{path}.hidden_layers: expected a list of "
-                              "positive integers")
-        kwargs = {}
-        for name in _DQN_FIELDS:
-            if name in obj:
-                kwargs[name] = obj[name]
-        try:
-            cfg = DqnConfig(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        return DqnOracle(hidden_layers=tuple(hidden), cfg=cfg)
-    if kind == "gradient":
-        _check_fields(obj, path, ["kind"], ["steps", "lr"])
-        return GradientOracle(steps=_int(obj.get("steps", 100),
-                                         f"{path}.steps", 1),
-                              lr=_num(obj.get("lr", 0.5), f"{path}.lr"))
-    raise ConfigError(f"{path}.kind: unknown oracle kind {kind!r}")
-
-
-def _parse_mss(obj, path):
-    _check_fields(obj, path, ["kind"], ["gamma", "dt", "steps", "iters"])
-    kind = obj["kind"]
-    if kind == "nash":
-        return Nash()
-    if kind == "uniform":
-        return Uniform()
-    if kind == "prd":
-        return Prd(gamma=_num(obj.get("gamma", 1e-3), f"{path}.gamma", 0.0),
-                   dt=_num(obj.get("dt", 1e-3), f"{path}.dt"),
-                   steps=_int(obj.get("steps", 100_000), f"{path}.steps", 1))
-    if kind == "fictitious_play":
-        return FictitiousPlay(iters=_int(obj.get("iters", 30_000),
-                                         f"{path}.iters", 1))
-    raise ConfigError(f"{path}.kind: unknown meta-strategy solver {kind!r}")
-
-
-def _parse_init_method(obj, path):
-    _check_fields(obj, path, ["method"],
-                  ["kind", "c", "top_k", "weights", "epochs", "samples", "lr"])
-    method = obj["method"]
-    if method == "scratch":
-        _check_fields(obj, path, ["method"], ["kind"])
-        kind = obj.get("kind", "normal")
-        if kind not in ("normal", "orthogonal", "kaiming"):
-            raise ConfigError(f"{path}.kind: unknown scratch kind {kind!r}")
-        return Scratch(kind)
-    if method == "inherit_latest":
-        _check_fields(obj, path, ["method"], [])
-        return InheritLatest()
-    if method == "inherit_best":
-        _check_fields(obj, path, ["method"], [])
-        return InheritBest()
-    if method == "sample_from_ne":
-        _check_fields(obj, path, ["method"], [])
-        return SampleFromNE()
-    if method == "nash_fusion":
-        _check_fields(obj, path, ["method"], ["c", "top_k", "weights"])
-        top_k = obj.get("top_k")
-        if top_k in (None, "all"):
-            top_k = None
-        else:
-            top_k = _int(top_k, f"{path}.top_k", 1)
-        weights = obj.get("weights", "nash")
-        if weights not in ("nash", "uniform"):
-            raise ConfigError(f"{path}.weights: must be nash or uniform")
-        return NashFusion(c=_int(obj.get("c", 2), f"{path}.c", 0),
-                          top_k=top_k, weights=weights)
-    if method == "distill":
-        _check_fields(obj, path, ["method"], ["epochs", "samples", "lr"])
-        return Distill(epochs=_int(obj.get("epochs", 200), f"{path}.epochs", 0),
-                       samples=_int(obj.get("samples", 64),
-                                    f"{path}.samples", 1),
-                       lr=_num(obj.get("lr", 0.05), f"{path}.lr"))
-    raise ConfigError(f"{path}.method: unknown init method {method!r}")
-
-
-def _parse_init(obj, path):
-    if isinstance(obj, dict) and set(obj) <= {"p0", "p1"} and obj:
-        _check_fields(obj, path, ["p0", "p1"], [])
-        return (_parse_init_method(obj["p0"], f"{path}.p0"),
-                _parse_init_method(obj["p1"], f"{path}.p1"))
-    method = _parse_init_method(obj, path)
+def _read_init(obj, path):
+    """One init method for both players, or one each as `p0` and `p1`."""
+    if isinstance(obj, dict) and obj and set(obj) <= {"p0", "p1"}:
+        _check_keys(obj, path, ("p0", "p1"), ())
+        return (_read_union("init", obj["p0"], f"{path}.p0"),
+                _read_union("init", obj["p1"], f"{path}.p1"))
+    method = _read_union("init", obj, path)
     return (method, method)
 
 
 def parse_config(data: dict) -> PsroConfig:
-    _check_fields(data, "config",
-                  ["game", "oracle", "mss", "init", "iterations", "seeds"],
-                  ["psd", "eval", "payoff", "output_dir", "diagnostics",
-                   "node_budget"])
-    game = _parse_game(data["game"], "game")
-    oracle = _parse_oracle(data["oracle"], "oracle")
-    mss = _parse_mss(data["mss"], "mss")
-    init = _parse_init(data["init"], "init")
-    iterations = _int(data["iterations"], "iterations", 1)
-    seeds = data["seeds"]
-    if (not isinstance(seeds, list) or not seeds
-            or any(isinstance(s, bool) or not isinstance(s, int)
-                   for s in seeds)):
-        raise ConfigError("seeds: expected a non-empty list of integers")
-
-    psd = PsdSpec()
-    if "psd" in data:
-        _check_fields(data["psd"], "psd", [],
-                      ["enabled", "lambda", "hull_samples"])
-        psd = PsdSpec(
-            enabled=_require(data["psd"].get("enabled", False), "psd.enabled",
-                             bool),
-            lam=_num(data["psd"].get("lambda", 1.0), "psd.lambda", 0.0),
-            hull_samples=_int(data["psd"].get("hull_samples", 4),
-                              "psd.hull_samples", 1))
-
-    eval_spec = EvalSpec()
-    if "eval" in data:
-        _check_fields(data["eval"], "eval", [],
-                      ["exact_exploitability_every", "approx_exploitability",
-                       "approx_every"])
-        approx = data["eval"].get("approx_exploitability")
-        approx_oracle = (None if approx is None
-                         else _parse_oracle(approx,
-                                            "eval.approx_exploitability"))
-        eval_spec = EvalSpec(
-            exact_exploitability_every=_int(
-                data["eval"].get("exact_exploitability_every", 1),
-                "eval.exact_exploitability_every", 0),
-            approx_oracle=approx_oracle,
-            approx_every=_int(data["eval"].get("approx_every", 0),
-                              "eval.approx_every", 0))
-
-    payoff_mode, payoff_episodes = "exact", 10_000
+    _check_keys(data, "config", _TOP_REQUIRED, _TOP_OPTIONAL)
+    game = data["game"]
+    _check_keys(game, "game", ("name",), ("params",))
+    _value(str, {}, game["name"], "game.name")
+    params = game.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("game.params: expected an object")
+    flat = {k: v for k, v in data.items() if k != "payoff"}
     if "payoff" in data:
-        _check_fields(data["payoff"], "payoff", ["mode"], ["episodes"])
-        payoff_mode = data["payoff"]["mode"]
-        if payoff_mode not in ("exact", "monte_carlo"):
-            raise ConfigError("payoff.mode: must be exact or monte_carlo")
-        payoff_episodes = _int(data["payoff"].get("episodes", 10_000),
-                               "payoff.episodes", 1)
-
-    diagnostics = DiagnosticsSpec()
-    if "diagnostics" in data:
-        _check_fields(data["diagnostics"], "diagnostics", [],
-                      ["kl_compare", "kl_states"])
-        diagnostics = DiagnosticsSpec(
-            kl_compare=_require(data["diagnostics"].get("kl_compare", False),
-                                "diagnostics.kl_compare", bool),
-            kl_states=_int(data["diagnostics"].get("kl_states", 128),
-                           "diagnostics.kl_states", 1))
-
-    output_dir = data.get("output_dir")
-    if output_dir is not None:
-        _require(output_dir, "output_dir", str)
-    node_budget = data.get("node_budget")
-    if node_budget is not None:
-        node_budget = _int(node_budget, "node_budget", 1)
-
-    return PsroConfig(game=game, oracle=oracle, mss=mss, init=init,
-                      iterations=iterations, psd=psd, eval=eval_spec,
-                      payoff_mode=payoff_mode,
-                      payoff_episodes=payoff_episodes,
-                      seeds=tuple(seeds), output_dir=output_dir,
-                      diagnostics=diagnostics, node_budget=node_budget)
+        _check_keys(data["payoff"], "payoff", ("mode",), ("episodes",))
+        flat.update({f"payoff.{k}": v for k, v in data["payoff"].items()})
+    kwargs = {f.name: _value(kind, f.metadata, flat[key], key)
+              for key, f, kind in _fields(PsroConfig)
+              if key in flat and key not in ("game", "init")}
+    kwargs["game"] = {"name": game["name"], "params": params}
+    kwargs["init"] = _read_init(data["init"], "init")
+    return _build(PsroConfig, kwargs, "")
 
 
 def load_config(path: str) -> PsroConfig:
@@ -269,73 +177,41 @@ def load_config(path: str) -> PsroConfig:
 # Echo: dataclasses back to the JSON structure (defaults materialized)
 
 
-def _oracle_to_dict(spec):
-    if isinstance(spec, ExactOracle):
-        return {"kind": "exact"}
-    if isinstance(spec, QLearningOracle):
-        return {"kind": "q_learning", "episodes": spec.episodes,
-                "lr": spec.lr, "epsilon": spec.epsilon,
-                "gamma_discount": spec.gamma_discount}
-    if isinstance(spec, DqnOracle):
-        out = {"kind": "dqn", "hidden_layers": list(spec.hidden_layers)}
-        for name in _DQN_FIELDS:
-            out[name] = getattr(spec.cfg, name)
-        return out
-    return {"kind": "gradient", "steps": spec.steps, "lr": spec.lr}
+def _echo(spec) -> dict:
+    out = {}
+    for key, f, _ in _fields(type(spec)):
+        value = getattr(spec, f.name)
+        if f.metadata.get("inline"):
+            out.update(_echo(value))
+        else:
+            out[key] = _echo_value(value, f.metadata)
+    return out
 
 
-def _mss_to_dict(mss):
-    if isinstance(mss, Nash):
-        return {"kind": "nash"}
-    if isinstance(mss, Uniform):
-        return {"kind": "uniform"}
-    if isinstance(mss, Prd):
-        return {"kind": "prd", "gamma": mss.gamma, "dt": mss.dt,
-                "steps": mss.steps}
-    return {"kind": "fictitious_play", "iters": mss.iters}
+def _echo_value(value, meta):
+    if value is None:
+        return meta.get("none")
+    if "union" in meta:
+        return _echo_union(meta["union"], value)
+    if is_dataclass(value):
+        return _echo(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
-def _init_to_dict(method):
-    if isinstance(method, Scratch):
-        return {"method": "scratch", "kind": method.kind}
-    if isinstance(method, InheritLatest):
-        return {"method": "inherit_latest"}
-    if isinstance(method, InheritBest):
-        return {"method": "inherit_best"}
-    if isinstance(method, SampleFromNE):
-        return {"method": "sample_from_ne"}
-    if isinstance(method, NashFusion):
-        return {"method": "nash_fusion", "c": method.c,
-                "top_k": "all" if method.top_k is None else method.top_k,
-                "weights": method.weights}
-    return {"method": "distill", "epochs": method.epochs,
-            "samples": method.samples, "lr": method.lr}
+def _echo_union(name, spec) -> dict:
+    tag, _, table = _UNIONS[name]
+    kind = next(k for k, cls in table.items() if type(spec) is cls)
+    return {tag: kind, **_echo(spec)}
 
 
 def config_to_dict(config: PsroConfig) -> dict:
-    return {
-        "game": {"name": config.game["name"],
-                 "params": config.game.get("params", {})},
-        "oracle": _oracle_to_dict(config.oracle),
-        "mss": _mss_to_dict(config.mss),
-        "init": {"p0": _init_to_dict(config.init[0]),
-                 "p1": _init_to_dict(config.init[1])},
-        "iterations": config.iterations,
-        "seeds": list(config.seeds),
-        "output_dir": config.output_dir,
-        "psd": {"enabled": config.psd.enabled, "lambda": config.psd.lam,
-                "hull_samples": config.psd.hull_samples},
-        "eval": {
-            "exact_exploitability_every":
-                config.eval.exact_exploitability_every,
-            "approx_exploitability":
-                None if config.eval.approx_oracle is None
-                else _oracle_to_dict(config.eval.approx_oracle),
-            "approx_every": config.eval.approx_every,
-        },
-        "payoff": {"mode": config.payoff_mode,
-                   "episodes": config.payoff_episodes},
-        "diagnostics": {"kl_compare": config.diagnostics.kl_compare,
-                        "kl_states": config.diagnostics.kl_states},
-        "node_budget": config.node_budget,
-    }
+    out = _echo(config)
+    out["game"] = {"name": config.game["name"],
+                   "params": config.game.get("params", {})}
+    out["init"] = {"p0": _echo_union("init", config.init[0]),
+                   "p1": _echo_union("init", config.init[1])}
+    out["payoff"] = {"mode": out.pop("payoff.mode"),
+                     "episodes": out.pop("payoff.episodes")}
+    return out

@@ -33,6 +33,7 @@ from .policies import (ParametricPolicy, PointPolicy, PolicyMixture,
                        TabularPolicy, checkpoint_dumps, fuse_parameters,
                        fuse_points, fuse_tabular, kl_to_ensemble,
                        sample_member, scratch_init)
+from .specs import check, setting
 
 MC_VALUE_EPISODES = 10_000
 
@@ -47,7 +48,10 @@ class EngineError(Exception):
 
 @dataclass(frozen=True)
 class Scratch:
-    kind: str = "normal"
+    kind: str = setting("normal", choices=("normal", "orthogonal", "kaiming"))
+
+    def __post_init__(self):
+        check(self, EngineError)
 
 
 @dataclass(frozen=True)
@@ -68,24 +72,24 @@ class SampleFromNE:
 
 @dataclass(frozen=True)
 class NashFusion:
-    c: int = 2
-    top_k: int | None = None  # None fuses the whole population
-    weights: str = "nash"  # or "uniform" over the selected set
+    c: int = setting(2, ge=0)  # fusion start iteration
+    # None fuses the whole population
+    top_k: int | None = setting(None, ge=1, none="all")
+    # "uniform" weighs the selected set equally
+    weights: str = setting("nash", choices=("nash", "uniform"))
 
     def __post_init__(self):
-        if self.c < 0:
-            raise EngineError("fusion start iteration c must be >= 0")
-        if self.top_k is not None and self.top_k < 1:
-            raise EngineError("top_k must be >= 1")
-        if self.weights not in ("nash", "uniform"):
-            raise EngineError("fusion weights must be nash or uniform")
+        check(self, EngineError)
 
 
 @dataclass(frozen=True)
 class Distill:
-    epochs: int = 200
-    samples: int = 64
+    epochs: int = setting(200, ge=0)
+    samples: int = setting(64, ge=1)
     lr: float = 0.05
+
+    def __post_init__(self):
+        check(self, EngineError)
 
 
 @dataclass(frozen=True)
@@ -95,71 +99,82 @@ class ExactOracle:
 
 @dataclass(frozen=True)
 class QLearningOracle:
-    episodes: int = 5_000
+    episodes: int = setting(5_000, ge=1)
     lr: float = 0.1
-    epsilon: float = 0.1
-    gamma_discount: float = 1.0
+    epsilon: float = setting(0.1, ge=0.0)
+    gamma_discount: float = setting(1.0, ge=0.0)
+
+    def __post_init__(self):
+        check(self, EngineError)
 
 
 @dataclass(frozen=True)
 class DqnOracle:
-    hidden_layers: tuple[int, ...] = (64, 64)
-    cfg: DqnConfig = field(default_factory=DqnConfig)
+    hidden_layers: tuple[int, ...] = setting((64, 64), ge=1)
+    cfg: DqnConfig = setting(DqnConfig(), inline=True)
+
+    def __post_init__(self):
+        check(self, EngineError)
 
 
 @dataclass(frozen=True)
 class GradientOracle:
-    steps: int = 150
+    steps: int = setting(150, ge=1)
     lr: float = 1.0
+
+    def __post_init__(self):
+        check(self, EngineError)
 
 
 @dataclass(frozen=True)
 class PsdSpec:
     enabled: bool = False
-    lam: float = 1.0
-    hull_samples: int = 4
+    lam: float = setting(1.0, json="lambda", ge=0.0)
+    hull_samples: int = setting(4, ge=1)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise EngineError("psd lambda must be >= 0")
-        if self.enabled and self.hull_samples < 1:
-            raise EngineError("psd hull_samples must be >= 1")
+        check(self, EngineError)
 
 
 @dataclass(frozen=True)
 class EvalSpec:
-    exact_exploitability_every: int = 1  # 0 disables
-    approx_oracle: object | None = None
-    approx_every: int = 0  # 0 means final iteration only (when enabled)
+    exact_exploitability_every: int = setting(1, ge=0)  # 0 disables
+    approx_oracle: object | None = setting(None, json="approx_exploitability",
+                                           union="oracle")
+    approx_every: int = setting(0, ge=0)  # 0: final iteration only
+
+    def __post_init__(self):
+        check(self, EngineError)
 
 
 @dataclass(frozen=True)
 class DiagnosticsSpec:
     kl_compare: bool = False
-    kl_states: int = 128
+    kl_states: int = setting(128, ge=1)
+
+    def __post_init__(self):
+        check(self, EngineError)
 
 
 @dataclass(frozen=True)
 class PsroConfig:
     game: dict
-    oracle: object
-    mss: object
+    oracle: object = setting(union="oracle")
+    mss: object = setting(union="mss")
     init: tuple  # per-player InitMethod
-    iterations: int
+    iterations: int = setting(ge=1)
     psd: PsdSpec = PsdSpec()
     eval: EvalSpec = EvalSpec()
-    payoff_mode: str = "exact"
-    payoff_episodes: int = 10_000
+    payoff_mode: str = setting("exact", json="payoff.mode",
+                               choices=("exact", "monte_carlo"))
+    payoff_episodes: int = setting(10_000, json="payoff.episodes", ge=1)
     seeds: tuple[int, ...] = (0,)
     output_dir: str | None = None
     diagnostics: DiagnosticsSpec = DiagnosticsSpec()
-    node_budget: int | None = None
+    node_budget: int | None = setting(None, ge=1)
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise EngineError("iterations must be >= 1")
-        if self.payoff_mode not in ("exact", "monte_carlo"):
-            raise EngineError("payoff mode must be exact or monte_carlo")
+        check(self, EngineError)
 
 
 @dataclass
@@ -387,9 +402,9 @@ def ntmg_exploitability(pops, sigmas, cfg: NtmgConfig) -> float:
 # Approximate exploitability (trained best responses)
 
 
-def _mixture_value(game, profile, player, seed) -> float:
+def _mixture_value(game, profile, player, seed, node_budget) -> float:
     try:
-        return expected_value(game, profile)[player]
+        return expected_value(game, profile, node_budget)[player]
     except TraversalBudgetError:
         rng = np.random.default_rng(_derive_seed(seed, player, 77))
         return monte_carlo_value(game, profile, MC_VALUE_EPISODES, rng, player)
@@ -422,9 +437,9 @@ def approximate_exploitability(game, profile, oracle_spec, seed,
                                       _derive_seed(seed, player, 12),
                                       node_budget=node_budget)
         pair = (trained, opp) if player == 0 else (opp, trained)
-        v_trained = _mixture_value(game, pair, player, seed)
+        v_trained = _mixture_value(game, pair, player, seed, node_budget)
         base = (own, opp) if player == 0 else (opp, own)
-        v_current = _mixture_value(game, base, player, seed)
+        v_current = _mixture_value(game, base, player, seed, node_budget)
         total += v_trained - v_current
     return total
 
@@ -588,12 +603,19 @@ class PlaneArena(_Arena):
     def __init__(self, config: PsroConfig, cfg: NtmgConfig):
         if not isinstance(config.oracle, GradientOracle):
             raise EngineError("the mixture game needs the gradient oracle")
-        if config.psd.enabled:
-            raise EngineError("psd.enabled: the mixture game has no "
-                              "intrinsic-reward arm")
-        if config.eval.approx_oracle is not None:
-            raise EngineError("eval.approx_exploitability: the mixture game "
-                              "supports exact exploitability only")
+        _refuse([
+            (config.psd.enabled, "psd.enabled",
+             "the mixture game has no intrinsic-reward arm"),
+            (config.eval.approx_oracle is not None,
+             "eval.approx_exploitability",
+             "the mixture game supports exact exploitability only"),
+            (config.payoff_mode == "monte_carlo", "payoff.mode",
+             "the mixture game's payoffs are closed-form"),
+            (config.diagnostics.kl_compare, "diagnostics.kl_compare",
+             "only network policies are compared"),
+            (_scratch_kind_set(config), "init.kind",
+             "points start uniform in a square"),
+        ])
         self.ops = PointOps(cfg)
         self.oracle = config.oracle
         self.cfg = cfg
@@ -612,18 +634,40 @@ class PlaneArena(_Arena):
         return policy, None, traj
 
 
+def _refuse(options):
+    """Raise EngineError naming the first (is_set, field, reason) option
+    that is set: an option the run would otherwise drop."""
+    for is_set, name, reason in options:
+        if is_set:
+            raise EngineError(f"{name}: {reason}")
+
+
+def _scratch_kind_set(config: PsroConfig) -> bool:
+    return any(isinstance(m, Scratch) and m != Scratch() for m in config.init)
+
+
 def _build_arena(config: PsroConfig) -> _Arena:
     name = config.game.get("name")
     params = config.game.get("params", {}) or {}
     if name == "ntmg":
         return PlaneArena(config, NtmgConfig(**params))
     game = make_game(name, params)
-    if isinstance(config.oracle, DqnOracle):
-        ops = ParametricOps(game, config.oracle.hidden_layers)
-    elif isinstance(config.oracle, (ExactOracle, QLearningOracle)):
-        ops = TabularOps()
-    else:
+    tabular = isinstance(config.oracle, (ExactOracle, QLearningOracle))
+    if not tabular and not isinstance(config.oracle, DqnOracle):
         raise EngineError("oracle spec does not fit the configured game")
+    _refuse([
+        (isinstance(config.eval.approx_oracle, GradientOracle),
+         "eval.approx_exploitability",
+         "the gradient oracle trains plane-game points only"),
+        (tabular and config.psd.enabled, "psd.enabled",
+         "only the dqn oracle takes the intrinsic reward"),
+        (tabular and config.diagnostics.kl_compare, "diagnostics.kl_compare",
+         "only network policies are compared"),
+        (tabular and _scratch_kind_set(config), "init.kind",
+         "tabular policies start uniform"),
+    ])
+    ops = (TabularOps() if tabular
+           else ParametricOps(game, config.oracle.hidden_layers))
     return TreeArena(config, game, ops)
 
 
@@ -666,7 +710,7 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
                                game=game, distill_player=player)
         t_fusion += time.perf_counter() - start
 
-        if config.diagnostics.kl_compare and ops.kind == "parametric":
+        if config.diagnostics.kl_compare:
             kl_rows.append(_kl_compare_row(config, seed, t, player, game,
                                            ops, pops[player], sigma_own))
 
@@ -676,9 +720,8 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
             hull = [pops[player][i] for i in
                     rng.integers(len(pops[player]),
                                  size=config.psd.hull_samples)]
-            gamma = (config.oracle.cfg.gamma_discount
-                     if isinstance(config.oracle, DqnOracle) else 1.0)
-            psd_bonus = PsdBonus(hull, config.psd.lam, gamma)
+            psd_bonus = PsdBonus(hull, config.psd.lam,
+                                 config.oracle.cfg.gamma_discount)
 
         start = time.perf_counter()
         trained, curve, traj = arena.train(init, opponent, player,

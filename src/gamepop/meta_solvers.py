@@ -16,6 +16,7 @@ import numpy as np
 
 from .games import expected_value, play_episode
 from .policies import sample_member
+from .specs import check, setting
 
 
 class SolverError(Exception):
@@ -356,14 +357,20 @@ class Uniform:
 
 @dataclass(frozen=True)
 class Prd:
-    gamma: float = 1e-3
+    gamma: float = setting(1e-3, ge=0.0)
     dt: float = 1e-3
-    steps: int = 100_000
+    steps: int = setting(100_000, ge=1)
+
+    def __post_init__(self):
+        check(self, SolverError)
 
 
 @dataclass(frozen=True)
 class FictitiousPlay:
-    iters: int = 30_000
+    iters: int = setting(30_000, ge=1)
+
+    def __post_init__(self):
+        check(self, SolverError)
 
 
 def solve(M, kind) -> tuple[np.ndarray, np.ndarray]:

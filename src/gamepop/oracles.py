@@ -21,6 +21,7 @@ from .games.ntmg import (S_MATRIX, NtmgConfig, ntmg_densities,
                          ntmg_payoff_grad)
 from .policies import (InfosetView, ParametricPolicy, PolicyMixture,
                        TabularPolicy, floored, kl_divergence, sample_member)
+from .specs import check, setting
 
 
 @dataclass
@@ -36,29 +37,20 @@ class Step:
 @dataclass(frozen=True)
 class DqnConfig:
     replay_capacity: int = 10_000
-    batch_size: int = 512
-    lr: float = 5e-3
-    gamma_discount: float = 1.0
-    epsilon: float = 0.05
-    target_update_every: int = 5
-    episodes: int = 20_000
-    optimizer: str = "adam"
-    grad_clip: float | None = None
-    soft_update_tau: float | None = None
+    batch_size: int = setting(512, ge=1)
+    lr: float = setting(5e-3, gt=0.0)
+    gamma_discount: float = setting(1.0, ge=0.0, le=1.0)
+    epsilon: float = setting(0.05, ge=0.0, le=1.0)
+    target_update_every: int = setting(5, ge=1)
+    episodes: int = setting(20_000, ge=0)
+    optimizer: str = setting("adam", choices=("sgd", "adam"))
+    grad_clip: float | None = setting(None, gt=0.0)
+    soft_update_tau: float | None = setting(None, gt=0.0, le=1.0)
 
     def __post_init__(self):
-        if not (self.replay_capacity >= self.batch_size >= 1):
-            raise ValueError("need replay_capacity >= batch_size >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= self.gamma_discount <= 1.0:
-            raise ValueError("gamma_discount must lie in [0, 1]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        if self.episodes < 0:
-            raise ValueError("episodes must be >= 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be sgd or adam")
+        check(self, ValueError)
+        if self.replay_capacity < self.batch_size:
+            raise ValueError("replay_capacity: must be >= batch_size")
 
 
 def run_learner_episode(game: Game, player: int, select, opponent,

@@ -1,5 +1,6 @@
 """Command-line workflows: run, sweep, solve-matrix, plot, config schema."""
 
+import hashlib
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ import pytest
 from gamepop.cli import main, run_from_config, solve_matrix, sweep
 from gamepop.config import (ConfigError, config_to_dict, load_config,
                             parse_config)
+from gamepop.engine import GradientOracle
 from gamepop.svgplot import PlotError, render_svg
 
 RPS_ROWS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
@@ -98,6 +100,25 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=f"oracle: unknown field "
                                               f"'{field}'"):
             parse_config(minimal_config(tmp_path, oracle=oracle))
+
+    @pytest.mark.parametrize("field, value", [
+        ("target_update_every", 0), ("grad_clip", 0.0), ("grad_clip", -1.0),
+        ("soft_update_tau", 0.0), ("soft_update_tau", 1.5)])
+    def test_dqn_bounds(self, tmp_path, field, value):
+        oracle = {"kind": "dqn", "hidden_layers": [8], field: value}
+        with pytest.raises(ConfigError, match=f"oracle.{field}: must be"):
+            parse_config(minimal_config(tmp_path, oracle=oracle))
+
+    def test_bare_gradient_oracle_takes_spec_defaults(self, tmp_path):
+        parsed = parse_config(minimal_config(
+            tmp_path, game={"name": "ntmg", "params": {}},
+            oracle={"kind": "gradient"}))
+        assert parsed.oracle == GradientOracle()
+
+    def test_field_of_another_kind_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="mss: unknown field 'steps'"):
+            parse_config(minimal_config(tmp_path,
+                                        mss={"kind": "nash", "steps": 7}))
 
     def test_bad_seed_list(self, tmp_path):
         with pytest.raises(ConfigError, match="seeds"):
@@ -296,6 +317,29 @@ class TestPlots:
         assert out.exists()
 
 
+# SHA-256 of each shipped config's echo, `json.dumps(config_to_dict(...),
+# indent=2, sort_keys=True)`, recorded before the spec dataclasses became the
+# only schema. The echo is what `gamepop eval` rebuilds a run from.
+SHIPPED_ECHOES = {
+    "goofspiel4_desk.json":
+        "0e8c20c646e7282d144aa5e541e657cdb7551e5cbcdf207cbb53832cc4988c2a",
+    "goofspiel5_full.json":
+        "819dd0fe7cf545da6426e9bbc98fddcb6b8c34ad5bd5dd020d4dc063254b5060",
+    "kuhn_exact.json":
+        "e0a6e0aa61d9ddd7f64de7ed2ab28ef53f9cb86681573ceb1943e18be9d557bf",
+    "leduc_full.json":
+        "1a6276626a8643327707ef6d7b939f2c8f0ae3eb1380d80659c2654f8cd38487",
+    "liars_dice_desk.json":
+        "a5612fd37874e34908e8e683cacdde81c448a14f9387304866c99b3f8cc3e2cf",
+    "liars_dice_full.json":
+        "2f6bbaadb5d715248ba9b7b8fff20c9bd2b514a4151949eebf179386179c4b89",
+    "ntmg_desk.json":
+        "db88fedc4efe1ea4d380362c9692499d733fa6bd04842c1f0b6c5897389f3767",
+    "rps_exact.json":
+        "d4cc1d29fa3cf94327a79ec3f02f43ce3c28b37b421ca7b377a8bb6fcd60182a",
+}
+
+
 def test_shipped_configs_parse():
     import glob
     paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
@@ -304,6 +348,10 @@ def test_shipped_configs_parse():
     for path in paths:
         config = load_config(path)
         assert config.iterations >= 1
+        echo = json.dumps(config_to_dict(config), indent=2, sort_keys=True)
+        assert hashlib.sha256(echo.encode()).hexdigest() == \
+            SHIPPED_ECHOES[os.path.basename(path)], echo
+        assert parse_config(json.loads(echo)) == config
 
 
 def test_eval_command_recomputes_exploitability(tmp_path, capsys):

@@ -4,7 +4,7 @@ approximate exploitability, and determinism."""
 import numpy as np
 import pytest
 
-from gamepop.engine import (Distill, DqnOracle, EngineError,
+from gamepop.engine import (DiagnosticsSpec, Distill, DqnOracle, EngineError,
                             EvalSpec, ExactOracle, GradientOracle,
                             InheritBest, InheritLatest, NashFusion,
                             ParametricOps, PsdSpec, PsroConfig,
@@ -20,6 +20,7 @@ from gamepop.policies import (ParametricPolicy, PolicyMixture, TabularPolicy,
                               scratch_init)
 
 RPS_ROWS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
+KUHN = {"name": "kuhn_poker", "params": {}}
 
 
 def rps_config(iterations=4, init=InheritLatest(), mss=Nash(), **kwargs):
@@ -291,12 +292,36 @@ class TestNtmgRun:
     @pytest.mark.parametrize("spec, field", [
         (dict(psd=PsdSpec(enabled=True)), "psd.enabled"),
         (dict(eval=EvalSpec(approx_oracle=ExactOracle())),
+         "eval.approx_exploitability"),
+        (dict(payoff_mode="monte_carlo"), "payoff.mode"),
+        (dict(diagnostics=DiagnosticsSpec(kl_compare=True)),
+         "diagnostics.kl_compare"),
+        (dict(init=(Scratch("kaiming"), InheritLatest())), "init.kind"),
+        # Game trees with the tabular oracles, and the plane game's oracle
+        # asked to evaluate a tree.
+        (dict(game=KUHN, oracle=ExactOracle(), psd=PsdSpec(enabled=True)),
+         "psd.enabled"),
+        (dict(game=KUHN, oracle=QLearningOracle(episodes=10),
+              psd=PsdSpec(enabled=True)), "psd.enabled"),
+        (dict(game=KUHN, oracle=ExactOracle(),
+              diagnostics=DiagnosticsSpec(kl_compare=True)),
+         "diagnostics.kl_compare"),
+        (dict(game=KUHN, oracle=QLearningOracle(episodes=10),
+              diagnostics=DiagnosticsSpec(kl_compare=True)),
+         "diagnostics.kl_compare"),
+        (dict(game=KUHN, oracle=ExactOracle(),
+              init=(InheritLatest(), Scratch("orthogonal"))), "init.kind"),
+        (dict(game=KUHN, oracle=QLearningOracle(episodes=10),
+              init=(Scratch("kaiming"), Scratch("kaiming"))), "init.kind"),
+        (dict(game=KUHN, oracle=ExactOracle(),
+              eval=EvalSpec(approx_oracle=GradientOracle())),
          "eval.approx_exploitability")])
     def test_unsupported_options_rejected(self, spec, field):
-        config = PsroConfig(
-            game={"name": "ntmg", "params": {}},
-            oracle=GradientOracle(steps=5, lr=1.0), mss=Nash(),
-            init=(InheritLatest(), InheritLatest()), iterations=1, **spec)
+        config = PsroConfig(**{
+            "game": {"name": "ntmg", "params": {}},
+            "oracle": GradientOracle(steps=5, lr=1.0), "mss": Nash(),
+            "init": (InheritLatest(), InheritLatest()), "iterations": 1,
+            **spec})
         with pytest.raises(EngineError, match=field):
             run_psro(config, seed=0)
 

@@ -69,6 +69,12 @@ CASES = {
 }
 
 
+# The configured node budget alone must trigger the same fallback.
+_FORCED = CASES["kuhn_approx_monte_carlo_fallback"]
+CASES["kuhn_approx_node_budget"] = ({**_FORCED[0], "node_budget": 10},
+                                    *_FORCED[1:])
+
+
 def outputs_digest(run_dir) -> str:
     digest = hashlib.sha256()
     for root, _, files in sorted(os.walk(run_dir)):
