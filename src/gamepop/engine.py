@@ -13,7 +13,6 @@ the meta-strategy instead.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -24,15 +23,15 @@ from . import meta_solvers, policies as pol
 from .games import (TraversalBudgetError, expected_value, exploitability,
                     make_game)
 from .games.ntmg import NtmgConfig, ntmg_payoff
-from .meta_solvers import (MetaGame, extend_payoff, fill_payoff,
+from .meta_solvers import (MetaGame, Prd, extend_payoff, fill_payoff,
                            monte_carlo_value)
 from .nets import ArchSignature
 from .oracles import (DqnConfig, PsdBonus, dqn_oracle, exact_oracle,
                       ntmg_mixture_payoff, ntmg_oracle, q_learning_oracle)
-from .policies import (ParametricPolicy, PointPolicy, PolicyMixture,
-                       TabularPolicy, checkpoint_dumps, fuse_parameters,
-                       fuse_points, fuse_tabular, kl_to_ensemble,
-                       sample_member, scratch_init)
+from .policies import (PointPolicy, PolicyMixture, TabularPolicy,
+                       checkpoint_dumps, fuse_parameters, fuse_points,
+                       fuse_tabular, kl_to_ensemble, sample_member,
+                       scratch_init)
 from .specs import check, setting
 
 MC_VALUE_EPISODES = 10_000
@@ -213,60 +212,6 @@ def _mix_seed(*parts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Representation toolkits (one per oracle family)
-
-
-class TabularOps:
-    kind = "tabular"
-
-    def scratch(self, seed, init_kind="normal"):
-        return TabularPolicy({})  # uniform everywhere
-
-    def copy(self, policy):
-        return TabularPolicy(dict(policy.table))
-
-    def fuse(self, members, weights):
-        return fuse_tabular(members, weights)
-
-
-class ParametricOps:
-    kind = "parametric"
-
-    def __init__(self, game, hidden_layers):
-        self.signature = ArchSignature(game.encoding_dim(),
-                                       tuple(hidden_layers),
-                                       game.num_distinct_actions())
-
-    def scratch(self, seed, init_kind="normal"):
-        return scratch_init(init_kind, self.signature,
-                            np.random.default_rng(seed).integers(2 ** 31))
-
-    def copy(self, policy):
-        return ParametricPolicy(policy.signature, policy.theta.copy())
-
-    def fuse(self, members, weights):
-        return fuse_parameters(members, weights)
-
-
-class PointOps:
-    kind = "point"
-
-    def __init__(self, cfg: NtmgConfig):
-        self.cfg = cfg
-
-    def scratch(self, seed, init_kind="normal"):
-        rng = np.random.default_rng(seed)
-        span = self.cfg.center_radius
-        return PointPolicy(rng.uniform(-span, span, 2), self.cfg.plane_bound)
-
-    def copy(self, policy):
-        return PointPolicy(policy.x.copy(), self.cfg.plane_bound)
-
-    def fuse(self, members, weights):
-        return fuse_points(members, weights, self.cfg.plane_bound)
-
-
-# ---------------------------------------------------------------------------
 # Initialization menu
 
 
@@ -287,24 +232,26 @@ def top_k_filter(sigma, k: int) -> np.ndarray:
     return out
 
 
-def init_new_policy(pop, sigma, t: int, method, seed, ops, game=None,
-                    distill_player: int = 0):
-    """Build the next policy to train, per the configured initialization."""
+def init_new_policy(pop, sigma, t: int, method, seed, arena,
+                    player: int = 0):
+    """Build the next policy to train, per the configured initialization.
+
+    Inheriting and sampling hand out the population member itself: policies
+    are never changed after they are built."""
     if not pop:
         raise EngineError("population is empty")
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (len(pop),):
         raise EngineError("sigma length must match the population")
     if isinstance(method, Scratch):
-        return ops.scratch(seed, method.kind)
+        return arena.scratch(seed, method.kind)
     if isinstance(method, InheritLatest):
-        return ops.copy(pop[-1])
+        return pop[-1]
     if isinstance(method, InheritBest):
-        return ops.copy(pop[int(np.argmax(sigma))])
+        return pop[int(np.argmax(sigma))]
     if (isinstance(method, SampleFromNE)
             or isinstance(method, NashFusion) and t < method.c):
-        idx = np.random.default_rng(seed).choice(len(pop), p=sigma)
-        return ops.copy(pop[idx])
+        return pop[np.random.default_rng(seed).choice(len(pop), p=sigma)]
     if isinstance(method, NashFusion):
         if method.top_k is None:
             selected = np.arange(len(pop))
@@ -316,14 +263,13 @@ def init_new_policy(pop, sigma, t: int, method, seed, ops, game=None,
         if method.weights == "uniform":
             weights = np.zeros(len(pop))
             weights[selected] = 1.0 / len(selected)
-        return ops.fuse(pop, weights)
+        return arena.fuse(pop, weights)
     if isinstance(method, Distill):
-        if ops.kind != "parametric":
-            raise EngineError("distillation requires a parametric oracle")
-        return pol.distill(PolicyMixture(pop, sigma), ops.signature, game,
-                           method.epochs, method.samples, method.lr,
+        return pol.distill(PolicyMixture(pop, sigma), arena.signature,
+                           arena.game, method.epochs, method.samples,
+                           method.lr,
                            int(np.random.default_rng(seed).integers(2 ** 31)),
-                           player=distill_player)
+                           player=player)
     raise EngineError(f"unknown init method {method!r}")
 
 
@@ -370,19 +316,20 @@ def ntmg_profile_value(pop_row, sigma_row, pop_col, sigma_col,
     return value
 
 
-def ntmg_best_response_value(opponent_pairs, cfg: NtmgConfig) -> float:
+def ntmg_best_response_value(opponent: PolicyMixture,
+                             cfg: NtmgConfig) -> float:
     """Approximate best payoff against a point mixture via multi-start
     gradient ascent (hump centers, origin, opponent points)."""
     starts = [c for c in cfg.centers()]
     starts.append(np.zeros(2))
-    starts.extend(p.x for p, w in opponent_pairs if w > 0)
+    starts.extend(p.x for p, w in zip(opponent.members, opponent.weights)
+                  if w > 0)
     best = -np.inf
     for start in starts:
         policy, _ = ntmg_oracle(PointPolicy(np.clip(start, -cfg.plane_bound,
                                                     cfg.plane_bound)),
-                                opponent_pairs, _NTMG_BR_STEPS, _NTMG_BR_LR,
-                                cfg)
-        best = max(best, ntmg_mixture_payoff(policy.x, opponent_pairs, cfg))
+                                opponent, _NTMG_BR_STEPS, _NTMG_BR_LR, cfg)
+        best = max(best, ntmg_mixture_payoff(policy.x, opponent, cfg))
     return best
 
 
@@ -391,8 +338,8 @@ def ntmg_exploitability(pops, sigmas, cfg: NtmgConfig) -> float:
     gains = 0.0
     for player in (0, 1):
         opp = 1 - player
-        pairs = [(p, w) for p, w in zip(pops[opp], sigmas[opp])]
-        br = ntmg_best_response_value(pairs, cfg)
+        br = ntmg_best_response_value(PolicyMixture(pops[opp], sigmas[opp]),
+                                      cfg)
         current = value_row if player == 0 else -value_row
         gains += br - current
     return gains
@@ -415,7 +362,8 @@ def _fit_init_to_oracle(init, game, oracle_spec, seed):
     members fall back to a seeded scratch network."""
     if not isinstance(oracle_spec, DqnOracle) or hasattr(init, "theta"):
         return init
-    return ParametricOps(game, oracle_spec.hidden_layers).scratch(seed)
+    return NetworkArena(None, game, oracle_spec.hidden_layers).scratch(
+        seed, "normal")
 
 
 def approximate_exploitability(game, profile, oracle_spec, seed,
@@ -469,6 +417,7 @@ class _RunWriter:
 
     def __init__(self, out_dir):
         self.dir = out_dir
+        self._started = set()  # files `_append` has written in this run
         if out_dir is None:
             return
         os.makedirs(out_dir, exist_ok=True)
@@ -519,39 +468,39 @@ class _RunWriter:
         if self.dir is None or curve is None:
             return
         os.makedirs(os.path.join(self.dir, "curves"), exist_ok=True)
-        path = os.path.join(self.dir, "curves", f"iter_{t:04d}_p{player}.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["episode", "mean_reward_window"])
-            for episode, mean in curve:
-                w.writerow([episode, _fmt(float(mean))])
+        self._append(os.path.join("curves", f"iter_{t:04d}_p{player}.csv"),
+                     ["episode", "mean_reward_window"],
+                     [[episode, _fmt(float(mean))] for episode, mean in curve])
 
     def trajectory(self, t: int, player: int, traj):
         if self.dir is None or traj is None:
             return
-        path = os.path.join(self.dir, "trajectories.csv")
-        new = not os.path.exists(path)
-        with open(path, "a", newline="") as fh:
-            w = csv.writer(fh)
-            if new:
-                w.writerow(["iteration", "player", "step", "x", "y"])
-            for step, point in enumerate(traj):
-                w.writerow([t, player, step, _fmt(float(point[0])),
-                            _fmt(float(point[1]))])
+        self._append("trajectories.csv",
+                     ["iteration", "player", "step", "x", "y"],
+                     [[t, player, step, _fmt(float(point[0])),
+                       _fmt(float(point[1]))]
+                      for step, point in enumerate(traj)])
 
     def kl_compare(self, rows):
         if self.dir is None or not rows:
             return
-        path = os.path.join(self.dir, "kl_compare.csv")
-        new = not os.path.exists(path)
-        with open(path, "a", newline="") as fh:
+        self._append("kl_compare.csv", ["iteration", "player", "kl_fusion",
+                                        "kl_inherit", "kl_scratch"],
+                     [[row[0], row[1], _fmt(row[2]), _fmt(row[3]),
+                       _fmt(row[4])] for row in rows])
+
+    def _append(self, name, header, rows):
+        """Add rows to a CSV in the run directory. The run's first write to
+        a file starts it afresh with the header, so a directory reused from
+        an earlier run does not keep that run's rows."""
+        first = name not in self._started
+        self._started.add(name)
+        with open(os.path.join(self.dir, name), "w" if first else "a",
+                  newline="") as fh:
             w = csv.writer(fh)
-            if new:
-                w.writerow(["iteration", "player", "kl_fusion", "kl_inherit",
-                            "kl_scratch"])
-            for row in rows:
-                w.writerow([row[0], row[1], _fmt(row[2]), _fmt(row[3]),
-                            _fmt(row[4])])
+            if first:
+                w.writerow(header)
+            w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -559,24 +508,30 @@ class _RunWriter:
 
 
 class _Arena:
-    """One game family behind the four operations the loop needs: initial
-    populations, payoff fill, exploitability, and best-response training."""
+    """One game family: the only object that knows its policy type. It
+    builds fresh (`scratch`) and fused (`fuse`) policies, and runs the four
+    operations the loop needs: initial populations, payoff fill,
+    exploitability, and best-response training."""
 
     game = None  # the game tree, for tree-only steps (distill, diagnostics)
-    ops = None  # the policy toolkit: TabularOps, ParametricOps or PointOps
 
     def initial_populations(self, seed):
-        return tuple([self.ops.scratch(_derive_seed(seed, 0, player, 6),
-                                       "normal")] for player in (0, 1))
+        return tuple([self.scratch(_derive_seed(seed, 0, player, 6),
+                                   "normal")] for player in (0, 1))
 
 
 class TreeArena(_Arena):
-    """An extensive-form game with tabular or network policies."""
+    """An extensive-form game with tabular policies."""
 
-    def __init__(self, config: PsroConfig, game, ops):
+    def __init__(self, config: PsroConfig, game):
         self.config = config
         self.game = game
-        self.ops = ops
+
+    def scratch(self, seed, kind):
+        return TabularPolicy({})  # uniform everywhere
+
+    def fuse(self, members, weights):
+        return fuse_tabular(members, weights)
 
     def fill_payoffs(self, meta, pops, seed):
         config = self.config
@@ -594,6 +549,24 @@ class TreeArena(_Arena):
     def train(self, init, opponent, player, seed, psd_bonus):
         return _train_oracle(self.config.oracle, self.game, init, opponent,
                              player, seed, psd_bonus, self.config.node_budget)
+
+
+class NetworkArena(TreeArena):
+    """An extensive-form game with action-value networks of one
+    architecture."""
+
+    def __init__(self, config: PsroConfig, game, hidden_layers):
+        super().__init__(config, game)
+        self.signature = ArchSignature(game.encoding_dim(),
+                                       tuple(hidden_layers),
+                                       game.num_distinct_actions())
+
+    def scratch(self, seed, kind):
+        return scratch_init(kind, self.signature,
+                            np.random.default_rng(seed).integers(2 ** 31))
+
+    def fuse(self, members, weights):
+        return fuse_parameters(members, weights)
 
 
 class PlaneArena(_Arena):
@@ -615,10 +588,19 @@ class PlaneArena(_Arena):
              "only network policies are compared"),
             (_scratch_kind_set(config), "init.kind",
              "points start uniform in a square"),
+            (_distill_set(config), "init.method",
+             "distillation trains network policies only"),
         ])
-        self.ops = PointOps(cfg)
         self.oracle = config.oracle
         self.cfg = cfg
+
+    def scratch(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        span = self.cfg.center_radius
+        return PointPolicy(rng.uniform(-span, span, 2), self.cfg.plane_bound)
+
+    def fuse(self, members, weights):
+        return fuse_points(members, weights, self.cfg.plane_bound)
 
     def fill_payoffs(self, meta, pops, seed):
         return fill_payoff(meta, pops, lambda r, c: ntmg_payoff(
@@ -628,8 +610,7 @@ class PlaneArena(_Arena):
         return ntmg_exploitability(pops, sigmas, self.cfg)
 
     def train(self, init, opponent, player, seed, psd_bonus):
-        pairs = list(zip(opponent.members, opponent.weights))
-        policy, traj = ntmg_oracle(init, pairs, self.oracle.steps,
+        policy, traj = ntmg_oracle(init, opponent, self.oracle.steps,
                                    self.oracle.lr, self.cfg)
         return policy, None, traj
 
@@ -646,7 +627,16 @@ def _scratch_kind_set(config: PsroConfig) -> bool:
     return any(isinstance(m, Scratch) and m != Scratch() for m in config.init)
 
 
+def _distill_set(config: PsroConfig) -> bool:
+    return any(isinstance(m, Distill) for m in config.init)
+
+
 def _build_arena(config: PsroConfig) -> _Arena:
+    final_size = config.iterations + 1  # policies per player, last solve
+    if isinstance(config.mss, Prd) and not config.mss.gamma < 1 / final_size:
+        raise EngineError(f"mss.gamma: must be below 1/{final_size}: "
+                          "replicator dynamics floors each of the final "
+                          "policies at gamma")
     name = config.game.get("name")
     params = config.game.get("params", {}) or {}
     if name == "ntmg":
@@ -665,10 +655,12 @@ def _build_arena(config: PsroConfig) -> _Arena:
          "only network policies are compared"),
         (tabular and _scratch_kind_set(config), "init.kind",
          "tabular policies start uniform"),
+        (tabular and _distill_set(config), "init.method",
+         "distillation needs the dqn oracle's network policies"),
     ])
-    ops = (TabularOps() if tabular
-           else ParametricOps(game, config.oracle.hidden_layers))
-    return TreeArena(config, game, ops)
+    if tabular:
+        return TreeArena(config, game)
+    return NetworkArena(config, game, config.oracle.hidden_layers)
 
 
 def run_psro(config: PsroConfig, seed: int,
@@ -693,7 +685,6 @@ def run_psro(config: PsroConfig, seed: int,
 
 
 def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
-    game, ops = arena.game, arena.ops
     t_fusion = 0.0
     t_br = 0.0
     kl_rows = []
@@ -706,13 +697,13 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
         start = time.perf_counter()
         init = init_new_policy(pops[player], sigma_own, t,
                                config.init[player],
-                               _derive_seed(seed, t, player, 0), ops,
-                               game=game, distill_player=player)
+                               _derive_seed(seed, t, player, 0), arena,
+                               player)
         t_fusion += time.perf_counter() - start
 
         if config.diagnostics.kl_compare:
-            kl_rows.append(_kl_compare_row(config, seed, t, player, game,
-                                           ops, pops[player], sigma_own))
+            kl_rows.append(_kl_compare_row(config, seed, t, player, arena,
+                                           pops[player], sigma_own))
 
         psd_bonus = None
         if config.psd.enabled:
@@ -757,7 +748,7 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
         due = (t % cadence == 0) if cadence else (t == config.iterations)
         if due:
             approx = approximate_exploitability(
-                game, (PolicyMixture(pops[0], sigma_row),
+                arena.game, (PolicyMixture(pops[0], sigma_row),
                        PolicyMixture(pops[1], sigma_col)),
                 spec, _mix_seed(seed, t, 3), node_budget=config.node_budget)
 
@@ -773,16 +764,16 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
     return meta, sigmas, record
 
 
-def _kl_compare_row(config, seed, t, player, game, ops, pop, sigma):
+def _kl_compare_row(config, seed, t, player, arena, pop, sigma):
     """Divergence-to-ensemble of the three initialization candidates at the
     moment of initialization."""
     mixture = PolicyMixture(pop, sigma)
-    fused = ops.fuse(pop, sigma)
+    fused = arena.fuse(pop, sigma)
     inherit = pop[-1]
-    scratch = ops.scratch(_derive_seed(seed, t, player, 5), "normal")
+    scratch = arena.scratch(_derive_seed(seed, t, player, 5), "normal")
     states = config.diagnostics.kl_states
     kl_seed = _mix_seed(seed, t, player, 7)
-    values = [kl_to_ensemble(candidate, mixture, game, states, kl_seed,
+    values = [kl_to_ensemble(candidate, mixture, arena.game, states, kl_seed,
                              player=player)
               for candidate in (fused, inherit, scratch)]
     return (t, player, values[0], values[1], values[2])

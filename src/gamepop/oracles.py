@@ -19,8 +19,9 @@ from .games.base import Game, sample_action, sample_episode
 from .games.ntmg import (S_MATRIX, NtmgConfig, ntmg_densities,
                          ntmg_densities_jacobian, ntmg_payoff,
                          ntmg_payoff_grad)
-from .policies import (InfosetView, ParametricPolicy, PolicyMixture,
-                       TabularPolicy, floored, kl_divergence, sample_member)
+from .policies import (InfosetView, ParametricPolicy, PointPolicy,
+                       PolicyMixture, TabularPolicy, floored, kl_divergence,
+                       sample_member, weighted_sum)
 from .specs import check, setting
 
 
@@ -30,7 +31,7 @@ class Step:
     view: InfosetView
     action: int  # global action id
     reward: float
-    next_key: str | None
+    next_view: InfosetView | None
     terminal: bool
 
 
@@ -71,7 +72,7 @@ def run_learner_episode(game: Game, player: int, select, opponent,
         action = select(view)
         assert action in legal, "oracle selected an illegal action"
         if pending is not None:
-            steps.append(Step(pending[0], pending[1], 0.0, view.key, False))
+            steps.append(Step(pending[0], pending[1], 0.0, view, False))
         pending = (view, action)
         return action
 
@@ -129,7 +130,7 @@ def q_learning_oracle(game: Game, init: TabularPolicy | None,
             if step.terminal:
                 bootstrap = 0.0
             else:
-                bootstrap = float(q_table[step.next_key].max())
+                bootstrap = float(q_table[step.next_view.key].max())
             q[idx] += lr * (step.reward + gamma_discount * bootstrap - q[idx])
 
     table = {}
@@ -211,10 +212,8 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
     replay_done = np.zeros(cfg.replay_capacity)
     replay_next_mask = np.zeros((cfg.replay_capacity, n_actions), dtype=bool)
     size, cursor, learner_steps = 0, 0, 0
-    next_views: dict[str, InfosetView] = {}
 
     def select(view: InfosetView) -> int:
-        next_views[view.key] = view
         if rng.random() < cfg.epsilon:
             return view.legal_actions[rng.integers(len(view.legal_actions))]
         q = nets.forward(sig, theta, view.features)
@@ -268,9 +267,8 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
             replay_done[cursor] = 1.0 if step.terminal else 0.0
             mask = np.zeros(n_actions, dtype=bool)
             if not step.terminal:
-                next_view = next_views[step.next_key]
-                replay_next[cursor] = next_view.features
-                mask[list(next_view.legal_actions)] = True
+                replay_next[cursor] = step.next_view.features
+                mask[list(step.next_view.legal_actions)] = True
             else:
                 replay_next[cursor] = 0.0
             replay_next_mask[cursor] = mask
@@ -285,7 +283,7 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
     return ParametricPolicy(sig, theta), curve
 
 
-def ntmg_oracle(init, opponent_mixture, steps: int, lr: float,
+def ntmg_oracle(init, opponent_mixture: PolicyMixture, steps: int, lr: float,
                 cfg: NtmgConfig):
     """Gradient ascent on the mixture-averaged plane payoff.
 
@@ -295,16 +293,12 @@ def ntmg_oracle(init, opponent_mixture, steps: int, lr: float,
     mixture size. Returns the trained point policy and the full per-step
     trajectory (including the start point) for plotting.
     """
-    from .policies import PointPolicy
-
     if steps < 1 or lr <= 0:
         raise ValueError("steps >= 1 and lr > 0 required")
     x = np.array(init.x, dtype=float)
     trajectory = [x.copy()]
-    dbar = np.zeros(cfg.num_humps)
-    for policy, w in opponent_mixture:
-        if w != 0.0:
-            dbar += w * ntmg_densities(policy.x, cfg)
+    dbar = weighted_sum(opponent_mixture.weights, opponent_mixture.members,
+                        lambda policy: ntmg_densities(policy.x, cfg))
     coeff = S_MATRIX @ dbar + 0.5
     for _ in range(steps):
         grad = ntmg_densities_jacobian(x, cfg).T @ coeff
@@ -313,12 +307,10 @@ def ntmg_oracle(init, opponent_mixture, steps: int, lr: float,
     return PointPolicy(x, cfg.plane_bound), trajectory
 
 
-def ntmg_mixture_payoff(x, opponent_mixture, cfg: NtmgConfig) -> float:
-    total = 0.0
-    for policy, w in opponent_mixture:
-        if w != 0.0:
-            total += w * ntmg_payoff(x, policy.x, cfg)
-    return total
+def ntmg_mixture_payoff(x, opponent_mixture: PolicyMixture,
+                        cfg: NtmgConfig) -> float:
+    return weighted_sum(opponent_mixture.weights, opponent_mixture.members,
+                        lambda policy: ntmg_payoff(x, policy.x, cfg))
 
 
 def gradient_check(cfg: NtmgConfig, num_points: int = 100, seed: int = 0,

@@ -10,7 +10,9 @@ Three policy families share two read surfaces:
   softmax of their legal action values at temperature 1.
 
 Fusion averages flat parameter vectors with meta-strategy weights; the
-tabular analog averages per-infoset action distributions.
+tabular analog averages per-infoset action distributions. Every fusion and
+ensemble is one `weighted_sum`. Policies are never changed after they are
+built, so a population member can be handed out as is.
 """
 
 from __future__ import annotations
@@ -149,47 +151,50 @@ def sample_member(policy_or_mixture, rng: np.random.Generator):
     return members[rng.choice(len(members), p=policy_or_mixture.weights)]
 
 
-def _check_simplex(weights: np.ndarray, n: int, tol: float = 1e-6):
-    if weights.shape != (n,):
-        raise PolicyError(f"expected {n} weights, got {weights.shape}")
+def weighted_sum(weights, members, value):
+    """sum_i w_i * value(m_i), added left to right from 0.0.
+
+    Zero-weight members are skipped without evaluating `value`, so a one-hot
+    weight copies its member's value bit-exactly.
+    """
+    total = 0.0
+    for w, member in zip(weights, members):
+        if w != 0.0:
+            total = total + w * value(member)
+    return total
+
+
+def _fusion_inputs(members, weights, tol: float = 1e-6):
+    """The members as a non-empty list and the weights as a simplex array
+    of matching length."""
+    members = list(members)
+    if not members:
+        raise PolicyError("cannot fuse an empty population")
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(members),):
+        raise PolicyError(f"expected {len(members)} weights, "
+                          f"got {weights.shape}")
     if np.any(weights < -tol) or abs(weights.sum() - 1.0) > tol:
         raise PolicyError("fusion weights must form a probability simplex")
+    return members, weights
 
 
 def fuse_parameters(policies, weights) -> ParametricPolicy:
-    """Weighted average of parameter vectors: theta = sum_i w_i theta_i.
-
-    Summation is fixed left-to-right in population order; zero-weight terms
-    are skipped so degenerate one-hot weights copy a member bit-exactly.
-    """
-    policies = list(policies)
-    if not policies:
-        raise PolicyError("cannot fuse an empty population")
-    weights = np.asarray(weights, dtype=float)
-    _check_simplex(weights, len(policies))
+    """Weighted average of parameter vectors: theta = sum_i w_i theta_i."""
+    policies, weights = _fusion_inputs(policies, weights)
     signature = policies[0].signature
     for p in policies[1:]:
         if p.signature != signature:
             raise PolicyError("cannot fuse policies with different signatures")
-    theta = np.zeros_like(policies[0].theta)
-    for w, p in zip(weights, policies):
-        if w != 0.0:
-            theta = theta + w * p.theta
-    return ParametricPolicy(signature, theta)
+    return ParametricPolicy(signature,
+                            weighted_sum(weights, policies, lambda p: p.theta))
 
 
 def fuse_points(points, weights, plane_bound: float | None = None) -> PointPolicy:
     """Weighted average of plane coordinates."""
-    points = list(points)
-    if not points:
-        raise PolicyError("cannot fuse an empty population")
-    weights = np.asarray(weights, dtype=float)
-    _check_simplex(weights, len(points))
-    x = np.zeros(2)
-    for w, p in zip(weights, points):
-        if w != 0.0:
-            x = x + w * p.x
-    return PointPolicy(x, plane_bound)
+    points, weights = _fusion_inputs(points, weights)
+    return PointPolicy(weighted_sum(weights, points, lambda p: p.x),
+                       plane_bound)
 
 
 def fuse_tabular(policies, weights) -> TabularPolicy:
@@ -197,11 +202,7 @@ def fuse_tabular(policies, weights) -> TabularPolicy:
 
     Members without a key contribute their uniform default there.
     """
-    policies = list(policies)
-    if not policies:
-        raise PolicyError("cannot fuse an empty population")
-    weights = np.asarray(weights, dtype=float)
-    _check_simplex(weights, len(policies))
+    policies, weights = _fusion_inputs(policies, weights)
     lengths: dict[str, int] = {}
     for p in policies:
         for key, dist in p.table.items():
@@ -209,10 +210,8 @@ def fuse_tabular(policies, weights) -> TabularPolicy:
                 raise PolicyError(f"members disagree on legal count at {key!r}")
     table = {}
     for key, n in lengths.items():
-        dist = np.zeros(n)
-        for w, p in zip(weights, policies):
-            if w != 0.0:
-                dist = dist + w * p.dist_for_key(key, n)
+        dist = weighted_sum(weights, policies,
+                            lambda p: p.dist_for_key(key, n))
         table[key] = dist / dist.sum()
     return TabularPolicy(table)
 
@@ -247,10 +246,8 @@ def scratch_init(kind: str, signature: ArchSignature, seed: int) -> ParametricPo
 
 def ensemble_distribution(mixture: PolicyMixture, view: InfosetView) -> np.ndarray:
     """Mixture-weighted average of member action distributions at a state."""
-    dist = np.zeros(len(view.legal_actions))
-    for w, member in zip(mixture.weights, mixture.members):
-        if w != 0.0:
-            dist = dist + w * member.dist_at(view)
+    dist = weighted_sum(mixture.weights, mixture.members,
+                        lambda member: member.dist_at(view))
     return dist / dist.sum()
 
 

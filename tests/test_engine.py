@@ -7,13 +7,13 @@ import pytest
 from gamepop.engine import (DiagnosticsSpec, Distill, DqnOracle, EngineError,
                             EvalSpec, ExactOracle, GradientOracle,
                             InheritBest, InheritLatest, NashFusion,
-                            ParametricOps, PsdSpec, PsroConfig,
+                            NetworkArena, PsdSpec, PsroConfig,
                             QLearningOracle,
-                            SampleFromNE, Scratch, TabularOps,
+                            SampleFromNE, Scratch, _build_arena,
                             approximate_exploitability, init_new_policy,
                             ntmg_exploitability, run_psro, top_k_filter)
 from gamepop.games import make_game
-from gamepop.meta_solvers import Nash, Uniform
+from gamepop.meta_solvers import Nash, Prd, Uniform
 from gamepop.nets import ArchSignature, theta_size
 from gamepop.oracles import DqnConfig
 from gamepop.policies import (ParametricPolicy, PolicyMixture, TabularPolicy,
@@ -62,27 +62,28 @@ class TestInitNewPolicy:
     def _pop(self, n, seed=0):
         return [scratch_init("normal", self.sig, seed + i) for i in range(n)]
 
-    def _ops(self):
+    def _arena(self):
         game = make_game("kuhn_poker")
-        ops = ParametricOps.__new__(ParametricOps)
-        ops.game = game
-        ops.signature = self.sig
-        return ops
+        arena = NetworkArena.__new__(NetworkArena)
+        arena.game = game
+        arena.signature = self.sig
+        return arena
 
     def test_before_fusion_start_samples_from_sigma(self):
         pop = self._pop(1)
         policy = init_new_policy(pop, np.ones(1), t=1,
-                                 method=NashFusion(c=2), seed=[1], ops=self._ops())
+                                 method=NashFusion(c=2), seed=[1],
+                                 arena=self._arena())
         assert policy.theta.tobytes() == pop[0].theta.tobytes()
 
     def test_fusion_delegates_to_fuse_parameters(self):
-        ops = self._ops()
+        arena = self._arena()
         sig = ArchSignature(2, (), 2)
-        ops.signature = sig
+        arena.signature = sig
         pop = [ParametricPolicy(sig, np.array([0., 2., 0., 0., 0., 0.])),
                ParametricPolicy(sig, np.array([2., 0., 0., 0., 0., 0.]))]
         policy = init_new_policy(pop, np.array([0.25, 0.75]), t=5,
-                                 method=NashFusion(c=2), seed=[1], ops=ops)
+                                 method=NashFusion(c=2), seed=[1], arena=arena)
         assert policy.theta[0] == 1.5 and policy.theta[1] == 0.5
 
     def test_top_one_degenerates_to_best_inheritance(self):
@@ -90,72 +91,74 @@ class TestInitNewPolicy:
         sigma = np.array([0.2, 0.5, 0.3])
         fused = init_new_policy(pop, sigma, t=5,
                                 method=NashFusion(c=0, top_k=1), seed=[1],
-                                ops=self._ops())
+                                arena=self._arena())
         best = init_new_policy(pop, sigma, t=5, method=InheritBest(),
-                               seed=[2], ops=self._ops())
+                               seed=[2], arena=self._arena())
         assert fused.theta.tobytes() == pop[1].theta.tobytes()
         assert best.theta.tobytes() == pop[1].theta.tobytes()
 
     def test_uniform_fusion_weights_over_selected(self):
-        ops = self._ops()
+        arena = self._arena()
         sig = ArchSignature(2, (), 2)
-        ops.signature = sig
+        arena.signature = sig
         thetas = [np.zeros(6), np.ones(6), np.full(6, 3.0)]
         pop = [ParametricPolicy(sig, t) for t in thetas]
         policy = init_new_policy(pop, np.array([0.1, 0.6, 0.3]), t=5,
                                  method=NashFusion(c=0, top_k=2,
                                                    weights="uniform"),
-                                 seed=[1], ops=ops)
+                                 seed=[1], arena=arena)
         assert np.allclose(policy.theta, 2.0)  # mean of members 1 and 2
 
     def test_uniform_fusion_covers_whole_population_without_top_k(self):
         # The uniform arm averages every historical policy, zero-mass
         # members included.
-        ops = self._ops()
+        arena = self._arena()
         sig = ArchSignature(2, (), 2)
-        ops.signature = sig
+        arena.signature = sig
         thetas = [np.zeros(6), np.ones(6), np.full(6, 2.0)]
         pop = [ParametricPolicy(sig, t) for t in thetas]
         policy = init_new_policy(pop, np.array([0.0, 0.5, 0.5]), t=5,
                                  method=NashFusion(c=0, weights="uniform"),
-                                 seed=[1], ops=ops)
+                                 seed=[1], arena=arena)
         assert np.allclose(policy.theta, 1.0)
 
     def test_inherit_latest_and_fusion_agree_on_point_mass(self):
         pop = self._pop(3)
         sigma = np.array([0.0, 0.0, 1.0])
         inherit = init_new_policy(pop, sigma, 5, InheritLatest(), [1],
-                                  self._ops())
+                                  self._arena())
         fused = init_new_policy(pop, sigma, 5, NashFusion(c=0), [2],
-                                self._ops())
+                                self._arena())
         assert inherit.theta.tobytes() == fused.theta.tobytes()
 
     def test_sample_from_ne_deterministic_given_seed(self):
         pop = self._pop(3)
         sigma = np.array([0.3, 0.4, 0.3])
-        a = init_new_policy(pop, sigma, 1, SampleFromNE(), [7], self._ops())
-        b = init_new_policy(pop, sigma, 1, SampleFromNE(), [7], self._ops())
+        a = init_new_policy(pop, sigma, 1, SampleFromNE(), [7],
+                            self._arena())
+        b = init_new_policy(pop, sigma, 1, SampleFromNE(), [7],
+                            self._arena())
         assert a.theta.tobytes() == b.theta.tobytes()
 
     def test_scratch_kind_flows_through(self):
         policy = init_new_policy(self._pop(1), np.ones(1), 1,
-                                 Scratch("orthogonal"), [3], self._ops())
+                                 Scratch("orthogonal"), [3], self._arena())
         assert policy.theta.shape == (theta_size(self.sig),)
 
     def test_tabular_ops_fuse(self):
         pop = [TabularPolicy({"s": np.array([1.0, 0.0])}),
                TabularPolicy({"s": np.array([0.0, 1.0])})]
         fused = init_new_policy(pop, np.array([0.5, 0.5]), 5, NashFusion(c=0),
-                                [1], TabularOps())
+                                [1], _build_arena(rps_config()))
         assert np.allclose(fused.table["s"], [0.5, 0.5])
 
     def test_errors(self):
         with pytest.raises(EngineError):
             init_new_policy([], np.ones(0), 1, InheritLatest(), [1],
-                            TabularOps())
+                            _build_arena(rps_config()))
         with pytest.raises(EngineError):
             init_new_policy([TabularPolicy()], np.ones(2), 1, InheritLatest(),
-                            [1], TabularOps())
+                            [1], _build_arena(rps_config()))
         with pytest.raises(EngineError):
             NashFusion(c=-1)
         with pytest.raises(EngineError):
@@ -245,6 +248,17 @@ class TestRunPsro:
         history = run_psro(config, seed=0)
         assert len(history.records) == 2
 
+    def test_prd_gamma_must_fit_the_final_population(self, tmp_path):
+        # solve_prd needs gamma < 1/population, and the last solve of a
+        # 4-iteration run sees 5 policies per player.
+        mss = Prd(gamma=0.2, steps=1_000)
+        with pytest.raises(EngineError, match="mss.gamma"):
+            run_psro(rps_config(iterations=4, mss=mss), seed=0,
+                     out_dir=str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
+        history = run_psro(rps_config(iterations=3, mss=mss), seed=0)
+        assert len(history.records) == 3
+
     def test_outputs_flushed_per_iteration(self, tmp_path):
         out = tmp_path / "run"
         run_psro(rps_config(iterations=3), seed=0, out_dir=str(out))
@@ -315,7 +329,13 @@ class TestNtmgRun:
               init=(Scratch("kaiming"), Scratch("kaiming"))), "init.kind"),
         (dict(game=KUHN, oracle=ExactOracle(),
               eval=EvalSpec(approx_oracle=GradientOracle())),
-         "eval.approx_exploitability")])
+         "eval.approx_exploitability"),
+        # Distillation trains a network student.
+        (dict(init=(Distill(), Distill())), "init.method"),
+        (dict(game=KUHN, oracle=ExactOracle(),
+              init=(Distill(), InheritLatest())), "init.method"),
+        (dict(game=KUHN, oracle=QLearningOracle(episodes=10),
+              init=(InheritLatest(), Distill())), "init.method")])
     def test_unsupported_options_rejected(self, spec, field):
         config = PsroConfig(**{
             "game": {"name": "ntmg", "params": {}},
@@ -336,6 +356,18 @@ class TestNtmgRun:
         assert text.startswith("iteration,player,step,x,y")
         # 2 iterations x 2 players x 21 points
         assert len(text.strip().splitlines()) == 1 + 2 * 2 * 21
+
+    def test_rerun_into_same_directory_replaces_trajectories(self, tmp_path):
+        config = PsroConfig(
+            game={"name": "ntmg", "params": {}},
+            oracle=GradientOracle(steps=5, lr=1.0), mss=Nash(),
+            init=(InheritLatest(), InheritLatest()), iterations=2,
+            eval=EvalSpec(exact_exploitability_every=0))
+        path = tmp_path / "run" / "trajectories.csv"
+        run_psro(config, seed=0, out_dir=str(tmp_path / "run"))
+        first = path.read_text()
+        run_psro(config, seed=0, out_dir=str(tmp_path / "run"))
+        assert path.read_text() == first
 
 
 class TestApproximateExploitability:

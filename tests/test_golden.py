@@ -4,8 +4,10 @@ Every case runs one seed and compares `results.csv` byte for byte, plus one
 SHA-256 over every other output file (payoff matrices, checkpoints, curves,
 trajectories, divergence diagnostics; `timings.csv` excluded). The values
 were recorded before the tree and plane runs shared one arena and episode
-sampling went through one function; a change that is meant to keep behaviour
-must keep them. Networks are tiny, so BLAS does little of the work.
+sampling went through one function (the tabular fusion case before the
+arenas built fresh and fused policies themselves); a change that is meant to
+keep behaviour must keep them. Networks are tiny, so BLAS does little of the
+work.
 """
 
 import hashlib
@@ -57,6 +59,18 @@ CASES = {
         "1,0.6666666666666665,,2,2\n2,0.6666666666666665,,3,3\n"
         "3,0.6666666666666665,,4,4\n",
         "307ff3508dd9610f1914dc531bfc7651ee0924b26694a64fd8f6d3983617a328"),
+    # Tabular fusion inside a run: top-k Nash weights for one player,
+    # uniform weights over the whole population for the other.
+    "kuhn_q_learning_fusion": (
+        {"game": KUHN, "oracle": {"kind": "q_learning", "episodes": 200},
+         "mss": {"kind": "nash"},
+         "init": {"p0": {"method": "nash_fusion", "c": 0, "top_k": 2},
+                  "p1": {"method": "nash_fusion", "c": 0,
+                         "weights": "uniform"}},
+         "iterations": 4, "seeds": [0]},
+        "1,0.6666666666666667,,2,2\n2,0.48809523809523847,,3,3\n"
+        "3,0.39583333333333337,,4,4\n4,0.3888888888888892,,5,5\n",
+        "42832e025b0203141809d1cde2f99d7b683cbee68b6a2138994b7f85f6090af3"),
     "ntmg": (
         {"game": {"name": "ntmg", "params": {}},
          "oracle": {"kind": "gradient", "steps": 30, "lr": 1.0},

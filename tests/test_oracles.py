@@ -185,7 +185,7 @@ class TestNtmgOracle:
 
     def test_stationary_at_mirror_point(self):
         # Opponent at the origin: by symmetry the gradient there vanishes.
-        opponent = [(PointPolicy([0.0, 0.0]), 1.0)]
+        opponent = PolicyMixture([PointPolicy([0.0, 0.0])], [1.0])
         policy, traj = ntmg_oracle(PointPolicy([0.0, 0.0]), opponent,
                                    steps=50, lr=1.0, cfg=self.cfg)
         assert np.allclose(policy.x, [0.0, 0.0], atol=1e-9)
@@ -193,8 +193,8 @@ class TestNtmgOracle:
 
     def test_ascent_improves_mixture_payoff(self):
         centers = self.cfg.centers()
-        opponent = [(PointPolicy(centers[1]), 0.7),
-                    (PointPolicy(centers[4]), 0.3)]
+        opponent = PolicyMixture([PointPolicy(centers[1]),
+                                  PointPolicy(centers[4])], [0.7, 0.3])
         start = PointPolicy(centers[0] + np.array([1.0, -1.5]))
         final, traj = ntmg_oracle(start, opponent, steps=150, lr=1.0,
                                   cfg=self.cfg)
@@ -204,7 +204,8 @@ class TestNtmgOracle:
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            ntmg_oracle(PointPolicy([0, 0]), [(PointPolicy([1, 1]), 1.0)],
+            ntmg_oracle(PointPolicy([0, 0]),
+                        PolicyMixture([PointPolicy([1, 1])], [1.0]),
                         steps=0, lr=1.0, cfg=self.cfg)
 
 
@@ -212,7 +213,7 @@ class TestPsdReward:
     view = InfosetView("s", (0, 1), None)
 
     def _steps(self):
-        return [Step(self.view, 0, 0.0, "s", False),
+        return [Step(self.view, 0, 0.0, self.view, False),
                 Step(self.view, 1, 1.0, None, True)]
 
     def test_hull_member_leaves_rewards_unchanged(self):
