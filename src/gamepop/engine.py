@@ -189,6 +189,7 @@ class IterationRecord:
     t_br: float
     t_fusion: float
     t_payoff: float
+    t_eval: float
     kl_compare: list = field(default_factory=list)
 
 
@@ -406,7 +407,8 @@ def _fmt(value) -> str:
 
 RESULTS_COLUMNS = ["iteration", "exploitability", "approx_exploitability",
                    "pop_size_p1", "pop_size_p2"]
-TIMINGS_COLUMNS = ["iteration", "t_meta", "t_br", "t_fusion", "t_payoff"]
+TIMINGS_COLUMNS = ["iteration", "t_meta", "t_br", "t_fusion", "t_payoff",
+                   "t_eval"]
 RESULTS_VERSION = "gamepop-results-v1"
 
 
@@ -440,7 +442,7 @@ class _RunWriter:
         with open(os.path.join(self.dir, "timings.csv"), "a", newline="") as fh:
             csv.writer(fh).writerow([rec.iteration, _fmt(rec.t_meta),
                                      _fmt(rec.t_br), _fmt(rec.t_fusion),
-                                     _fmt(rec.t_payoff)])
+                                     _fmt(rec.t_payoff), _fmt(rec.t_eval)])
 
     def payoff_matrix(self, t: int, meta: MetaGame):
         if self.dir is None:
@@ -736,6 +738,7 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
     t_meta = time.perf_counter() - start
     sigmas = (sigma_row, sigma_col)
 
+    start = time.perf_counter()
     exact = None
     every = config.eval.exact_exploitability_every
     if every and (t % every == 0 or t == config.iterations):
@@ -751,6 +754,7 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
                 arena.game, (PolicyMixture(pops[0], sigma_row),
                        PolicyMixture(pops[1], sigma_col)),
                 spec, _mix_seed(seed, t, 3), node_budget=config.node_budget)
+    t_eval = time.perf_counter() - start
 
     writer.kl_compare(kl_rows)
     record = IterationRecord(
@@ -760,7 +764,8 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
         approx_exploitability=None if approx is None else float(approx),
         pop_size_p1=len(pops[0]),
         pop_size_p2=len(pops[1]), t_meta=t_meta, t_br=t_br,
-        t_fusion=t_fusion, t_payoff=t_payoff, kl_compare=kl_rows)
+        t_fusion=t_fusion, t_payoff=t_payoff, t_eval=t_eval,
+        kl_compare=kl_rows)
     return meta, sigmas, record
 
 

@@ -87,10 +87,30 @@ class Game:
         raise NotImplementedError
 
 
+# Tolerance on the normalized sum, as in numpy's Generator.choice: the square
+# root of float64 eps, written out because np.finfo costs ~4 ms at import.
+_SUM_TOL = 2.0 ** -26
+
+
 def sample_action(probs, actions, rng: np.random.Generator):
-    """Draw one of ``actions`` with probability proportional to ``probs``."""
-    probs = np.asarray(probs, dtype=float)
-    return actions[rng.choice(len(actions), p=probs / probs.sum())]
+    """Draw one of ``actions`` with probability proportional to ``probs``.
+
+    The draw is ``Generator.choice(len(actions), p=probs / probs.sum())``
+    without that method's per-call argument checks: one ``rng.random()``
+    searched in the normalized cumulative sum, so the action and the
+    generator state afterwards are the same. Raises ValueError for negative,
+    NaN or all-zero probabilities, or a length that differs from actions.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.shape != (len(actions),) or not p.min() >= 0.0:
+        raise ValueError(f"invalid probabilities {probs!r} "
+                         f"for {len(actions)} actions")
+    cdf = (p / p.sum()).cumsum()
+    if not abs(cdf[-1] - 1.0) <= _SUM_TOL:
+        raise ValueError(f"probabilities {probs!r} do not sum to 1 "
+                         "after normalization")
+    cdf /= cdf[-1]
+    return actions[cdf.searchsorted(rng.random(), side="right")]
 
 
 def sample_episode(game: Game, choose, rng: np.random.Generator) -> State:

@@ -7,6 +7,7 @@ matrix (row-major), then bias.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,10 @@ def theta_size(sig: ArchSignature) -> int:
     return sum(r * c + r for r, c in layer_shapes(sig))
 
 
-def _slices(sig: ArchSignature):
+@functools.lru_cache(maxsize=None)
+def _slices(sig: ArchSignature) -> tuple:
+    """(weight slice, bias slice, rows, cols) per layer, built once per
+    signature."""
     out = []
     offset = 0
     for r, c in layer_shapes(sig):
@@ -52,7 +56,7 @@ def _slices(sig: ArchSignature):
         b = slice(offset + r * c, offset + r * c + r)
         out.append((w, b, r, c))
         offset = b.stop
-    return out
+    return tuple(out)
 
 
 def unpack(sig: ArchSignature, theta: np.ndarray):

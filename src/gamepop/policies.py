@@ -12,12 +12,16 @@ Three policy families share two read surfaces:
 Fusion averages flat parameter vectors with meta-strategy weights; the
 tabular analog averages per-infoset action distributions. Every fusion and
 ensemble is one `weighted_sum`. Policies are never changed after they are
-built, so a population member can be handed out as is.
+built, so a population member can be handed out as is, and a network
+policy's `theta` is read-only; a network policy decides each infoset once
+and answers `action_probs` from that memo afterwards.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,15 @@ class InfosetView:
 
 def _uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_hot(n: int, index: int) -> np.ndarray:
+    """The shared read-only length-n one-hot on `index`."""
+    probs = np.zeros(n)
+    probs[index] = 1.0
+    probs.flags.writeable = False
+    return probs
 
 
 class TabularPolicy:
@@ -81,7 +94,7 @@ class ParametricPolicy:
     """Action-value network over infoset features, stored as a flat theta."""
 
     def __init__(self, signature: ArchSignature, theta: np.ndarray):
-        theta = np.asarray(theta, dtype=float)
+        theta = np.array(theta, dtype=float)  # a copy, made read-only below
         if theta.shape != (nets.theta_size(signature),):
             raise PolicyError(
                 f"theta has {theta.size} entries, signature needs "
@@ -89,7 +102,12 @@ class ParametricPolicy:
         if not np.all(np.isfinite(theta)):
             raise PolicyError("theta entries must be finite")
         self.signature = signature
+        theta.flags.writeable = False
         self.theta = theta
+        # Greedy decision per player and infoset key, filled on first use.
+        # Equal keys have equal legal actions and features, and theta is
+        # read-only, so an entry never goes stale.
+        self._decisions: tuple[dict, dict] = ({}, {})
 
     def q_values(self, features: np.ndarray) -> np.ndarray:
         return nets.forward(self.signature, self.theta, features)
@@ -100,10 +118,17 @@ class ParametricPolicy:
         return int(np.argmax(legal_q))  # argmax takes the lowest id on ties
 
     def action_probs(self, game: Game, state: State, player: int) -> np.ndarray:
-        legal = state.legal_actions()
-        probs = np.zeros(len(legal))
-        features = game.encode_infoset(state, player)
-        probs[self.greedy_action_index(features, legal)] = 1.0
+        """Read-only one-hot on the greedy action, computed once per
+        (player, infoset key)."""
+        decisions = self._decisions[player]
+        key = state.infoset_key(player)
+        probs = decisions.get(key)
+        if probs is None:
+            legal = state.legal_actions()
+            features = game.encode_infoset(state, player)
+            # Interned: every member of a population shares one key string.
+            probs = decisions[sys.intern(key)] = _one_hot(
+                len(legal), self.greedy_action_index(features, legal))
         return probs
 
     def dist_at(self, view: InfosetView) -> np.ndarray:

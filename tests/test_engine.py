@@ -205,8 +205,29 @@ class TestRunPsro:
     def test_wall_time_split_recorded(self):
         history = run_psro(rps_config(iterations=2), seed=0)
         for rec in history.records:
-            for part in (rec.t_meta, rec.t_br, rec.t_fusion, rec.t_payoff):
+            for part in (rec.t_meta, rec.t_br, rec.t_fusion, rec.t_payoff,
+                         rec.t_eval):
                 assert part >= 0.0
+
+    def test_eval_time_covers_exploitability(self, tmp_path, monkeypatch):
+        import time
+
+        import gamepop.engine as eng
+        exact = eng.TreeArena.exploitability
+
+        def slow_exploitability(self, pops, sigmas):
+            time.sleep(0.05)
+            return exact(self, pops, sigmas)
+
+        monkeypatch.setattr(eng.TreeArena, "exploitability",
+                            slow_exploitability)
+        out = tmp_path / "run"
+        history = run_psro(rps_config(iterations=2), seed=0, out_dir=str(out))
+        assert all(rec.t_eval >= 0.05 for rec in history.records)
+        rows = (out / "timings.csv").read_text().splitlines()
+        assert rows[0] == "iteration,t_meta,t_br,t_fusion,t_payoff,t_eval"
+        assert [float(row.split(",")[5]) for row in rows[1:]] == [
+            rec.t_eval for rec in history.records]
 
     def test_history_deterministic_for_config_and_seed(self):
         config = PsroConfig(

@@ -5,6 +5,7 @@ import pytest
 
 from gamepop.games import (CHANCE, GameError, KuhnPoker, make_game,
                            play_episode)
+from gamepop.games.base import sample_action
 from gamepop.games.ntmg import (S_MATRIX, NtmgConfig, ntmg_payoff,
                                 ntmg_weights)
 from gamepop.policies import TabularPolicy
@@ -42,25 +43,78 @@ def test_make_game_bad_params():
         make_game("liars_dice_ir", {"faces": 2, "recall": 0})
 
 
-def test_liars_dice_ir_legal_actions_are_a_function_of_the_key():
-    game = make_game("liars_dice_ir", {"faces": 3, "recall": 1})
-    legal_by_key = {}
+def _decision_nodes(state):
+    """Every decision node of the tree below `state`, depth first."""
+    if state.is_terminal:
+        return
+    if state.current_player == CHANCE:
+        for a, _ in state.chance_outcomes():
+            yield from _decision_nodes(state.child(a))
+        return
+    yield state
+    for a in state.legal_actions():
+        yield from _decision_nodes(state.child(a))
 
-    def walk(state):
-        if state.is_terminal:
-            return
-        if state.current_player == CHANCE:
-            for a, _ in state.chance_outcomes():
-                walk(state.child(a))
-            return
+
+@pytest.mark.parametrize("name,params", [
+    ("kuhn_poker", {}),
+    ("leduc_poker", {}),
+    ("goofspiel", {"num_cards": 4}),
+    ("liars_dice", {"faces": 4}),
+    ("liars_dice_ir", {"faces": 3, "recall": 1}),
+    ("liars_dice_ir", {"faces": 4, "recall": 2}),
+    ("matrix_game", {"rows": [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]}),
+])
+def test_infoset_key_fixes_legal_actions_and_features(name, params):
+    """Network policies memoize one decision per (player, infoset key); that
+    is sound only if the key determines what the decision depends on. With
+    imperfect recall legality depends on the last bid, which the key must
+    keep."""
+    game = make_game(name, params)
+    seen = {}
+    for state in _decision_nodes(game.initial_state()):
         player = state.current_player
         key = (player, state.infoset_key(player))
-        legal = tuple(state.legal_actions())
-        assert legal_by_key.setdefault(key, legal) == legal
-        for a in state.legal_actions():
-            walk(state.child(a))
+        inputs = (tuple(state.legal_actions()),
+                  game.encode_infoset(state, player).tobytes())
+        assert seen.setdefault(key, inputs) == inputs, key
+    assert seen
 
-    walk(game.initial_state())
+
+def _distributions(rng, count):
+    """Unnormalized random, one-hot and sparse distributions of 1-7 actions."""
+    for i in range(count):
+        n = int(rng.integers(1, 8))
+        if i % 3 == 0:
+            yield rng.random(n)
+        elif i % 3 == 1:
+            yield np.eye(n)[rng.integers(n)]
+        else:
+            probs = rng.random(n) * (rng.random(n) < 0.5)
+            probs[rng.integers(n)] += 0.25
+            yield probs
+
+
+def test_sample_action_draws_as_generator_choice():
+    """Same action as `Generator.choice(len, p=...)` and the same generator
+    state afterwards, for every seed."""
+    for seed, probs in enumerate(_distributions(np.random.default_rng(11),
+                                                3000)):
+        actions = [10 + a for a in range(len(probs))]
+        ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = actions[numpy_rng.choice(len(probs),
+                                            p=probs / probs.sum())]
+        assert sample_action(probs, actions, ours) == expected
+        assert ours.random() == numpy_rng.random()
+
+
+@pytest.mark.parametrize("probs", [[0.0, 0.0], [-0.5, 1.5], [1.0, -1e-12],
+                                   [-1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0],
+                                   [1e308, 1e308], [1.0], [0.2, 0.3, 0.5]])
+def test_sample_action_rejects_invalid_probabilities(probs):
+    rng = np.random.default_rng(0)
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        sample_action(probs, [4, 7], rng)
 
 
 def test_goofspiel_round_count():

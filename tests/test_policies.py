@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gamepop import nets
-from gamepop.games import make_game
+from gamepop.games import CHANCE, make_game
 from gamepop.nets import ArchSignature
 from gamepop.policies import (InfosetView, ParametricPolicy, PointPolicy,
                               PolicyError, PolicyMixture, TabularPolicy,
@@ -329,6 +329,58 @@ def test_parametric_greedy_ties_break_low():
     policy = ParametricPolicy(SIG, np.zeros(6))  # all q-values equal
     view = InfosetView("s", (0, 1), np.array([1.0, 0.0]))
     assert policy.greedy_action_index(view.features, view.legal_actions) == 0
+
+
+def test_theta_is_a_read_only_copy():
+    theta = np.arange(6, dtype=float)
+    policy = _param(theta)
+    theta[0] = 99.0
+    assert policy.theta[0] == 0.0
+    with pytest.raises(ValueError):
+        policy.theta[0] = 1.0
+
+
+def test_memoized_greedy_decisions_match_a_fresh_forward(monkeypatch):
+    """Every Leduc decision node, both players: the memo answers exactly what
+    one forward and a masked argmax give, with one forward per infoset."""
+    game = make_game("leduc_poker", {})
+    sig = ArchSignature(game.encoding_dim(), (8,),
+                        game.num_distinct_actions())
+    forwards = []
+    real_forward = nets.forward
+
+    def counted_forward(*args):
+        forwards.append(args)
+        return real_forward(*args)
+
+    monkeypatch.setattr(nets, "forward", counted_forward)
+    for policy in (scratch_init("normal", sig, 5),
+                   ParametricPolicy(sig, np.zeros(nets.theta_size(sig)))):
+        forwards.clear()
+        infosets = set()
+        stack = [game.initial_state()]
+        while stack:
+            state = stack.pop()
+            if state.is_terminal:
+                continue
+            if state.current_player == CHANCE:
+                stack.extend(state.child(a) for a, _ in state.chance_outcomes())
+                continue
+            player = state.current_player
+            legal = state.legal_actions()
+            stack.extend(state.child(a) for a in legal)
+            probs = policy.action_probs(game, state, player)
+            assert not probs.flags.writeable
+            with pytest.raises(ValueError):
+                probs[0] = 0.5
+            q = real_forward(sig, policy.theta,
+                             game.encode_infoset(state, player))
+            expected = np.zeros(len(legal))
+            expected[int(np.argmax(q[legal]))] = 1.0
+            assert probs.tobytes() == expected.tobytes()
+            infosets.add((player, state.infoset_key(player)))
+        assert {p for p, _ in infosets} == {0, 1}
+        assert len(forwards) == len(infosets)
 
 
 def test_mixture_validation():
