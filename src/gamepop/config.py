@@ -47,8 +47,7 @@ _SCALARS = {bool: (bool, "a boolean"), int: (int, "an integer"),
 _SPEC_ERRORS = (EngineError, SolverError, ValueError)
 
 _TOP_REQUIRED = ("game", "oracle", "mss", "init", "iterations", "seeds")
-_TOP_OPTIONAL = ("psd", "eval", "payoff", "output_dir", "diagnostics",
-                 "node_budget")
+_TOP_OPTIONAL = ("psd", "eval", "payoff", "output_dir", "diagnostics")
 
 
 @cache

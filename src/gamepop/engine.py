@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meta_solvers, policies as pol
-from .games import (TraversalBudgetError, expected_value, exploitability,
-                    make_game)
+from .games import expected_value, exploitability, make_game
 from .games.ntmg import NtmgConfig, ntmg_payoff
-from .meta_solvers import (MetaGame, Prd, extend_payoff, fill_payoff,
-                           monte_carlo_value)
+from .meta_solvers import MetaGame, Prd, extend_payoff, fill_payoff
 from .nets import ArchSignature
 from .oracles import (DqnConfig, PsdBonus, dqn_oracle, exact_oracle,
                       ntmg_mixture_payoff, ntmg_oracle, q_learning_oracle)
@@ -32,9 +30,7 @@ from .policies import (PointPolicy, PolicyMixture, TabularPolicy,
                        checkpoint_dumps, fuse_parameters, fuse_points,
                        fuse_tabular, kl_to_ensemble, sample_member,
                        scratch_init)
-from .specs import check, setting
-
-MC_VALUE_EPISODES = 10_000
+from .specs import setting, spec
 
 
 class EngineError(Exception):
@@ -45,12 +41,9 @@ class EngineError(Exception):
 # Run description
 
 
-@dataclass(frozen=True)
+@spec(EngineError)
 class Scratch:
     kind: str = setting("normal", choices=("normal", "orthogonal", "kaiming"))
-
-    def __post_init__(self):
-        check(self, EngineError)
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class SampleFromNE:
     pass
 
 
-@dataclass(frozen=True)
+@spec(EngineError)
 class NashFusion:
     c: int = setting(2, ge=0)  # fusion start iteration
     # None fuses the whole population
@@ -77,18 +70,12 @@ class NashFusion:
     # "uniform" weighs the selected set equally
     weights: str = setting("nash", choices=("nash", "uniform"))
 
-    def __post_init__(self):
-        check(self, EngineError)
 
-
-@dataclass(frozen=True)
+@spec(EngineError)
 class Distill:
     epochs: int = setting(200, ge=0)
     samples: int = setting(64, ge=1)
     lr: float = 0.05
-
-    def __post_init__(self):
-        check(self, EngineError)
 
 
 @dataclass(frozen=True)
@@ -96,66 +83,48 @@ class ExactOracle:
     pass
 
 
-@dataclass(frozen=True)
+@spec(EngineError)
 class QLearningOracle:
     episodes: int = setting(5_000, ge=1)
     lr: float = 0.1
     epsilon: float = setting(0.1, ge=0.0)
     gamma_discount: float = setting(1.0, ge=0.0)
 
-    def __post_init__(self):
-        check(self, EngineError)
 
-
-@dataclass(frozen=True)
+@spec(EngineError)
 class DqnOracle:
     hidden_layers: tuple[int, ...] = setting((64, 64), ge=1)
     cfg: DqnConfig = setting(DqnConfig(), inline=True)
 
-    def __post_init__(self):
-        check(self, EngineError)
 
-
-@dataclass(frozen=True)
+@spec(EngineError)
 class GradientOracle:
     steps: int = setting(150, ge=1)
     lr: float = 1.0
 
-    def __post_init__(self):
-        check(self, EngineError)
 
-
-@dataclass(frozen=True)
+@spec(EngineError)
 class PsdSpec:
     enabled: bool = False
     lam: float = setting(1.0, json="lambda", ge=0.0)
     hull_samples: int = setting(4, ge=1)
 
-    def __post_init__(self):
-        check(self, EngineError)
 
-
-@dataclass(frozen=True)
+@spec(EngineError)
 class EvalSpec:
     exact_exploitability_every: int = setting(1, ge=0)  # 0 disables
     approx_oracle: object | None = setting(None, json="approx_exploitability",
                                            union="oracle")
     approx_every: int = setting(0, ge=0)  # 0: final iteration only
 
-    def __post_init__(self):
-        check(self, EngineError)
 
-
-@dataclass(frozen=True)
+@spec(EngineError)
 class DiagnosticsSpec:
     kl_compare: bool = False
     kl_states: int = setting(128, ge=1)
 
-    def __post_init__(self):
-        check(self, EngineError)
 
-
-@dataclass(frozen=True)
+@spec(EngineError)
 class PsroConfig:
     game: dict
     oracle: object = setting(union="oracle")
@@ -170,10 +139,6 @@ class PsroConfig:
     seeds: tuple[int, ...] = (0,)
     output_dir: str | None = None
     diagnostics: DiagnosticsSpec = DiagnosticsSpec()
-    node_budget: int | None = setting(None, ge=1)
-
-    def __post_init__(self):
-        check(self, EngineError)
 
 
 @dataclass
@@ -279,11 +244,10 @@ def init_new_policy(pop, sigma, t: int, method, seed, arena,
 
 
 def _train_oracle(spec, game, init, opponent_mixture, player, seed,
-                  psd_bonus=None, node_budget=None):
+                  psd_bonus=None):
     """Returns (policy, learning_curve_or_None, trajectory_or_None)."""
     if isinstance(spec, ExactOracle):
-        return exact_oracle(game, opponent_mixture, player,
-                            node_budget=node_budget), None, None
+        return exact_oracle(game, opponent_mixture, player), None, None
     if isinstance(spec, QLearningOracle):
         policy = q_learning_oracle(
             game, init if isinstance(init, TabularPolicy) else None,
@@ -350,14 +314,6 @@ def ntmg_exploitability(pops, sigmas, cfg: NtmgConfig) -> float:
 # Approximate exploitability (trained best responses)
 
 
-def _mixture_value(game, profile, player, seed, node_budget) -> float:
-    try:
-        return expected_value(game, profile, node_budget)[player]
-    except TraversalBudgetError:
-        rng = np.random.default_rng(_derive_seed(seed, player, 77))
-        return monte_carlo_value(game, profile, MC_VALUE_EPISODES, rng, player)
-
-
 def _fit_init_to_oracle(init, game, oracle_spec, seed):
     """A DQN trainer needs network parameters; non-parametric mixture
     members fall back to a seeded scratch network."""
@@ -367,13 +323,13 @@ def _fit_init_to_oracle(init, game, oracle_spec, seed):
         seed, "normal")
 
 
-def approximate_exploitability(game, profile, oracle_spec, seed,
-                               node_budget=None) -> float:
+def approximate_exploitability(game, profile, oracle_spec, seed) -> float:
     """Exploitability with trained best responses in place of exact ones.
 
     Each player's response is initialized from a meta-strategy-sampled
     member of their own mixture and trained against the opponent mixture; a
-    noisy lower bound on the exact quantity.
+    noisy lower bound on the exact quantity. Profile values are exact, so a
+    game too large for its tree raises TraversalBudgetError.
     """
     total = 0.0
     for player in (0, 1):
@@ -383,12 +339,11 @@ def approximate_exploitability(game, profile, oracle_spec, seed,
         init = _fit_init_to_oracle(sample_member(own, rng), game, oracle_spec,
                                    _derive_seed(seed, player, 13))
         trained, _, _ = _train_oracle(oracle_spec, game, init, opp, player,
-                                      _derive_seed(seed, player, 12),
-                                      node_budget=node_budget)
+                                      _derive_seed(seed, player, 12))
         pair = (trained, opp) if player == 0 else (opp, trained)
-        v_trained = _mixture_value(game, pair, player, seed, node_budget)
+        v_trained = expected_value(game, pair)[player]
         base = (own, opp) if player == 0 else (opp, own)
-        v_current = _mixture_value(game, base, player, seed, node_budget)
+        v_current = expected_value(game, base)[player]
         total += v_trained - v_current
     return total
 
@@ -538,19 +493,17 @@ class TreeArena(_Arena):
     def fill_payoffs(self, meta, pops, seed):
         config = self.config
         if config.payoff_mode == "exact":
-            return extend_payoff(meta, self.game, pops, "exact",
-                                 node_budget=config.node_budget)
+            return extend_payoff(meta, self.game, pops, "exact")
         return extend_payoff(meta, self.game, pops,
                              ("monte_carlo", config.payoff_episodes, seed))
 
     def exploitability(self, pops, sigmas):
         return exploitability(self.game, (PolicyMixture(pops[0], sigmas[0]),
-                                          PolicyMixture(pops[1], sigmas[1])),
-                              self.config.node_budget)
+                                          PolicyMixture(pops[1], sigmas[1])))
 
     def train(self, init, opponent, player, seed, psd_bonus):
         return _train_oracle(self.config.oracle, self.game, init, opponent,
-                             player, seed, psd_bonus, self.config.node_budget)
+                             player, seed, psd_bonus)
 
 
 class NetworkArena(TreeArena):
@@ -753,7 +706,7 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
             approx = approximate_exploitability(
                 arena.game, (PolicyMixture(pops[0], sigma_row),
                        PolicyMixture(pops[1], sigma_col)),
-                spec, _mix_seed(seed, t, 3), node_budget=config.node_budget)
+                spec, _mix_seed(seed, t, 3))
     t_eval = time.perf_counter() - start
 
     writer.kl_compare(kl_rows)

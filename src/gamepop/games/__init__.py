@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from .base import CHANCE, TERMINAL, Game, GameError, State, play_episode
-from .evaluate import (DEFAULT_NODE_BUDGET, TraversalBudgetError,
-                       best_response, expected_value, exploitability)
+from .base import (CHANCE, TERMINAL, Game, GameError, InfosetView, State,
+                   TraversalBudgetError, play_episode)
+from .evaluate import best_response, expected_value, exploitability
 from .goofspiel import Goofspiel
 from .kuhn import KuhnPoker
 from .leduc import LeducPoker
@@ -53,8 +53,8 @@ def make_game(name: str, params: dict | None = None) -> Game:
 
 
 __all__ = [
-    "CHANCE", "TERMINAL", "Game", "GameError", "State", "play_episode",
-    "DEFAULT_NODE_BUDGET", "TraversalBudgetError", "best_response",
+    "CHANCE", "TERMINAL", "Game", "GameError", "InfosetView", "State",
+    "TraversalBudgetError", "play_episode", "best_response",
     "expected_value", "exploitability", "make_game", "Goofspiel", "KuhnPoker",
     "LeducPoker", "LiarsDice", "MatrixGame", "S_MATRIX", "NtmgConfig",
     "ntmg_densities", "ntmg_densities_jacobian", "ntmg_payoff",

@@ -17,11 +17,10 @@ from .base import TERMINAL, Game, GameError, State
 
 
 class GoofspielState(State):
-    __slots__ = ("game", "history", "rounds", "pending")
+    __slots__ = ("game", "rounds", "pending")
 
-    def __init__(self, game, history=(), rounds=(), pending=None):
+    def __init__(self, game, rounds=(), pending=None):
         self.game = game
-        self.history = history
         self.rounds = rounds  # ((p0_card, p1_card), ...) revealed rounds
         self.pending = pending  # player 0's committed card this round
 
@@ -49,11 +48,9 @@ class GoofspielState(State):
         if action not in self.legal_actions():
             raise GameError(f"illegal action {action}")
         card = action + 1
-        history = self.history + ((player, action),)
         if player == 0:
-            return GoofspielState(self.game, history, self.rounds, card)
-        return GoofspielState(self.game, history,
-                              self.rounds + ((self.pending, card),), None)
+            return GoofspielState(self.game, self.rounds, card)
+        return GoofspielState(self.game, self.rounds + ((self.pending, card),))
 
     def _scores(self) -> tuple[float, float]:
         s = [0.0, 0.0]

@@ -16,11 +16,10 @@ _TERMINAL_SEQS = {"pp", "pbp", "pbb", "bp", "bb"}
 
 
 class KuhnState(State):
-    __slots__ = ("game", "history", "cards", "bets")
+    __slots__ = ("game", "cards", "bets")
 
-    def __init__(self, game, history=(), cards=(), bets=""):
+    def __init__(self, game, cards=(), bets=""):
         self.game = game
-        self.history = history
         self.cards = cards
         self.bets = bets
 
@@ -41,12 +40,10 @@ class KuhnState(State):
         return [(c, p) for c in remaining]
 
     def child(self, action: int) -> "KuhnState":
-        player = self.current_player
-        if player == CHANCE:
-            return KuhnState(self.game, self.history + ((CHANCE, action),),
-                             self.cards + (action,), self.bets)
-        return KuhnState(self.game, self.history + ((player, action),),
-                         self.cards, self.bets + ("b" if action == BET else "p"))
+        if self.current_player == CHANCE:
+            return KuhnState(self.game, self.cards + (action,), self.bets)
+        return KuhnState(self.game, self.cards,
+                         self.bets + ("b" if action == BET else "p"))
 
     def returns(self) -> tuple[float, float]:
         bets = self.bets

@@ -20,14 +20,12 @@ _MAX_RAISES = 2
 
 
 class LeducState(State):
-    __slots__ = ("game", "history", "cards", "public", "round", "round_bets",
-                 "contrib", "to_act", "acted", "raises", "folded")
+    __slots__ = ("game", "cards", "public", "round", "round_bets", "contrib",
+                 "to_act", "acted", "raises", "folded")
 
-    def __init__(self, game, history=(), cards=(), public=None, rnd=0,
-                 round_bets=("", ""), contrib=(1, 1), to_act=0, acted=0,
-                 raises=0, folded=None):
+    def __init__(self, game, cards=(), public=None, rnd=0, round_bets=("", ""),
+                 contrib=(1, 1), to_act=0, acted=0, raises=0, folded=None):
         self.game = game
-        self.history = history
         self.cards = cards
         self.public = public
         self.round = rnd
@@ -64,12 +62,10 @@ class LeducState(State):
         return [(c, p) for c in remaining]
 
     def child(self, action: int) -> "LeducState":
-        player = self.current_player
-        history = self.history + ((player, action),)
-        if player == CHANCE:
+        if self.current_player == CHANCE:
             if len(self.cards) < 2:
-                return LeducState(self.game, history, self.cards + (action,))
-            return LeducState(self.game, history, self.cards, action, 1,
+                return LeducState(self.game, self.cards + (action,))
+            return LeducState(self.game, self.cards, action, 1,
                               self.round_bets, self.contrib)
         if action not in self.legal_actions():
             raise GameError(f"illegal action {action}")
@@ -79,20 +75,20 @@ class LeducState(State):
         bets = list(self.round_bets)
         bets[self.round] += letter
         if action == FOLD:
-            return LeducState(self.game, history, self.cards, self.public,
+            return LeducState(self.game, self.cards, self.public,
                               self.round, tuple(bets), tuple(contrib),
                               folded=me)
         if action == CALL:
             contrib[me] = contrib[opp]
             if self.acted >= 1:  # round closes once both have acted
-                return LeducState(self.game, history, self.cards, self.public,
+                return LeducState(self.game, self.cards, self.public,
                                   self.round + 1, tuple(bets), tuple(contrib))
-            return LeducState(self.game, history, self.cards, self.public,
+            return LeducState(self.game, self.cards, self.public,
                               self.round, tuple(bets), tuple(contrib),
                               to_act=opp, acted=self.acted + 1,
                               raises=self.raises)
         contrib[me] = contrib[opp] + _BET_SIZE[self.round]
-        return LeducState(self.game, history, self.cards, self.public,
+        return LeducState(self.game, self.cards, self.public,
                           self.round, tuple(bets), tuple(contrib), to_act=opp,
                           acted=self.acted + 1, raises=self.raises + 1)
 

@@ -18,11 +18,10 @@ from .base import CHANCE, TERMINAL, Game, GameError, State
 
 
 class LiarsDiceState(State):
-    __slots__ = ("game", "history", "dice", "bids", "challenged")
+    __slots__ = ("game", "dice", "bids", "challenged")
 
-    def __init__(self, game, history=(), dice=(), bids=(), challenged=False):
+    def __init__(self, game, dice=(), bids=(), challenged=False):
         self.game = game
-        self.history = history
         self.dice = dice
         self.bids = bids
         self.challenged = challenged
@@ -47,17 +46,14 @@ class LiarsDiceState(State):
         return [(f, p) for f in range(self.game.faces)]
 
     def child(self, action: int) -> "LiarsDiceState":
-        player = self.current_player
-        history = self.history + ((player, action),)
-        if player == CHANCE:
-            return LiarsDiceState(self.game, history, self.dice + (action,))
+        if self.current_player == CHANCE:
+            return LiarsDiceState(self.game, self.dice + (action,))
         if action not in self.legal_actions():
             raise GameError(f"illegal action {action}")
         if action == self.game.challenge_action:
-            return LiarsDiceState(self.game, history, self.dice, self.bids,
+            return LiarsDiceState(self.game, self.dice, self.bids,
                                   challenged=True)
-        return LiarsDiceState(self.game, history, self.dice,
-                              self.bids + (action,))
+        return LiarsDiceState(self.game, self.dice, self.bids + (action,))
 
     def returns(self) -> tuple[float, float]:
         faces = self.game.faces

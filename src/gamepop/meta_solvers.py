@@ -16,7 +16,7 @@ import numpy as np
 
 from .games import expected_value, play_episode
 from .policies import sample_member
-from .specs import check, setting
+from .specs import setting, spec
 
 
 class SolverError(Exception):
@@ -68,8 +68,7 @@ def monte_carlo_value(game, profile, episodes: int, rng: np.random.Generator,
     return total / episodes
 
 
-def extend_payoff(meta: MetaGame, game, pops, eval_mode="exact",
-                  node_budget=None) -> MetaGame:
+def extend_payoff(meta: MetaGame, game, pops, eval_mode="exact") -> MetaGame:
     """Fill every empty entry of the meta-game for the given populations.
 
     ``eval_mode`` is "exact" or ("monte_carlo", episodes, seed). Entries are
@@ -79,7 +78,7 @@ def extend_payoff(meta: MetaGame, game, pops, eval_mode="exact",
     def entry(r, c):
         profile = (pops[0][r], pops[1][c])
         if eval_mode == "exact":
-            return expected_value(game, profile, node_budget)[0]
+            return expected_value(game, profile)[0]
         mode, episodes, seed = eval_mode
         if mode != "monte_carlo":
             raise SolverError(f"unknown eval mode {mode!r}")
@@ -355,22 +354,16 @@ class Uniform:
     pass
 
 
-@dataclass(frozen=True)
+@spec(SolverError)
 class Prd:
     gamma: float = setting(1e-3, ge=0.0)
     dt: float = 1e-3
     steps: int = setting(100_000, ge=1)
 
-    def __post_init__(self):
-        check(self, SolverError)
 
-
-@dataclass(frozen=True)
+@spec(SolverError)
 class FictitiousPlay:
     iters: int = setting(30_000, ge=1)
-
-    def __post_init__(self):
-        check(self, SolverError)
 
 
 def solve(M, kind) -> tuple[np.ndarray, np.ndarray]:

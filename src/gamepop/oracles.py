@@ -15,13 +15,13 @@ import numpy as np
 
 from . import nets
 from .games import best_response
-from .games.base import Game, sample_action, sample_episode
+from .games.base import Game, InfosetView, sample_action, sample_episode
 from .games.ntmg import (S_MATRIX, NtmgConfig, ntmg_densities,
                          ntmg_densities_jacobian, ntmg_payoff,
                          ntmg_payoff_grad)
-from .policies import (InfosetView, ParametricPolicy, PointPolicy,
-                       PolicyMixture, TabularPolicy, floored, kl_divergence,
-                       sample_member, weighted_sum)
+from .policies import (ParametricPolicy, PointPolicy, PolicyMixture,
+                       TabularPolicy, floored, kl_divergence, sample_member,
+                       weighted_sum)
 from .specs import check, setting
 
 
@@ -62,30 +62,27 @@ def run_learner_episode(game: Game, player: int, select, opponent,
     pending: tuple[InfosetView, int] | None = None
     steps: list[Step] = []
 
-    def choose(state, current, legal):
+    def choose(current, view):
         nonlocal pending
         if current != player:
-            return sample_action(opponent.action_probs(game, state, current),
-                                 legal, rng)
-        view = InfosetView(state.infoset_key(player), tuple(legal),
-                           game.encode_infoset(state, player))
+            return sample_action(opponent.action_probs(view),
+                                 view.legal_actions, rng)
         action = select(view)
-        assert action in legal, "oracle selected an illegal action"
+        assert action in view.legal_actions, "oracle chose an illegal action"
         if pending is not None:
             steps.append(Step(pending[0], pending[1], 0.0, view, False))
         pending = (view, action)
         return action
 
-    reward = sample_episode(game, choose, rng).returns()[player]
+    reward = sample_episode(game, choose, rng)[player]
     if pending is not None:
         steps.append(Step(pending[0], pending[1], reward, None, True))
     return steps, reward
 
 
-def exact_oracle(game: Game, opponent_mixture, player: int,
-                 node_budget=None) -> TabularPolicy:
+def exact_oracle(game: Game, opponent_mixture, player: int) -> TabularPolicy:
     """Exact best response; initialization-independent by construction."""
-    policy, _ = best_response(game, opponent_mixture, player, node_budget)
+    policy, _ = best_response(game, opponent_mixture, player)
     return policy
 
 

@@ -1,33 +1,34 @@
 """Policy representations, parameter fusion, ensembles, and diagnostics.
 
-Three policy families share two read surfaces:
+Tabular and network policies read a decision point as an `InfosetView`
+from the game's tree (`gamepop.games.base.Tree`), in one of two ways:
 
-* ``action_probs(game, state, player)`` is the evaluation-time distribution
-  used by exact traversal and meta-game payoffs. Parametric policies act
-  greedily here (masked argmax over action values, lowest id on ties).
+* ``action_probs(view)`` is the evaluation-time distribution used by exact
+  evaluation, sampled episodes and meta-game payoffs. Parametric policies
+  act greedily here (masked argmax over action values, lowest id on ties).
 * ``dist_at(view)`` is the smooth reading used for ensembles, divergence
   diagnostics, and distillation targets. Parametric policies return the
-  softmax of their legal action values at temperature 1.
+  softmax of their legal action values at temperature 1; for tabular
+  policies the two readings are one function.
 
 Fusion averages flat parameter vectors with meta-strategy weights; the
 tabular analog averages per-infoset action distributions. Every fusion and
 ensemble is one `weighted_sum`. Policies are never changed after they are
 built, so a population member can be handed out as is, and a network
-policy's `theta` is read-only; a network policy decides each infoset once
-and answers `action_probs` from that memo afterwards.
+policy's `theta` is read-only; a network policy decides each view once and
+answers `action_probs` from that memo afterwards.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import nets
-from .games.base import Game, State, sample_action, sample_episode
+from .games.base import (Game, InfosetView, draw_index, sample_action,
+                         sample_episode)
 from .nets import ArchSignature
 
 KL_FLOOR = 1e-9
@@ -35,14 +36,6 @@ KL_FLOOR = 1e-9
 
 class PolicyError(Exception):
     """Malformed policy construction or incompatible fusion inputs."""
-
-
-@dataclass(frozen=True)
-class InfosetView:
-    """A sampled decision point: enough context to query any policy."""
-    key: str
-    legal_actions: tuple[int, ...]
-    features: np.ndarray | None = None
 
 
 def _uniform(n: int) -> np.ndarray:
@@ -72,9 +65,10 @@ class TabularPolicy:
                 raise PolicyError(f"distribution at {key!r} does not sum to 1")
             self.table[key] = dist
 
-    def action_probs(self, game: Game, state: State, player: int) -> np.ndarray:
-        return self.dist_for_key(state.infoset_key(player),
-                                 len(state.legal_actions()))
+    def action_probs(self, view: InfosetView) -> np.ndarray:
+        return self.dist_for_key(view.key, len(view.legal_actions))
+
+    dist_at = action_probs
 
     def dist_for_key(self, key: str, num_legal: int) -> np.ndarray:
         dist = self.table.get(key)
@@ -85,9 +79,6 @@ class TabularPolicy:
                 f"stored distribution at {key!r} has length {len(dist)}, "
                 f"state has {num_legal} legal actions")
         return dist
-
-    def dist_at(self, view: InfosetView) -> np.ndarray:
-        return self.dist_for_key(view.key, len(view.legal_actions))
 
 
 class ParametricPolicy:
@@ -104,10 +95,9 @@ class ParametricPolicy:
         self.signature = signature
         theta.flags.writeable = False
         self.theta = theta
-        # Greedy decision per player and infoset key, filled on first use.
-        # Equal keys have equal legal actions and features, and theta is
-        # read-only, so an entry never goes stale.
-        self._decisions: tuple[dict, dict] = ({}, {})
+        # Greedy decision per view, filled on first use. Theta is read-only,
+        # so an entry never goes stale.
+        self._decisions: dict[InfosetView, np.ndarray] = {}
 
     def q_values(self, features: np.ndarray) -> np.ndarray:
         return nets.forward(self.signature, self.theta, features)
@@ -117,18 +107,13 @@ class ParametricPolicy:
         legal_q = np.array([q[a] for a in legal_actions])
         return int(np.argmax(legal_q))  # argmax takes the lowest id on ties
 
-    def action_probs(self, game: Game, state: State, player: int) -> np.ndarray:
-        """Read-only one-hot on the greedy action, computed once per
-        (player, infoset key)."""
-        decisions = self._decisions[player]
-        key = state.infoset_key(player)
-        probs = decisions.get(key)
+    def action_probs(self, view: InfosetView) -> np.ndarray:
+        """Read-only one-hot on the greedy action, computed once per view."""
+        probs = self._decisions.get(view)
         if probs is None:
-            legal = state.legal_actions()
-            features = game.encode_infoset(state, player)
-            # Interned: every member of a population shares one key string.
-            probs = decisions[sys.intern(key)] = _one_hot(
-                len(legal), self.greedy_action_index(features, legal))
+            legal = view.legal_actions
+            probs = self._decisions[view] = _one_hot(
+                len(legal), self.greedy_action_index(view.features, legal))
         return probs
 
     def dist_at(self, view: InfosetView) -> np.ndarray:
@@ -168,12 +153,13 @@ class PolicyMixture:
 
 
 def sample_member(policy_or_mixture, rng: np.random.Generator):
-    """One member drawn by mixture weight; a plain policy is returned as is,
-    without a draw."""
+    """One member drawn by mixture weight, as ``rng.choice(len(members),
+    p=weights)`` draws it (see `draw_index`); a plain policy is returned as
+    is, without a draw."""
     members = getattr(policy_or_mixture, "members", None)
     if members is None:
         return policy_or_mixture
-    return members[rng.choice(len(members), p=policy_or_mixture.weights)]
+    return members[draw_index(policy_or_mixture.weights, rng)]
 
 
 def weighted_sum(weights, members, value):
@@ -297,18 +283,14 @@ def sample_infoset_views(mixture: PolicyMixture, game: Game, player: int,
     return their full reachable set quickly.
     """
     rng = np.random.default_rng(seed)
-    views: list[InfosetView] = []
-    seen: set[str] = set()
+    views: dict[InfosetView, None] = {}  # first-visit order
 
-    def choose(state, current, legal):
+    def choose(current, view):
+        legal = view.legal_actions
         if current != player:
             return sample_action(_uniform(len(legal)), legal, rng)
-        key = state.infoset_key(player)
-        view = InfosetView(key, tuple(legal),
-                           game.encode_infoset(state, player))
-        if key not in seen and len(views) < num_states:
-            seen.add(key)
-            views.append(view)
+        if view not in views and len(views) < num_states:
+            views[view] = None
         return sample_action(ensemble_distribution(mixture, view), legal, rng)
 
     episodes = 0
@@ -320,7 +302,7 @@ def sample_infoset_views(mixture: PolicyMixture, game: Game, player: int,
         known = len(views)
         sample_episode(game, choose, rng)
         since_new = 0 if len(views) > known else since_new + 1
-    return views
+    return list(views)
 
 
 def kl_to_ensemble(candidate, mixture: PolicyMixture, game: Game,

@@ -13,14 +13,15 @@ config and the construction-time check need:
   belongs to;
 - ``inline``: a nested spec whose fields sit in the enclosing config object.
 
-`check` enforces the bounds and choices; `gamepop.config` parses and echoes
+`check` enforces the bounds and choices, and a class declared with
+``@spec(error)`` runs it on construction; `gamepop.config` parses and echoes
 configs from the rest.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import MISSING, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 _BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
            "le": (operator.le, "<=")}
@@ -30,6 +31,17 @@ def setting(default=MISSING, **meta):
     """A spec field with `default` (none when omitted) and the declarations
     `meta` listed in the module docstring."""
     return field(default=default, metadata=meta)
+
+
+def spec(error):
+    """Class decorator: a frozen dataclass that runs `check(self, error)`
+    when it is constructed."""
+    def declare(cls):
+        def __post_init__(self):
+            check(self, error)
+        cls.__post_init__ = __post_init__
+        return dataclass(frozen=True)(cls)
+    return declare
 
 
 def check(spec, error) -> None:

@@ -94,6 +94,14 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="episodes"):
             parse_config(config)
 
+    @pytest.mark.parametrize("field", ["node_budget"])
+    def test_retired_top_level_fields_rejected(self, tmp_path, field):
+        config = minimal_config(tmp_path)
+        config[field] = 10
+        with pytest.raises(ConfigError, match=f"config: unknown field "
+                                              f"'{field}'"):
+            parse_config(config)
+
     @pytest.mark.parametrize("field", ["per_alpha", "is_beta"])
     def test_prioritized_replay_fields_rejected(self, tmp_path, field):
         oracle = {"kind": "dqn", "hidden_layers": [8], field: 0.5}
@@ -319,24 +327,26 @@ class TestPlots:
 
 # SHA-256 of each shipped config's echo, `json.dumps(config_to_dict(...),
 # indent=2, sort_keys=True)`, recorded before the spec dataclasses became the
-# only schema. The echo is what `gamepop eval` rebuilds a run from.
+# only schema and re-recorded when the `node_budget` field was removed (each
+# echo lost its `"node_budget": null` line and nothing else). The echo is
+# what `gamepop eval` rebuilds a run from.
 SHIPPED_ECHOES = {
     "goofspiel4_desk.json":
-        "0e8c20c646e7282d144aa5e541e657cdb7551e5cbcdf207cbb53832cc4988c2a",
+        "0e8a7c0aa0d2c0d2cec4f6a74fcb5063c59384234ccb0101bc0a48928ed1b8ea",
     "goofspiel5_full.json":
-        "819dd0fe7cf545da6426e9bbc98fddcb6b8c34ad5bd5dd020d4dc063254b5060",
+        "e98c7500e7cd044456f155665a864131e1439f035db26dd831ab5598140e58bd",
     "kuhn_exact.json":
-        "e0a6e0aa61d9ddd7f64de7ed2ab28ef53f9cb86681573ceb1943e18be9d557bf",
+        "d469756e3c3ffa52d74de81a630e75409a39f5e540cbccbb8fd55b7c6df3035e",
     "leduc_full.json":
-        "1a6276626a8643327707ef6d7b939f2c8f0ae3eb1380d80659c2654f8cd38487",
+        "a87dc38a47b04b3eaf959ed082a464af975090c1b8b67039c05c2e723b3a02c1",
     "liars_dice_desk.json":
-        "a5612fd37874e34908e8e683cacdde81c448a14f9387304866c99b3f8cc3e2cf",
+        "257785a847ffee9f586e5c5e3e646704d441fdcecf564fc47fb382d571ef8926",
     "liars_dice_full.json":
-        "2f6bbaadb5d715248ba9b7b8fff20c9bd2b514a4151949eebf179386179c4b89",
+        "cdf9b445637d34e1cadf299886cfe4995fc39d27a0216535eaf8ed84519d78e1",
     "ntmg_desk.json":
-        "db88fedc4efe1ea4d380362c9692499d733fa6bd04842c1f0b6c5897389f3767",
+        "1ade3b9975bd08ec6f05e8eac0ab0de0effbba6c79e0eee0421b5f7368d3c2d3",
     "rps_exact.json":
-        "d4cc1d29fa3cf94327a79ec3f02f43ce3c28b37b421ca7b377a8bb6fcd60182a",
+        "8310d6e3c950028b84272d967d2d1f8d8bd7da319f684ea03e957d52e1fd988f",
 }
 
 

@@ -9,7 +9,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gamepop.games.base as base
 from gamepop.games import (TraversalBudgetError, best_response,
                            expected_value, exploitability, make_game)
 from gamepop.policies import PolicyMixture, TabularPolicy
@@ -160,13 +163,39 @@ def _kuhn_infoset_pool(game):
     return pool
 
 
-def test_node_budget_enforced():
-    game = make_game("kuhn_poker")
+def test_node_budget_enforced(monkeypatch):
+    """A tree that would grow past MAX_TREE_NODES raises instead."""
+    monkeypatch.setattr(base, "MAX_TREE_NODES", 10)
     uniform = TabularPolicy()
     with pytest.raises(TraversalBudgetError):
-        expected_value(game, (uniform, uniform), node_budget=10)
+        expected_value(make_game("kuhn_poker"), (uniform, uniform))
     with pytest.raises(TraversalBudgetError):
-        best_response(game, uniform, 0, node_budget=10)
+        best_response(make_game("kuhn_poker"), uniform, 0)
+
+
+# P(bet) at every Kuhn infoset, 0 and 1 included.
+_KUHN_STRATEGIES = st.fixed_dictionaries({
+    infoset: st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    for infoset in UNIFORM_STRAT})
+
+
+def _kuhn_tabular(strat):
+    return TabularPolicy({f"{card}:{history}": np.array([1.0 - p, p])
+                          for (card, history), p in strat.items()})
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(strat1=_KUHN_STRATEGIES, strat2=_KUHN_STRATEGIES,
+       responder=st.sampled_from([0, 1]))
+def test_tree_evaluation_matches_enumeration(strat1, strat2, responder):
+    """Expected value equals the independent enumeration on any tabular
+    profile, and no drawn responder beats the best response's value."""
+    game = make_game("kuhn_poker")
+    profile = (_kuhn_tabular(strat1), _kuhn_tabular(strat2))
+    v0, _ = expected_value(game, profile)
+    assert v0 == pytest.approx(kuhn_ev_oracle(strat1, strat2), abs=1e-12)
+    _, br_value = best_response(game, profile[1 - responder], responder)
+    assert br_value >= (v0 if responder == 0 else -v0) - 1e-12
 
 
 # ---------------------------------------------------------------------------

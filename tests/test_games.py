@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from gamepop.games import (CHANCE, GameError, KuhnPoker, make_game,
-                           play_episode)
-from gamepop.games.base import sample_action
+from gamepop.games import (CHANCE, TERMINAL, GameError, KuhnPoker,
+                           make_game, play_episode)
+from gamepop.games.base import Tree, sample_action
 from gamepop.games.ntmg import (S_MATRIX, NtmgConfig, ntmg_payoff,
                                 ntmg_weights)
-from gamepop.policies import TabularPolicy
+from gamepop.policies import PolicyMixture, TabularPolicy, sample_member
 
 ALL_GAMES = [
     ("kuhn_poker", {}),
@@ -66,10 +66,10 @@ def _decision_nodes(state):
     ("matrix_game", {"rows": [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]}),
 ])
 def test_infoset_key_fixes_legal_actions_and_features(name, params):
-    """Network policies memoize one decision per (player, infoset key); that
-    is sound only if the key determines what the decision depends on. With
-    imperfect recall legality depends on the last bid, which the key must
-    keep."""
+    """A game tree holds one view per (player, infoset key), and network
+    policies memoize one decision per view; that is sound only if the key
+    determines what the decision depends on. With imperfect recall legality
+    depends on the last bid, which the key must keep."""
     game = make_game(name, params)
     seen = {}
     for state in _decision_nodes(game.initial_state()):
@@ -79,6 +79,68 @@ def test_infoset_key_fixes_legal_actions_and_features(name, params):
                   game.encode_infoset(state, player).tobytes())
         assert seen.setdefault(key, inputs) == inputs, key
     assert seen
+
+
+@pytest.mark.parametrize("name,params", ALL_GAMES)
+def test_tree_matches_a_direct_state_walk(name, params):
+    """A fully grown tree agrees with the states it was built from: owner,
+    returns, children in legal or chance order with their probabilities,
+    and one read-only view per (player, key)."""
+    game = make_game(name, params)
+    tree = game.tree
+    views = {}
+    stack = [(0, game.initial_state())]
+    visited = 0
+    while stack:
+        node, state = stack.pop()
+        visited += 1
+        player = state.current_player
+        assert tree.owner[node] == player
+        if player == TERMINAL:
+            assert tree.returns[node] == state.returns()
+            assert tree.view[node] is None and tree.children(node) == ()
+            continue
+        assert tree.returns[node] is None
+        if player == CHANCE:
+            assert tree.view[node] is None
+            outcomes = state.chance_outcomes()
+        else:
+            view = tree.view[node]
+            key = state.infoset_key(player)
+            assert views.setdefault((player, key), view) is view
+            assert view.key == key
+            assert view.legal_actions == tuple(state.legal_actions())
+            assert not view.features.flags.writeable
+            assert (view.features.tobytes()
+                    == game.encode_infoset(state, player).tobytes())
+            outcomes = [(a, None) for a in state.legal_actions()]
+        kids = tree.children(node)
+        assert [(a, p) for a, _, p in kids] == outcomes
+        stack.extend((child, state.child(a)) for a, child, _ in kids)
+    assert visited == len(tree)
+    assert len({id(view) for view in views.values()}) == len(views)
+
+
+@pytest.mark.parametrize("name,params", ALL_GAMES)
+def test_episode_grows_only_the_nodes_it_steps_past(name, params,
+                                                    monkeypatch):
+    stepped = []
+    children = Tree.children
+
+    def recorded(tree, node):
+        stepped.append(node)
+        return children(tree, node)
+
+    monkeypatch.setattr(Tree, "children", recorded)
+    game = make_game(name, params)
+    play_episode(game, (TabularPolicy(), TabularPolicy()),
+                 np.random.default_rng(5))
+    monkeypatch.undo()
+    tree = game.tree
+    assert stepped[0] == 0 and len(set(stepped)) == len(stepped)
+    for parent, node in zip(stepped, stepped[1:]):
+        assert node in [child for _, child, _ in tree.children(parent)]
+    assert len(tree) == 1 + sum(len(tree.children(n)) for n in stepped)
 
 
 def _distributions(rng, count):
@@ -96,15 +158,19 @@ def _distributions(rng, count):
 
 
 def test_sample_action_draws_as_generator_choice():
-    """Same action as `Generator.choice(len, p=...)` and the same generator
-    state afterwards, for every seed."""
+    """Same action, and same mixture member, as `Generator.choice(len,
+    p=...)` and the same generator state afterwards, for every seed."""
     for seed, probs in enumerate(_distributions(np.random.default_rng(11),
                                                 3000)):
         actions = [10 + a for a in range(len(probs))]
+        weights = probs / probs.sum()
         ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = actions[numpy_rng.choice(len(probs),
-                                            p=probs / probs.sum())]
+        expected = actions[numpy_rng.choice(len(probs), p=weights)]
         assert sample_action(probs, actions, ours) == expected
+        assert ours.random() == numpy_rng.random()
+        members = [TabularPolicy() for _ in actions]
+        expected = members[numpy_rng.choice(len(members), p=weights)]
+        assert sample_member(PolicyMixture(members, weights), ours) is expected
         assert ours.random() == numpy_rng.random()
 
 

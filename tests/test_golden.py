@@ -5,8 +5,9 @@ SHA-256 over every other output file (payoff matrices, checkpoints, curves,
 trajectories, divergence diagnostics; `timings.csv` excluded). The values
 were recorded before the tree and plane runs shared one arena and episode
 sampling went through one function (the tabular fusion case before the
-arenas built fresh and fused policies themselves); a change that is meant to
-keep behaviour must keep them. Networks are tiny, so BLAS does little of the
+arenas built fresh and fused policies themselves, `kuhn_approx_exact` before
+every walk and episode read one game tree); a change that is meant to keep
+behaviour must keep them. Networks are tiny, so BLAS does little of the
 work.
 """
 
@@ -35,9 +36,8 @@ CASES = {
         "1,0.33333333333333337,,2,2\n2,0.25,,3,3\n"
         "3,0.33965850960873767,,4,4\n",
         "ce7cc9f8b1ff3fe1b1b5b752bbc6cc571c42dcca401333e53ce9179e5a527a63"),
-    # Approximate exploitability with the sampled mixture values that
-    # replace exact traversal past the node budget (forced in the test).
-    "kuhn_approx_monte_carlo_fallback": (
+    # Approximate exploitability: trained responses valued exactly.
+    "kuhn_approx_exact": (
         {"game": KUHN, "oracle": {"kind": "q_learning", "episodes": 200},
          "mss": {"kind": "nash"}, "init": {"method": "inherit_latest"},
          "iterations": 2, "seeds": [0],
@@ -45,7 +45,7 @@ CASES = {
                   "approx_exploitability": {"kind": "q_learning",
                                             "episodes": 200}},
          "payoff": {"mode": "monte_carlo", "episodes": 100}},
-        "1,,,2,2\n2,,0.0798,3,3\n",
+        "1,,,2,2\n2,,0.08139534883720934,3,3\n",
         "0410d6a86e5502a9103ab554e67f0112f614fa5314a06442c7a247449c9c1de0"),
     # Distillation and the divergence diagnostic both sample infosets.
     "kuhn_distill": (
@@ -83,12 +83,6 @@ CASES = {
 }
 
 
-# The configured node budget alone must trigger the same fallback.
-_FORCED = CASES["kuhn_approx_monte_carlo_fallback"]
-CASES["kuhn_approx_node_budget"] = ({**_FORCED[0], "node_budget": 10},
-                                    *_FORCED[1:])
-
-
 def outputs_digest(run_dir) -> str:
     digest = hashlib.sha256()
     for root, _, files in sorted(os.walk(run_dir)):
@@ -103,12 +97,22 @@ def outputs_digest(run_dir) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_outputs(name, tmp_path, monkeypatch):
+def test_golden_outputs(name, tmp_path):
     data, rows, digest = CASES[name]
-    if name == "kuhn_approx_monte_carlo_fallback":
-        def over_budget(*args, **kwargs):
-            raise TraversalBudgetError("forced by the test")
-        monkeypatch.setattr(engine, "expected_value", over_budget)
     engine.run_psro(parse_config(data), 0, out_dir=str(tmp_path))
     assert (tmp_path / "results.csv").read_text() == HEADER + rows
     assert outputs_digest(str(tmp_path)) == digest
+
+
+def test_tree_too_large_aborts_approximate_exploitability(tmp_path,
+                                                          monkeypatch):
+    """A game whose tree outgrows the cap fails the run; no sampled value
+    stands in for the exact one."""
+    def over_budget(*args, **kwargs):
+        raise TraversalBudgetError("forced by the test")
+
+    monkeypatch.setattr(engine, "expected_value", over_budget)
+    with pytest.raises(TraversalBudgetError):
+        engine.run_psro(parse_config(CASES["kuhn_approx_exact"][0]), 0,
+                        out_dir=str(tmp_path))
+    assert (tmp_path / "results.csv").read_text() == HEADER + "1,,,2,2\n"

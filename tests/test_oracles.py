@@ -49,8 +49,7 @@ class TestQLearning:
         policy = q_learning_oracle(game, None, _mixture(rps_pure(0)), 0,
                                    episodes=0, seed=1)
         assert policy.table == {}
-        state = game.initial_state()
-        assert np.allclose(policy.action_probs(game, state, 0), 1 / 3)
+        assert np.allclose(policy.action_probs(game.tree.view[0]), 1 / 3)
 
     def test_kuhn_approaches_exact_best_response(self):
         game = make_game("kuhn_poker")

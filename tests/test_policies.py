@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gamepop import nets
-from gamepop.games import CHANCE, make_game
+from gamepop.games import make_game
 from gamepop.nets import ArchSignature
 from gamepop.policies import (InfosetView, ParametricPolicy, PointPolicy,
                               PolicyError, PolicyMixture, TabularPolicy,
@@ -354,31 +354,28 @@ def test_memoized_greedy_decisions_match_a_fresh_forward(monkeypatch):
         return real_forward(*args)
 
     monkeypatch.setattr(nets, "forward", counted_forward)
+    tree = game.tree
     for policy in (scratch_init("normal", sig, 5),
                    ParametricPolicy(sig, np.zeros(nets.theta_size(sig)))):
         forwards.clear()
         infosets = set()
-        stack = [game.initial_state()]
+        stack = [0]
         while stack:
-            state = stack.pop()
-            if state.is_terminal:
+            node = stack.pop()
+            stack.extend(child for _, child, _ in tree.children(node))
+            view = tree.view[node]
+            if view is None:
                 continue
-            if state.current_player == CHANCE:
-                stack.extend(state.child(a) for a, _ in state.chance_outcomes())
-                continue
-            player = state.current_player
-            legal = state.legal_actions()
-            stack.extend(state.child(a) for a in legal)
-            probs = policy.action_probs(game, state, player)
+            probs = policy.action_probs(view)
             assert not probs.flags.writeable
             with pytest.raises(ValueError):
                 probs[0] = 0.5
-            q = real_forward(sig, policy.theta,
-                             game.encode_infoset(state, player))
+            legal = list(view.legal_actions)
+            q = real_forward(sig, policy.theta, view.features)
             expected = np.zeros(len(legal))
             expected[int(np.argmax(q[legal]))] = 1.0
             assert probs.tobytes() == expected.tobytes()
-            infosets.add((player, state.infoset_key(player)))
+            infosets.add((tree.owner[node], view.key))
         assert {p for p, _ in infosets} == {0, 1}
         assert len(forwards) == len(infosets)
 
