@@ -154,7 +154,9 @@ class IterationRecord:
     t_br: float
     t_fusion: float
     t_payoff: float
-    t_eval: float
+    t_eval_exact: float
+    t_eval_approx: float
+    t_io: float
     kl_compare: list = field(default_factory=list)
 
 
@@ -363,7 +365,7 @@ def _fmt(value) -> str:
 RESULTS_COLUMNS = ["iteration", "exploitability", "approx_exploitability",
                    "pop_size_p1", "pop_size_p2"]
 TIMINGS_COLUMNS = ["iteration", "t_meta", "t_br", "t_fusion", "t_payoff",
-                   "t_eval"]
+                   "t_eval_exact", "t_eval_approx", "t_io"]
 RESULTS_VERSION = "gamepop-results-v1"
 
 
@@ -395,9 +397,11 @@ class _RunWriter:
                 _fmt(rec.approx_exploitability), rec.pop_size_p1,
                 rec.pop_size_p2])
         with open(os.path.join(self.dir, "timings.csv"), "a", newline="") as fh:
-            csv.writer(fh).writerow([rec.iteration, _fmt(rec.t_meta),
-                                     _fmt(rec.t_br), _fmt(rec.t_fusion),
-                                     _fmt(rec.t_payoff), _fmt(rec.t_eval)])
+            csv.writer(fh).writerow([
+                rec.iteration, _fmt(rec.t_meta), _fmt(rec.t_br),
+                _fmt(rec.t_fusion), _fmt(rec.t_payoff),
+                _fmt(rec.t_eval_exact), _fmt(rec.t_eval_approx),
+                _fmt(rec.t_io)])
 
     def payoff_matrix(self, t: int, meta: MetaGame):
         if self.dir is None:
@@ -635,13 +639,13 @@ def run_psro(config: PsroConfig, seed: int,
                                               meta, sigmas, writer)
         records.append(record)
         writer.record(record)
-        writer.payoff_matrix(t, meta)
     return RunHistory(records, pops, meta, sigmas)
 
 
 def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
     t_fusion = 0.0
     t_br = 0.0
+    t_io = 0.0
     kl_rows = []
     new_policies = []
     for player in (0, 1):
@@ -674,9 +678,12 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
                                            _derive_seed(seed, t, player, 1),
                                            psd_bonus)
         t_br += time.perf_counter() - start
+
+        start = time.perf_counter()
         writer.curve(t, player, curve)
         writer.trajectory(t, player, traj)
         writer.checkpoint(t, player, trained)
+        t_io += time.perf_counter() - start
         new_policies.append(trained)
 
     for player in (0, 1):
@@ -696,7 +703,9 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
     every = config.eval.exact_exploitability_every
     if every and (t % every == 0 or t == config.iterations):
         exact = arena.exploitability(pops, sigmas)
+    t_eval_exact = time.perf_counter() - start
 
+    start = time.perf_counter()
     approx = None
     spec = config.eval.approx_oracle
     if spec is not None:
@@ -707,9 +716,12 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
                 arena.game, (PolicyMixture(pops[0], sigma_row),
                        PolicyMixture(pops[1], sigma_col)),
                 spec, _mix_seed(seed, t, 3))
-    t_eval = time.perf_counter() - start
+    t_eval_approx = time.perf_counter() - start
 
+    start = time.perf_counter()
     writer.kl_compare(kl_rows)
+    writer.payoff_matrix(t, meta)
+    t_io += time.perf_counter() - start
     record = IterationRecord(
         iteration=t, sigma_row=[float(x) for x in sigma_row],
         sigma_col=[float(x) for x in sigma_col],
@@ -717,7 +729,8 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
         approx_exploitability=None if approx is None else float(approx),
         pop_size_p1=len(pops[0]),
         pop_size_p2=len(pops[1]), t_meta=t_meta, t_br=t_br,
-        t_fusion=t_fusion, t_payoff=t_payoff, t_eval=t_eval,
+        t_fusion=t_fusion, t_payoff=t_payoff, t_eval_exact=t_eval_exact,
+        t_eval_approx=t_eval_approx, t_io=t_io,
         kl_compare=kl_rows)
     return meta, sigmas, record
 

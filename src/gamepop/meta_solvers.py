@@ -6,6 +6,11 @@ of mixed strategies over rows and columns.
 
 The zero-sum Nash solver is a dense tableau simplex with Bland's rule: small
 meta-games reward exactness and zero dependencies over sparse sophistication.
+Each pivot is a few whole-array operations: the entering column is the lowest
+improving index, the ratio test divides every eligible row at once, and the
+elimination is one masked rank-1 update that writes only the rows with a
+nonzero entry in the entering column, each with the same products and
+differences as a row-by-row update.
 """
 
 from __future__ import annotations
@@ -121,35 +126,34 @@ def _simplex_packing(A: np.ndarray, b: np.ndarray):
     basis = list(range(cols, cols + rows))
 
     for _ in range(200 * (rows + cols)):
-        objective = T[rows, :-1]
-        entering = -1
-        for j in range(cols + rows):  # Bland: lowest improving index
-            if objective[j] < -_ENTER_EPS:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(T[rows, :-1] < -_ENTER_EPS)
+        if improving.size == 0:
             y = np.zeros(cols)
             for i, var in enumerate(basis):
                 if var < cols:
                     y[var] = T[i, -1]
             return y, T[rows, cols:cols + rows].copy()
+        entering = int(improving[0])  # Bland: lowest improving index
+        col = T[:, entering].copy()
+        eligible = np.flatnonzero(col[:rows] > _PIVOT_EPS)
+        ratios = T[eligible, -1] / col[eligible]
         leaving, best_ratio = -1, np.inf
-        for i in range(rows):
-            coef = T[i, entering]
-            if coef > _PIVOT_EPS:
-                ratio = T[i, -1] / coef
-                if (ratio < best_ratio - 1e-12
-                        or (ratio < best_ratio + 1e-12
-                            and (leaving < 0 or basis[i] < basis[leaving]))):
-                    best_ratio = min(best_ratio, ratio)
-                    leaving = i
+        for i, ratio in zip(eligible.tolist(), ratios.tolist()):
+            if (ratio < best_ratio - 1e-12
+                    or (ratio < best_ratio + 1e-12
+                        and (leaving < 0 or basis[i] < basis[leaving]))):
+                best_ratio = min(best_ratio, ratio)
+                leaving = i
         if leaving < 0:
             return None  # no usable pivot: numerically stalled
-        pivot = T[leaving, entering]
-        T[leaving] /= pivot
-        for i in range(rows + 1):
-            if i != leaving and T[i, entering] != 0.0:
-                T[i] -= T[i, entering] * T[leaving]
+        T[leaving] /= col[leaving]
+        # One rank-1 update of the rows with a nonzero entry in the entering
+        # column; the mask leaves every other row's bits (-0.0 included) as
+        # they are.
+        touched = col != 0.0
+        touched[leaving] = False
+        np.subtract(T, np.multiply.outer(col, T[leaving]), out=T,
+                    where=touched[:, None])
         basis[leaving] = entering
     return None
 
@@ -218,7 +222,7 @@ def _dedup_indices(vectors: np.ndarray, tol: float) -> list[int]:
     """First-occurrence indices of rows distinct beyond `tol` (max norm)."""
     kept: list[int] = []
     for i in range(vectors.shape[0]):
-        if all(np.abs(vectors[i] - vectors[j]).max() > tol for j in kept):
+        if (np.abs(vectors[kept] - vectors[i]).max(axis=1) > tol).all():
             kept.append(i)
     return kept
 
@@ -273,8 +277,10 @@ def solve_nash_lp(M) -> tuple[np.ndarray, np.ndarray, float]:
 # Projected replicator dynamics
 
 
-def _project_floored_simplex(v: np.ndarray, floor: float) -> np.ndarray:
-    """Euclidean projection onto {x : sum x = 1, x >= floor}."""
+def _project_floored_simplex(v: np.ndarray, floor: float,
+                             idx: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x : sum x = 1, x >= floor}; ``idx`` is
+    ``np.arange(1, len(v) + 1)``."""
     n = len(v)
     target = 1.0 - n * floor
     if target < -1e-12:
@@ -282,7 +288,6 @@ def _project_floored_simplex(v: np.ndarray, floor: float) -> np.ndarray:
     u = v - floor
     srt = np.sort(u)[::-1]
     css = np.cumsum(srt) - target
-    idx = np.arange(1, n + 1)
     rho = np.max(np.where(srt - css / idx > 0, idx, 0))
     tau = css[rho - 1] / rho
     return np.maximum(u - tau, 0.0) + floor
@@ -302,14 +307,17 @@ def solve_prd(M, gamma: float, dt: float, steps: int) -> tuple[np.ndarray, np.nd
         raise SolverError("dt must be positive and steps >= 1")
     x = np.full(rows, 1.0 / rows)
     y = np.full(cols, 1.0 / cols)
+    neg_mt = -M.T
+    row_idx = np.arange(1, rows + 1)
+    col_idx = np.arange(1, cols + 1)
     for _ in range(steps):
         row_payoffs = M @ y
-        col_payoffs = -M.T @ x
+        col_payoffs = neg_mt @ x
         value = x @ row_payoffs
         x_next = x + dt * x * (row_payoffs - value)
         y_next = y + dt * y * (col_payoffs + value)
-        x = _project_floored_simplex(x_next, gamma)
-        y = _project_floored_simplex(y_next, gamma)
+        x = _project_floored_simplex(x_next, gamma, row_idx)
+        y = _project_floored_simplex(y_next, gamma, col_idx)
     return x, y
 
 

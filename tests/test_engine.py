@@ -206,7 +206,7 @@ class TestRunPsro:
         history = run_psro(rps_config(iterations=2), seed=0)
         for rec in history.records:
             for part in (rec.t_meta, rec.t_br, rec.t_fusion, rec.t_payoff,
-                         rec.t_eval):
+                         rec.t_eval_exact, rec.t_eval_approx, rec.t_io):
                 assert part >= 0.0
 
     def test_eval_time_covers_exploitability(self, tmp_path, monkeypatch):
@@ -214,20 +214,32 @@ class TestRunPsro:
 
         import gamepop.engine as eng
         exact = eng.TreeArena.exploitability
+        write_payoffs = eng._RunWriter.payoff_matrix
 
         def slow_exploitability(self, pops, sigmas):
             time.sleep(0.05)
             return exact(self, pops, sigmas)
 
+        def slow_payoff_matrix(self, t, meta):
+            time.sleep(0.05)
+            return write_payoffs(self, t, meta)
+
         monkeypatch.setattr(eng.TreeArena, "exploitability",
                             slow_exploitability)
+        monkeypatch.setattr(eng._RunWriter, "payoff_matrix",
+                            slow_payoff_matrix)
         out = tmp_path / "run"
         history = run_psro(rps_config(iterations=2), seed=0, out_dir=str(out))
-        assert all(rec.t_eval >= 0.05 for rec in history.records)
+        assert all(rec.t_eval_exact >= 0.05 for rec in history.records)
+        assert all(rec.t_eval_approx < 0.05 for rec in history.records)
+        assert all(rec.t_io >= 0.05 for rec in history.records)
         rows = (out / "timings.csv").read_text().splitlines()
-        assert rows[0] == "iteration,t_meta,t_br,t_fusion,t_payoff,t_eval"
-        assert [float(row.split(",")[5]) for row in rows[1:]] == [
-            rec.t_eval for rec in history.records]
+        assert rows[0] == ("iteration,t_meta,t_br,t_fusion,t_payoff,"
+                           "t_eval_exact,t_eval_approx,t_io")
+        cells = [[float(cell) for cell in row.split(",")] for row in rows[1:]]
+        assert [row[5:] for row in cells] == [
+            [rec.t_eval_exact, rec.t_eval_approx, rec.t_io]
+            for rec in history.records]
 
     def test_history_deterministic_for_config_and_seed(self):
         config = PsroConfig(

@@ -9,7 +9,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gamepop import meta_solvers
 from gamepop.games import expected_value, make_game
 from gamepop.meta_solvers import (FictitiousPlay, MetaGame, Nash, Prd,
                                   SolverError, Uniform, extend_payoff, solve,
@@ -150,6 +153,154 @@ class TestNashLp:
             solve_nash_lp(np.array([[np.nan, 1.0]]))
         with pytest.raises(SolverError):
             solve_nash_lp(np.zeros((0, 3)))
+
+
+# ---------------------------------------------------------------------------
+# The vectorized pivot against the row-by-row loop it replaced
+
+
+def _simplex_packing_loop(A, b):
+    """Reference: the row-at-a-time tableau simplex (Bland's rule) that the
+    vectorized ``_simplex_packing`` must reproduce bit for bit."""
+    _ENTER_EPS = meta_solvers._ENTER_EPS
+    _PIVOT_EPS = meta_solvers._PIVOT_EPS
+    rows, cols = A.shape
+    T = np.zeros((rows + 1, cols + rows + 1))
+    T[:rows, :cols] = A
+    T[:rows, cols:cols + rows] = np.eye(rows)
+    T[:rows, -1] = b
+    T[rows, :cols] = -1.0
+    basis = list(range(cols, cols + rows))
+
+    for _ in range(200 * (rows + cols)):
+        objective = T[rows, :-1]
+        entering = -1
+        for j in range(cols + rows):  # Bland: lowest improving index
+            if objective[j] < -_ENTER_EPS:
+                entering = j
+                break
+        if entering < 0:
+            y = np.zeros(cols)
+            for i, var in enumerate(basis):
+                if var < cols:
+                    y[var] = T[i, -1]
+            return y, T[rows, cols:cols + rows].copy()
+        leaving, best_ratio = -1, np.inf
+        for i in range(rows):
+            coef = T[i, entering]
+            if coef > _PIVOT_EPS:
+                ratio = T[i, -1] / coef
+                if (ratio < best_ratio - 1e-12
+                        or (ratio < best_ratio + 1e-12
+                            and (leaving < 0 or basis[i] < basis[leaving]))):
+                    best_ratio = min(best_ratio, ratio)
+                    leaving = i
+        if leaving < 0:
+            return None  # no usable pivot: numerically stalled
+        pivot = T[leaving, entering]
+        T[leaving] /= pivot
+        for i in range(rows + 1):
+            if i != leaving and T[i, entering] != 0.0:
+                T[i] -= T[i, entering] * T[leaving]
+        basis[leaving] = entering
+    return None
+
+
+def _dedup_indices_pairwise(vectors, tol):
+    """Reference: the pair-by-pair duplicate scan."""
+    kept = []
+    for i in range(vectors.shape[0]):
+        if all(np.abs(vectors[i] - vectors[j]).max() > tol for j in kept):
+            kept.append(i)
+    return kept
+
+
+def _population_matrix(kind, rows, cols, seed):
+    """A seeded payoff matrix of one of the structures populations take."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return rng.uniform(-1.0, 1.0, (rows, cols))
+    if kind == "integer":  # many exact ties
+        return rng.integers(-2, 3, (rows, cols)).astype(float)
+    if kind == "low_rank":  # rows and columns drawn from a few distinct ones
+        r, c = max(1, rows // 3), max(1, cols // 3)
+        base = rng.normal(size=(r, 2)) @ rng.normal(size=(2, c))
+        return base[np.ix_(rng.integers(r, size=rows),
+                           rng.integers(c, size=cols))]
+    if kind == "near_duplicate":  # copies moved across the 1e-9 dedup tolerance
+        M = _population_matrix("low_rank", rows, cols, seed)
+        return M + rng.choice([0.0, 1e-10, 1e-8], (rows, 1)) * rng.uniform(
+            -1.0, 1.0, (rows, cols))
+    if kind == "rank_one":
+        return np.outer(rng.normal(size=rows), rng.normal(size=cols))
+    if kind == "constant":
+        return np.full((rows, cols), float(rng.integers(-3, 4)))
+    raise ValueError(kind)
+
+
+_MATRICES = st.builds(
+    lambda kind, rows, cols, seed, scale:
+        scale * _population_matrix(kind, rows, cols, seed),
+    st.sampled_from(["dense", "integer", "low_rank", "near_duplicate"]),
+    st.integers(1, 60), st.integers(1, 60), st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1e-6]))
+
+_DEGENERATE = st.builds(
+    _population_matrix,
+    st.sampled_from(["integer", "low_rank", "rank_one", "constant"]),
+    st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(M=_MATRICES, perturbation=st.sampled_from([0.0, 1e-7, 1e-5]))
+def test_vectorized_pivot_matches_row_loop_bit_for_bit(M, perturbation):
+    scale = np.abs(M).max()
+    A = M / scale if scale > 0 else M
+    A = A + (1.0 - A.min())
+    b = 1.0 + perturbation * np.arange(1, A.shape[0] + 1)
+    expected = _simplex_packing_loop(A, b)
+    got = meta_solvers._simplex_packing(A, b)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert _same_bits(got[0], expected[0])
+        assert _same_bits(got[1], expected[1])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(M=_MATRICES)
+def test_nash_lp_matches_row_loop_solver_bit_for_bit(M):
+    got = solve_nash_lp(M)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(meta_solvers, "_simplex_packing", _simplex_packing_loop)
+        patch.setattr(meta_solvers, "_dedup_indices", _dedup_indices_pairwise)
+        expected = solve_nash_lp(M)
+    assert _same_bits(got[0], expected[0])
+    assert _same_bits(got[1], expected[1])
+    assert got[2] == expected[2]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(M=_DEGENERATE, copy_row=st.booleans(), which=st.integers(0, 29))
+def test_degenerate_population_matrices(M, copy_row, which):
+    """Degenerate, duplicated and low-rank matrices solve without raising,
+    certify to 1e-8 of the payoff scale, and an appended copy of a row or
+    column leaves the game value as it is."""
+    sr, sc, v = solve_nash_lp(M)
+    scale = np.abs(M).max()
+    assert (M @ sc).max() - (sr @ M).min() <= 1e-8 * scale
+    assert (M @ sc).max() <= v + 1e-8 * scale
+    assert (sr @ M).min() >= v - 1e-8 * scale
+    if copy_row:
+        grown = np.vstack([M, M[which % M.shape[0]]])
+    else:
+        grown = np.column_stack([M, M[:, which % M.shape[1]]])
+    assert solve_nash_lp(grown)[2] == v
 
 
 # ---------------------------------------------------------------------------
