@@ -391,17 +391,12 @@ class _RunWriter:
     def record(self, rec: IterationRecord):
         if self.dir is None:
             return
-        with open(self.results_path, "a", newline="") as fh:
-            csv.writer(fh).writerow([
-                rec.iteration, _fmt(rec.exploitability),
-                _fmt(rec.approx_exploitability), rec.pop_size_p1,
-                rec.pop_size_p2])
-        with open(os.path.join(self.dir, "timings.csv"), "a", newline="") as fh:
-            csv.writer(fh).writerow([
-                rec.iteration, _fmt(rec.t_meta), _fmt(rec.t_br),
-                _fmt(rec.t_fusion), _fmt(rec.t_payoff),
-                _fmt(rec.t_eval_exact), _fmt(rec.t_eval_approx),
-                _fmt(rec.t_io)])
+        for path, columns in ((self.results_path, RESULTS_COLUMNS),
+                              (os.path.join(self.dir, "timings.csv"),
+                               TIMINGS_COLUMNS)):
+            with open(path, "a", newline="") as fh:
+                csv.writer(fh).writerow(
+                    [_fmt(getattr(rec, c)) for c in columns])
 
     def payoff_matrix(self, t: int, meta: MetaGame):
         if self.dir is None:
@@ -670,8 +665,7 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
             hull = [pops[player][i] for i in
                     rng.integers(len(pops[player]),
                                  size=config.psd.hull_samples)]
-            psd_bonus = PsdBonus(hull, config.psd.lam,
-                                 config.oracle.cfg.gamma_discount)
+            psd_bonus = PsdBonus(hull, config.psd.lam)
 
         start = time.perf_counter()
         trained, curve, traj = arena.train(init, opponent, player,

@@ -6,6 +6,11 @@ member and per player, so sampling a member once per playthrough is
 integrated out in closed form rather than simulated. Every walk reads
 ``game.tree`` (see `gamepop.games.base.Tree`), which raises
 TraversalBudgetError for a game too large to evaluate exactly.
+
+`_follow` is the one mixture-branching step. Policies are read only there:
+once per walk and decision node in `expected_value`, and in the first of
+`best_response`'s two passes; its second pass reads only what the first one
+recorded.
 """
 
 from __future__ import annotations
@@ -21,6 +26,17 @@ def _as_members(policy_or_mixture):
     if members is not None:
         return list(members), np.asarray(policy_or_mixture.weights, dtype=float)
     return [policy_or_mixture], np.ones(1)
+
+
+def _follow(members, view, reach: np.ndarray):
+    """The mixture's branching step at a decision node: yields ``(j,
+    reach * probs[:, j])`` for each legal action j that some member still
+    plays, reading every member's ``action_probs(view)`` once."""
+    probs = np.stack([m.action_probs(view) for m in members])
+    for j in range(len(view.legal_actions)):
+        r_next = reach * probs[:, j]
+        if r_next.any():
+            yield j, r_next
 
 
 def expected_value(game: Game, profile) -> tuple[float, float]:
@@ -40,17 +56,12 @@ def expected_value(game: Game, profile) -> tuple[float, float]:
         if player == CHANCE:
             return sum(walk(child, chance * p, r0, r1) for _, child, p in kids)
         reach = r0 if player == 0 else r1
-        view = tree.view[node]
-        probs = np.stack([m.action_probs(view) for m in members[player]])
         total = 0.0
-        for j, (_, child, _) in enumerate(kids):
-            r_next = reach * probs[:, j]
-            if not r_next.any():
-                continue
+        for j, r_next in _follow(members[player], tree.view[node], reach):
             if player == 0:
-                total += walk(child, chance, r_next, r1)
+                total += walk(kids[j][1], chance, r_next, r1)
             else:
-                total += walk(child, chance, r0, r_next)
+                total += walk(kids[j][1], chance, r0, r_next)
         return total
 
     v0 = walk(0, 1.0, weights[0], weights[1])
@@ -64,68 +75,58 @@ def best_response(game: Game, opponent_mixture, responder: int):
     infoset reachable under the opponent mixture (ties broken by lowest
     action id); unreachable infosets fall back to the uniform default.
 
-    Single bottom-up pass over the responder's infoset tree: a first sweep
-    collects each responder infoset's nodes with their opponent-and-chance
-    reach weights, then infoset values are maximized recursively.
+    Two passes over the tree (Johanson et al., IJCAI 2011). Only the first
+    reads policies: it follows the opponent mixture with `_follow` and
+    records every node it reaches, each terminal with its chance-and-reach
+    weight, and each responder infoset's nodes. The second maximizes
+    infoset values bottom-up from that record alone.
     """
-    from ..policies import TabularPolicy
+    from ..policies import TabularPolicy, _one_hot
 
     members, base_weights = _as_members(opponent_mixture)
     opponent = 1 - responder
     tree = game.tree
 
-    infosets: dict = {}  # view -> [(node, chance, reach_vec)]
+    # node -> chance * opponent reach at a terminal, None elsewhere
+    reached: dict[int, float | None] = {}
+    infosets: dict = {}  # responder view -> [node]
 
     def collect(node: int, chance: float, reach: np.ndarray):
         player = tree.owner[node]
         if player == TERMINAL:
+            reached[node] = chance * reach.sum()
             return
+        reached[node] = None
         kids = tree.children(node)
         if player == CHANCE:
             for _, child, p in kids:
                 collect(child, chance * p, reach)
-            return
-        view = tree.view[node]
-        if player == opponent:
-            probs = np.stack([m.action_probs(view) for m in members])
-            for j, (_, child, _) in enumerate(kids):
-                r_next = reach * probs[:, j]
-                if r_next.any():
-                    collect(child, chance, r_next)
-            return
-        infosets.setdefault(view, []).append((node, chance, reach))
-        for _, child, _ in kids:
-            collect(child, chance, reach)
+        elif player == opponent:
+            for j, r_next in _follow(members, tree.view[node], reach):
+                collect(kids[j][1], chance, r_next)
+        else:
+            infosets.setdefault(tree.view[node], []).append(node)
+            for _, child, _ in kids:
+                collect(child, chance, reach)
 
     collect(0, 1.0, base_weights)
 
     br_actions: dict = {}  # view -> index of the best action
     value_memo: dict[int, float] = {}
 
-    def weighted_value(node: int, chance: float, reach: np.ndarray) -> float:
-        # Reach-weighted responder value assuming BR play at responder nodes.
-        cached = value_memo.get(node)
-        if cached is not None:
-            return cached
+    def value(node: int) -> float:
+        # Weighted responder value with best-response play at responder nodes.
+        v = value_memo.get(node)
+        if v is not None:
+            return v
         player = tree.owner[node]
         if player == TERMINAL:
-            v = chance * reach.sum() * tree.returns[node][responder]
+            v = reached[node] * tree.returns[node][responder]
+        elif player == responder:
+            v = value(tree.children(node)[infoset_action(tree.view[node])][1])
         else:
-            kids = tree.children(node)
-            if player == CHANCE:
-                v = sum(weighted_value(child, chance * p, reach)
-                        for _, child, p in kids)
-            elif player == opponent:
-                probs = np.stack([m.action_probs(tree.view[node])
-                                  for m in members])
-                v = 0.0
-                for j, (_, child, _) in enumerate(kids):
-                    r_next = reach * probs[:, j]
-                    if r_next.any():
-                        v += weighted_value(child, chance, r_next)
-            else:
-                j = infoset_action(tree.view[node])
-                v = weighted_value(kids[j][1], chance, reach)
+            v = sum(value(child) for _, child, _ in tree.children(node)
+                    if child in reached)
         value_memo[node] = v
         return v
 
@@ -136,8 +137,7 @@ def best_response(game: Game, opponent_mixture, responder: int):
         nodes = infosets[view]
         best, best_value = 0, -np.inf
         for j in range(len(view.legal_actions)):
-            v = sum(weighted_value(tree.children(node)[j][1], chance, reach)
-                    for node, chance, reach in nodes)
+            v = sum(value(tree.children(node)[j][1]) for node in nodes)
             if v > best_value:  # strict: lowest action id wins ties
                 best_value = v
                 best = j
@@ -147,13 +147,9 @@ def best_response(game: Game, opponent_mixture, responder: int):
     for view in infosets:
         infoset_action(view)
 
-    value = weighted_value(0, 1.0, base_weights)
-    table = {}
-    for view, best in br_actions.items():
-        dist = np.zeros(len(view.legal_actions))
-        dist[best] = 1.0
-        table[view.key] = dist
-    return TabularPolicy(table), value
+    table = {view.key: _one_hot(len(view.legal_actions), best)
+             for view, best in br_actions.items()}
+    return TabularPolicy(table), value(0)
 
 
 def exploitability(game: Game, profile) -> float:

@@ -20,8 +20,8 @@ from .games.ntmg import (S_MATRIX, NtmgConfig, ntmg_densities,
                          ntmg_densities_jacobian, ntmg_payoff,
                          ntmg_payoff_grad)
 from .policies import (ParametricPolicy, PointPolicy, PolicyMixture,
-                       TabularPolicy, floored, kl_divergence, sample_member,
-                       weighted_sum)
+                       TabularPolicy, _one_hot, floored, kl_divergence,
+                       sample_member, weighted_sum)
 from .specs import check, setting
 
 
@@ -130,12 +130,8 @@ def q_learning_oracle(game: Game, init: TabularPolicy | None,
                 bootstrap = float(q_table[step.next_view.key].max())
             q[idx] += lr * (step.reward + gamma_discount * bootstrap - q[idx])
 
-    table = {}
-    for key, q in q_table.items():
-        dist = np.zeros(len(q))
-        dist[int(np.argmax(q))] = 1.0
-        table[key] = dist
-    return TabularPolicy(table)
+    return TabularPolicy({key: _one_hot(len(q), int(np.argmax(q)))
+                          for key, q in q_table.items()})
 
 
 @dataclass
@@ -143,7 +139,6 @@ class PsdBonus:
     """Hull-divergence intrinsic reward configuration for one training run."""
     hull_samples: list
     lam: float
-    gamma_discount: float
 
 
 def psd_intrinsic_reward(steps: list[Step], new_policy, hull_samples,
@@ -206,7 +201,6 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
     replay_next = np.zeros((cfg.replay_capacity, dim))
     replay_action = np.zeros(cfg.replay_capacity, dtype=int)
     replay_reward = np.zeros(cfg.replay_capacity)
-    replay_done = np.zeros(cfg.replay_capacity)
     replay_next_mask = np.zeros((cfg.replay_capacity, n_actions), dtype=bool)
     size, cursor, learner_steps = 0, 0, 0
 
@@ -227,8 +221,8 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
         q_next = np.where(replay_next_mask[batch], q_next, -np.inf)
         best_next = np.where(replay_next_mask[batch].any(axis=1),
                              q_next.max(axis=1), 0.0)
-        targets = (replay_reward[batch]
-                   + cfg.gamma_discount * (1.0 - replay_done[batch]) * best_next)
+        # A terminal step has an empty next mask, so its best_next is 0.0.
+        targets = replay_reward[batch] + cfg.gamma_discount * best_next
         td = q_taken - targets
         loss = float(np.mean(td * td))
         if not np.isfinite(loss):
@@ -256,12 +250,11 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
         if psd is not None:
             rewards = psd_intrinsic_reward(
                 steps, ParametricPolicy(sig, theta), psd.hull_samples,
-                psd.lam, psd.gamma_discount)
+                psd.lam, cfg.gamma_discount)
         for step, r in zip(steps, rewards):
             replay_x[cursor] = step.view.features
             replay_action[cursor] = step.action
             replay_reward[cursor] = r
-            replay_done[cursor] = 1.0 if step.terminal else 0.0
             mask = np.zeros(n_actions, dtype=bool)
             if not step.terminal:
                 replay_next[cursor] = step.next_view.features

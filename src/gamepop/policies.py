@@ -16,7 +16,9 @@ tabular analog averages per-infoset action distributions. Every fusion and
 ensemble is one `weighted_sum`. Policies are never changed after they are
 built, so a population member can be handed out as is, and a network
 policy's `theta` is read-only; a network policy decides each view once and
-answers `action_probs` from that memo afterwards.
+answers `action_probs` from that memo afterwards. Every array that
+`action_probs` returns is read-only, and the uniform and one-hot ones are
+shared.
 """
 
 from __future__ import annotations
@@ -38,8 +40,12 @@ class PolicyError(Exception):
     """Malformed policy construction or incompatible fusion inputs."""
 
 
+@functools.lru_cache(maxsize=None)
 def _uniform(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
+    """The shared read-only uniform distribution over n actions."""
+    probs = np.full(n, 1.0 / n)
+    probs.flags.writeable = False
+    return probs
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,16 +59,19 @@ def _one_hot(n: int, index: int) -> np.ndarray:
 
 class TabularPolicy:
     """Map from infoset key to an action distribution; unseen keys are
-    uniform over the legal actions."""
+    uniform over the legal actions. Every distribution it hands out is
+    read-only: stored ones are read-only views of the given arrays, and the
+    uniform default is shared."""
 
     def __init__(self, table: dict[str, np.ndarray] | None = None):
         self.table = {}
         for key, dist in (table or {}).items():
-            dist = np.asarray(dist, dtype=float)
+            dist = np.asarray(dist, dtype=float).view()
             if dist.ndim != 1 or np.any(dist < -1e-12):
                 raise PolicyError(f"invalid distribution at {key!r}")
             if abs(dist.sum() - 1.0) > 1e-9:
                 raise PolicyError(f"distribution at {key!r} does not sum to 1")
+            dist.flags.writeable = False
             self.table[key] = dist
 
     def action_probs(self, view: InfosetView) -> np.ndarray:

@@ -13,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gamepop.games.base as base
-from gamepop.games import (TraversalBudgetError, best_response,
+from gamepop.games import (CHANCE, TERMINAL, InfosetView,
+                           TraversalBudgetError, best_response,
                            expected_value, exploitability, make_game)
-from gamepop.policies import PolicyMixture, TabularPolicy
+from gamepop.games.evaluate import _as_members
+from gamepop.nets import ArchSignature
+from gamepop.policies import PolicyMixture, TabularPolicy, scratch_init
 
 # ---------------------------------------------------------------------------
 # Independent Kuhn enumeration oracle
@@ -296,6 +299,182 @@ def test_matrix_br_agrees_with_argmax():
         opp = TabularPolicy({"p0": np.ones(4) / 4, "p1": q})
         _, value = best_response(game, opp, 0)
         assert value == pytest.approx((M @ q).max(), abs=1e-12)
+
+
+def two_pass_best_response(game, opponent_mixture, responder: int):
+    """The earlier best response, kept verbatim as a reference: its second
+    pass re-reads the opponent's policies and recomputes every reach."""
+    members, base_weights = _as_members(opponent_mixture)
+    opponent = 1 - responder
+    tree = game.tree
+
+    infosets: dict = {}  # view -> [(node, chance, reach_vec)]
+
+    def collect(node: int, chance: float, reach: np.ndarray):
+        player = tree.owner[node]
+        if player == TERMINAL:
+            return
+        kids = tree.children(node)
+        if player == CHANCE:
+            for _, child, p in kids:
+                collect(child, chance * p, reach)
+            return
+        view = tree.view[node]
+        if player == opponent:
+            probs = np.stack([m.action_probs(view) for m in members])
+            for j, (_, child, _) in enumerate(kids):
+                r_next = reach * probs[:, j]
+                if r_next.any():
+                    collect(child, chance, r_next)
+            return
+        infosets.setdefault(view, []).append((node, chance, reach))
+        for _, child, _ in kids:
+            collect(child, chance, reach)
+
+    collect(0, 1.0, base_weights)
+
+    br_actions: dict = {}  # view -> index of the best action
+    value_memo: dict[int, float] = {}
+
+    def weighted_value(node: int, chance: float, reach: np.ndarray) -> float:
+        # Reach-weighted responder value assuming BR play at responder nodes.
+        cached = value_memo.get(node)
+        if cached is not None:
+            return cached
+        player = tree.owner[node]
+        if player == TERMINAL:
+            v = chance * reach.sum() * tree.returns[node][responder]
+        else:
+            kids = tree.children(node)
+            if player == CHANCE:
+                v = sum(weighted_value(child, chance * p, reach)
+                        for _, child, p in kids)
+            elif player == opponent:
+                probs = np.stack([m.action_probs(tree.view[node])
+                                  for m in members])
+                v = 0.0
+                for j, (_, child, _) in enumerate(kids):
+                    r_next = reach * probs[:, j]
+                    if r_next.any():
+                        v += weighted_value(child, chance, r_next)
+            else:
+                j = infoset_action(tree.view[node])
+                v = weighted_value(kids[j][1], chance, reach)
+        value_memo[node] = v
+        return v
+
+    def infoset_action(view) -> int:
+        best = br_actions.get(view)
+        if best is not None:
+            return best
+        nodes = infosets[view]
+        best, best_value = 0, -np.inf
+        for j in range(len(view.legal_actions)):
+            v = sum(weighted_value(tree.children(node)[j][1], chance, reach)
+                    for node, chance, reach in nodes)
+            if v > best_value:  # strict: lowest action id wins ties
+                best_value = v
+                best = j
+        br_actions[view] = best
+        return best
+
+    for view in infosets:
+        infoset_action(view)
+
+    value = weighted_value(0, 1.0, base_weights)
+    table = {}
+    for view, best in br_actions.items():
+        dist = np.zeros(len(view.legal_actions))
+        dist[best] = 1.0
+        table[view.key] = dist
+    return TabularPolicy(table), value
+
+
+def _scratch_mixture(game, weights, seed):
+    """Scratch networks (greedy, so they cut branches) and uniform tabular
+    policies, alternating, with the given weights."""
+    sig = ArchSignature(game.encoding_dim(), (8,),
+                        game.num_distinct_actions())
+    members = [scratch_init("kaiming", sig, seed + i) if i % 2 == 0
+               else TabularPolicy() for i in range(len(weights))]
+    return PolicyMixture(members, weights)
+
+
+TREE_GAMES = [
+    ("kuhn_poker", {}),
+    ("leduc_poker", {}),
+    ("goofspiel", {"num_cards": 4}),
+    ("liars_dice", {"faces": 3}),
+]
+
+
+@pytest.mark.parametrize("name,params", TREE_GAMES)
+@pytest.mark.parametrize("weights", [
+    [1.0], [0.5, 0.5], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7], [0.2, 0.3, 0.0, 0.5],
+])
+def test_br_equals_two_pass_reference_bit_for_bit(name, params, weights):
+    game = make_game(name, params)
+    mixture = _scratch_mixture(game, weights, seed=len(weights))
+    for responder in (0, 1):
+        policy, value = best_response(game, mixture, responder)
+        ref_policy, ref_value = two_pass_best_response(game, mixture,
+                                                       responder)
+        assert repr(value) == repr(ref_value)
+        assert list(policy.table) == list(ref_policy.table)
+        for key, dist in ref_policy.table.items():
+            assert policy.table[key].tobytes() == dist.tobytes()
+
+
+def _reached_opponent_nodes(tree, mixture, opponent):
+    """Opponent nodes that some positive-weight member reaches, counted by
+    brute force over each member's own reach."""
+    reached = set()
+
+    def walk(node, member):
+        player = tree.owner[node]
+        if player == TERMINAL:
+            return
+        kids = tree.children(node)
+        probs = None
+        if player == opponent:
+            reached.add(node)
+            probs = member.action_probs(tree.view[node])
+        for j, (_, child, _) in enumerate(kids):
+            if probs is None or probs[j] > 0.0:
+                walk(child, member)
+
+    for member, weight in zip(mixture.members, mixture.weights):
+        if weight > 0.0:
+            walk(0, member)
+    return len(reached)
+
+
+@pytest.mark.parametrize("name,params", TREE_GAMES)
+def test_br_reads_each_member_once_per_reached_opponent_node(name, params):
+    game = make_game(name, params)
+    for responder in (0, 1):
+        mixture = _scratch_mixture(game, [0.2, 0.3, 0.0, 0.5], seed=4)
+        expected = _reached_opponent_nodes(game.tree, mixture, 1 - responder)
+        calls = [0] * len(mixture.members)
+        for i, member in enumerate(mixture.members):
+            def counted(view, i=i, read=member.action_probs):
+                calls[i] += 1
+                return read(view)
+            member.action_probs = counted
+        best_response(game, mixture, responder)
+        assert calls == [expected] * len(mixture.members)
+
+
+def test_tabular_distributions_are_read_only():
+    given = np.array([0.25, 0.75])
+    policy = TabularPolicy({"s": given})
+    stored = policy.action_probs(InfosetView("s", (0, 1)))
+    unseen = policy.action_probs(InfosetView("t", (0, 1, 2)))
+    assert not stored.flags.writeable
+    assert not unseen.flags.writeable
+    assert np.array_equal(stored, given)
+    assert np.array_equal(unseen, np.full(3, 1.0 / 3.0))
+    assert given.flags.writeable  # the caller's array is left as it was
 
 
 # ---------------------------------------------------------------------------
