@@ -60,14 +60,16 @@ def _apply_override(data: dict, param: str, value: str) -> dict:
         return data
     init = data["init"]
     targets = [init] if "method" in init else [init["p0"], init["p1"]]
+    try:
+        number = "all" if param == "top_k" and value == "all" else int(value)
+    except ValueError:
+        raise ConfigError(f"sweep over {param}: value {value!r} is not an "
+                          "integer") from None
     for target in targets:
         if target.get("method") != "nash_fusion":
             raise ConfigError(
                 f"sweep over {param} needs a nash_fusion init method")
-        if param == "fusion_start_c":
-            target["c"] = int(value)
-        else:
-            target["top_k"] = "all" if value == "all" else int(value)
+        target["c" if param == "fusion_start_c" else "top_k"] = number
     return data
 
 

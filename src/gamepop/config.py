@@ -1,11 +1,12 @@
 """Declarative run configuration: JSON with exact field names.
 
 The spec dataclasses are the schema: each field's type, default, JSON name
-and bounds are declared once, on the field (see `gamepop.specs`). This
-module reads JSON into those dataclasses and echoes them back, with the
-defaults materialized. Unknown fields are errors, and every validation
-failure names the offending field, so sweep overrides and hand-edited
-configs fail loudly instead of silently drifting.
+and bounds are declared once, on the field (see `gamepop.specs`), and each
+nested spec is one JSON object holding exactly its own fields. This module
+reads JSON into those dataclasses and echoes them back, with the defaults
+materialized. Unknown fields are errors, and every validation failure names
+the offending field, so sweep overrides and hand-edited configs fail loudly
+instead of silently drifting.
 """
 
 from __future__ import annotations
@@ -58,14 +59,6 @@ def _fields(cls) -> tuple:
                  for f in fields(cls))
 
 
-@cache
-def _keys(cls) -> frozenset:
-    """The JSON keys of a spec, counting those of an inline spec field."""
-    return frozenset(k for key, f, kind in _fields(cls)
-                     for k in (_keys(kind) if f.metadata.get("inline")
-                               else (key,)))
-
-
 def _check_keys(obj, path, required, optional):
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -86,17 +79,11 @@ def _build(cls, kwargs, prefix):
 
 
 def _read(cls, obj, path):
-    """A spec from its JSON object. Absent fields keep the dataclass default;
-    the fields of an inline spec sit in the same object."""
-    _check_keys(obj, path, (), _keys(cls))
-    kwargs = {}
-    for key, f, kind in _fields(cls):
-        if f.metadata.get("inline"):
-            kwargs[f.name] = _read(kind, {k: v for k, v in obj.items()
-                                          if k in _keys(kind)}, path)
-        elif key in obj:
-            kwargs[f.name] = _value(kind, f.metadata, obj[key],
-                                    f"{path}.{key}")
+    """A spec from its JSON object. Absent fields keep the dataclass
+    default."""
+    _check_keys(obj, path, (), [key for key, _, _ in _fields(cls)])
+    kwargs = {f.name: _value(kind, f.metadata, obj[key], f"{path}.{key}")
+              for key, f, kind in _fields(cls) if key in obj}
     return _build(cls, kwargs, f"{path}.")
 
 
@@ -177,14 +164,8 @@ def load_config(path: str) -> PsroConfig:
 
 
 def _echo(spec) -> dict:
-    out = {}
-    for key, f, _ in _fields(type(spec)):
-        value = getattr(spec, f.name)
-        if f.metadata.get("inline"):
-            out.update(_echo(value))
-        else:
-            out[key] = _echo_value(value, f.metadata)
-    return out
+    return {key: _echo_value(getattr(spec, f.name), f.metadata)
+            for key, f, _ in _fields(type(spec))}
 
 
 def _echo_value(value, meta):

@@ -21,10 +21,11 @@ import numpy as np
 
 from . import meta_solvers, policies as pol
 from .games import expected_value, exploitability, make_game
+from .games.base import draw_index
 from .games.ntmg import NtmgConfig, ntmg_payoff
 from .meta_solvers import MetaGame, Prd, extend_payoff, fill_payoff
 from .nets import ArchSignature
-from .oracles import (DqnConfig, PsdBonus, dqn_oracle, exact_oracle,
+from .oracles import (DqnOracle, PsdBonus, dqn_oracle, exact_oracle,
                       ntmg_mixture_payoff, ntmg_oracle, q_learning_oracle)
 from .policies import (PointPolicy, PolicyMixture, TabularPolicy,
                        checkpoint_dumps, fuse_parameters, fuse_points,
@@ -89,12 +90,6 @@ class QLearningOracle:
     lr: float = 0.1
     epsilon: float = setting(0.1, ge=0.0)
     gamma_discount: float = setting(1.0, ge=0.0)
-
-
-@spec(EngineError)
-class DqnOracle:
-    hidden_layers: tuple[int, ...] = setting((64, 64), ge=1)
-    cfg: DqnConfig = setting(DqnConfig(), inline=True)
 
 
 @spec(EngineError)
@@ -219,7 +214,7 @@ def init_new_policy(pop, sigma, t: int, method, seed, arena,
         return pop[int(np.argmax(sigma))]
     if (isinstance(method, SampleFromNE)
             or isinstance(method, NashFusion) and t < method.c):
-        return pop[np.random.default_rng(seed).choice(len(pop), p=sigma)]
+        return pop[draw_index(sigma, np.random.default_rng(seed))]
     if isinstance(method, NashFusion):
         if method.top_k is None:
             selected = np.arange(len(pop))
@@ -259,7 +254,7 @@ def _train_oracle(spec, game, init, opponent_mixture, player, seed,
         return policy, None, None
     if isinstance(spec, DqnOracle):
         policy, curve = dqn_oracle(
-            game, init, opponent_mixture, player, spec.cfg,
+            game, init, opponent_mixture, player, spec,
             seed=int(np.random.default_rng(seed).integers(2 ** 31)),
             psd=psd_bonus)
         return policy, curve, None
@@ -491,10 +486,9 @@ class TreeArena(_Arena):
 
     def fill_payoffs(self, meta, pops, seed):
         config = self.config
-        if config.payoff_mode == "exact":
-            return extend_payoff(meta, self.game, pops, "exact")
-        return extend_payoff(meta, self.game, pops,
-                             ("monte_carlo", config.payoff_episodes, seed))
+        episodes = (config.payoff_episodes
+                    if config.payoff_mode == "monte_carlo" else None)
+        return extend_payoff(meta, self.game, pops, episodes, seed)
 
     def exploitability(self, pops, sigmas):
         return exploitability(self.game, (PolicyMixture(pops[0], sigmas[0]),
@@ -599,10 +593,15 @@ def _build_arena(config: PsroConfig) -> _Arena:
     tabular = isinstance(config.oracle, (ExactOracle, QLearningOracle))
     if not tabular and not isinstance(config.oracle, DqnOracle):
         raise EngineError("oracle spec does not fit the configured game")
+    approx = config.eval.approx_oracle
     _refuse([
-        (isinstance(config.eval.approx_oracle, GradientOracle),
-         "eval.approx_exploitability",
+        (isinstance(approx, GradientOracle), "eval.approx_exploitability",
          "the gradient oracle trains plane-game points only"),
+        (not tabular and isinstance(approx, DqnOracle)
+         and approx.hidden_layers != config.oracle.hidden_layers,
+         "eval.approx_exploitability.hidden_layers",
+         "must equal oracle.hidden_layers: a dqn response to a network "
+         "member trains in that member's architecture"),
         (tabular and config.psd.enabled, "psd.enabled",
          "only the dqn oracle takes the intrinsic reward"),
         (tabular and config.diagnostics.kl_compare, "diagnostics.kl_compare",

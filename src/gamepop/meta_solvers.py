@@ -73,20 +73,19 @@ def monte_carlo_value(game, profile, episodes: int, rng: np.random.Generator,
     return total / episodes
 
 
-def extend_payoff(meta: MetaGame, game, pops, eval_mode="exact") -> MetaGame:
+def extend_payoff(meta: MetaGame, game, pops, episodes: int | None = None,
+                  seed: int = 0) -> MetaGame:
     """Fill every empty entry of the meta-game for the given populations.
 
-    ``eval_mode`` is "exact" or ("monte_carlo", episodes, seed). Entries are
-    evaluated independently (per-entry seeds), so any fill order produces the
-    same matrix; existing entries are never recomputed.
+    Entries are exact when `episodes` is None, otherwise the mean return of
+    that many sampled episodes. Entries are evaluated independently
+    (per-entry seeds drawn from `seed`), so any fill order produces the same
+    matrix; existing entries are never recomputed.
     """
     def entry(r, c):
         profile = (pops[0][r], pops[1][c])
-        if eval_mode == "exact":
+        if episodes is None:
             return expected_value(game, profile)[0]
-        mode, episodes, seed = eval_mode
-        if mode != "monte_carlo":
-            raise SolverError(f"unknown eval mode {mode!r}")
         return monte_carlo_value(game, profile, episodes,
                                  np.random.default_rng([seed, r, c]))
 

@@ -20,8 +20,8 @@ from .games.ntmg import (S_MATRIX, NtmgConfig, ntmg_densities,
                          ntmg_densities_jacobian, ntmg_payoff,
                          ntmg_payoff_grad)
 from .policies import (ParametricPolicy, PointPolicy, PolicyMixture,
-                       TabularPolicy, _one_hot, floored, kl_divergence,
-                       sample_member, weighted_sum)
+                       TabularPolicy, _one_hot, floored, greedy_index,
+                       kl_divergence, sample_member, weighted_sum)
 from .specs import check, setting
 
 
@@ -31,12 +31,14 @@ class Step:
     view: InfosetView
     action: int  # global action id
     reward: float
-    next_view: InfosetView | None
-    terminal: bool
+    next_view: InfosetView | None  # None on the learner's last step
 
 
 @dataclass(frozen=True)
-class DqnConfig:
+class DqnOracle:
+    """The DQN best-response oracle: the network architecture of a fresh
+    response and the training settings."""
+    hidden_layers: tuple[int, ...] = setting((64, 64), ge=1)
     replay_capacity: int = 10_000
     batch_size: int = setting(512, ge=1)
     lr: float = setting(5e-3, gt=0.0)
@@ -70,13 +72,13 @@ def run_learner_episode(game: Game, player: int, select, opponent,
         action = select(view)
         assert action in view.legal_actions, "oracle chose an illegal action"
         if pending is not None:
-            steps.append(Step(pending[0], pending[1], 0.0, view, False))
+            steps.append(Step(pending[0], pending[1], 0.0, view))
         pending = (view, action)
         return action
 
     reward = sample_episode(game, choose, rng)[player]
     if pending is not None:
-        steps.append(Step(pending[0], pending[1], reward, None, True))
+        steps.append(Step(pending[0], pending[1], reward, None))
     return steps, reward
 
 
@@ -124,7 +126,7 @@ def q_learning_oracle(game: Game, init: TabularPolicy | None,
         for step in steps:
             q = q_for(step.view)
             idx = step.view.legal_actions.index(step.action)
-            if step.terminal:
+            if step.next_view is None:
                 bootstrap = 0.0
             else:
                 bootstrap = float(q_table[step.next_view.key].max())
@@ -172,7 +174,7 @@ def psd_intrinsic_reward(steps: list[Step], new_policy, hull_samples,
 
 
 def dqn_oracle(game: Game, init: ParametricPolicy,
-               opponent_mixture: PolicyMixture, player: int, cfg: DqnConfig,
+               opponent_mixture: PolicyMixture, player: int, cfg: DqnOracle,
                seed: int = 0,
                psd: PsdBonus | None = None) -> tuple[ParametricPolicy, list]:
     """DQN with uniform replay and a target network.
@@ -180,8 +182,9 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
     Behavior is epsilon-greedy over legal-masked action values; the squared
     temporal-difference loss is minimized with the configured optimizer; the
     target network is hard-copied every `target_update_every` learner steps
-    unless a soft-update ratio is set. Returns the trained policy and the
-    per-episode trailing-window mean-reward curve.
+    unless a soft-update ratio is set. The network keeps the architecture of
+    `init`. Returns the trained policy and the per-episode trailing-window
+    mean-reward curve.
     """
     if init.signature.input_dim != game.encoding_dim():
         raise ValueError("init signature does not match the game encoder")
@@ -208,8 +211,7 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
         if rng.random() < cfg.epsilon:
             return view.legal_actions[rng.integers(len(view.legal_actions))]
         q = nets.forward(sig, theta, view.features)
-        legal_q = np.array([q[a] for a in view.legal_actions])
-        return view.legal_actions[int(np.argmax(legal_q))]
+        return view.legal_actions[greedy_index(q, view.legal_actions)]
 
     def learn_step():
         nonlocal theta, target_theta, learner_steps
@@ -256,7 +258,7 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
             replay_action[cursor] = step.action
             replay_reward[cursor] = r
             mask = np.zeros(n_actions, dtype=bool)
-            if not step.terminal:
+            if step.next_view is not None:
                 replay_next[cursor] = step.next_view.features
                 mask[list(step.next_view.legal_actions)] = True
             else:

@@ -57,6 +57,12 @@ def _one_hot(n: int, index: int) -> np.ndarray:
     return probs
 
 
+def greedy_index(q: np.ndarray, legal_actions) -> int:
+    """Position in `legal_actions` of the largest action value in `q`
+    (indexed by global action id); the lowest position on ties."""
+    return int(np.argmax(q[list(legal_actions)]))
+
+
 class TabularPolicy:
     """Map from infoset key to an action distribution; unseen keys are
     uniform over the legal actions. Every distribution it hands out is
@@ -112,9 +118,7 @@ class ParametricPolicy:
         return nets.forward(self.signature, self.theta, features)
 
     def greedy_action_index(self, features: np.ndarray, legal_actions) -> int:
-        q = self.q_values(features)
-        legal_q = np.array([q[a] for a in legal_actions])
-        return int(np.argmax(legal_q))  # argmax takes the lowest id on ties
+        return greedy_index(self.q_values(features), legal_actions)
 
     def action_probs(self, view: InfosetView) -> np.ndarray:
         """Read-only one-hot on the greedy action, computed once per view."""
@@ -126,8 +130,7 @@ class ParametricPolicy:
         return probs
 
     def dist_at(self, view: InfosetView) -> np.ndarray:
-        q = self.q_values(view.features)
-        legal_q = np.array([q[a] for a in view.legal_actions])
+        legal_q = self.q_values(view.features)[list(view.legal_actions)]
         legal_q -= legal_q.max()
         e = np.exp(legal_q)
         return e / e.sum()

@@ -1,6 +1,6 @@
 """Field declarations shared by the run-description dataclasses.
 
-Every field of a run description (engine specs, `oracles.DqnConfig`, the
+Every field of a run description (engine specs, `oracles.DqnOracle`, the
 meta-solver kinds) is declared once, on the dataclass: its type annotation,
 its default, and in `dataclasses.field` metadata, whatever else the JSON
 config and the construction-time check need:
@@ -10,8 +10,7 @@ config and the construction-time check need:
 - ``choices``: the allowed strings;
 - ``none``: the config spelling of ``None`` besides ``null``;
 - ``union``: the name of the tagged union (in `gamepop.config`) its value
-  belongs to;
-- ``inline``: a nested spec whose fields sit in the enclosing config object.
+  belongs to.
 
 `check` enforces the bounds and choices, and a class declared with
 ``@spec(error)`` runs it on construction; `gamepop.config` parses and echoes

@@ -23,7 +23,7 @@ from gamepop.games import (best_response, expected_value, exploitability,
 from gamepop.games.ntmg import NtmgConfig, ntmg_payoff
 from gamepop.meta_solvers import Nash, solve_nash_lp
 from gamepop.nets import ArchSignature, theta_size
-from gamepop.oracles import DqnConfig, gradient_check
+from gamepop.oracles import gradient_check
 from gamepop.policies import (ParametricPolicy, PolicyMixture, TabularPolicy,
                               ensemble_distribution, fuse_parameters,
                               sample_infoset_views)
@@ -38,10 +38,10 @@ def announce(capsys, line):
 
 
 def desk_dqn(episodes, hidden=(32, 32)):
-    return DqnOracle(hidden_layers=hidden, cfg=DqnConfig(
-        replay_capacity=2000, batch_size=64, lr=5e-3, gamma_discount=0.99,
-        epsilon=0.1, target_update_every=5, episodes=episodes,
-        optimizer="adam"))
+    return DqnOracle(
+        hidden_layers=hidden, replay_capacity=2000, batch_size=64, lr=5e-3,
+        gamma_discount=0.99, epsilon=0.1, target_update_every=5,
+        episodes=episodes, optimizer="adam")
 
 
 def test_criterion_01_solver_correctness(capsys):

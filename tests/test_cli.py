@@ -4,13 +4,16 @@ import hashlib
 import json
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import is_dataclass
+from pathlib import Path
 
 import pytest
 
+from gamepop import config as config_module
 from gamepop.cli import main, run_from_config, solve_matrix, sweep
 from gamepop.config import (ConfigError, config_to_dict, load_config,
                             parse_config)
-from gamepop.engine import GradientOracle
+from gamepop.engine import GradientOracle, PsroConfig
 from gamepop.svgplot import PlotError, render_svg
 
 RPS_ROWS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
@@ -170,6 +173,31 @@ class TestConfigSchema:
             load_config(str(path))
 
 
+def _json_keys(cls):
+    """The JSON keys of a spec and of the specs nested in it."""
+    for key, f, kind in config_module._fields(cls):
+        yield key
+        if is_dataclass(kind):
+            yield from _json_keys(kind)
+
+
+def test_readme_names_every_config_key():
+    """Every key the config accepts, tag values included, is named in the
+    README's Configuration section, as `key` or as "key" in its example; a
+    dotted key like payoff.mode by each of its parts."""
+    keys = set(_json_keys(PsroConfig))
+    for tag, _, table in config_module._UNIONS.values():
+        keys |= {tag, *table}
+        for cls in table.values():
+            keys.update(_json_keys(cls))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    unnamed = sorted(key for key in keys if not all(
+        f"`{part}`" in section or f'"{part}"' in section
+        for part in key.split(".")))
+    assert unnamed == []
+
+
 class TestSweep:
     def test_mss_sweep_summary_shape(self, tmp_path):
         out = tmp_path / "sweep"
@@ -200,6 +228,17 @@ class TestSweep:
         path = write_config(tmp_path, minimal_config(tmp_path / "x"))
         with pytest.raises(ConfigError, match="param"):
             sweep(path, "learning_rate", ["1"])
+
+    @pytest.mark.parametrize("param", ["fusion_start_c", "top_k"])
+    def test_non_integer_value_is_a_config_error(self, tmp_path, capsys,
+                                                 param):
+        config = minimal_config(tmp_path / "x")
+        config["init"] = {"method": "nash_fusion"}
+        path = write_config(tmp_path, config)
+        assert main(["sweep", "--config", path, "--param", param,
+                     "--values", "x"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep over {param}: value 'x' is not an integer\n")
 
 
 class TestSolveMatrix:

@@ -15,7 +15,6 @@ from gamepop.engine import (DiagnosticsSpec, Distill, DqnOracle, EngineError,
 from gamepop.games import make_game
 from gamepop.meta_solvers import Nash, Prd, Uniform
 from gamepop.nets import ArchSignature, theta_size
-from gamepop.oracles import DqnConfig
 from gamepop.policies import (ParametricPolicy, PolicyMixture, TabularPolicy,
                               scratch_init)
 
@@ -258,24 +257,26 @@ class TestRunPsro:
 
     def test_psd_arm_runs(self):
         from gamepop.engine import PsdSpec
-        dq = DqnConfig(replay_capacity=500, batch_size=32, lr=5e-3,
-                       gamma_discount=0.99, epsilon=0.1,
-                       target_update_every=5, episodes=40, optimizer="adam")
+        dq = DqnOracle(hidden_layers=(16,), replay_capacity=500,
+                       batch_size=32, lr=5e-3, gamma_discount=0.99,
+                       epsilon=0.1, target_update_every=5, episodes=40,
+                       optimizer="adam")
         config = PsroConfig(
             game={"name": "liars_dice", "params": {"faces": 2}},
-            oracle=DqnOracle(hidden_layers=(16,), cfg=dq), mss=Nash(),
+            oracle=dq, mss=Nash(),
             init=(NashFusion(c=2), NashFusion(c=2)), iterations=2,
             psd=PsdSpec(enabled=True, lam=1.0, hull_samples=2))
         history = run_psro(config, seed=0)
         assert len(history.records) == 2
 
     def test_distill_init_runs(self):
-        dq = DqnConfig(replay_capacity=500, batch_size=32, lr=5e-3,
-                       gamma_discount=1.0, epsilon=0.1,
-                       target_update_every=5, episodes=30, optimizer="adam")
+        dq = DqnOracle(hidden_layers=(16,), replay_capacity=500,
+                       batch_size=32, lr=5e-3, gamma_discount=1.0,
+                       epsilon=0.1, target_update_every=5, episodes=30,
+                       optimizer="adam")
         config = PsroConfig(
             game={"name": "liars_dice", "params": {"faces": 2}},
-            oracle=DqnOracle(hidden_layers=(16,), cfg=dq), mss=Nash(),
+            oracle=dq, mss=Nash(),
             init=(Distill(epochs=10, samples=8, lr=0.1),
                   Distill(epochs=10, samples=8, lr=0.1)), iterations=2)
         history = run_psro(config, seed=0)
@@ -368,7 +369,12 @@ class TestNtmgRun:
         (dict(game=KUHN, oracle=ExactOracle(),
               init=(Distill(), InheritLatest())), "init.method"),
         (dict(game=KUHN, oracle=QLearningOracle(episodes=10),
-              init=(InheritLatest(), Distill())), "init.method")])
+              init=(InheritLatest(), Distill())), "init.method"),
+        # A dqn response to a network member keeps the member's layers.
+        (dict(game=KUHN, oracle=DqnOracle(hidden_layers=(16,), episodes=0),
+              eval=EvalSpec(approx_oracle=DqnOracle(hidden_layers=(8,),
+                                                    episodes=0))),
+         "eval.approx_exploitability.hidden_layers")])
     def test_unsupported_options_rejected(self, spec, field):
         config = PsroConfig(**{
             "game": {"name": "ntmg", "params": {}},
@@ -444,10 +450,10 @@ class TestApproximateExploitability:
         profile = (PolicyMixture([uniform], [1.0]),
                    PolicyMixture([uniform], [1.0]))
         exact = exploitability(game, profile)
-        oracle = DqnOracle(hidden_layers=(32,), cfg=DqnConfig(
-            replay_capacity=2000, batch_size=64, lr=5e-3, gamma_discount=1.0,
-            epsilon=0.1, target_update_every=5, episodes=600,
-            optimizer="adam"))
+        oracle = DqnOracle(
+            hidden_layers=(32,), replay_capacity=2000, batch_size=64,
+            lr=5e-3, gamma_discount=1.0, epsilon=0.1, target_update_every=5,
+            episodes=600, optimizer="adam")
         values = [approximate_exploitability(game, profile, oracle, seed=s)
                   for s in range(5)]
         assert abs(np.median(values) - exact) <= 0.2

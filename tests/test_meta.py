@@ -425,16 +425,16 @@ class TestExtendPayoff:
         uniform = TabularPolicy()
         exact = expected_value(game, (uniform, uniform))[0]
         meta = extend_payoff(MetaGame(), game, ([uniform], [uniform]),
-                             ("monte_carlo", 100_000, 12345))
+                             episodes=100_000, seed=12345)
         assert meta.payoff[0, 0] == pytest.approx(exact, abs=0.02)
 
     def test_monte_carlo_deterministic_per_entry_seed(self):
         game = make_game("kuhn_poker")
         uniform = TabularPolicy()
         a = extend_payoff(MetaGame(), game, ([uniform], [uniform]),
-                          ("monte_carlo", 500, 7))
+                          episodes=500, seed=7)
         b = extend_payoff(MetaGame(), game, ([uniform], [uniform]),
-                          ("monte_carlo", 500, 7))
+                          episodes=500, seed=7)
         assert a.payoff[0, 0] == b.payoff[0, 0]
 
     def test_cannot_shrink(self):

@@ -9,7 +9,7 @@ import pytest
 from gamepop.games import expected_value, make_game
 from gamepop.games.ntmg import NtmgConfig
 from gamepop.nets import ArchSignature
-from gamepop.oracles import (DqnConfig, Step, dqn_oracle, exact_oracle,
+from gamepop.oracles import (DqnOracle, Step, dqn_oracle, exact_oracle,
                              gradient_check, ntmg_mixture_payoff, ntmg_oracle,
                              psd_intrinsic_reward, q_learning_oracle)
 from gamepop.policies import (InfosetView, PointPolicy, PolicyMixture,
@@ -98,7 +98,7 @@ def _desk_cfg(episodes, **overrides):
                 gamma_discount=1.0, epsilon=0.1, target_update_every=5,
                 episodes=episodes, optimizer="adam")
     base.update(overrides)
-    return DqnConfig(**base)
+    return DqnOracle(**base)
 
 
 class TestDqn:
@@ -167,13 +167,13 @@ class TestDqn:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DqnConfig(batch_size=10, replay_capacity=5)
+            DqnOracle(batch_size=10, replay_capacity=5)
         with pytest.raises(ValueError):
-            DqnConfig(lr=0.0)
+            DqnOracle(lr=0.0)
         with pytest.raises(ValueError):
-            DqnConfig(epsilon=1.5)
+            DqnOracle(epsilon=1.5)
         with pytest.raises(ValueError):
-            DqnConfig(optimizer="rmsprop")
+            DqnOracle(optimizer="rmsprop")
 
 
 class TestNtmgOracle:
@@ -212,8 +212,8 @@ class TestPsdReward:
     view = InfosetView("s", (0, 1), None)
 
     def _steps(self):
-        return [Step(self.view, 0, 0.0, self.view, False),
-                Step(self.view, 1, 1.0, None, True)]
+        return [Step(self.view, 0, 0.0, self.view),
+                Step(self.view, 1, 1.0, None)]
 
     def test_hull_member_leaves_rewards_unchanged(self):
         uniform = TabularPolicy()

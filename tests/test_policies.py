@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamepop import nets
 from gamepop.games import make_game
@@ -99,6 +101,107 @@ def test_fuse_tabular_unseen_keys_use_uniform_default():
     b = TabularPolicy({})
     fused = fuse_tabular([a, b], [0.5, 0.5])
     assert np.allclose(fused.table["s"], [0.75, 0.25])
+
+
+# ---------------------------------------------------------------------------
+# Fusion invariants over random populations
+
+# (members, seed): the members' values and simplex weights, some of them
+# zero, are drawn from the seed.
+_POPULATIONS = st.tuples(st.integers(1, 6), st.integers(0, 2**32 - 1))
+
+
+def _simplex_with_zeros(n, rng):
+    """Weights on the simplex with each entry zero with probability 1/2, at
+    least one nonzero."""
+    weights = rng.random(n) * (rng.random(n) < 0.5)
+    weights[rng.integers(n)] += rng.random() + 0.1
+    return weights / weights.sum()
+
+
+def _members(kind, n, rng):
+    """n parametric or point members. Normal draws hold no -0.0, which a
+    one-hot fusion (0.0 + 1.0 * x) would turn into +0.0."""
+    if kind == "parameters":
+        return [_param(rng.normal(size=6)) for _ in range(n)]
+    return [PointPolicy(rng.normal(scale=3.0, size=2)) for _ in range(n)]
+
+
+def _fused_values(kind, members, weights):
+    if kind == "parameters":
+        return fuse_parameters(members, weights).theta
+    return fuse_points(members, weights).x
+
+
+def _values(kind, member):
+    return member.theta if kind == "parameters" else member.x
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["parameters", "points"]), population=_POPULATIONS,
+       where=st.integers(0, 6))
+def test_zero_weight_member_leaves_fusion_unchanged(kind, population, where):
+    n, seed = population
+    rng = np.random.default_rng(seed)
+    members = _members(kind, n, rng)
+    weights = list(_simplex_with_zeros(n, rng))
+    base = _fused_values(kind, members, weights)
+    at = where % (n + 1)
+    extra = _members(kind, 1, rng)[0]
+    grown = _fused_values(kind, members[:at] + [extra] + members[at:],
+                          weights[:at] + [0.0] + weights[at:])
+    assert grown.tobytes() == base.tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["parameters", "points"]), population=_POPULATIONS,
+       which=st.integers(0, 5))
+def test_one_hot_weight_copies_its_member(kind, population, which):
+    n, seed = population
+    members = _members(kind, n, np.random.default_rng(seed))
+    weights = np.zeros(n)
+    weights[which % n] = 1.0
+    fused = _fused_values(kind, members, weights)
+    assert fused.tobytes() == _values(kind, members[which % n]).tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["parameters", "points"]), population=_POPULATIONS)
+def test_fused_coordinates_within_weighted_members(kind, population):
+    n, seed = population
+    rng = np.random.default_rng(seed)
+    members = _members(kind, n, rng)
+    weights = _simplex_with_zeros(n, rng)
+    fused = _fused_values(kind, members, weights)
+    used = np.stack([_values(kind, m) for m, w in zip(members, weights)
+                     if w != 0.0])
+    # Rounding of at most 6 products and sums, and of a weight sum one ulp
+    # off 1, stays far inside 16 eps of the largest magnitude.
+    tol = 16 * np.finfo(float).eps * np.abs(used).max()
+    assert np.all(fused >= used.min(axis=0) - tol)
+    assert np.all(fused <= used.max(axis=0) + tol)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(population=_POPULATIONS)
+def test_fuse_tabular_rows_are_weighted_member_averages(population):
+    n, seed = population
+    rng = np.random.default_rng(seed)
+    legal = {f"k{i}": int(rng.integers(1, 5)) for i in range(8)}
+    members = []
+    for _ in range(n):
+        keys = [k for k in legal if rng.random() < 0.5]  # overlapping subsets
+        members.append(TabularPolicy({k: rng.dirichlet(np.ones(legal[k]))
+                                      for k in keys}))
+    weights = _simplex_with_zeros(n, rng)
+    fused = fuse_tabular(members, weights)
+    assert set(fused.table) == {k for m in members for k in m.table}
+    for key, row in fused.table.items():
+        assert np.all(row >= 0.0)
+        assert abs(row.sum() - 1.0) <= 1e-12
+        expected = sum(w * m.dist_for_key(key, legal[key])
+                       for m, w in zip(members, weights))
+        assert np.abs(row - expected).max() <= 1e-12
 
 
 class TestScratchInit:
