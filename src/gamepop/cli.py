@@ -1,6 +1,9 @@
 """Command-line entry point: run experiments, sweep ablations, solve payoff
 matrices, and render plots.
 
+`run` and every `sweep` arm go through `run_config`, which checks the run
+description before it writes anything.
+
 The log level comes from the GAMEPOP_LOG_LEVEL environment variable; all
 other behavior is controlled by config files and flags.
 """
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import meta_solvers
 from .config import ConfigError, config_to_dict, load_config, parse_config
-from .engine import _build_arena, run_psro
+from .engine import EngineError, _build_arena, run_psro
 from .policies import checkpoint_loads
 from .svgplot import RENDER_KINDS, PlotError, render_svg
 
@@ -27,8 +30,33 @@ log = logging.getLogger("gamepop")
 SWEEP_PARAMS = ("fusion_start_c", "top_k", "mss", "init")
 
 
-def _seed_dir(base: str, seed: int) -> str:
-    return os.path.join(base, f"seed_{seed}")
+def _checked_arena(config):
+    """`_build_arena(config)`, its refusal raised as a ConfigError."""
+    try:
+        return _build_arena(config)
+    except EngineError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def run_config(config, out: str) -> list:
+    """Run every seed of `config` into `out`: check the run description,
+    echo it to `config.json`, and run each seed into `seed_<n>`. A run
+    description `_build_arena` refuses raises ConfigError with nothing
+    written. Returns each seed's last iteration record."""
+    _checked_arena(config)
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "config.json"), "w") as fh:
+        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    finals = []
+    for seed in config.seeds:
+        log.info("running seed %d", seed)
+        history = run_psro(config, seed, os.path.join(out, f"seed_{seed}"))
+        final = history.records[-1]
+        log.info("seed %d done: exploitability=%s approx=%s", seed,
+                 final.exploitability, final.approx_exploitability)
+        finals.append(final)
+    return finals
 
 
 def run_from_config(path: str, output_dir: str | None = None) -> int:
@@ -37,47 +65,32 @@ def run_from_config(path: str, output_dir: str | None = None) -> int:
     out = output_dir or config.output_dir
     if out is None:
         raise ConfigError("output_dir: required to run an experiment")
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.json"), "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for seed in config.seeds:
-        log.info("running seed %d", seed)
-        history = run_psro(config, seed, out_dir=_seed_dir(out, seed))
-        final = history.records[-1]
-        log.info("seed %d done: exploitability=%s approx=%s", seed,
-                 final.exploitability, final.approx_exploitability)
+    run_config(config, out)
     return 0
 
 
-def _apply_override(data: dict, param: str, value: str) -> dict:
-    data = json.loads(json.dumps(data))  # deep copy
+def _arm(base, param: str, value: str, out: str):
+    """The sweep arm of `base` with `param` set to `value`, run into
+    `out`."""
+    data = config_to_dict(base)
+    data["output_dir"] = out
     if param == "mss":
         data["mss"] = {"kind": value}
-        return data
-    if param == "init":
+    elif param == "init":
         data["init"] = {"method": value}
-        return data
-    init = data["init"]
-    targets = [init] if "method" in init else [init["p0"], init["p1"]]
-    try:
-        number = "all" if param == "top_k" and value == "all" else int(value)
-    except ValueError:
-        raise ConfigError(f"sweep over {param}: value {value!r} is not an "
-                          "integer") from None
-    for target in targets:
-        if target.get("method") != "nash_fusion":
-            raise ConfigError(
-                f"sweep over {param} needs a nash_fusion init method")
-        target["c" if param == "fusion_start_c" else "top_k"] = number
-    return data
-
-
-def _final_exploitability(history) -> float | None:
-    rec = history.records[-1]
-    if rec.exploitability is not None:
-        return rec.exploitability
-    return rec.approx_exploitability
+    else:
+        try:
+            number = ("all" if param == "top_k" and value == "all"
+                      else int(value))
+        except ValueError:
+            raise ConfigError(f"sweep over {param}: value {value!r} is not "
+                              "an integer") from None
+        for target in data["init"].values():
+            if target["method"] != "nash_fusion":
+                raise ConfigError(
+                    f"sweep over {param} needs a nash_fusion init method")
+            target["c" if param == "fusion_start_c" else "top_k"] = number
+    return parse_config(data)
 
 
 def sweep(path: str, param: str, values: list[str],
@@ -86,24 +99,21 @@ def sweep(path: str, param: str, values: list[str],
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep param {param!r}; "
                           f"valid: {SWEEP_PARAMS}")
-    with open(path) as fh:
-        base = json.load(fh)
-    out = output_dir or base.get("output_dir")
+    base = load_config(path)
+    out = output_dir or base.output_dir
     if out is None:
         raise ConfigError("output_dir: required to run a sweep")
-    os.makedirs(out, exist_ok=True)
+    arms = [(value, _arm(base, param, value,
+                         os.path.join(out, f"{param}_{value}")))
+            for value in values]
+    for _, config in arms:
+        _checked_arena(config)
     summary = []
-    for value in values:
-        data = _apply_override(base, param, value)
-        arm_dir = os.path.join(out, f"{param}_{value}")
-        data["output_dir"] = arm_dir
-        config = parse_config(data)
-        finals = []
-        for seed in config.seeds:
-            history = run_psro(config, seed, out_dir=_seed_dir(arm_dir, seed))
-            final = _final_exploitability(history)
-            if final is not None:
-                finals.append(final)
+    for value, config in arms:
+        finals = [rec.approx_exploitability if rec.exploitability is None
+                  else rec.exploitability
+                  for rec in run_config(config, config.output_dir)]
+        finals = [v for v in finals if v is not None]
         if not finals:
             raise ConfigError("sweep runs produced no exploitability values; "
                               "enable exact or approximate evaluation")
@@ -111,6 +121,7 @@ def sweep(path: str, param: str, values: list[str],
                         float(max(finals))))
         log.info("%s=%s: mean=%.6f min=%.6f max=%.6f", param, value,
                  *summary[-1][1:])
+    os.makedirs(out, exist_ok=True)
     summary_path = os.path.join(out, "sweep_summary.csv")
     with open(summary_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -136,7 +147,7 @@ def evaluate_run(run_dir: str) -> int:
         seed = int(os.path.basename(os.path.normpath(run_dir)).split("_")[-1])
     except ValueError as exc:
         raise ConfigError(f"{run_dir}: expected a seed_<n> directory") from exc
-    arena = _build_arena(config)
+    arena = _checked_arena(config)
 
     ckpt_dir = os.path.join(run_dir, "checkpoints")
     names = sorted(os.listdir(ckpt_dir)) if os.path.isdir(ckpt_dir) else []
@@ -152,10 +163,10 @@ def evaluate_run(run_dir: str) -> int:
             pops[int(player[1])].append(checkpoint_loads(fh.read()))
 
     matrix_path = os.path.join(run_dir, f"payoff_matrix_{last_iteration}.txt")
-    with open(matrix_path) as fh:
-        lines = fh.read().strip().splitlines()
-    matrix = np.array([[float(v) for v in line.split()]
-                       for line in lines[3:]])
+    if not os.path.exists(matrix_path):
+        raise ConfigError(f"{matrix_path}: not found; the run has no payoff "
+                          "matrix for its last checkpointed iteration")
+    matrix = np.loadtxt(matrix_path, skiprows=3, ndmin=2)
     sigma_row, sigma_col = meta_solvers.solve(matrix, config.mss)
     value = arena.exploitability(pops, (sigma_row, sigma_col))
     print(f"iterations {last_iteration}")

@@ -8,6 +8,10 @@ the restricted-game payoff matrix, and re-solves the meta-strategy.
 Fusion uses the meta-strategy computed at the end of the previous iteration.
 Before the fusion start iteration `c`, a historical policy is sampled from
 the meta-strategy instead.
+
+`_build_arena` checks a run description before any of it runs, and names
+the field at fault: a game or `game.params` the game refuses, or an option
+of `_OPTIONS` the arena does not list in its `honours`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meta_solvers, policies as pol
-from .games import expected_value, exploitability, make_game
+from .games import GameError, expected_value, exploitability, make_game
 from .games.base import draw_index
 from .games.ntmg import NtmgConfig, ntmg_payoff
 from .meta_solvers import MetaGame, Prd, extend_payoff, fill_payoff
@@ -328,6 +332,7 @@ def approximate_exploitability(game, profile, oracle_spec, seed) -> float:
     noisy lower bound on the exact quantity. Profile values are exact, so a
     game too large for its tree raises TraversalBudgetError.
     """
+    current = expected_value(game, profile)
     total = 0.0
     for player in (0, 1):
         own = profile[player]
@@ -338,10 +343,7 @@ def approximate_exploitability(game, profile, oracle_spec, seed) -> float:
         trained, _, _ = _train_oracle(oracle_spec, game, init, opp, player,
                                       _derive_seed(seed, player, 12))
         pair = (trained, opp) if player == 0 else (opp, trained)
-        v_trained = expected_value(game, pair)[player]
-        base = (own, opp) if player == 0 else (opp, own)
-        v_current = expected_value(game, base)[player]
-        total += v_trained - v_current
+        total += expected_value(game, pair)[player] - current[player]
     return total
 
 
@@ -367,89 +369,82 @@ RESULTS_VERSION = "gamepop-results-v1"
 class _RunWriter:
     """Incremental per-run output; partial results stay on disk if the run
     aborts. Timing columns live in a separate file so results.csv is
-    byte-reproducible for a given config and seed."""
+    byte-reproducible for a given config and seed. Every write goes through
+    `_text` or `_rows`, which do nothing without a run directory."""
 
     def __init__(self, out_dir):
         self.dir = out_dir
-        self._started = set()  # files `_append` has written in this run
-        if out_dir is None:
-            return
-        os.makedirs(out_dir, exist_ok=True)
-        os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
-        self.results_path = os.path.join(out_dir, "results.csv")
-        with open(self.results_path, "w", newline="") as fh:
-            fh.write(f"# {RESULTS_VERSION}\n")
-            csv.writer(fh).writerow(RESULTS_COLUMNS)
-        with open(os.path.join(out_dir, "timings.csv"), "w", newline="") as fh:
-            csv.writer(fh).writerow(TIMINGS_COLUMNS)
+        self._started = set()  # files `_rows` has written in this run
+        self._rows("results.csv", RESULTS_COLUMNS, [],
+                   preamble=f"# {RESULTS_VERSION}\n")
+        self._rows("timings.csv", TIMINGS_COLUMNS, [])
 
     def record(self, rec: IterationRecord):
-        if self.dir is None:
-            return
-        for path, columns in ((self.results_path, RESULTS_COLUMNS),
-                              (os.path.join(self.dir, "timings.csv"),
-                               TIMINGS_COLUMNS)):
-            with open(path, "a", newline="") as fh:
-                csv.writer(fh).writerow(
-                    [_fmt(getattr(rec, c)) for c in columns])
+        for name, columns in (("results.csv", RESULTS_COLUMNS),
+                              ("timings.csv", TIMINGS_COLUMNS)):
+            self._rows(name, columns, [[_fmt(getattr(rec, c))
+                                        for c in columns]])
 
     def payoff_matrix(self, t: int, meta: MetaGame):
-        if self.dir is None:
-            return
-        path = os.path.join(self.dir, f"payoff_matrix_{t}.txt")
-        with open(path, "w") as fh:
-            fh.write(f"rows {meta.row_count} cols {meta.col_count}\n")
-            fh.write("row_ids " + " ".join(f"p0_{i}" for i in
-                                           range(meta.row_count)) + "\n")
-            fh.write("col_ids " + " ".join(f"p1_{j}" for j in
-                                           range(meta.col_count)) + "\n")
-            for i in range(meta.row_count):
-                fh.write(" ".join(repr(float(v)) for v in meta.payoff[i])
-                         + "\n")
+        rows, cols = meta.payoff.shape
+        lines = [f"rows {rows} cols {cols}",
+                 "row_ids " + " ".join(f"p0_{i}" for i in range(rows)),
+                 "col_ids " + " ".join(f"p1_{j}" for j in range(cols))]
+        lines += [" ".join(repr(float(v)) for v in row) for row in meta.payoff]
+        self._text(f"payoff_matrix_{t}.txt", "\n".join(lines) + "\n")
 
     def checkpoint(self, t: int, player: int, policy):
-        if self.dir is None:
-            return
-        path = os.path.join(self.dir, "checkpoints",
-                            f"iter_{t:04d}_p{player}.json")
-        with open(path, "w") as fh:
-            fh.write(checkpoint_dumps(policy))
+        self._text(os.path.join("checkpoints", f"iter_{t:04d}_p{player}.json"),
+                   checkpoint_dumps(policy))
 
     def curve(self, t: int, player: int, curve):
-        if self.dir is None or curve is None:
+        if curve is None:
             return
-        os.makedirs(os.path.join(self.dir, "curves"), exist_ok=True)
-        self._append(os.path.join("curves", f"iter_{t:04d}_p{player}.csv"),
-                     ["episode", "mean_reward_window"],
-                     [[episode, _fmt(float(mean))] for episode, mean in curve])
+        self._rows(os.path.join("curves", f"iter_{t:04d}_p{player}.csv"),
+                   ["episode", "mean_reward_window"],
+                   [[episode, _fmt(float(mean))] for episode, mean in curve])
 
     def trajectory(self, t: int, player: int, traj):
-        if self.dir is None or traj is None:
+        if traj is None:
             return
-        self._append("trajectories.csv",
-                     ["iteration", "player", "step", "x", "y"],
-                     [[t, player, step, _fmt(float(point[0])),
-                       _fmt(float(point[1]))]
-                      for step, point in enumerate(traj)])
+        self._rows("trajectories.csv",
+                   ["iteration", "player", "step", "x", "y"],
+                   [[t, player, step, _fmt(float(point[0])),
+                     _fmt(float(point[1]))]
+                    for step, point in enumerate(traj)])
 
     def kl_compare(self, rows):
-        if self.dir is None or not rows:
+        if not rows:
             return
-        self._append("kl_compare.csv", ["iteration", "player", "kl_fusion",
-                                        "kl_inherit", "kl_scratch"],
-                     [[row[0], row[1], _fmt(row[2]), _fmt(row[3]),
-                       _fmt(row[4])] for row in rows])
+        self._rows("kl_compare.csv", ["iteration", "player", "kl_fusion",
+                                      "kl_inherit", "kl_scratch"],
+                   [[row[0], row[1], _fmt(row[2]), _fmt(row[3]),
+                     _fmt(row[4])] for row in rows])
 
-    def _append(self, name, header, rows):
+    def _path(self, name):
+        path = os.path.join(self.dir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return path
+
+    def _text(self, name, text):
+        """Write a file of the run directory afresh."""
+        if self.dir is not None:
+            with open(self._path(name), "w") as fh:
+                fh.write(text)
+
+    def _rows(self, name, header, rows, preamble=""):
         """Add rows to a CSV in the run directory. The run's first write to
-        a file starts it afresh with the header, so a directory reused from
-        an earlier run does not keep that run's rows."""
+        a file starts it afresh with `preamble` and the header, so a
+        directory reused from an earlier run does not keep that run's
+        rows."""
+        if self.dir is None:
+            return
         first = name not in self._started
         self._started.add(name)
-        with open(os.path.join(self.dir, name), "w" if first else "a",
-                  newline="") as fh:
+        with open(self._path(name), "w" if first else "a", newline="") as fh:
             w = csv.writer(fh)
             if first:
+                fh.write(preamble)
                 w.writerow(header)
             w.writerows(rows)
 
@@ -465,6 +460,7 @@ class _Arena:
     exploitability, and best-response training."""
 
     game = None  # the game tree, for tree-only steps (distill, diagnostics)
+    honours = ()  # the `_OPTIONS` fields this family carries out
 
     def initial_populations(self, seed):
         return tuple([self.scratch(_derive_seed(seed, 0, player, 6),
@@ -473,6 +469,8 @@ class _Arena:
 
 class TreeArena(_Arena):
     """An extensive-form game with tabular policies."""
+
+    honours = ("eval.approx_exploitability", "payoff.mode")
 
     def __init__(self, config: PsroConfig, game):
         self.config = config
@@ -503,6 +501,9 @@ class NetworkArena(TreeArena):
     """An extensive-form game with action-value networks of one
     architecture."""
 
+    honours = TreeArena.honours + ("psd.enabled", "diagnostics.kl_compare",
+                                   "init.kind", "init.method")
+
     def __init__(self, config: PsroConfig, game, hidden_layers):
         super().__init__(config, game)
         self.signature = ArchSignature(game.encoding_dim(),
@@ -522,23 +523,6 @@ class PlaneArena(_Arena):
     gradient-ascent responses."""
 
     def __init__(self, config: PsroConfig, cfg: NtmgConfig):
-        if not isinstance(config.oracle, GradientOracle):
-            raise EngineError("the mixture game needs the gradient oracle")
-        _refuse([
-            (config.psd.enabled, "psd.enabled",
-             "the mixture game has no intrinsic-reward arm"),
-            (config.eval.approx_oracle is not None,
-             "eval.approx_exploitability",
-             "the mixture game supports exact exploitability only"),
-            (config.payoff_mode == "monte_carlo", "payoff.mode",
-             "the mixture game's payoffs are closed-form"),
-            (config.diagnostics.kl_compare, "diagnostics.kl_compare",
-             "only network policies are compared"),
-            (_scratch_kind_set(config), "init.kind",
-             "points start uniform in a square"),
-            (_distill_set(config), "init.method",
-             "distillation trains network policies only"),
-        ])
         self.oracle = config.oracle
         self.cfg = cfg
 
@@ -563,57 +547,61 @@ class PlaneArena(_Arena):
         return policy, None, traj
 
 
-def _refuse(options):
-    """Raise EngineError naming the first (is_set, field, reason) option
-    that is set: an option the run would otherwise drop."""
-    for is_set, name, reason in options:
-        if is_set:
-            raise EngineError(f"{name}: {reason}")
-
-
-def _scratch_kind_set(config: PsroConfig) -> bool:
-    return any(isinstance(m, Scratch) and m != Scratch() for m in config.init)
-
-
-def _distill_set(config: PsroConfig) -> bool:
-    return any(isinstance(m, Distill) for m in config.init)
+# Each optional run option, declared once: (field, is set, why an arena that
+# does not list the field in its `honours` refuses it).
+_OPTIONS = (
+    ("psd.enabled", lambda c: c.psd.enabled,
+     "only the dqn oracle takes the intrinsic reward"),
+    ("eval.approx_exploitability", lambda c: c.eval.approx_oracle is not None,
+     "the mixture game supports exact exploitability only"),
+    ("payoff.mode", lambda c: c.payoff_mode == "monte_carlo",
+     "the mixture game's payoffs are closed-form"),
+    ("diagnostics.kl_compare", lambda c: c.diagnostics.kl_compare,
+     "only network policies are compared"),
+    ("init.kind", lambda c: any(isinstance(m, Scratch) and m != Scratch()
+                                for m in c.init),
+     "only network policies have an initializer kind"),
+    ("init.method", lambda c: any(isinstance(m, Distill) for m in c.init),
+     "distillation trains network policies only"),
+)
 
 
 def _build_arena(config: PsroConfig) -> _Arena:
+    """The arena for `config`; EngineError, naming the field, for a run
+    description no arena can carry out as written."""
     final_size = config.iterations + 1  # policies per player, last solve
     if isinstance(config.mss, Prd) and not config.mss.gamma < 1 / final_size:
         raise EngineError(f"mss.gamma: must be below 1/{final_size}: "
                           "replicator dynamics floors each of the final "
                           "policies at gamma")
-    name = config.game.get("name")
-    params = config.game.get("params", {}) or {}
-    if name == "ntmg":
-        return PlaneArena(config, NtmgConfig(**params))
-    game = make_game(name, params)
-    tabular = isinstance(config.oracle, (ExactOracle, QLearningOracle))
-    if not tabular and not isinstance(config.oracle, DqnOracle):
-        raise EngineError("oracle spec does not fit the configured game")
-    approx = config.eval.approx_oracle
-    _refuse([
-        (isinstance(approx, GradientOracle), "eval.approx_exploitability",
-         "the gradient oracle trains plane-game points only"),
-        (not tabular and isinstance(approx, DqnOracle)
-         and approx.hidden_layers != config.oracle.hidden_layers,
-         "eval.approx_exploitability.hidden_layers",
-         "must equal oracle.hidden_layers: a dqn response to a network "
-         "member trains in that member's architecture"),
-        (tabular and config.psd.enabled, "psd.enabled",
-         "only the dqn oracle takes the intrinsic reward"),
-        (tabular and config.diagnostics.kl_compare, "diagnostics.kl_compare",
-         "only network policies are compared"),
-        (tabular and _scratch_kind_set(config), "init.kind",
-         "tabular policies start uniform"),
-        (tabular and _distill_set(config), "init.method",
-         "distillation needs the dqn oracle's network policies"),
-    ])
-    if tabular:
-        return TreeArena(config, game)
-    return NetworkArena(config, game, config.oracle.hidden_layers)
+    name, params = config.game.get("name"), config.game.get("params") or {}
+    try:
+        game = (NtmgConfig(**params) if name == "ntmg"
+                else make_game(name, params))
+    except (GameError, TypeError, ValueError) as exc:
+        raise EngineError(f"game.params: {exc}") from exc
+    oracle, approx = config.oracle, config.eval.approx_oracle
+    plane = isinstance(game, NtmgConfig)
+    if plane != isinstance(oracle, GradientOracle):
+        raise EngineError("oracle.kind: the gradient oracle trains plane-game "
+                          "points, and the plane game needs it")
+    arena = (PlaneArena if plane else
+             NetworkArena if isinstance(oracle, DqnOracle) else TreeArena)
+    for option, is_set, reason in _OPTIONS:
+        if option not in arena.honours and is_set(config):
+            raise EngineError(f"{option}: {reason}")
+    if not plane and isinstance(approx, GradientOracle):
+        raise EngineError("eval.approx_exploitability: the gradient oracle "
+                          "trains plane-game points only")
+    if (arena is NetworkArena and isinstance(approx, DqnOracle)
+            and approx.hidden_layers != oracle.hidden_layers):
+        raise EngineError("eval.approx_exploitability.hidden_layers: must "
+                          "equal oracle.hidden_layers: a dqn response to a "
+                          "network member trains in that member's "
+                          "architecture")
+    if arena is NetworkArena:
+        return NetworkArena(config, game, oracle.hidden_layers)
+    return arena(config, game)
 
 
 def run_psro(config: PsroConfig, seed: int,

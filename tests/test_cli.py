@@ -13,7 +13,7 @@ from gamepop import config as config_module
 from gamepop.cli import main, run_from_config, solve_matrix, sweep
 from gamepop.config import (ConfigError, config_to_dict, load_config,
                             parse_config)
-from gamepop.engine import GradientOracle, PsroConfig
+from gamepop.engine import GradientOracle, PsroConfig, _build_arena
 from gamepop.svgplot import PlotError, render_svg
 
 RPS_ROWS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
@@ -77,6 +77,27 @@ class TestRunCommand:
         del config["output_dir"]
         path = write_config(tmp_path, config)
         assert main(["run", "--config", path]) == 2
+
+    def test_refused_option_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(
+            out, game={"name": "kuhn_poker", "params": {}},
+            psd={"enabled": True}))
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error: psd.enabled: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("game, oracle", [
+        ({"name": "kuhn_poker", "params": {"faces": 3}}, {"kind": "exact"}),
+        ({"name": "ntmg", "params": {"sigma": 1.0}}, {"kind": "gradient"})])
+    def test_bad_game_params_write_nothing(self, tmp_path, capsys, game,
+                                           oracle):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(out, game=game,
+                                                     oracle=oracle))
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error: game.params: ")
+        assert not out.exists()
 
 
 class TestConfigSchema:
@@ -223,6 +244,31 @@ class TestSweep:
         path = write_config(tmp_path, minimal_config(tmp_path / "x"))
         with pytest.raises(ConfigError, match="nash_fusion"):
             sweep(path, "top_k", ["1"])
+
+    def test_arms_echo_their_config_and_evaluate(self, tmp_path):
+        out = tmp_path / "sweep"
+        config = minimal_config(out, iterations=2)
+        path = write_config(tmp_path, config)
+        assert main(["sweep", "--config", path, "--param", "init",
+                     "--values", "inherit_latest,nash_fusion"]) == 0
+        for value in ("inherit_latest", "nash_fusion"):
+            arm = out / f"init_{value}"
+            expected = parse_config({**config, "init": {"method": value},
+                                     "output_dir": str(arm)})
+            echo = json.dumps(config_to_dict(expected), indent=2,
+                              sort_keys=True) + "\n"
+            assert (arm / "config.json").read_text() == echo
+            assert main(["eval", "--run-dir", str(arm / "seed_0")]) == 0
+
+    def test_base_config_checked_before_any_override(self, tmp_path, capsys):
+        config = minimal_config(tmp_path / "x")
+        config["init"] = {"c": 2}
+        path = write_config(tmp_path, config)
+        assert main(["sweep", "--config", path, "--param", "top_k",
+                     "--values", "1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: init: missing field 'method'\n"
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_param(self, tmp_path):
         path = write_config(tmp_path, minimal_config(tmp_path / "x"))
@@ -401,6 +447,7 @@ def test_shipped_configs_parse():
         assert hashlib.sha256(echo.encode()).hexdigest() == \
             SHIPPED_ECHOES[os.path.basename(path)], echo
         assert parse_config(json.loads(echo)) == config
+        _build_arena(config)  # the run would start
 
 
 def test_eval_command_recomputes_exploitability(tmp_path, capsys):
@@ -412,3 +459,12 @@ def test_eval_command_recomputes_exploitability(tmp_path, capsys):
     assert lines[0] == "iterations 4"
     assert lines[1] == "population 5 5"
     assert abs(float(lines[2].split()[1])) <= 1e-9
+
+
+def test_eval_without_the_last_payoff_matrix_is_an_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    run_from_config(write_config(tmp_path, minimal_config(out)))
+    os.remove(out / "seed_0" / "payoff_matrix_4.txt")
+    assert main(["eval", "--run-dir", str(out / "seed_0")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "payoff_matrix_4.txt" in err

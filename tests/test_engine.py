@@ -410,6 +410,25 @@ class TestNtmgRun:
 
 
 class TestApproximateExploitability:
+    def test_profile_value_computed_once(self, monkeypatch):
+        # One walk of the profile, shared by both players, plus one per
+        # trained response.
+        import gamepop.engine as eng
+        calls = []
+        real = eng.expected_value
+
+        def counting(game, profile):
+            calls.append(profile)
+            return real(game, profile)
+
+        monkeypatch.setattr(eng, "expected_value", counting)
+        game = make_game("kuhn_poker")
+        uniform = TabularPolicy()
+        profile = (PolicyMixture([uniform], [1.0]),
+                   PolicyMixture([uniform], [1.0]))
+        approximate_exploitability(game, profile, ExactOracle(), seed=0)
+        assert len(calls) == 3
+
     def test_exact_oracle_reduces_to_exact_exploitability(self):
         from gamepop.games import exploitability
         game = make_game("kuhn_poker")
