@@ -17,6 +17,7 @@ of `_OPTIONS` the arena does not list in its `honours`.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meta_solvers, policies as pol
-from .games import GameError, expected_value, exploitability, make_game
+from .games import (GAME_NAMES, GameError, expected_value, exploitability,
+                     make_game)
 from .games.base import draw_index
 from .games.ntmg import NtmgConfig, ntmg_payoff
 from .meta_solvers import MetaGame, Prd, extend_payoff, fill_payoff
@@ -468,13 +470,21 @@ class _Arena:
 
 
 class TreeArena(_Arena):
-    """An extensive-form game with tabular policies."""
+    """An extensive-form game with tabular policies.
+
+    `exploitability` keeps each player's exact best response with the
+    mixture it answers, and `train` hands it out for the exact oracle when
+    asked to answer that mixture again: the same members, by identity, and
+    the same weight bytes. The next iteration asks exactly that when it
+    follows an evaluation; any other request is computed afresh.
+    """
 
     honours = ("eval.approx_exploitability", "payoff.mode")
 
     def __init__(self, config: PsroConfig, game):
         self.config = config
         self.game = game
+        self._answered = {}  # player -> (members, weight bytes, response)
 
     def scratch(self, seed, kind):
         return TabularPolicy({})  # uniform everywhere
@@ -489,10 +499,25 @@ class TreeArena(_Arena):
         return extend_payoff(meta, self.game, pops, episodes, seed)
 
     def exploitability(self, pops, sigmas):
-        return exploitability(self.game, (PolicyMixture(pops[0], sigmas[0]),
-                                          PolicyMixture(pops[1], sigmas[1])))
+        mixtures = (PolicyMixture(pops[0], sigmas[0]),
+                    PolicyMixture(pops[1], sigmas[1]))
+        total, responses = exploitability(self.game, mixtures,
+                                          with_responses=True)
+        for player in (0, 1):
+            opponent = mixtures[1 - player]
+            self._answered[player] = (tuple(opponent.members),
+                                      opponent.weights.tobytes(),
+                                      responses[player])
+        return total
 
     def train(self, init, opponent, player, seed, psd_bonus):
+        if (isinstance(self.config.oracle, ExactOracle)
+                and player in self._answered):
+            members, weights, response = self._answered[player]
+            if (weights == opponent.weights.tobytes()
+                    and len(members) == len(opponent.members)
+                    and all(map(operator.is_, members, opponent.members))):
+                return response, None, None
         return _train_oracle(self.config.oracle, self.game, init, opponent,
                              player, seed, psd_bonus)
 
@@ -575,11 +600,16 @@ def _build_arena(config: PsroConfig) -> _Arena:
                           "replicator dynamics floors each of the final "
                           "policies at gamma")
     name, params = config.game.get("name"), config.game.get("params") or {}
+    if name not in GAME_NAMES:
+        raise EngineError(f"game.name: unknown game {name!r}; valid names: "
+                          f"{list(GAME_NAMES)}")
     try:
         game = (NtmgConfig(**params) if name == "ntmg"
                 else make_game(name, params))
     except (GameError, TypeError, ValueError) as exc:
-        raise EngineError(f"game.params: {exc}") from exc
+        param = getattr(exc, "param", None)
+        field = "game.params" if param is None else f"game.params.{param}"
+        raise EngineError(f"{field}: {exc}") from exc
     oracle, approx = config.oracle, config.eval.approx_oracle
     plane = isinstance(game, NtmgConfig)
     if plane != isinstance(oracle, GradientOracle):

@@ -14,6 +14,7 @@ from .ntmg import (S_MATRIX, NtmgConfig, ntmg_densities,
                    ntmg_densities_jacobian, ntmg_payoff, ntmg_payoff_grad,
                    ntmg_weights)
 
+# The game trees `make_game` builds, each with the parameters it takes.
 _ALLOWED_PARAMS = {
     "kuhn_poker": set(),
     "leduc_poker": set(),
@@ -22,6 +23,10 @@ _ALLOWED_PARAMS = {
     "goofspiel": {"num_cards"},
     "matrix_game": {"rows"},
 }
+
+# Every game a run description may name: the game trees and the plane
+# game `ntmg`, which the engine builds from an `NtmgConfig`.
+GAME_NAMES = tuple(sorted([*_ALLOWED_PARAMS, "ntmg"]))
 
 
 def make_game(name: str, params: dict | None = None) -> Game:
@@ -54,7 +59,7 @@ def make_game(name: str, params: dict | None = None) -> Game:
 
 __all__ = [
     "CHANCE", "TERMINAL", "Game", "GameError", "InfosetView", "State",
-    "TraversalBudgetError", "play_episode", "best_response",
+    "TraversalBudgetError", "GAME_NAMES", "play_episode", "best_response",
     "expected_value", "exploitability", "make_game", "Goofspiel", "KuhnPoker",
     "LeducPoker", "LiarsDice", "MatrixGame", "S_MATRIX", "NtmgConfig",
     "ntmg_densities", "ntmg_densities_jacobian", "ntmg_payoff",

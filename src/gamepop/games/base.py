@@ -14,6 +14,7 @@ past a node, and policies see a decision node as its `InfosetView`.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,19 @@ MAX_TREE_NODES = 10_000_000
 
 
 class GameError(Exception):
-    """Invalid game construction or parameters."""
+    """Invalid game construction or parameters; `param` names the parameter
+    at fault, if one is."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
+
+
+def check_size(param: str, value, least: int):
+    """Refuse a game size that is not an integer of at least `least`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise GameError(f"must be an integer >= {least}", param)
 
 
 class TraversalBudgetError(Exception):

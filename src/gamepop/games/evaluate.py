@@ -7,6 +7,13 @@ integrated out in closed form rather than simulated. Every walk reads
 ``game.tree`` (see `gamepop.games.base.Tree`), which raises
 TraversalBudgetError for a game too large to evaluate exactly.
 
+`expected_value` also resolves one side by member: given a list of policies
+on that side, its walk keeps one reach entry per listed policy and never
+sums them, so one walk values one policy against a whole population (a new
+payoff row or column). Each entry takes the same floating-point operations,
+in the same order, as that pair's own walk; a branch the pair's own walk
+prunes adds only a zero term, which leaves every total as it is.
+
 `_follow` is the one mixture-branching step. Policies are read only there:
 once per walk and decision node in `expected_value`, and in the first of
 `best_response`'s two passes; its second pass reads only what the first one
@@ -21,7 +28,10 @@ from .base import CHANCE, TERMINAL, Game
 
 
 def _as_members(policy_or_mixture):
-    """Normalize a policy or mixture to (members, weights)."""
+    """Normalize a policy, mixture or list of policies to (members,
+    weights); each listed policy weighs 1."""
+    if isinstance(policy_or_mixture, list):
+        return policy_or_mixture, np.ones(len(policy_or_mixture))
     members = getattr(policy_or_mixture, "members", None)
     if members is not None:
         return list(members), np.asarray(policy_or_mixture.weights, dtype=float)
@@ -39,19 +49,34 @@ def _follow(members, view, reach: np.ndarray):
             yield j, r_next
 
 
-def expected_value(game: Game, profile) -> tuple[float, float]:
-    """Exact expected utilities of a (policy or mixture) profile."""
+def _resolved(reach: np.ndarray) -> np.ndarray:
+    return reach
+
+
+def expected_value(game: Game, profile):
+    """Exact expected utilities of a (policy or mixture) profile.
+
+    One side of the profile may be a list of policies instead. Both
+    utilities are then arrays with one entry per listed policy, each equal
+    bit for bit to the utility of that policy's own profile.
+    """
     members = [None, None]
     weights = [None, None]
     for i in (0, 1):
         members[i], weights[i] = _as_members(profile[i])
+    # At a terminal a mixture's reach is summed; a listed side's is not.
+    fold0, fold1 = (_resolved if isinstance(side, list) else np.ndarray.sum
+                    for side in profile)
+    if fold0 is fold1 is _resolved:
+        raise ValueError("expected_value resolves one side of a profile by "
+                         "member, not both")
     tree = game.tree
 
     def walk(node: int, chance: float, r0: np.ndarray,
              r1: np.ndarray) -> float:
         player = tree.owner[node]
         if player == TERMINAL:
-            return chance * r0.sum() * r1.sum() * tree.returns[node][0]
+            return chance * fold0(r0) * fold1(r1) * tree.returns[node][0]
         kids = tree.children(node)
         if player == CHANCE:
             return sum(walk(child, chance * p, r0, r1) for _, child, p in kids)
@@ -152,11 +177,18 @@ def best_response(game: Game, opponent_mixture, responder: int):
     return TabularPolicy(table), value(0)
 
 
-def exploitability(game: Game, profile) -> float:
-    """Sum over players of the gain from deviating to an exact best response."""
+def exploitability(game: Game, profile, with_responses: bool = False):
+    """Sum over players of the gain from deviating to an exact best response.
+
+    With ``with_responses`` returns ``(sum, responses)``, where
+    ``responses[player]`` is the best-response policy behind that player's
+    gain: `best_response` to ``profile[1 - player]``.
+    """
     current = expected_value(game, profile)
     total = 0.0
+    responses = []
     for player in (0, 1):
-        _, br_value = best_response(game, profile[1 - player], player)
+        policy, br_value = best_response(game, profile[1 - player], player)
         total += br_value - current[player]
-    return total
+        responses.append(policy)
+    return (total, tuple(responses)) if with_responses else total

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TERMINAL, Game, GameError, State
+from .base import TERMINAL, Game, GameError, State, check_size
 
 
 class GoofspielState(State):
@@ -79,8 +79,7 @@ class GoofspielState(State):
 
 class Goofspiel(Game):
     def __init__(self, num_cards: int = 5):
-        if num_cards < 2:
-            raise GameError("goofspiel requires num_cards >= 2")
+        check_size("num_cards", num_cards, 2)
         self.num_cards = num_cards
         self.name = "goofspiel"
         self.max_game_length = 2 * num_cards

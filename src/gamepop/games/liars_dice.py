@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import CHANCE, TERMINAL, Game, GameError, State
+from .base import CHANCE, TERMINAL, Game, GameError, State, check_size
 
 
 class LiarsDiceState(State):
@@ -74,12 +74,11 @@ class LiarsDiceState(State):
 
 class LiarsDice(Game):
     def __init__(self, faces: int = 6, recall: int | None = None):
-        if faces < 2:
-            raise GameError("liars_dice requires faces >= 2")
-        if recall is not None and recall < 1:
+        check_size("faces", faces, 2)
+        if recall is not None:
             # The legal bid set depends on the last bid, so at least that
             # one action must stay in memory for infosets to be well formed.
-            raise GameError("recall must be >= 1")
+            check_size("recall", recall, 1)
         self.faces = faces
         self.recall = recall
         self.challenge_action = 2 * faces

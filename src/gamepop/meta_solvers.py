@@ -81,15 +81,29 @@ def extend_payoff(meta: MetaGame, game, pops, episodes: int | None = None,
     that many sampled episodes. Entries are evaluated independently
     (per-entry seeds drawn from `seed`), so any fill order produces the same
     matrix; existing entries are never recomputed.
-    """
-    def entry(r, c):
-        profile = (pops[0][r], pops[1][c])
-        if episodes is None:
-            return expected_value(game, profile)[0]
-        return monte_carlo_value(game, profile, episodes,
-                                 np.random.default_rng([seed, r, c]))
 
-    return fill_payoff(meta, pops, entry)
+    Exact entries take one `expected_value` walk per new row, against the
+    columns it lacks, and then one per column that still lacks entries,
+    against those rows; each entry equals its own walk's bit for bit.
+    """
+    if episodes is not None:
+        return fill_payoff(meta, pops, lambda r, c: monte_carlo_value(
+            game, (pops[0][r], pops[1][c]), episodes,
+            np.random.default_rng([seed, r, c])))
+    out = meta.grown_to(len(pops[0]), len(pops[1]))
+    for r in range(meta.row_count, out.row_count):
+        cols = np.flatnonzero(~out.filled[r])
+        if cols.size:
+            out.payoff[r, cols] = expected_value(
+                game, (pops[0][r], [pops[1][c] for c in cols]))[0]
+            out.filled[r, cols] = True
+    for c in range(out.col_count):
+        rows = np.flatnonzero(~out.filled[:, c])
+        if rows.size:
+            out.payoff[rows, c] = expected_value(
+                game, ([pops[0][r] for r in rows], pops[1][c]))[0]
+            out.filled[rows, c] = True
+    return out
 
 
 def fill_payoff(meta: MetaGame, pops, entry) -> MetaGame:

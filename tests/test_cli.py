@@ -99,6 +99,29 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: game.params: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("game, param", [
+        ({"name": "goofspiel", "params": {"num_cards": 2.5}}, "num_cards"),
+        ({"name": "liars_dice", "params": {"faces": 2.5}}, "faces")])
+    def test_fractional_game_size_writes_nothing(self, tmp_path, capsys,
+                                                 game, param):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(out, game=game))
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: game.params.{param}: must be an integer >= 2\n")
+        assert not out.exists()
+
+    def test_unknown_game_names_the_game_field(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(out,
+                                                     game={"name": "nope"}))
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: game.name: unknown game 'nope'; "
+                              "valid names: ")
+        assert "'ntmg'" in err and "'kuhn_poker'" in err
+        assert not out.exists()
+
 
 class TestConfigSchema:
     def test_negative_iterations_names_field(self, tmp_path):

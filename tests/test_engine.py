@@ -16,7 +16,7 @@ from gamepop.games import make_game
 from gamepop.meta_solvers import Nash, Prd, Uniform
 from gamepop.nets import ArchSignature, theta_size
 from gamepop.policies import (ParametricPolicy, PolicyMixture, TabularPolicy,
-                              scratch_init)
+                              checkpoint_dumps, scratch_init)
 
 RPS_ROWS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
 KUHN = {"name": "kuhn_poker", "params": {}}
@@ -407,6 +407,75 @@ class TestNtmgRun:
         first = path.read_text()
         run_psro(config, seed=0, out_dir=str(tmp_path / "run"))
         assert path.read_text() == first
+
+
+class TestExactResponseHandoff:
+    """An exact-oracle run trains each player on the best response that the
+    previous iteration's exploitability computed, when that response
+    answers the same members (by identity) with the same weight bytes."""
+
+    @staticmethod
+    def count_best_responses(monkeypatch):
+        import gamepop.games.evaluate as evaluate
+        import gamepop.oracles as oracles
+        calls = []
+        real = evaluate.best_response
+
+        def counting(game, opponent_mixture, responder):
+            calls.append(responder)
+            return real(game, opponent_mixture, responder)
+
+        monkeypatch.setattr(evaluate, "best_response", counting)
+        monkeypatch.setattr(oracles, "best_response", counting)
+        return calls
+
+    @staticmethod
+    def kuhn_config(iterations, every):
+        return PsroConfig(game=KUHN, oracle=ExactOracle(), mss=Nash(),
+                          init=(InheritLatest(), InheritLatest()),
+                          iterations=iterations,
+                          eval=EvalSpec(exact_exploitability_every=every))
+
+    def test_evaluated_iterations_hand_their_responses_on(self,
+                                                          monkeypatch):
+        calls = self.count_best_responses(monkeypatch)
+        iterations = 4
+        run_psro(self.kuhn_config(iterations, 1), seed=0)
+        # Two trained in iteration 1, two per evaluation; 4T without the
+        # handoff.
+        assert len(calls) == 2 * iterations + 2
+
+    def test_iteration_after_a_skipped_evaluation_recomputes(self,
+                                                             monkeypatch):
+        calls = self.count_best_responses(monkeypatch)
+        run_psro(self.kuhn_config(5, 2), seed=0)
+        # Evaluations at 2, 4 and 5; iterations 1, 2 and 4 follow none and
+        # train afresh, iterations 3 and 5 reuse.
+        assert len(calls) == 2 * 3 + 2 * 3
+
+    def test_only_the_answered_mixture_reuses(self, monkeypatch):
+        arena = _build_arena(self.kuhn_config(1, 1))
+        pops = ([TabularPolicy()],
+                [TabularPolicy(), TabularPolicy({"1": [0.0, 1.0]})])
+        arena.exploitability(pops, (np.ones(1), np.array([1.0, 0.0])))
+        calls = self.count_best_responses(monkeypatch)
+
+        def train(members, weights):
+            policy, _, _ = arena.train(None, PolicyMixture(members, weights),
+                                       0, [0], None)
+            return policy
+
+        reused = train(pops[1], [1.0, 0.0])
+        assert calls == []
+        # Equal weights with other bytes, and an equal member that is
+        # another object, are asked afresh.
+        for members, weights in ((pops[1], [1.0, -0.0]),
+                                 ([pops[1][0], TabularPolicy({"1": [0.0,
+                                                                    1.0]})],
+                                  [1.0, 0.0])):
+            fresh = train(members, weights)
+            assert checkpoint_dumps(fresh) == checkpoint_dumps(reused)
+        assert calls == [0, 0]
 
 
 class TestApproximateExploitability:

@@ -506,3 +506,69 @@ def test_exploitability_nonnegative_on_random_profiles():
         p0 = _random_policy(pool, 0, rng)
         p1 = _random_policy(pool, 1, rng)
         assert exploitability(game, (p0, p1)) >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# Member-resolved walk: one policy against a list of policies
+
+
+def _sparse_tabular(tree, rng, drop):
+    """A random tabular policy over every infoset of a fully grown tree;
+    each action drops to probability zero with probability `drop`, and a
+    distribution that drops them all plays one of them at random. With
+    ``drop=1`` the policy is pure."""
+    table = {}
+    for view in {view.key: view for view in tree.view if view}.values():
+        n = len(view.legal_actions)
+        dist = rng.dirichlet(np.ones(n))
+        dist[rng.random(n) < drop] = 0.0
+        if not dist.any():
+            dist[rng.integers(n)] = 1.0
+        table[view.key] = dist / dist.sum()
+    return TabularPolicy(table)
+
+
+def _grow(tree):
+    stack = [0]
+    while stack:
+        stack.extend(child for _, child, _ in tree.children(stack.pop()))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("kuhn_poker", {}),
+    ("leduc_poker", {}),
+    ("goofspiel", {"num_cards": 4}),
+    ("liars_dice", {"faces": 3}),
+])
+def test_member_resolved_walk_equals_pairwise_walks_bit_for_bit(name,
+                                                                params):
+    """Each entry of a row (one row policy against a list of column
+    policies) and of a column (a list of row policies against one column
+    policy) is the pair's own `expected_value`, sign of zero included."""
+    game = make_game(name, params)
+    _grow(game.tree)
+    rng = np.random.default_rng(31)
+    size = 3 if name == "leduc_poker" else 5
+    # Pure members make some entries exactly zero where the game can tie.
+    rows = [_sparse_tabular(game.tree, rng, drop)
+            for drop in [0.4, 1.0, 1.0, 1.0, 0.4][:size]]
+    cols = [TabularPolicy()] + [_sparse_tabular(game.tree, rng, drop)
+                                for drop in [1.0, 0.4, 1.0, 1.0][:size - 1]]
+    pairwise = np.array([[expected_value(game, (row, col)) for col in cols]
+                         for row in rows])  # (row, col, player)
+    for r, row in enumerate(rows):
+        resolved = np.array(expected_value(game, (row, cols)))
+        assert resolved.shape == (2, len(cols))
+        assert (resolved == pairwise[r].T).all()
+        assert (np.signbit(resolved) == np.signbit(pairwise[r].T)).all()
+    for c, col in enumerate(cols):
+        resolved = np.array(expected_value(game, (rows, col)))
+        assert resolved.shape == (2, len(rows))
+        assert (resolved == pairwise[:, c].T).all()
+        assert (np.signbit(resolved) == np.signbit(pairwise[:, c].T)).all()
+
+
+def test_member_resolved_walk_takes_one_listed_side():
+    game = make_game("kuhn_poker")
+    with pytest.raises(ValueError, match="one side"):
+        expected_value(game, ([TabularPolicy()], [TabularPolicy()]))

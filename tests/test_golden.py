@@ -6,7 +6,9 @@ trajectories, divergence diagnostics; `timings.csv` excluded). The values
 were recorded before the tree and plane runs shared one arena and episode
 sampling went through one function (the tabular fusion case before the
 arenas built fresh and fused policies themselves, `kuhn_approx_exact` before
-every walk and episode read one game tree); a change that is meant to keep
+every walk and episode read one game tree, the two exact-oracle cases
+before exact runs reused their exploitability best responses and filled
+payoff rows and columns in one walk each); a change that is meant to keep
 behaviour must keep them. Networks are tiny, so BLAS does little of the
 work.
 """
@@ -21,6 +23,7 @@ from gamepop.config import parse_config
 from gamepop.games import TraversalBudgetError
 
 KUHN = {"name": "kuhn_poker", "params": {}}
+LEDUC = {"name": "leduc_poker", "params": {}}
 HEADER = ("# gamepop-results-v1\n"
           "iteration,exploitability,approx_exploitability,pop_size_p1,"
           "pop_size_p2\n")
@@ -71,6 +74,26 @@ CASES = {
         "1,0.6666666666666667,,2,2\n2,0.48809523809523847,,3,3\n"
         "3,0.39583333333333337,,4,4\n4,0.3888888888888892,,5,5\n",
         "42832e025b0203141809d1cde2f99d7b683cbee68b6a2138994b7f85f6090af3"),
+    # Exact oracle, exact payoffs and exact exploitability every iteration:
+    # the settings of the benchmark's exact_leduc workload.
+    "leduc_exact": (
+        {"game": LEDUC, "oracle": {"kind": "exact"}, "mss": {"kind": "nash"},
+         "init": {"method": "inherit_latest"}, "iterations": 5, "seeds": [0],
+         "eval": {"exact_exploitability_every": 1},
+         "payoff": {"mode": "exact"}},
+        "1,6.833333333333333,,2,2\n2,5.005256593014968,,3,3\n"
+        "3,5.198870967741936,,4,4\n4,3.264244947523636,,5,5\n"
+        "5,4.8007301820579995,,6,6\n",
+        "621f176d4f95f324a9cfb6678adac83f4de4dc244354ea1a7dc646953a261e6e"),
+    # Exact oracle with exploitability every other iteration: iterations 3
+    # and 5 follow an evaluation, iteration 4 follows none.
+    "kuhn_exact_every_2": (
+        {"game": KUHN, "oracle": {"kind": "exact"}, "mss": {"kind": "nash"},
+         "init": {"method": "inherit_latest"}, "iterations": 5, "seeds": [0],
+         "eval": {"exact_exploitability_every": 2}},
+        "1,,,2,2\n2,0.33333333333333337,,3,3\n3,,,4,4\n"
+        "4,0.16666666666666657,,5,5\n5,0.10344827586206917,,6,6\n",
+        "b39967c1489907cac32eefec54806ff3e3a1d4d6f2870a344c091ce61a5085ed"),
     "ntmg": (
         {"game": {"name": "ntmg", "params": {}},
          "oracle": {"kind": "gradient", "steps": 30, "lr": 1.0},
