@@ -6,16 +6,20 @@ that must be a function of the owning player's own action/observation
 sequence (perfect recall); games that deliberately break this set
 ``perfect_recall = False``.
 
-Every walk and every sampled episode reads a game through its `Tree`
-(``game.tree``): states are stepped once per edge, when the tree first grows
-past a node, and policies see a decision node as its `InfosetView`.
+Every sampled episode reads a game through its `Tree` (``game.tree``):
+states are stepped once per edge, when the tree first grows past a node,
+and policies see a decision node as its `InfosetView`. Exact evaluation
+reads the whole tree as flat arrays (``game.tree.flat``, a `FlatTree`),
+compiled once from the game's states with the tree's views.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +137,8 @@ class InfosetView:
 
 
 class Tree:
-    """The tree of one game, grown on demand and shared by every walk and
-    every sampled episode.
+    """The tree of one game, grown on demand and shared by every sampled
+    episode; exact evaluation reads its `flat` form.
 
     Nodes are numbered in the order they are first reached; the root is 0.
     Per node the tree holds its `owner` (a player, CHANCE or TERMINAL), its
@@ -158,6 +162,12 @@ class Tree:
 
     def __len__(self) -> int:
         return len(self.owner)
+
+    @functools.cached_property
+    def flat(self) -> "FlatTree":
+        """The whole tree as a `FlatTree`, compiled on first use and
+        kept."""
+        return FlatTree(self)
 
     def children(self, node: int) -> tuple:
         kids = self._children[node]
@@ -195,6 +205,147 @@ class Tree:
             view = self._views[player, key] = InfosetView(
                 key, tuple(state.legal_actions()), features)
         return view
+
+
+class Infosets(NamedTuple):
+    """One player's infosets in a `FlatTree`.
+
+    Infoset i is ``views[i]``, has ``num_actions[i]`` legal actions and
+    holds the nodes ``nodes[start[i]:start[i + 1]]``, in depth-first
+    preorder; the shallowest of them lies on level ``first_level[i]``.
+    ``in_preorder`` lists all of the player's nodes in preorder.
+    ``below[below_start[i]:below_start[i + 1]]`` are the player's nodes
+    whose nearest ancestor of the player's lies in infoset i, ordered by
+    the action taken there, then by that ancestor's preorder, then by their
+    own preorder.
+    """
+    views: tuple[InfosetView, ...]
+    num_actions: np.ndarray
+    nodes: np.ndarray
+    start: np.ndarray
+    first_level: np.ndarray
+    in_preorder: np.ndarray
+    below: np.ndarray
+    below_start: np.ndarray
+
+
+class FlatTree:
+    """A game's whole tree as flat arrays, the form exact evaluation reads.
+
+    Nodes are numbered level by level: level d is the slice
+    ``levels[d]:levels[d + 1]``, and within a level nodes keep their
+    depth-first preorder, so a node's children are contiguous in the next
+    level, in legal or chance order. Per node the arrays hold its ``owner``
+    (a player, CHANCE or TERMINAL), its ``parent`` (-1 at the root; never
+    decreasing), its ``slot`` among its siblings, the chance probability
+    ``prob`` of the edge into it (1.0 below a decision node), its
+    ``infoset`` index among its owner's `Infosets` (-1 at chance and
+    terminal nodes). ``utility`` holds the terminals' returns in node
+    order, level d's being rows ``leaves[d]:leaves[d + 1]``;
+    ``infosets[p]`` describes player p's.
+
+    Building it steps every state of the game once, depth first, and
+    takes each decision node's view from the `Tree` without growing the
+    tree's own nodes; TraversalBudgetError fires once the tree passes
+    `MAX_TREE_NODES`. Indices are int32 or narrower, and no per-node Python
+    object outlives the build.
+    """
+
+    def __init__(self, tree: Tree):
+        # Depth first from the initial state, one record per node in
+        # preorder, kept in typed arrays rather than Python objects.
+        owner, parent, slot = array("b"), array("i"), array("i")
+        depth, infoset = array("i"), array("i")
+        prob, returns = array("d"), array("d")
+        index = ({}, {})  # per player: view -> infoset index
+        grown = 1
+        stack = [(tree.game.initial_state(), -1, 0, 1.0, 0)]
+        while stack:
+            state, up, s, p, d = stack.pop()
+            node = len(owner)
+            player = state.current_player
+            owner.append(player)
+            parent.append(up)
+            slot.append(s)
+            prob.append(p)
+            depth.append(d)
+            if player < 0:
+                infoset.append(-1)
+            else:
+                seen = index[player]
+                infoset.append(seen.setdefault(tree._view(state, player),
+                                               len(seen)))
+            if player == TERMINAL:
+                returns.extend(state.returns())
+                continue
+            outcomes = (state.chance_outcomes() if player == CHANCE
+                        else [(a, 1.0) for a in state.legal_actions()])
+            grown += len(outcomes)
+            if grown > MAX_TREE_NODES:
+                raise TraversalBudgetError(
+                    f"{tree.game.name}: the game tree would grow past "
+                    f"{MAX_TREE_NODES} nodes")
+            stack.extend((state.child(a), node, k, q, d + 1)
+                         for k, (a, q) in reversed(list(enumerate(outcomes))))
+
+        # Renumber level by level; lexsort is stable, so each level keeps
+        # preorder. Node i was the preorder[i]-th node visited, and the
+        # p-th node visited is node number[p].
+        depth, owner = np.array(depth), np.array(owner)
+        preorder = np.lexsort((depth,))
+        number = np.empty(len(preorder), np.int32)
+        number[preorder] = np.arange(len(preorder))
+        up = np.array(parent)[preorder]
+        self.levels = np.concatenate([[0], np.cumsum(np.bincount(depth))])
+        self.owner = owner[preorder]
+        self.parent = np.where(up < 0, -1, number[up]).astype(np.int32)
+        slot = np.array(slot)[preorder]
+        self.slot = slot.astype(np.min_scalar_type(slot.max()))
+        self.prob = np.array(prob)[preorder]
+        self.infoset = np.array(infoset, np.int32)[preorder]
+        terminal = self.owner == TERMINAL
+        ends = np.cumsum(owner == TERMINAL)  # in preorder
+        self.utility = np.array(returns).reshape(-1, 2)[
+            ends[preorder[terminal]] - 1]
+        self.leaves = np.concatenate([[0], np.cumsum(terminal)])[self.levels]
+        self.infosets = tuple(
+            self._infosets(player, tuple(index[player]),
+                           number[owner == player], depth[preorder], preorder)
+            for player in (0, 1))
+
+    def _infosets(self, player, views, in_preorder, depth,
+                  preorder) -> Infosets:
+        # Sorting a list in preorder by a stable lexsort keeps preorder
+        # within each group.
+        nodes = in_preorder[np.lexsort((self.infoset[in_preorder],))]
+        start = _starts(self.infoset[nodes], len(views))
+        first_level = (np.minimum.reduceat(depth[nodes], start[:-1])
+                       if len(views) else np.zeros(0, np.int64))
+        # The nearest ancestor of the player's and the slot taken there.
+        mine = self.owner == player
+        above = np.full(len(mine), -1, np.int32)
+        taken = np.zeros(len(mine), self.slot.dtype)
+        for b, c in zip(self.levels[1:-1], self.levels[2:]):
+            up = self.parent[b:c]
+            at = mine[up]
+            above[b:c] = np.where(at, up, above[up])
+            taken[b:c] = np.where(at, self.slot[b:c], taken[up])
+        below = in_preorder[above[in_preorder] >= 0]
+        below = below[np.lexsort((preorder[above[below]], taken[below],
+                                  self.infoset[above[below]]))]
+        return Infosets(views,
+                        np.array([len(v.legal_actions) for v in views],
+                                 np.int32),
+                        nodes, start, first_level.astype(np.int32),
+                        in_preorder, below,
+                        _starts(self.infoset[above[below]], len(views)))
+
+
+def _starts(groups: np.ndarray, count: int) -> np.ndarray:
+    """Where each of `count` groups starts in the sorted ``groups``, and
+    their total length at the end."""
+    return np.concatenate([[0], np.cumsum(np.bincount(
+        groups, minlength=count))]).astype(np.int32)
 
 
 def draw_index(weights: np.ndarray, rng: np.random.Generator):

@@ -1,30 +1,40 @@
-"""Exact evaluation by walking the game tree: expected value, best response,
+"""Exact evaluation over a game's flat tree: expected value, best response,
 exploitability.
 
-Mixtures are handled exactly: a walk carries one reach weight per mixture
-member and per player, so sampling a member once per playthrough is
-integrated out in closed form rather than simulated. Every walk reads
-``game.tree`` (see `gamepop.games.base.Tree`), which raises
-TraversalBudgetError for a game too large to evaluate exactly.
+Every evaluation reads ``game.tree.flat`` (see `gamepop.games.base.FlatTree`),
+compiled from the whole tree on first use; it raises TraversalBudgetError
+for a game too large to evaluate exactly. Mixtures are handled exactly: a pass
+carries one reach weight per mixture member and per player, so sampling a
+member once per playthrough is integrated out in closed form rather than
+simulated.
+
+Evaluation is two array passes over the tree's levels. `_descend`, the only
+step that reads policies, goes down: it reads each member once per infoset
+that holds a node the pass reaches, into an (infosets x members x actions)
+table, and a child's reach is its parent's times the table entry of the
+action leading to it. `_ascend` goes up: a node's value is 0.0 plus its
+children's, added in slot order. `best_response` ascends with one full
+value array and decides each responder infoset once the values below all
+of its nodes are known.
+
+Every value takes the same floating-point operations, in the same order,
+as a recursive walk that skips each branch no member plays (the reference
+in tests/test_evaluate.py): the passes here skip nothing, but a skipped
+branch is worth +0.0 or -0.0, and adding either to a total that starts at
++0.0, and so is never -0.0, leaves the total as it is.
 
 `expected_value` also resolves one side by member: given a list of policies
-on that side, its walk keeps one reach entry per listed policy and never
-sums them, so one walk values one policy against a whole population (a new
-payoff row or column). Each entry takes the same floating-point operations,
-in the same order, as that pair's own walk; a branch the pair's own walk
-prunes adds only a zero term, which leaves every total as it is.
-
-`_follow` is the one mixture-branching step. Policies are read only there:
-once per walk and decision node in `expected_value`, and in the first of
-`best_response`'s two passes; its second pass reads only what the first one
-recorded.
+on that side, its pass keeps one reach entry per listed policy and never
+sums them, so one pass values one policy against a whole population (a new
+payoff row or column), each entry equal bit for bit to that pair's own
+value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import CHANCE, TERMINAL, Game
+from .base import TERMINAL, FlatTree, Game
 
 
 def _as_members(policy_or_mixture):
@@ -38,19 +48,96 @@ def _as_members(policy_or_mixture):
     return [policy_or_mixture], np.ones(1)
 
 
-def _follow(members, view, reach: np.ndarray):
-    """The mixture's branching step at a decision node: yields ``(j,
-    reach * probs[:, j])`` for each legal action j that some member still
-    plays, reading every member's ``action_probs(view)`` once."""
-    probs = np.stack([m.action_probs(view) for m in members])
-    for j in range(len(view.legal_actions)):
-        r_next = reach * probs[:, j]
-        if r_next.any():
-            yield j, r_next
+def _descend(flat: FlatTree, sides):
+    """The top-down pass for ``sides``, each ``(player, members, weights,
+    fold)``.
+
+    Returns ``(chance, reaches, reached)``: each terminal's chance
+    probability; per side, each terminal's reach, summed over members if
+    the side folds and one column per member if not; and whether the pass
+    reaches each node. The root is reached, and a child of a side's
+    decision node is reached if its parent is and some member of that side
+    plays the action. Each member is read once per infoset of its player
+    that holds a reached node.
+    """
+    levels, owner, infoset = flat.levels, flat.owner, flat.infoset
+    tables, read = [], []
+    for player, members, _, _ in sides:
+        infosets = flat.infosets[player]
+        tables.append(np.zeros((len(infosets.views), len(members),
+                                infosets.num_actions.max(initial=1))))
+        read.append(np.zeros(len(infosets.views), bool))
+    reach = [np.asarray(weights, dtype=float)[None, :]
+             for _, _, weights, _ in sides]
+    chance = np.ones(1)
+    alive = np.ones(1, bool)
+    reached = np.empty(len(owner), bool)
+    leaf_chance, leaf_reach = [], [[] for _ in sides]
+    for d in range(len(levels) - 1):
+        a, b = levels[d], levels[d + 1]
+        own = owner[a:b]
+        reached[a:b] = alive
+        leaf = own == TERMINAL
+        leaf_chance.append(chance[leaf])
+        for i, (_, _, _, fold) in enumerate(sides):
+            r = reach[i][leaf]
+            leaf_reach[i].append(r.sum(axis=1, keepdims=True) if fold else r)
+        if d == len(levels) - 2:
+            break
+        c = slice(b, levels[d + 2])
+        up, slot = flat.parent[c] - a, flat.slot[c]
+        chance = chance[up] * flat.prob[c]
+        alive_below = alive[up]
+        for i, (player, members, _, _) in enumerate(sides):
+            due = np.zeros(len(read[i]), bool)
+            due[infoset[a:b][alive & (own == player)]] = True
+            _read(tables[i], read[i], members, flat.infosets[player].views,
+                  np.flatnonzero(due & ~read[i]))
+            r = reach[i] = reach[i][up]
+            moves = np.flatnonzero(own[up] == player)
+            moved = r[moves] * tables[i][infoset[a + up[moves]], :,
+                                         slot[moves]]
+            r[moves] = moved
+            alive_below[moves] &= moved.any(axis=1)
+        alive = alive_below
+    return (np.concatenate(leaf_chance),
+            [np.concatenate(r) for r in leaf_reach], reached)
 
 
-def _resolved(reach: np.ndarray) -> np.ndarray:
-    return reach
+def _read(table, read, members, views, rows):
+    """Fill the table rows of infosets ``rows`` with every member's
+    ``action_probs``, one call per member and infoset."""
+    for i in rows.tolist():
+        view = views[i]
+        width = len(view.legal_actions)
+        for m, member in enumerate(members):
+            table[i, m, :width] = member.action_probs(view)
+    read[rows] = True
+
+
+def _add_children(flat: FlatTree, d: int, here, below):
+    """Add level d + 1's values ``below`` into their parents' values
+    ``here`` on level d, slot by slot."""
+    up = flat.parent[flat.levels[d + 1]:flat.levels[d + 2]] - flat.levels[d]
+    slot = flat.slot[flat.levels[d + 1]:flat.levels[d + 2]]
+    for s in range(int(slot.max()) + 1):
+        k = np.flatnonzero(slot == s)
+        here[up[k]] += below[k]
+
+
+def _ascend(flat: FlatTree, leaf_values):
+    """The root's values when each terminal is worth its row of
+    ``leaf_values`` and every other node the sum of its children's."""
+    levels, leaves = flat.levels, flat.leaves
+    below = None
+    for d in reversed(range(len(levels) - 1)):
+        here = np.zeros((levels[d + 1] - levels[d],) + leaf_values.shape[1:])
+        here[flat.owner[levels[d]:levels[d + 1]] == TERMINAL] = (
+            leaf_values[leaves[d]:leaves[d + 1]])
+        if below is not None:
+            _add_children(flat, d, here, below)
+        below = here
+    return below[0]
 
 
 def expected_value(game: Game, profile):
@@ -60,36 +147,18 @@ def expected_value(game: Game, profile):
     utilities are then arrays with one entry per listed policy, each equal
     bit for bit to the utility of that policy's own profile.
     """
-    members = [None, None]
-    weights = [None, None]
-    for i in (0, 1):
-        members[i], weights[i] = _as_members(profile[i])
-    # At a terminal a mixture's reach is summed; a listed side's is not.
-    fold0, fold1 = (_resolved if isinstance(side, list) else np.ndarray.sum
-                    for side in profile)
-    if fold0 is fold1 is _resolved:
+    sides = []
+    for player, side in enumerate(profile):
+        members, weights = _as_members(side)
+        sides.append((player, members, weights, not isinstance(side, list)))
+    if not (sides[0][3] or sides[1][3]):
         raise ValueError("expected_value resolves one side of a profile by "
                          "member, not both")
-    tree = game.tree
-
-    def walk(node: int, chance: float, r0: np.ndarray,
-             r1: np.ndarray) -> float:
-        player = tree.owner[node]
-        if player == TERMINAL:
-            return chance * fold0(r0) * fold1(r1) * tree.returns[node][0]
-        kids = tree.children(node)
-        if player == CHANCE:
-            return sum(walk(child, chance * p, r0, r1) for _, child, p in kids)
-        reach = r0 if player == 0 else r1
-        total = 0.0
-        for j, r_next in _follow(members[player], tree.view[node], reach):
-            if player == 0:
-                total += walk(kids[j][1], chance, r_next, r1)
-            else:
-                total += walk(kids[j][1], chance, r0, r_next)
-        return total
-
-    v0 = walk(0, 1.0, weights[0], weights[1])
+    flat = game.tree.flat
+    chance, (fold0, fold1), _ = _descend(flat, sides)
+    v0 = _ascend(flat, chance[:, None] * fold0 * fold1 * flat.utility[:, :1])
+    if sides[0][3] and sides[1][3]:
+        v0 = v0[0]
     return (v0, -v0)
 
 
@@ -99,82 +168,134 @@ def best_response(game: Game, opponent_mixture, responder: int):
     Returns (policy, value). The policy is tabular and deterministic on every
     infoset reachable under the opponent mixture (ties broken by lowest
     action id); unreachable infosets fall back to the uniform default.
+    """
+    policy, value, _, _ = _respond(game.tree.flat, opponent_mixture,
+                                   responder)
+    return policy, value
 
-    Two passes over the tree (Johanson et al., IJCAI 2011). Only the first
-    reads policies: it follows the opponent mixture with `_follow` and
-    records every node it reaches, each terminal with its chance-and-reach
-    weight, and each responder infoset's nodes. The second maximizes
-    infoset values bottom-up from that record alone.
+
+def _respond(flat: FlatTree, opponent_mixture, responder: int):
+    """`best_response` on ``flat``, followed by each terminal's chance
+    probability and summed opponent reach.
+
+    Johanson et al. (IJCAI 2011): one `_descend` for the opponent, then one
+    ascent over a full value array in which each terminal is worth its
+    chance and opponent reach times the responder's utility, and each
+    responder node its best action's child.
     """
     from ..policies import TabularPolicy, _one_hot
 
-    members, base_weights = _as_members(opponent_mixture)
-    opponent = 1 - responder
-    tree = game.tree
+    members, weights = _as_members(opponent_mixture)
+    chance, (fold,), reached = _descend(
+        flat, [(1 - responder, members, weights, True)])
+    value = np.zeros(len(flat.owner))
+    value[flat.owner == TERMINAL] = (chance * fold[:, 0]
+                                     * flat.utility[:, responder])
+    best = _decide(flat, value, reached, responder)
+    infosets = flat.infosets[responder]
+    table = {infosets.views[i].key: _one_hot(infosets.num_actions[i],
+                                             best[i])
+             for i in _decision_order(flat, reached, responder)}
+    return TabularPolicy(table), value[0], chance, fold[:, 0]
 
-    # node -> chance * opponent reach at a terminal, None elsewhere
-    reached: dict[int, float | None] = {}
-    infosets: dict = {}  # responder view -> [node]
 
-    def collect(node: int, chance: float, reach: np.ndarray):
-        player = tree.owner[node]
-        if player == TERMINAL:
-            reached[node] = chance * reach.sum()
-            return
-        reached[node] = None
-        kids = tree.children(node)
-        if player == CHANCE:
-            for _, child, p in kids:
-                collect(child, chance * p, reach)
-        elif player == opponent:
-            for j, r_next in _follow(members, tree.view[node], reach):
-                collect(kids[j][1], chance, r_next)
-        else:
-            infosets.setdefault(tree.view[node], []).append(node)
-            for _, child, _ in kids:
-                collect(child, chance, reach)
+def _decide(flat: FlatTree, value, reached, responder: int):
+    """Best action of each responder infoset holding a reached node (-1
+    elsewhere), filling ``value`` with every node's value under them.
 
-    collect(0, 1.0, base_weights)
-
-    br_actions: dict = {}  # view -> index of the best action
-    value_memo: dict[int, float] = {}
-
-    def value(node: int) -> float:
-        # Weighted responder value with best-response play at responder nodes.
-        v = value_memo.get(node)
-        if v is not None:
-            return v
-        player = tree.owner[node]
-        if player == TERMINAL:
-            v = reached[node] * tree.returns[node][responder]
-        elif player == responder:
-            v = value(tree.children(node)[infoset_action(tree.view[node])][1])
-        else:
-            v = sum(value(child) for _, child, _ in tree.children(node)
-                    if child in reached)
-        value_memo[node] = v
-        return v
-
-    def infoset_action(view) -> int:
-        best = br_actions.get(view)
-        if best is not None:
+    Levels are ascended from the deepest. On a level, every node first sums
+    its children; then the infosets whose shallowest node lies there are
+    decided, unless a node of theirs has a child whose value still waits
+    for a decision; then each responder node of a decided infoset takes its
+    best action's child's value. With perfect recall, or with each infoset
+    on one level, one ascent decides all; an infoset that spans levels
+    without perfect recall may wait for the next ascent.
+    """
+    levels, owner, infoset = flat.levels, flat.owner, flat.infoset
+    infosets = flat.infosets[responder]
+    mine = owner == responder
+    live = np.zeros(len(infosets.views), bool)
+    live[infoset[reached & mine]] = True
+    best = np.full(len(infosets.views), -1)
+    known = np.ones(len(owner), bool)  # value no longer waits for a decision
+    while True:
+        decided = best >= 0
+        waits = np.zeros(len(infosets.views), bool)
+        for d in reversed(range(len(levels) - 2)):
+            a, b, c = levels[d], levels[d + 1], levels[d + 2]
+            here = value[a:b]
+            inner = owner[a:b] != TERMINAL
+            here[inner] = 0.0
+            _add_children(flat, d, here, value[b:c])
+            ready = np.ones(b - a, bool)
+            ready[flat.parent[b:c][~known[b:c]] - a] = False
+            nodes = a + np.flatnonzero(mine[a:b])
+            waits[infoset[nodes[reached[nodes] & ~ready[nodes - a]]]] = True
+            due = np.flatnonzero((infosets.first_level == d) & live
+                                 & (best < 0) & ~waits)
+            best[due] = _best_actions(flat, value, infosets, due)
+            choice = best[infoset[nodes]]
+            chosen = choice >= 0
+            value[nodes[chosen]] = value[np.searchsorted(
+                flat.parent, nodes[chosen]) + choice[chosen]]
+            ready[nodes[~chosen] - a] = False
+            known[a:b] = ready | ~reached[a:b]
+        if known[0]:
             return best
-        nodes = infosets[view]
-        best, best_value = 0, -np.inf
-        for j in range(len(view.legal_actions)):
-            v = sum(value(tree.children(node)[j][1]) for node in nodes)
-            if v > best_value:  # strict: lowest action id wins ties
-                best_value = v
-                best = j
-        br_actions[view] = best
-        return best
+        if np.array_equal(decided, best >= 0):
+            raise ValueError("best_response: responder infosets depend on "
+                             "each other in a cycle")
 
-    for view in infosets:
-        infoset_action(view)
 
-    table = {view.key: _one_hot(len(view.legal_actions), best)
-             for view, best in br_actions.items()}
-    return TabularPolicy(table), value(0)
+def _best_actions(flat: FlatTree, value, infosets, due):
+    """For each infoset in ``due``, the action whose children's values,
+    summed over the infoset's nodes in preorder from 0.0, is largest; the
+    lowest such action, ignoring NaN; action 0 if none beats -inf."""
+    start = infosets.start[due]
+    count = infosets.start[due + 1] - start
+    width = infosets.num_actions[due]
+    actions = np.arange(width.max(initial=1))
+    total = np.zeros((len(due), len(actions)))
+    for rank in range(count.max(initial=0)):
+        k = np.flatnonzero(count > rank)
+        nodes = infosets.nodes[start[k] + rank]
+        first = np.searchsorted(flat.parent, nodes)
+        total[k] += value[first[:, None]
+                          + np.minimum(actions, width[k, None] - 1)]
+    total[(actions >= width[:, None]) | np.isnan(total)] = -np.inf
+    return total.argmax(axis=1)
+
+
+def _decision_order(flat: FlatTree, reached, responder: int) -> list[int]:
+    """The responder infosets holding a reached node, in the order a
+    recursive best response finishes deciding them: depth first from each
+    infoset in order of its first reached node in preorder, into the
+    infosets of the reached responder nodes `Infosets.below` it."""
+    infosets = flat.infosets[responder]
+    below = infosets.below
+    into = np.where(reached[below], flat.infoset[below], -1).tolist()
+    start = infosets.below_start.tolist()
+    firsts = infosets.in_preorder[reached[infosets.in_preorder]]
+    seen = bytearray(len(infosets.views))
+    finished = []
+    for root in flat.infoset[firsts].tolist():
+        if seen[root]:
+            continue
+        seen[root] = 1
+        stack = [[root, start[root]]]
+        while stack:
+            top = stack[-1]
+            node, edge = top
+            if edge == start[node + 1]:
+                stack.pop()
+                finished.append(node)
+                continue
+            top[1] = edge + 1
+            child = into[edge]
+            if child >= 0 and not seen[child]:
+                seen[child] = 1
+                stack.append([child, start[child]])
+    return finished
 
 
 def exploitability(game: Game, profile, with_responses: bool = False):
@@ -183,12 +304,22 @@ def exploitability(game: Game, profile, with_responses: bool = False):
     With ``with_responses`` returns ``(sum, responses)``, where
     ``responses[player]`` is the best-response policy behind that player's
     gain: `best_response` to ``profile[1 - player]``.
+
+    The profile's own value comes from the two best responses' opponent
+    reaches, so policies are read only by those two descents.
     """
-    current = expected_value(game, profile)
-    total = 0.0
-    responses = []
+    flat = game.tree.flat
+    responses, values, folds = [], [], [None, None]
     for player in (0, 1):
-        policy, br_value = best_response(game, profile[1 - player], player)
-        total += br_value - current[player]
+        # Both descents give each terminal the same chance probability.
+        policy, value, chance, folds[1 - player] = _respond(
+            flat, profile[1 - player], player)
         responses.append(policy)
+        values.append(value)
+    v0 = _ascend(flat, (chance * folds[0] * folds[1]
+                        * flat.utility[:, 0])[:, None])[0]
+    current = (v0, -v0)
+    total = 0.0
+    for player in (0, 1):
+        total += values[player] - current[player]
     return (total, tuple(responses)) if with_responses else total

@@ -416,17 +416,17 @@ class TestExactResponseHandoff:
 
     @staticmethod
     def count_best_responses(monkeypatch):
+        # `best_response` and `exploitability` both compute each best
+        # response through `evaluate._respond`.
         import gamepop.games.evaluate as evaluate
-        import gamepop.oracles as oracles
         calls = []
-        real = evaluate.best_response
+        real = evaluate._respond
 
-        def counting(game, opponent_mixture, responder):
+        def counting(flat, opponent_mixture, responder):
             calls.append(responder)
-            return real(game, opponent_mixture, responder)
+            return real(flat, opponent_mixture, responder)
 
-        monkeypatch.setattr(evaluate, "best_response", counting)
-        monkeypatch.setattr(oracles, "best_response", counting)
+        monkeypatch.setattr(evaluate, "_respond", counting)
         return calls
 
     @staticmethod

@@ -400,17 +400,22 @@ def _scratch_mixture(game, weights, seed):
     return PolicyMixture(members, weights)
 
 
+# Liar's Dice without perfect recall has infosets whose nodes lie at
+# different depths.
 TREE_GAMES = [
     ("kuhn_poker", {}),
     ("leduc_poker", {}),
     ("goofspiel", {"num_cards": 4}),
     ("liars_dice", {"faces": 3}),
+    ("liars_dice_ir", {"faces": 3, "recall": 1}),
+    ("liars_dice_ir", {"faces": 3, "recall": 2}),
 ]
 
 
 @pytest.mark.parametrize("name,params", TREE_GAMES)
 @pytest.mark.parametrize("weights", [
     [1.0], [0.5, 0.5], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7], [0.2, 0.3, 0.0, 0.5],
+    [0.1, 0.0, 0.15, 0.05, 0.2, 0.0, 0.1, 0.25, 0.15],
 ])
 def test_br_equals_two_pass_reference_bit_for_bit(name, params, weights):
     game = make_game(name, params)
@@ -425,20 +430,17 @@ def test_br_equals_two_pass_reference_bit_for_bit(name, params, weights):
             assert policy.table[key].tobytes() == dist.tobytes()
 
 
-def _reached_opponent_nodes(tree, mixture, opponent):
-    """Opponent nodes that some positive-weight member reaches, counted by
-    brute force over each member's own reach."""
+def _reached_nodes(tree, mixture, player):
+    """Nodes that some positive-weight member of `mixture`, playing
+    `player`, reaches when every other decision plays each action: counted
+    by brute force over each member's own reach."""
     reached = set()
 
     def walk(node, member):
-        player = tree.owner[node]
-        if player == TERMINAL:
-            return
+        reached.add(node)
         kids = tree.children(node)
-        probs = None
-        if player == opponent:
-            reached.add(node)
-            probs = member.action_probs(tree.view[node])
+        probs = (member.action_probs(tree.view[node])
+                 if tree.owner[node] == player else None)
         for j, (_, child, _) in enumerate(kids):
             if probs is None or probs[j] > 0.0:
                 walk(child, member)
@@ -446,23 +448,56 @@ def _reached_opponent_nodes(tree, mixture, opponent):
     for member, weight in zip(mixture.members, mixture.weights):
         if weight > 0.0:
             walk(0, member)
-    return len(reached)
+    return reached
+
+
+def _infosets_of(tree, nodes, player):
+    return len({tree.view[node] for node in nodes
+                if tree.owner[node] == player})
+
+
+def _count_reads(mixture):
+    """Replace each member's `action_probs` by one that counts its calls
+    into the returned list."""
+    calls = [0] * len(mixture.members)
+    for i, member in enumerate(mixture.members):
+        def counted(view, i=i, read=member.action_probs):
+            calls[i] += 1
+            return read(view)
+        member.action_probs = counted
+    return calls
 
 
 @pytest.mark.parametrize("name,params", TREE_GAMES)
 def test_br_reads_each_member_once_per_reached_opponent_node(name, params):
+    """Each member is read once per opponent infoset that the mixture
+    reaches, however many of its nodes are reached."""
     game = make_game(name, params)
     for responder in (0, 1):
+        opponent = 1 - responder
         mixture = _scratch_mixture(game, [0.2, 0.3, 0.0, 0.5], seed=4)
-        expected = _reached_opponent_nodes(game.tree, mixture, 1 - responder)
-        calls = [0] * len(mixture.members)
-        for i, member in enumerate(mixture.members):
-            def counted(view, i=i, read=member.action_probs):
-                calls[i] += 1
-                return read(view)
-            member.action_probs = counted
+        expected = _infosets_of(
+            game.tree, _reached_nodes(game.tree, mixture, opponent), opponent)
+        calls = _count_reads(mixture)
         best_response(game, mixture, responder)
         assert calls == [expected] * len(mixture.members)
+
+
+@pytest.mark.parametrize("name,params", TREE_GAMES)
+def test_ev_reads_each_member_once_per_reached_infoset(name, params):
+    """Each member is read once per infoset of its player holding a node
+    that both mixtures reach."""
+    game = make_game(name, params)
+    profile = (_scratch_mixture(game, [0.2, 0.3, 0.0, 0.5], seed=4),
+               _scratch_mixture(game, [0.6, 0.0, 0.4], seed=9))
+    both = (_reached_nodes(game.tree, profile[0], 0)
+            & _reached_nodes(game.tree, profile[1], 1))
+    expected = [_infosets_of(game.tree, both, player) for player in (0, 1)]
+    calls = [_count_reads(mixture) for mixture in profile]
+    expected_value(game, profile)
+    for player in (0, 1):
+        assert calls[player] == [expected[player]] * len(
+            profile[player].members)
 
 
 def test_tabular_distributions_are_read_only():
@@ -566,6 +601,112 @@ def test_member_resolved_walk_equals_pairwise_walks_bit_for_bit(name,
         assert resolved.shape == (2, len(rows))
         assert (resolved == pairwise[:, c].T).all()
         assert (np.signbit(resolved) == np.signbit(pairwise[:, c].T)).all()
+
+
+def _follow(members, view, reach: np.ndarray):
+    """The mixture's branching step at a decision node: yields ``(j,
+    reach * probs[:, j])`` for each legal action j that some member still
+    plays, reading every member's ``action_probs(view)`` once."""
+    probs = np.stack([m.action_probs(view) for m in members])
+    for j in range(len(view.legal_actions)):
+        r_next = reach * probs[:, j]
+        if r_next.any():
+            yield j, r_next
+
+
+def _resolved(reach: np.ndarray) -> np.ndarray:
+    return reach
+
+
+def recursive_expected_value(game, profile):
+    """The earlier expected value, kept verbatim as a reference: a
+    recursive walk that skips every branch no member plays."""
+    members = [None, None]
+    weights = [None, None]
+    for i in (0, 1):
+        members[i], weights[i] = _as_members(profile[i])
+    # At a terminal a mixture's reach is summed; a listed side's is not.
+    fold0, fold1 = (_resolved if isinstance(side, list) else np.ndarray.sum
+                    for side in profile)
+    if fold0 is fold1 is _resolved:
+        raise ValueError("expected_value resolves one side of a profile by "
+                         "member, not both")
+    tree = game.tree
+
+    def walk(node: int, chance: float, r0: np.ndarray,
+             r1: np.ndarray) -> float:
+        player = tree.owner[node]
+        if player == TERMINAL:
+            return chance * fold0(r0) * fold1(r1) * tree.returns[node][0]
+        kids = tree.children(node)
+        if player == CHANCE:
+            return sum(walk(child, chance * p, r0, r1) for _, child, p in kids)
+        reach = r0 if player == 0 else r1
+        total = 0.0
+        for j, r_next in _follow(members[player], tree.view[node], reach):
+            if player == 0:
+                total += walk(kids[j][1], chance, r_next, r1)
+            else:
+                total += walk(kids[j][1], chance, r0, r_next)
+        return total
+
+    v0 = walk(0, 1.0, weights[0], weights[1])
+    return (v0, -v0)
+
+
+def _assert_same_bits(value, reference):
+    assert type(value) is type(reference)
+    assert np.array_equal(value, reference)
+    assert np.array_equal(np.signbit(value), np.signbit(reference))
+
+
+def _assorted_mixture(game, size, rng):
+    """`size` members cycling through pure, sparse and uniform tabular
+    policies and scratch networks, some of them weighing 0."""
+    sig = ArchSignature(game.encoding_dim(), (8,),
+                        game.num_distinct_actions())
+    members = []
+    for i in range(size):
+        kind = i % 4
+        if kind == 2:
+            members.append(scratch_init("kaiming", sig, int(rng.integers(99))))
+        elif kind == 3:
+            members.append(TabularPolicy())
+        else:
+            members.append(_sparse_tabular(game.tree, rng, [1.0, 0.4][kind]))
+    weights = rng.dirichlet(np.ones(size))
+    if size > 1:
+        weights[rng.random(size) < 0.25] = 0.0
+        weights[0] += weights.sum() == 0.0
+    return PolicyMixture(members, weights / weights.sum())
+
+
+@pytest.mark.parametrize("name,params", TREE_GAMES + [
+    ("matrix_game", {"rows": [[0, -1, 2], [1, 0, 0]]})])
+@pytest.mark.parametrize("size", [1, 3, 9, 17])
+def test_ev_equals_recursive_reference_bit_for_bit(name, params, size):
+    """The array passes equal the recursive walk, sign of zero included, on
+    mixtures around numpy's pairwise-sum block of 8 members, on listed rows
+    and columns, and in the profile value inside `exploitability`."""
+    game = make_game(name, params)
+    _grow(game.tree)
+    rng = np.random.default_rng(size)
+    profile = (_assorted_mixture(game, size, rng),
+               _assorted_mixture(game, size, rng))
+    reference = recursive_expected_value(game, profile)
+    for value, ref in zip(expected_value(game, profile), reference):
+        _assert_same_bits(value, ref)
+    for listed in ((profile[0].members[0], profile[1].members),
+                   (profile[0].members, profile[1].members[-1])):
+        for value, ref in zip(expected_value(game, listed),
+                              recursive_expected_value(game, listed)):
+            _assert_same_bits(value, ref)
+    total = 0.0
+    for player in (0, 1):
+        _, br_value = two_pass_best_response(game, profile[1 - player],
+                                             player)
+        total += br_value - reference[player]
+    _assert_same_bits(exploitability(game, profile), total)
 
 
 def test_member_resolved_walk_takes_one_listed_side():

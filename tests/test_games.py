@@ -122,6 +122,83 @@ def test_tree_matches_a_direct_state_walk(name, params):
 
 
 @pytest.mark.parametrize("name,params", ALL_GAMES)
+def test_flat_tree_matches_the_tree(name, params):
+    """The flat arrays hold every node of the tree once, level by level
+    and each level in depth-first preorder, with each node's children
+    contiguous in slot order, and per node its owner, edge probability,
+    infoset view and returns; each infoset lists its nodes in preorder."""
+    game = make_game(name, params)
+    tree = game.tree
+    flat = tree.flat
+    rank, depth = {}, {0: 0}
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        rank[node] = len(rank)
+        kids = tree.children(node)
+        for _, child, _ in kids:
+            depth[child] = depth[node] + 1
+        stack.extend(child for _, child, _ in reversed(kids))
+    assert len(flat.owner) == flat.levels[-1] == len(tree) == len(rank)
+    level = np.repeat(np.arange(len(flat.levels) - 1), np.diff(flat.levels))
+    assert (np.diff(flat.parent) >= 0).all()
+    node_of = [0]
+    returns = []
+    for i in range(len(flat.owner)):
+        if i:
+            _, node, p = tree.children(node_of[flat.parent[i]])[flat.slot[i]]
+            node_of.append(node)
+            assert flat.prob[i] == (1.0 if p is None else p)
+        node = node_of[i]
+        assert depth[node] == level[i]
+        assert flat.owner[i] == tree.owner[node]
+        kids = tree.children(node)
+        if kids:
+            first = np.searchsorted(flat.parent, i)
+            assert (flat.parent[first:first + len(kids)] == i).all()
+            assert (flat.slot[first:first + len(kids)]
+                    == np.arange(len(kids))).all()
+        if tree.owner[node] == TERMINAL:
+            returns.append(tree.returns[node])
+        if tree.owner[node] >= 0:
+            infosets = flat.infosets[tree.owner[node]]
+            assert infosets.views[flat.infoset[i]] is tree.view[node]
+        else:
+            assert flat.infoset[i] == -1
+    assert sorted(node_of) == list(range(len(tree)))
+    preorder = np.array([rank[node] for node in node_of])
+    for a, b in zip(flat.levels, flat.levels[1:]):
+        assert (np.diff(preorder[a:b]) > 0).all()
+    assert flat.utility.tolist() == [list(r) for r in returns]
+    for d in range(len(flat.levels) - 1):
+        part = flat.owner[flat.levels[d]:flat.levels[d + 1]] == TERMINAL
+        assert flat.leaves[d + 1] - flat.leaves[d] == part.sum()
+    for player, infosets in enumerate(flat.infosets):
+        assert len(set(infosets.views)) == len(infosets.views)
+        for i, view in enumerate(infosets.views):
+            nodes = infosets.nodes[infosets.start[i]:infosets.start[i + 1]]
+            assert (flat.owner[nodes] == player).all()
+            assert (flat.infoset[nodes] == i).all()
+            assert (np.diff(preorder[nodes]) > 0).all()
+            assert infosets.first_level[i] == level[nodes].min()
+            assert infosets.num_actions[i] == len(view.legal_actions)
+        assert infosets.start[-1] == (flat.owner == player).sum()
+        assert (infosets.in_preorder
+                == np.flatnonzero(flat.owner == player)[
+                    np.argsort(preorder[flat.owner == player])]).all()
+
+
+def test_flat_leduc_tree_stays_small():
+    """Leduc's compiled arrays take at most 0.5 MB."""
+    flat = make_game("leduc_poker").tree.flat
+    arrays = [*vars(flat).values()]
+    for infosets in flat.infosets:
+        arrays += infosets
+    assert sum(a.nbytes for a in arrays
+               if isinstance(a, np.ndarray)) <= 500_000
+
+
+@pytest.mark.parametrize("name,params", ALL_GAMES)
 def test_episode_grows_only_the_nodes_it_steps_past(name, params,
                                                     monkeypatch):
     stepped = []
