@@ -6,11 +6,11 @@ that must be a function of the owning player's own action/observation
 sequence (perfect recall); games that deliberately break this set
 ``perfect_recall = False``.
 
-Every sampled episode reads a game through its `Tree` (``game.tree``):
-states are stepped once per edge, when the tree first grows past a node,
-and policies see a decision node as its `InfosetView`. Exact evaluation
-reads the whole tree as flat arrays (``game.tree.flat``, a `FlatTree`),
-compiled once from the game's states with the tree's views.
+A game is read through one tree, ``game.tree``: its whole tree compiled
+once from its states into flat arrays (a `FlatTree`), on the first sampled
+episode or exact evaluation. Sampled episodes walk those arrays, exact
+evaluation passes over them level by level, and policies see a decision
+node as its `InfosetView`.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def check_size(param: str, value, least: int):
 class TraversalBudgetError(Exception):
     """The game tree would grow past `MAX_TREE_NODES` nodes.
 
-    Such games need Monte Carlo payoffs and approximate exploitability
-    instead of exact evaluation.
+    Both sampling and exact evaluation read the whole compiled tree, so
+    such a game cannot be played at all.
     """
 
 
@@ -95,9 +95,10 @@ class Game:
     perfect_recall: bool = True
 
     @functools.cached_property
-    def tree(self) -> "Tree":
-        """The game tree, built on first use and kept."""
-        return Tree(self)
+    def tree(self) -> "FlatTree":
+        """The whole game tree as a `FlatTree`, compiled on first use and
+        kept; it holds no reference back to the game."""
+        return FlatTree(self)
 
     def initial_state(self) -> State:
         raise NotImplementedError
@@ -136,77 +137,6 @@ class InfosetView:
     features: np.ndarray | None = None
 
 
-class Tree:
-    """The tree of one game, grown on demand and shared by every sampled
-    episode; exact evaluation reads its `flat` form.
-
-    Nodes are numbered in the order they are first reached; the root is 0.
-    Per node the tree holds its `owner` (a player, CHANCE or TERMINAL), its
-    `returns` if terminal and the acting player's `view` if a decision node.
-    `children(node)` is ``((action, child, chance probability), ...)`` in
-    legal or chance order, with probability None at decision nodes; it is
-    built the first time it is asked for, so sampling builds only what it
-    visits. Raises TraversalBudgetError instead of growing past
-    `MAX_TREE_NODES`.
-    """
-
-    def __init__(self, game: Game):
-        self.game = game
-        self.owner: list[int] = []
-        self.returns: list[tuple[float, float] | None] = []
-        self.view: list[InfosetView | None] = []
-        self._children: list[tuple | None] = []
-        self._states: list[State | None] = []  # kept until children are built
-        self._views: dict[tuple[int, str], InfosetView] = {}
-        self._add(game.initial_state())
-
-    def __len__(self) -> int:
-        return len(self.owner)
-
-    @functools.cached_property
-    def flat(self) -> "FlatTree":
-        """The whole tree as a `FlatTree`, compiled on first use and
-        kept."""
-        return FlatTree(self)
-
-    def children(self, node: int) -> tuple:
-        kids = self._children[node]
-        if kids is None:
-            state = self._states[node]
-            if self.owner[node] == CHANCE:
-                outcomes = state.chance_outcomes()
-            else:
-                outcomes = [(a, None) for a in state.legal_actions()]
-            if len(self.owner) + len(outcomes) > MAX_TREE_NODES:
-                raise TraversalBudgetError(
-                    f"{self.game.name}: the game tree would grow past "
-                    f"{MAX_TREE_NODES} nodes")
-            kids = self._children[node] = tuple(
-                (a, self._add(state.child(a)), p) for a, p in outcomes)
-            self._states[node] = None
-        return kids
-
-    def _add(self, state: State) -> int:
-        player = state.current_player
-        terminal = player == TERMINAL
-        self.owner.append(player)
-        self.returns.append(state.returns() if terminal else None)
-        self.view.append(self._view(state, player) if player >= 0 else None)
-        self._children.append(() if terminal else None)
-        self._states.append(None if terminal else state)
-        return len(self.owner) - 1
-
-    def _view(self, state: State, player: int) -> InfosetView:
-        key = state.infoset_key(player)
-        view = self._views.get((player, key))
-        if view is None:
-            features = self.game.encode_infoset(state, player)
-            features.flags.writeable = False
-            view = self._views[player, key] = InfosetView(
-                key, tuple(state.legal_actions()), features)
-        return view
-
-
 class Infosets(NamedTuple):
     """One player's infosets in a `FlatTree`.
 
@@ -230,36 +160,39 @@ class Infosets(NamedTuple):
 
 
 class FlatTree:
-    """A game's whole tree as flat arrays, the form exact evaluation reads.
+    """A game's whole tree as flat arrays, read by every sampled episode and
+    every exact evaluation.
 
     Nodes are numbered level by level: level d is the slice
     ``levels[d]:levels[d + 1]``, and within a level nodes keep their
     depth-first preorder, so a node's children are contiguous in the next
-    level, in legal or chance order. Per node the arrays hold its ``owner``
-    (a player, CHANCE or TERMINAL), its ``parent`` (-1 at the root; never
-    decreasing), its ``slot`` among its siblings, the chance probability
-    ``prob`` of the edge into it (1.0 below a decision node), its
-    ``infoset`` index among its owner's `Infosets` (-1 at chance and
-    terminal nodes). ``utility`` holds the terminals' returns in node
-    order, level d's being rows ``leaves[d]:leaves[d + 1]``;
-    ``infosets[p]`` describes player p's.
+    level, in legal or chance order: node n's are ``first[n]:first[n + 1]``.
+    Per node the arrays hold its ``owner`` (a player, CHANCE or TERMINAL),
+    its ``parent`` (-1 at the root; never decreasing), its ``slot`` among
+    its siblings, the chance probability ``prob`` of the edge into it (1.0
+    below a decision node), its ``infoset`` index among its owner's
+    `Infosets` (-1 at chance and terminal nodes). ``utility`` holds the
+    terminals' returns in node order, terminal n's being row ``row[n]``
+    (-1 at other nodes) and level d's rows ``leaves[d]:leaves[d + 1]``;
+    ``infosets[p]`` describes player p's. ``views[player, key]`` is the
+    one view of each infoset, read-only features included.
 
-    Building it steps every state of the game once, depth first, and
-    takes each decision node's view from the `Tree` without growing the
-    tree's own nodes; TraversalBudgetError fires once the tree passes
-    `MAX_TREE_NODES`. Indices are int32 or narrower, and no per-node Python
-    object outlives the build.
+    Building it steps every state of the game once, depth first;
+    TraversalBudgetError fires once the tree passes `MAX_TREE_NODES`.
+    Indices are int32 or narrower, no per-node Python object outlives the
+    build, and nothing refers back to the game.
     """
 
-    def __init__(self, tree: Tree):
+    def __init__(self, game: Game):
         # Depth first from the initial state, one record per node in
         # preorder, kept in typed arrays rather than Python objects.
         owner, parent, slot = array("b"), array("i"), array("i")
         depth, infoset = array("i"), array("i")
         prob, returns = array("d"), array("d")
+        self.views: dict[tuple[int, str], InfosetView] = {}
         index = ({}, {})  # per player: view -> infoset index
         grown = 1
-        stack = [(tree.game.initial_state(), -1, 0, 1.0, 0)]
+        stack = [(game.initial_state(), -1, 0, 1.0, 0)]
         while stack:
             state, up, s, p, d = stack.pop()
             node = len(owner)
@@ -273,8 +206,8 @@ class FlatTree:
                 infoset.append(-1)
             else:
                 seen = index[player]
-                infoset.append(seen.setdefault(tree._view(state, player),
-                                               len(seen)))
+                infoset.append(seen.setdefault(
+                    self._view(game, state, player), len(seen)))
             if player == TERMINAL:
                 returns.extend(state.returns())
                 continue
@@ -283,7 +216,7 @@ class FlatTree:
             grown += len(outcomes)
             if grown > MAX_TREE_NODES:
                 raise TraversalBudgetError(
-                    f"{tree.game.name}: the game tree would grow past "
+                    f"{game.name}: the game tree would grow past "
                     f"{MAX_TREE_NODES} nodes")
             stack.extend((state.child(a), node, k, q, d + 1)
                          for k, (a, q) in reversed(list(enumerate(outcomes))))
@@ -299,6 +232,8 @@ class FlatTree:
         self.levels = np.concatenate([[0], np.cumsum(np.bincount(depth))])
         self.owner = owner[preorder]
         self.parent = np.where(up < 0, -1, number[up]).astype(np.int32)
+        self.first = np.searchsorted(
+            self.parent, np.arange(len(up) + 1)).astype(np.int32)
         slot = np.array(slot)[preorder]
         self.slot = slot.astype(np.min_scalar_type(slot.max()))
         self.prob = np.array(prob)[preorder]
@@ -307,11 +242,23 @@ class FlatTree:
         ends = np.cumsum(owner == TERMINAL)  # in preorder
         self.utility = np.array(returns).reshape(-1, 2)[
             ends[preorder[terminal]] - 1]
-        self.leaves = np.concatenate([[0], np.cumsum(terminal)])[self.levels]
+        count = np.cumsum(terminal)
+        self.row = np.where(terminal, count - 1, -1).astype(np.int32)
+        self.leaves = np.concatenate([[0], count])[self.levels]
         self.infosets = tuple(
             self._infosets(player, tuple(index[player]),
                            number[owner == player], depth[preorder], preorder)
             for player in (0, 1))
+
+    def _view(self, game: Game, state: State, player: int) -> InfosetView:
+        key = state.infoset_key(player)
+        view = self.views.get((player, key))
+        if view is None:
+            features = game.encode_infoset(state, player)
+            features.flags.writeable = False
+            view = self.views[player, key] = InfosetView(
+                key, tuple(state.legal_actions()), features)
+        return view
 
     def _infosets(self, player, views, in_preorder, depth,
                   preorder) -> Infosets:
@@ -384,15 +331,16 @@ def sample_episode(game: Game, choose,
     ``choose(player, view)`` returns the action taken.
     """
     tree = game.tree
+    owner, first = tree.owner, tree.first
     node = 0
-    while (player := tree.owner[node]) != TERMINAL:
-        kids = tree.children(node)
+    while (player := int(owner[node])) != TERMINAL:
+        a, b = first[node], first[node + 1]
         if player == CHANCE:
-            node = sample_action([p for _, _, p in kids], kids, rng)[1]
+            node = sample_action(tree.prob[a:b], range(a, b), rng)
         else:
-            view = tree.view[node]
-            node = kids[view.legal_actions.index(choose(player, view))][1]
-    return tree.returns[node]
+            view = tree.infosets[player].views[tree.infoset[node]]
+            node = a + view.legal_actions.index(choose(player, view))
+    return tuple(tree.utility[tree.row[node]].tolist())
 
 
 def play_episode(game: Game, policies,

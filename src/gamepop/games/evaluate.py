@@ -1,12 +1,12 @@
-"""Exact evaluation over a game's flat tree: expected value, best response,
-exploitability.
+"""Exact evaluation over a game's compiled tree: expected value, best
+response, exploitability.
 
-Every evaluation reads ``game.tree.flat`` (see `gamepop.games.base.FlatTree`),
-compiled from the whole tree on first use; it raises TraversalBudgetError
-for a game too large to evaluate exactly. Mixtures are handled exactly: a pass
-carries one reach weight per mixture member and per player, so sampling a
-member once per playthrough is integrated out in closed form rather than
-simulated.
+Every evaluation reads ``game.tree`` (see `gamepop.games.base.FlatTree`),
+the whole tree compiled into flat arrays on first use; it raises
+TraversalBudgetError for a game too large to compile. Mixtures are handled
+exactly: a pass carries one reach weight per mixture member and per player,
+so sampling a member once per playthrough is integrated out in closed form
+rather than simulated.
 
 Evaluation is two array passes over the tree's levels. `_descend`, the only
 step that reads policies, goes down: it reads each member once per infoset
@@ -154,7 +154,7 @@ def expected_value(game: Game, profile):
     if not (sides[0][3] or sides[1][3]):
         raise ValueError("expected_value resolves one side of a profile by "
                          "member, not both")
-    flat = game.tree.flat
+    flat = game.tree
     chance, (fold0, fold1), _ = _descend(flat, sides)
     v0 = _ascend(flat, chance[:, None] * fold0 * fold1 * flat.utility[:, :1])
     if sides[0][3] and sides[1][3]:
@@ -169,7 +169,7 @@ def best_response(game: Game, opponent_mixture, responder: int):
     infoset reachable under the opponent mixture (ties broken by lowest
     action id); unreachable infosets fall back to the uniform default.
     """
-    policy, value, _, _ = _respond(game.tree.flat, opponent_mixture,
+    policy, value, _, _ = _respond(game.tree, opponent_mixture,
                                    responder)
     return policy, value
 
@@ -236,8 +236,8 @@ def _decide(flat: FlatTree, value, reached, responder: int):
             best[due] = _best_actions(flat, value, infosets, due)
             choice = best[infoset[nodes]]
             chosen = choice >= 0
-            value[nodes[chosen]] = value[np.searchsorted(
-                flat.parent, nodes[chosen]) + choice[chosen]]
+            value[nodes[chosen]] = value[flat.first[nodes[chosen]]
+                                         + choice[chosen]]
             ready[nodes[~chosen] - a] = False
             known[a:b] = ready | ~reached[a:b]
         if known[0]:
@@ -259,8 +259,7 @@ def _best_actions(flat: FlatTree, value, infosets, due):
     for rank in range(count.max(initial=0)):
         k = np.flatnonzero(count > rank)
         nodes = infosets.nodes[start[k] + rank]
-        first = np.searchsorted(flat.parent, nodes)
-        total[k] += value[first[:, None]
+        total[k] += value[flat.first[nodes][:, None]
                           + np.minimum(actions, width[k, None] - 1)]
     total[(actions >= width[:, None]) | np.isnan(total)] = -np.inf
     return total.argmax(axis=1)
@@ -308,7 +307,7 @@ def exploitability(game: Game, profile, with_responses: bool = False):
     The profile's own value comes from the two best responses' opponent
     reaches, so policies are read only by those two descents.
     """
-    flat = game.tree.flat
+    flat = game.tree
     responses, values, folds = [], [], [None, None]
     for player in (0, 1):
         # Both descents give each terminal the same chance probability.

@@ -1,7 +1,8 @@
 """Policy representations, parameter fusion, ensembles, and diagnostics.
 
-Tabular and network policies read a decision point as an `InfosetView`
-from the game's tree (`gamepop.games.base.Tree`), in one of two ways:
+Tabular and network policies read a decision point as an `InfosetView`,
+one per infoset of the game's compiled tree (`gamepop.games.base.FlatTree`),
+in one of two ways:
 
 * ``action_probs(view)`` is the evaluation-time distribution used by exact
   evaluation, sampled episodes and meta-game payoffs. Parametric policies

@@ -301,17 +301,59 @@ def test_matrix_br_agrees_with_argmax():
         assert value == pytest.approx((M @ q).max(), abs=1e-12)
 
 
+class StateWalk:
+    """A game's tree stepped directly through its states, for the
+    references below, which share no code with the compiled tree: a node is
+    a `State`, stepped afresh each time its children are asked for, and a
+    decision node's view is looked up by (player, key) in the compiled
+    tree."""
+
+    def __init__(self, game):
+        self.root = game.initial_state()
+        self.views = game.tree.views
+
+    def owner(self, node):
+        return node.current_player
+
+    def returns(self, node):
+        return node.returns()
+
+    def view(self, node):
+        player = node.current_player
+        return self.views[player, node.infoset_key(player)]
+
+    def children(self, node):
+        """``((action, child, chance probability), ...)`` in legal or
+        chance order, with probability None at decision nodes."""
+        if node.is_terminal:
+            return ()
+        if node.current_player == CHANCE:
+            return tuple((a, node.child(a), p)
+                         for a, p in node.chance_outcomes())
+        return tuple((a, node.child(a), None) for a in node.legal_actions())
+
+    def nodes(self):
+        """Every node, the root first and then each node's children
+        together, in the order a depth-first stack expands them."""
+        yield self.root
+        stack = [self.root]
+        while stack:
+            kids = [child for _, child, _ in self.children(stack.pop())]
+            yield from kids
+            stack.extend(kids)
+
+
 def two_pass_best_response(game, opponent_mixture, responder: int):
     """The earlier best response, kept verbatim as a reference: its second
     pass re-reads the opponent's policies and recomputes every reach."""
     members, base_weights = _as_members(opponent_mixture)
     opponent = 1 - responder
-    tree = game.tree
+    tree = StateWalk(game)
 
     infosets: dict = {}  # view -> [(node, chance, reach_vec)]
 
-    def collect(node: int, chance: float, reach: np.ndarray):
-        player = tree.owner[node]
+    def collect(node, chance: float, reach: np.ndarray):
+        player = tree.owner(node)
         if player == TERMINAL:
             return
         kids = tree.children(node)
@@ -319,7 +361,7 @@ def two_pass_best_response(game, opponent_mixture, responder: int):
             for _, child, p in kids:
                 collect(child, chance * p, reach)
             return
-        view = tree.view[node]
+        view = tree.view(node)
         if player == opponent:
             probs = np.stack([m.action_probs(view) for m in members])
             for j, (_, child, _) in enumerate(kids):
@@ -331,26 +373,22 @@ def two_pass_best_response(game, opponent_mixture, responder: int):
         for _, child, _ in kids:
             collect(child, chance, reach)
 
-    collect(0, 1.0, base_weights)
+    collect(tree.root, 1.0, base_weights)
 
     br_actions: dict = {}  # view -> index of the best action
-    value_memo: dict[int, float] = {}
 
-    def weighted_value(node: int, chance: float, reach: np.ndarray) -> float:
+    def weighted_value(node, chance: float, reach: np.ndarray) -> float:
         # Reach-weighted responder value assuming BR play at responder nodes.
-        cached = value_memo.get(node)
-        if cached is not None:
-            return cached
-        player = tree.owner[node]
+        player = tree.owner(node)
         if player == TERMINAL:
-            v = chance * reach.sum() * tree.returns[node][responder]
+            v = chance * reach.sum() * tree.returns(node)[responder]
         else:
             kids = tree.children(node)
             if player == CHANCE:
                 v = sum(weighted_value(child, chance * p, reach)
                         for _, child, p in kids)
             elif player == opponent:
-                probs = np.stack([m.action_probs(tree.view[node])
+                probs = np.stack([m.action_probs(tree.view(node))
                                   for m in members])
                 v = 0.0
                 for j, (_, child, _) in enumerate(kids):
@@ -358,9 +396,8 @@ def two_pass_best_response(game, opponent_mixture, responder: int):
                     if r_next.any():
                         v += weighted_value(child, chance, r_next)
             else:
-                j = infoset_action(tree.view[node])
+                j = infoset_action(tree.view(node))
                 v = weighted_value(kids[j][1], chance, reach)
-        value_memo[node] = v
         return v
 
     def infoset_action(view) -> int:
@@ -381,7 +418,7 @@ def two_pass_best_response(game, opponent_mixture, responder: int):
     for view in infosets:
         infoset_action(view)
 
-    value = weighted_value(0, 1.0, base_weights)
+    value = weighted_value(tree.root, 1.0, base_weights)
     table = {}
     for view, best in br_actions.items():
         dist = np.zeros(len(view.legal_actions))
@@ -431,29 +468,30 @@ def test_br_equals_two_pass_reference_bit_for_bit(name, params, weights):
 
 
 def _reached_nodes(tree, mixture, player):
-    """Nodes that some positive-weight member of `mixture`, playing
-    `player`, reaches when every other decision plays each action: counted
-    by brute force over each member's own reach."""
-    reached = set()
+    """Nodes, keyed by the actions leading to them, that some
+    positive-weight member of `mixture`, playing `player`, reaches when
+    every other decision plays each action: counted by brute force over
+    each member's own reach."""
+    reached = {}
 
-    def walk(node, member):
-        reached.add(node)
+    def walk(path, node, member):
+        reached[path] = node
         kids = tree.children(node)
-        probs = (member.action_probs(tree.view[node])
-                 if tree.owner[node] == player else None)
-        for j, (_, child, _) in enumerate(kids):
+        probs = (member.action_probs(tree.view(node))
+                 if tree.owner(node) == player else None)
+        for j, (action, child, _) in enumerate(kids):
             if probs is None or probs[j] > 0.0:
-                walk(child, member)
+                walk(path + (action,), child, member)
 
     for member, weight in zip(mixture.members, mixture.weights):
         if weight > 0.0:
-            walk(0, member)
+            walk((), tree.root, member)
     return reached
 
 
 def _infosets_of(tree, nodes, player):
-    return len({tree.view[node] for node in nodes
-                if tree.owner[node] == player})
+    return len({tree.view(node) for node in nodes
+                if tree.owner(node) == player})
 
 
 def _count_reads(mixture):
@@ -476,8 +514,9 @@ def test_br_reads_each_member_once_per_reached_opponent_node(name, params):
     for responder in (0, 1):
         opponent = 1 - responder
         mixture = _scratch_mixture(game, [0.2, 0.3, 0.0, 0.5], seed=4)
+        tree = StateWalk(game)
         expected = _infosets_of(
-            game.tree, _reached_nodes(game.tree, mixture, opponent), opponent)
+            tree, _reached_nodes(tree, mixture, opponent).values(), opponent)
         calls = _count_reads(mixture)
         best_response(game, mixture, responder)
         assert calls == [expected] * len(mixture.members)
@@ -490,9 +529,11 @@ def test_ev_reads_each_member_once_per_reached_infoset(name, params):
     game = make_game(name, params)
     profile = (_scratch_mixture(game, [0.2, 0.3, 0.0, 0.5], seed=4),
                _scratch_mixture(game, [0.6, 0.0, 0.4], seed=9))
-    both = (_reached_nodes(game.tree, profile[0], 0)
-            & _reached_nodes(game.tree, profile[1], 1))
-    expected = [_infosets_of(game.tree, both, player) for player in (0, 1)]
+    tree = StateWalk(game)
+    reached = [_reached_nodes(tree, profile[player], player)
+               for player in (0, 1)]
+    both = [node for path, node in reached[0].items() if path in reached[1]]
+    expected = [_infosets_of(tree, both, player) for player in (0, 1)]
     calls = [_count_reads(mixture) for mixture in profile]
     expected_value(game, profile)
     for player in (0, 1):
@@ -548,12 +589,13 @@ def test_exploitability_nonnegative_on_random_profiles():
 
 
 def _sparse_tabular(tree, rng, drop):
-    """A random tabular policy over every infoset of a fully grown tree;
-    each action drops to probability zero with probability `drop`, and a
-    distribution that drops them all plays one of them at random. With
-    ``drop=1`` the policy is pure."""
+    """A random tabular policy over every infoset of the game, in the order
+    `StateWalk.nodes` first meets them; each action drops to probability
+    zero with probability `drop`, and a distribution that drops them all
+    plays one of them at random. With ``drop=1`` the policy is pure."""
     table = {}
-    for view in {view.key: view for view in tree.view if view}.values():
+    views = (tree.view(node) for node in tree.nodes() if tree.owner(node) >= 0)
+    for view in {view.key: view for view in views}.values():
         n = len(view.legal_actions)
         dist = rng.dirichlet(np.ones(n))
         dist[rng.random(n) < drop] = 0.0
@@ -561,12 +603,6 @@ def _sparse_tabular(tree, rng, drop):
             dist[rng.integers(n)] = 1.0
         table[view.key] = dist / dist.sum()
     return TabularPolicy(table)
-
-
-def _grow(tree):
-    stack = [0]
-    while stack:
-        stack.extend(child for _, child, _ in tree.children(stack.pop()))
 
 
 @pytest.mark.parametrize("name,params", [
@@ -581,13 +617,13 @@ def test_member_resolved_walk_equals_pairwise_walks_bit_for_bit(name,
     policies) and of a column (a list of row policies against one column
     policy) is the pair's own `expected_value`, sign of zero included."""
     game = make_game(name, params)
-    _grow(game.tree)
+    tree = StateWalk(game)
     rng = np.random.default_rng(31)
     size = 3 if name == "leduc_poker" else 5
     # Pure members make some entries exactly zero where the game can tie.
-    rows = [_sparse_tabular(game.tree, rng, drop)
+    rows = [_sparse_tabular(tree, rng, drop)
             for drop in [0.4, 1.0, 1.0, 1.0, 0.4][:size]]
-    cols = [TabularPolicy()] + [_sparse_tabular(game.tree, rng, drop)
+    cols = [TabularPolicy()] + [_sparse_tabular(tree, rng, drop)
                                 for drop in [1.0, 0.4, 1.0, 1.0][:size - 1]]
     pairwise = np.array([[expected_value(game, (row, col)) for col in cols]
                          for row in rows])  # (row, col, player)
@@ -631,26 +667,26 @@ def recursive_expected_value(game, profile):
     if fold0 is fold1 is _resolved:
         raise ValueError("expected_value resolves one side of a profile by "
                          "member, not both")
-    tree = game.tree
+    tree = StateWalk(game)
 
-    def walk(node: int, chance: float, r0: np.ndarray,
+    def walk(node, chance: float, r0: np.ndarray,
              r1: np.ndarray) -> float:
-        player = tree.owner[node]
+        player = tree.owner(node)
         if player == TERMINAL:
-            return chance * fold0(r0) * fold1(r1) * tree.returns[node][0]
+            return chance * fold0(r0) * fold1(r1) * tree.returns(node)[0]
         kids = tree.children(node)
         if player == CHANCE:
             return sum(walk(child, chance * p, r0, r1) for _, child, p in kids)
         reach = r0 if player == 0 else r1
         total = 0.0
-        for j, r_next in _follow(members[player], tree.view[node], reach):
+        for j, r_next in _follow(members[player], tree.view(node), reach):
             if player == 0:
                 total += walk(kids[j][1], chance, r_next, r1)
             else:
                 total += walk(kids[j][1], chance, r0, r_next)
         return total
 
-    v0 = walk(0, 1.0, weights[0], weights[1])
+    v0 = walk(tree.root, 1.0, weights[0], weights[1])
     return (v0, -v0)
 
 
@@ -660,7 +696,7 @@ def _assert_same_bits(value, reference):
     assert np.array_equal(np.signbit(value), np.signbit(reference))
 
 
-def _assorted_mixture(game, size, rng):
+def _assorted_mixture(game, tree, size, rng):
     """`size` members cycling through pure, sparse and uniform tabular
     policies and scratch networks, some of them weighing 0."""
     sig = ArchSignature(game.encoding_dim(), (8,),
@@ -673,7 +709,7 @@ def _assorted_mixture(game, size, rng):
         elif kind == 3:
             members.append(TabularPolicy())
         else:
-            members.append(_sparse_tabular(game.tree, rng, [1.0, 0.4][kind]))
+            members.append(_sparse_tabular(tree, rng, [1.0, 0.4][kind]))
     weights = rng.dirichlet(np.ones(size))
     if size > 1:
         weights[rng.random(size) < 0.25] = 0.0
@@ -689,10 +725,10 @@ def test_ev_equals_recursive_reference_bit_for_bit(name, params, size):
     mixtures around numpy's pairwise-sum block of 8 members, on listed rows
     and columns, and in the profile value inside `exploitability`."""
     game = make_game(name, params)
-    _grow(game.tree)
+    tree = StateWalk(game)
     rng = np.random.default_rng(size)
-    profile = (_assorted_mixture(game, size, rng),
-               _assorted_mixture(game, size, rng))
+    profile = (_assorted_mixture(game, tree, size, rng),
+               _assorted_mixture(game, tree, size, rng))
     reference = recursive_expected_value(game, profile)
     for value, ref in zip(expected_value(game, profile), reference):
         _assert_same_bits(value, ref)

@@ -1,11 +1,14 @@
 """Game construction, rules, and invariant checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from gamepop.games import (CHANCE, TERMINAL, GameError, KuhnPoker,
                            make_game, play_episode)
-from gamepop.games.base import Tree, sample_action
+from gamepop.games.base import sample_action, sample_episode
 from gamepop.games.ntmg import (S_MATRIX, NtmgConfig, ntmg_payoff,
                                 ntmg_weights)
 from gamepop.policies import PolicyMixture, TabularPolicy, sample_member
@@ -81,143 +84,184 @@ def test_infoset_key_fixes_legal_actions_and_features(name, params):
     assert seen
 
 
+def _preorder(game):
+    """Every state of the game's tree depth first, in preorder, as
+    ``(state, parent preorder index, edge probability, depth)``; a node's
+    children follow in legal or chance order."""
+    nodes = []
+    stack = [(game.initial_state(), -1, 1.0, 0)]
+    while stack:
+        state, up, p, d = stack.pop()
+        nodes.append((state, up, p, d))
+        if state.is_terminal:
+            continue
+        outcomes = (state.chance_outcomes()
+                    if state.current_player == CHANCE
+                    else [(a, 1.0) for a in state.legal_actions()])
+        here = len(nodes) - 1
+        stack.extend((state.child(a), here, q, d + 1)
+                     for a, q in reversed(outcomes))
+    return nodes
+
+
 @pytest.mark.parametrize("name,params", ALL_GAMES)
 def test_tree_matches_a_direct_state_walk(name, params):
-    """A fully grown tree agrees with the states it was built from: owner,
-    returns, children in legal or chance order with their probabilities,
-    and one read-only view per (player, key)."""
+    """The compiled tree holds every state of the game once, level by level
+    and each level in depth-first preorder, with each node's children at
+    ``first[n]:first[n + 1]`` in slot order; per node its owner, edge
+    probability, returns (at ``utility[row[n]]``) and one read-only view per
+    (player, key), also found as ``views[player, key]``; each infoset lists
+    its nodes in preorder."""
     game = make_game(name, params)
     tree = game.tree
+    walk = _preorder(game)
+    kids = [[] for _ in walk]
+    for rank, (_, up, _, _) in enumerate(walk):
+        if up >= 0:
+            kids[up].append(rank)
+    size = len(walk)
+    assert len(tree.owner) == tree.levels[-1] == size
+    assert len(tree.first) == size + 1 and tree.first[-1] == size
+    level = np.repeat(np.arange(len(tree.levels) - 1), np.diff(tree.levels))
+    assert (np.diff(tree.parent) >= 0).all()
+    rank_of = [0]
     views = {}
-    stack = [(0, game.initial_state())]
-    visited = 0
-    while stack:
-        node, state = stack.pop()
-        visited += 1
+    returns = []
+    for i in range(size):
+        if i:
+            rank_of.append(kids[rank_of[tree.parent[i]]][tree.slot[i]])
+        state, _, p, depth = walk[rank_of[i]]
         player = state.current_player
-        assert tree.owner[node] == player
+        assert tree.prob[i] == p
+        assert depth == level[i]
+        assert tree.owner[i] == player
+        a, b = tree.first[i], tree.first[i + 1]
+        assert b - a == len(kids[rank_of[i]])
+        assert (tree.parent[a:b] == i).all()
+        assert (tree.slot[a:b] == np.arange(b - a)).all()
         if player == TERMINAL:
-            assert tree.returns[node] == state.returns()
-            assert tree.view[node] is None and tree.children(node) == ()
-            continue
-        assert tree.returns[node] is None
-        if player == CHANCE:
-            assert tree.view[node] is None
-            outcomes = state.chance_outcomes()
+            assert tree.row[i] == len(returns)
+            assert tree.utility[tree.row[i]].tolist() == list(state.returns())
+            returns.append(state.returns())
         else:
-            view = tree.view[node]
+            assert tree.row[i] == -1
+        if player >= 0:
+            view = tree.infosets[player].views[tree.infoset[i]]
             key = state.infoset_key(player)
             assert views.setdefault((player, key), view) is view
+            assert tree.views[player, key] is view
             assert view.key == key
             assert view.legal_actions == tuple(state.legal_actions())
             assert not view.features.flags.writeable
             assert (view.features.tobytes()
                     == game.encode_infoset(state, player).tobytes())
-            outcomes = [(a, None) for a in state.legal_actions()]
-        kids = tree.children(node)
-        assert [(a, p) for a, _, p in kids] == outcomes
-        stack.extend((child, state.child(a)) for a, child, _ in kids)
-    assert visited == len(tree)
-    assert len({id(view) for view in views.values()}) == len(views)
-
-
-@pytest.mark.parametrize("name,params", ALL_GAMES)
-def test_flat_tree_matches_the_tree(name, params):
-    """The flat arrays hold every node of the tree once, level by level
-    and each level in depth-first preorder, with each node's children
-    contiguous in slot order, and per node its owner, edge probability,
-    infoset view and returns; each infoset lists its nodes in preorder."""
-    game = make_game(name, params)
-    tree = game.tree
-    flat = tree.flat
-    rank, depth = {}, {0: 0}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        rank[node] = len(rank)
-        kids = tree.children(node)
-        for _, child, _ in kids:
-            depth[child] = depth[node] + 1
-        stack.extend(child for _, child, _ in reversed(kids))
-    assert len(flat.owner) == flat.levels[-1] == len(tree) == len(rank)
-    level = np.repeat(np.arange(len(flat.levels) - 1), np.diff(flat.levels))
-    assert (np.diff(flat.parent) >= 0).all()
-    node_of = [0]
-    returns = []
-    for i in range(len(flat.owner)):
-        if i:
-            _, node, p = tree.children(node_of[flat.parent[i]])[flat.slot[i]]
-            node_of.append(node)
-            assert flat.prob[i] == (1.0 if p is None else p)
-        node = node_of[i]
-        assert depth[node] == level[i]
-        assert flat.owner[i] == tree.owner[node]
-        kids = tree.children(node)
-        if kids:
-            first = np.searchsorted(flat.parent, i)
-            assert (flat.parent[first:first + len(kids)] == i).all()
-            assert (flat.slot[first:first + len(kids)]
-                    == np.arange(len(kids))).all()
-        if tree.owner[node] == TERMINAL:
-            returns.append(tree.returns[node])
-        if tree.owner[node] >= 0:
-            infosets = flat.infosets[tree.owner[node]]
-            assert infosets.views[flat.infoset[i]] is tree.view[node]
         else:
-            assert flat.infoset[i] == -1
-    assert sorted(node_of) == list(range(len(tree)))
-    preorder = np.array([rank[node] for node in node_of])
-    for a, b in zip(flat.levels, flat.levels[1:]):
+            assert tree.infoset[i] == -1
+    assert sorted(rank_of) == list(range(size))
+    assert len(tree.views) == len(views)
+    assert len({id(view) for view in views.values()}) == len(views)
+    preorder = np.array(rank_of)
+    for a, b in zip(tree.levels, tree.levels[1:]):
         assert (np.diff(preorder[a:b]) > 0).all()
-    assert flat.utility.tolist() == [list(r) for r in returns]
-    for d in range(len(flat.levels) - 1):
-        part = flat.owner[flat.levels[d]:flat.levels[d + 1]] == TERMINAL
-        assert flat.leaves[d + 1] - flat.leaves[d] == part.sum()
-    for player, infosets in enumerate(flat.infosets):
+    assert tree.utility.tolist() == [list(r) for r in returns]
+    for d in range(len(tree.levels) - 1):
+        part = tree.owner[tree.levels[d]:tree.levels[d + 1]] == TERMINAL
+        assert tree.leaves[d + 1] - tree.leaves[d] == part.sum()
+    for player, infosets in enumerate(tree.infosets):
         assert len(set(infosets.views)) == len(infosets.views)
         for i, view in enumerate(infosets.views):
             nodes = infosets.nodes[infosets.start[i]:infosets.start[i + 1]]
-            assert (flat.owner[nodes] == player).all()
-            assert (flat.infoset[nodes] == i).all()
+            assert (tree.owner[nodes] == player).all()
+            assert (tree.infoset[nodes] == i).all()
             assert (np.diff(preorder[nodes]) > 0).all()
             assert infosets.first_level[i] == level[nodes].min()
             assert infosets.num_actions[i] == len(view.legal_actions)
-        assert infosets.start[-1] == (flat.owner == player).sum()
+        assert infosets.start[-1] == (tree.owner == player).sum()
         assert (infosets.in_preorder
-                == np.flatnonzero(flat.owner == player)[
-                    np.argsort(preorder[flat.owner == player])]).all()
+                == np.flatnonzero(tree.owner == player)[
+                    np.argsort(preorder[tree.owner == player])]).all()
 
 
 def test_flat_leduc_tree_stays_small():
     """Leduc's compiled arrays take at most 0.5 MB."""
-    flat = make_game("leduc_poker").tree.flat
-    arrays = [*vars(flat).values()]
-    for infosets in flat.infosets:
+    tree = make_game("leduc_poker").tree
+    arrays = [*vars(tree).values()]
+    for infosets in tree.infosets:
         arrays += infosets
     assert sum(a.nbytes for a in arrays
                if isinstance(a, np.ndarray)) <= 500_000
 
 
+def test_the_tree_does_not_keep_its_game_alive():
+    """A game and its tree form no reference cycle: the tree dies with its
+    game without waiting for the cyclic collector."""
+    game = make_game("kuhn_poker")
+    tree = weakref.ref(game.tree)
+    gc.disable()
+    try:
+        del game
+        assert tree() is None
+    finally:
+        gc.enable()
+
+
+def _sparse_policy(tree, rng):
+    """A random tabular policy over every infoset of the tree, each action
+    dropped to probability zero with probability 0.5, but never all."""
+    table = {}
+    for infosets in tree.infosets:
+        for view in infosets.views:
+            n = len(view.legal_actions)
+            dist = rng.random(n) * (rng.random(n) < 0.5)
+            dist[rng.integers(n)] += 0.1
+            table[view.key] = dist / dist.sum()
+    return TabularPolicy(table)
+
+
+def _state_episode(game, choose, rng):
+    """`sample_episode` written against the game's states: chance outcomes
+    drawn with `sample_action`, each decision's view looked up by (player,
+    key) in the compiled tree."""
+    state = game.initial_state()
+    while not state.is_terminal:
+        player = state.current_player
+        if player == CHANCE:
+            actions, probs = zip(*state.chance_outcomes())
+            action = sample_action(list(probs), list(actions), rng)
+        else:
+            action = choose(player, game.tree.views[
+                player, state.infoset_key(player)])
+        state = state.child(action)
+    return state.returns()
+
+
 @pytest.mark.parametrize("name,params", ALL_GAMES)
-def test_episode_grows_only_the_nodes_it_steps_past(name, params,
-                                                    monkeypatch):
-    stepped = []
-    children = Tree.children
-
-    def recorded(tree, node):
-        stepped.append(node)
-        return children(tree, node)
-
-    monkeypatch.setattr(Tree, "children", recorded)
+def test_sampled_episodes_match_a_direct_state_walk(name, params):
+    """Episodes sampled from the compiled tree make the same draws as
+    episodes stepped through the game's states: the same returns (Python
+    floats), the same decisions asked of the policies and the same
+    generator state afterwards."""
     game = make_game(name, params)
-    play_episode(game, (TabularPolicy(), TabularPolicy()),
-                 np.random.default_rng(5))
-    monkeypatch.undo()
-    tree = game.tree
-    assert stepped[0] == 0 and len(set(stepped)) == len(stepped)
-    for parent, node in zip(stepped, stepped[1:]):
-        assert node in [child for _, child, _ in tree.children(parent)]
-    assert len(tree) == 1 + sum(len(tree.children(n)) for n in stepped)
+    rng = np.random.default_rng(7)
+    policies = [_sparse_policy(game.tree, rng) for _ in (0, 1)]
+    runs = []
+    for sample in (sample_episode, _state_episode):
+        asked = []
+        rng = np.random.default_rng(13)
+
+        def choose(player, view):
+            assert type(player) is int
+            asked.append((player, view.key))
+            return sample_action(policies[player].action_probs(view),
+                                 view.legal_actions, rng)
+
+        returns = [sample(game, choose, rng) for _ in range(200)]
+        runs.append((returns, asked, rng.bit_generator.state))
+    (got, got_asked, got_state), (want, want_asked, want_state) = runs
+    assert all(type(v) is float for r in got for v in r)
+    assert got == want
+    assert got_asked == want_asked
+    assert got_state == want_state
 
 
 def _distributions(rng, count):

@@ -49,7 +49,8 @@ class TestQLearning:
         policy = q_learning_oracle(game, None, _mixture(rps_pure(0)), 0,
                                    episodes=0, seed=1)
         assert policy.table == {}
-        assert np.allclose(policy.action_probs(game.tree.view[0]), 1 / 3)
+        view = game.tree.views[0, game.initial_state().infoset_key(0)]
+        assert np.allclose(policy.action_probs(view), 1 / 3)
 
     def test_kuhn_approaches_exact_best_response(self):
         game = make_game("kuhn_poker")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamepop import nets
-from gamepop.games import make_game
+from gamepop.games import CHANCE, make_game
 from gamepop.nets import ArchSignature
 from gamepop.policies import (InfosetView, ParametricPolicy, PointPolicy,
                               PolicyError, PolicyMixture, TabularPolicy,
@@ -457,18 +457,23 @@ def test_memoized_greedy_decisions_match_a_fresh_forward(monkeypatch):
         return real_forward(*args)
 
     monkeypatch.setattr(nets, "forward", counted_forward)
-    tree = game.tree
+    views = game.tree.views
     for policy in (scratch_init("normal", sig, 5),
                    ParametricPolicy(sig, np.zeros(nets.theta_size(sig)))):
         forwards.clear()
         infosets = set()
-        stack = [0]
+        stack = [game.initial_state()]
         while stack:
-            node = stack.pop()
-            stack.extend(child for _, child, _ in tree.children(node))
-            view = tree.view[node]
-            if view is None:
+            state = stack.pop()
+            player = state.current_player
+            if state.is_terminal:
                 continue
+            if player == CHANCE:
+                stack.extend(state.child(a)
+                             for a, _ in state.chance_outcomes())
+                continue
+            stack.extend(state.child(a) for a in state.legal_actions())
+            view = views[player, state.infoset_key(player)]
             probs = policy.action_probs(view)
             assert not probs.flags.writeable
             with pytest.raises(ValueError):
@@ -478,7 +483,7 @@ def test_memoized_greedy_decisions_match_a_fresh_forward(monkeypatch):
             expected = np.zeros(len(legal))
             expected[int(np.argmax(q[legal]))] = 1.0
             assert probs.tobytes() == expected.tobytes()
-            infosets.add((tree.owner[node], view.key))
+            infosets.add((player, view.key))
         assert {p for p, _ in infosets} == {0, 1}
         assert len(forwards) == len(infosets)
 
