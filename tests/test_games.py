@@ -104,45 +104,44 @@ def _preorder(game):
     return nodes
 
 
-@pytest.mark.parametrize("name,params", ALL_GAMES)
-def test_tree_matches_a_direct_state_walk(name, params):
-    """The compiled tree holds every state of the game once, level by level
-    and each level in depth-first preorder, with each node's children at
-    ``first[n]:first[n + 1]`` in slot order; per node its owner, edge
-    probability, returns (at ``utility[row[n]]``) and one read-only view per
-    (player, key), also found as ``views[player, key]``; each infoset lists
-    its nodes in preorder."""
-    game = make_game(name, params)
-    tree = game.tree
-    walk = _preorder(game)
+def _ranks(tree, walk):
+    """Each walked node's children as preorder indices, and the preorder
+    index of each compiled node, found by following parent and slot down
+    from the root."""
     kids = [[] for _ in walk]
     for rank, (_, up, _, _) in enumerate(walk):
         if up >= 0:
             kids[up].append(rank)
+    rank_of = [0]
+    for i in range(1, len(tree.owner)):
+        rank_of.append(kids[rank_of[tree.parent[i]]][tree.slot[i]])
+    return kids, np.array(rank_of)
+
+
+@pytest.mark.parametrize("name,params", ALL_GAMES)
+def test_tree_matches_a_direct_state_walk(name, params):
+    """The compiled tree holds every state of the game once, and per node
+    its owner, depth, edge probability, number of children, returns (at
+    ``utility[row[n]]``) and one read-only view per (player, key), also
+    found as ``views[player, key]``."""
+    game = make_game(name, params)
+    tree = game.tree
+    walk = _preorder(game)
     size = len(walk)
     assert len(tree.owner) == tree.levels[-1] == size
     assert len(tree.first) == size + 1 and tree.first[-1] == size
+    kids, rank_of = _ranks(tree, walk)
     level = np.repeat(np.arange(len(tree.levels) - 1), np.diff(tree.levels))
-    assert (np.diff(tree.parent) >= 0).all()
-    rank_of = [0]
     views = {}
-    returns = []
     for i in range(size):
-        if i:
-            rank_of.append(kids[rank_of[tree.parent[i]]][tree.slot[i]])
         state, _, p, depth = walk[rank_of[i]]
         player = state.current_player
         assert tree.prob[i] == p
         assert depth == level[i]
         assert tree.owner[i] == player
-        a, b = tree.first[i], tree.first[i + 1]
-        assert b - a == len(kids[rank_of[i]])
-        assert (tree.parent[a:b] == i).all()
-        assert (tree.slot[a:b] == np.arange(b - a)).all()
+        assert tree.first[i + 1] - tree.first[i] == len(kids[rank_of[i]])
         if player == TERMINAL:
-            assert tree.row[i] == len(returns)
             assert tree.utility[tree.row[i]].tolist() == list(state.returns())
-            returns.append(state.returns())
         else:
             assert tree.row[i] == -1
         if player >= 0:
@@ -160,10 +159,31 @@ def test_tree_matches_a_direct_state_walk(name, params):
     assert sorted(rank_of) == list(range(size))
     assert len(tree.views) == len(views)
     assert len({id(view) for view in views.values()}) == len(views)
-    preorder = np.array(rank_of)
+
+
+@pytest.mark.parametrize("name,params", ALL_GAMES)
+def test_flat_tree_matches_the_tree(name, params):
+    """The compiled arrays lay the tree out level by level and each level
+    in depth-first preorder, with each node's children at
+    ``first[n]:first[n + 1]`` in slot order, utility rows in node order
+    and leaves counted per level; each infoset lists its nodes in
+    preorder."""
+    game = make_game(name, params)
+    tree = game.tree
+    walk = _preorder(game)
+    _, preorder = _ranks(tree, walk)
+    level = np.repeat(np.arange(len(tree.levels) - 1), np.diff(tree.levels))
+    assert (np.diff(tree.parent) >= 0).all()
+    for i in range(len(tree.owner)):
+        a, b = tree.first[i], tree.first[i + 1]
+        assert (tree.parent[a:b] == i).all()
+        assert (tree.slot[a:b] == np.arange(b - a)).all()
     for a, b in zip(tree.levels, tree.levels[1:]):
         assert (np.diff(preorder[a:b]) > 0).all()
-    assert tree.utility.tolist() == [list(r) for r in returns]
+    leaves = np.flatnonzero(tree.owner == TERMINAL)
+    assert (tree.row[leaves] == np.arange(len(leaves))).all()
+    assert tree.utility.tolist() == [list(walk[preorder[i]][0].returns())
+                                     for i in leaves]
     for d in range(len(tree.levels) - 1):
         part = tree.owner[tree.levels[d]:tree.levels[d + 1]] == TERMINAL
         assert tree.leaves[d + 1] - tree.leaves[d] == part.sum()
