@@ -184,18 +184,24 @@ _MSS_BY_NAME = {
 
 
 def solve_matrix(path: str, mss: str) -> int:
-    """Solve a payoff matrix from a JSON or whitespace-separated text file."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        matrix = np.array(json.loads(text), dtype=float)
-    except (json.JSONDecodeError, ValueError):
-        matrix = np.loadtxt(path, ndmin=2)
+    """Solve a payoff matrix from a JSON or whitespace-separated text file;
+    ConfigError, naming the file, if it holds no matrix the solver takes."""
     kind = _MSS_BY_NAME.get(mss)
     if kind is None:
         raise ConfigError(f"unknown mss {mss!r}; valid: "
                           f"{sorted(_MSS_BY_NAME)}")
-    sigma_row, sigma_col = meta_solvers.solve(matrix, kind)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        try:
+            matrix = np.array(json.loads(text), dtype=float)
+        except (json.JSONDecodeError, TypeError, ValueError):
+            matrix = np.loadtxt(path, ndmin=2)
+        sigma_row, sigma_col = meta_solvers.solve(matrix, kind)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except (ValueError, meta_solvers.SolverError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     value = float(sigma_row @ matrix @ sigma_col)
     print("sigma_row " + " ".join(repr(float(p)) for p in sigma_row))
     print("sigma_col " + " ".join(repr(float(p)) for p in sigma_col))

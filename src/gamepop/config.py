@@ -4,21 +4,23 @@ The spec dataclasses are the schema: each field's type, default, JSON name
 and bounds are declared once, on the field (see `gamepop.specs`), and each
 nested spec is one JSON object holding exactly its own fields. This module
 reads JSON into those dataclasses and echoes them back, with the defaults
-materialized. Unknown fields are errors, and every validation failure names
-the offending field, so sweep overrides and hand-edited configs fail loudly
-instead of silently drifting.
+materialized; `game.params` is read against the named game's spec in
+`gamepop.games.GAMES` and echoed as given. Unknown fields are errors, and
+every validation failure names the offending field, so sweep overrides and
+hand-edited configs fail loudly instead of silently drifting.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
 from .engine import (Distill, DqnOracle, EngineError, ExactOracle,
                      GradientOracle, InheritBest, InheritLatest, NashFusion,
                      PsroConfig, QLearningOracle, SampleFromNE, Scratch)
+from .games import GAMES, GameError
 from .meta_solvers import FictitiousPlay, Nash, Prd, SolverError, Uniform
 
 
@@ -45,7 +47,7 @@ _SCALARS = {bool: (bool, "a boolean"), int: (int, "an integer"),
             float: ((int, float), "a number"), str: (str, "a string")}
 
 # What a spec raises when a value breaks its declared bounds or choices.
-_SPEC_ERRORS = (EngineError, SolverError, ValueError)
+_SPEC_ERRORS = (EngineError, GameError, SolverError, ValueError)
 
 _TOP_REQUIRED = ("game", "oracle", "mss", "init", "iterations", "seeds")
 _TOP_OPTIONAL = ("psd", "eval", "payoff", "output_dir", "diagnostics")
@@ -80,8 +82,10 @@ def _build(cls, kwargs, prefix):
 
 def _read(cls, obj, path):
     """A spec from its JSON object. Absent fields keep the dataclass
-    default."""
-    _check_keys(obj, path, (), [key for key, _, _ in _fields(cls)])
+    default; a field without one is required."""
+    _check_keys(obj, path,
+                [key for key, f, _ in _fields(cls) if f.default is MISSING],
+                [key for key, _, _ in _fields(cls)])
     kwargs = {f.name: _value(kind, f.metadata, obj[key], f"{path}.{key}")
               for key, f, kind in _fields(cls) if key in obj}
     return _build(cls, kwargs, f"{path}.")
@@ -108,15 +112,21 @@ def _value(kind, meta, value, path):
     return kind(value)
 
 
+def _lookup(table, name, path, noun):
+    """`table[name]`; an unknown name is refused with the valid ones."""
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{path}: unknown {noun} {name!r}; valid names: "
+                          f"{sorted(table)}")
+    return table[name]
+
+
 def _read_union(name, obj, path):
     tag, noun, table = _UNIONS[name]
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     if tag not in obj:
         raise ConfigError(f"{path}: missing field {tag!r}")
-    cls = table.get(obj[tag]) if isinstance(obj[tag], str) else None
-    if cls is None:
-        raise ConfigError(f"{path}.{tag}: unknown {noun} {obj[tag]!r}")
+    cls = _lookup(table, obj[tag], f"{path}.{tag}", noun)
     return _read(cls, {k: v for k, v in obj.items() if k != tag}, path)
 
 
@@ -134,28 +144,25 @@ def parse_config(data: dict) -> PsroConfig:
     _check_keys(data, "config", _TOP_REQUIRED, _TOP_OPTIONAL)
     game = data["game"]
     _check_keys(game, "game", ("name",), ("params",))
-    _value(str, {}, game["name"], "game.name")
     params = game.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("game.params: expected an object")
-    flat = {k: v for k, v in data.items() if k != "payoff"}
-    if "payoff" in data:
-        _check_keys(data["payoff"], "payoff", ("mode",), ("episodes",))
-        flat.update({f"payoff.{k}": v for k, v in data["payoff"].items()})
-    kwargs = {f.name: _value(kind, f.metadata, flat[key], key)
+    params_spec, _ = _lookup(GAMES, game["name"], "game.name", "game")
+    _read(params_spec, params, "game.params")
+    kwargs = {f.name: _value(kind, f.metadata, data[key], key)
               for key, f, kind in _fields(PsroConfig)
-              if key in flat and key not in ("game", "init")}
+              if key in data and key not in ("game", "init")}
     kwargs["game"] = {"name": game["name"], "params": params}
     kwargs["init"] = _read_init(data["init"], "init")
     return _build(PsroConfig, kwargs, "")
 
 
 def load_config(path: str) -> PsroConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return parse_config(data)
 
 
@@ -192,6 +199,4 @@ def config_to_dict(config: PsroConfig) -> dict:
                    "params": config.game.get("params", {})}
     out["init"] = {"p0": _echo_union("init", config.init[0]),
                    "p1": _echo_union("init", config.init[1])}
-    out["payoff"] = {"mode": out.pop("payoff.mode"),
-                     "episodes": out.pop("payoff.episodes")}
     return out

@@ -10,8 +10,8 @@ Before the fusion start iteration `c`, a historical policy is sampled from
 the meta-strategy instead.
 
 `_build_arena` checks a run description before any of it runs, and names
-the field at fault: a game or `game.params` the game refuses, or an option
-of `_OPTIONS` the arena does not list in its `honours`.
+the field at fault: an oracle that does not fit the game, or an option of
+`_OPTIONS` the arena does not list in its `honours`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meta_solvers, policies as pol
-from .games import (GAME_NAMES, GameError, expected_value, exploitability,
-                     make_game)
+from .games import expected_value, exploitability, make_game
 from .games.base import draw_index
 from .games.ntmg import NtmgConfig, ntmg_payoff
 from .meta_solvers import MetaGame, Prd, extend_payoff, fill_payoff
@@ -120,6 +119,12 @@ class EvalSpec:
 
 
 @spec(EngineError)
+class PayoffSpec:
+    mode: str = setting("exact", choices=("exact", "monte_carlo"))
+    episodes: int = setting(10_000, ge=1)
+
+
+@spec(EngineError)
 class DiagnosticsSpec:
     kl_compare: bool = False
     kl_states: int = setting(128, ge=1)
@@ -134,9 +139,7 @@ class PsroConfig:
     iterations: int = setting(ge=1)
     psd: PsdSpec = PsdSpec()
     eval: EvalSpec = EvalSpec()
-    payoff_mode: str = setting("exact", json="payoff.mode",
-                               choices=("exact", "monte_carlo"))
-    payoff_episodes: int = setting(10_000, json="payoff.episodes", ge=1)
+    payoff: PayoffSpec = PayoffSpec()
     seeds: tuple[int, ...] = (0,)
     output_dir: str | None = None
     diagnostics: DiagnosticsSpec = DiagnosticsSpec()
@@ -493,9 +496,8 @@ class TreeArena(_Arena):
         return fuse_tabular(members, weights)
 
     def fill_payoffs(self, meta, pops, seed):
-        config = self.config
-        episodes = (config.payoff_episodes
-                    if config.payoff_mode == "monte_carlo" else None)
+        payoff = self.config.payoff
+        episodes = payoff.episodes if payoff.mode == "monte_carlo" else None
         return extend_payoff(meta, self.game, pops, episodes, seed)
 
     def exploitability(self, pops, sigmas):
@@ -579,7 +581,7 @@ _OPTIONS = (
      "only the dqn oracle takes the intrinsic reward"),
     ("eval.approx_exploitability", lambda c: c.eval.approx_oracle is not None,
      "the mixture game supports exact exploitability only"),
-    ("payoff.mode", lambda c: c.payoff_mode == "monte_carlo",
+    ("payoff.mode", lambda c: c.payoff.mode == "monte_carlo",
      "the mixture game's payoffs are closed-form"),
     ("diagnostics.kl_compare", lambda c: c.diagnostics.kl_compare,
      "only network policies are compared"),
@@ -599,17 +601,7 @@ def _build_arena(config: PsroConfig) -> _Arena:
         raise EngineError(f"mss.gamma: must be below 1/{final_size}: "
                           "replicator dynamics floors each of the final "
                           "policies at gamma")
-    name, params = config.game.get("name"), config.game.get("params") or {}
-    if name not in GAME_NAMES:
-        raise EngineError(f"game.name: unknown game {name!r}; valid names: "
-                          f"{list(GAME_NAMES)}")
-    try:
-        game = (NtmgConfig(**params) if name == "ntmg"
-                else make_game(name, params))
-    except (GameError, TypeError, ValueError) as exc:
-        param = getattr(exc, "param", None)
-        field = "game.params" if param is None else f"game.params.{param}"
-        raise EngineError(f"{field}: {exc}") from exc
+    game = make_game(config.game["name"], config.game.get("params"))
     oracle, approx = config.oracle, config.eval.approx_oracle
     plane = isinstance(game, NtmgConfig)
     if plane != isinstance(oracle, GradientOracle):

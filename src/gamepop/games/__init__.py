@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
+from ..specs import setting, spec
 from .base import (CHANCE, TERMINAL, Game, GameError, InfosetView, State,
                    TraversalBudgetError, play_episode)
 from .evaluate import best_response, expected_value, exploitability
@@ -10,58 +15,71 @@ from .kuhn import KuhnPoker
 from .leduc import LeducPoker
 from .liars_dice import LiarsDice
 from .matrix import MatrixGame
-from .ntmg import (S_MATRIX, NtmgConfig, ntmg_densities,
-                   ntmg_densities_jacobian, ntmg_payoff, ntmg_payoff_grad,
-                   ntmg_weights)
+from .ntmg import NtmgConfig
 
-# The game trees `make_game` builds, each with the parameters it takes.
-_ALLOWED_PARAMS = {
-    "kuhn_poker": set(),
-    "leduc_poker": set(),
-    "liars_dice": {"faces"},
-    "liars_dice_ir": {"faces", "recall"},
-    "goofspiel": {"num_cards"},
-    "matrix_game": {"rows"},
+
+@spec(GameError)
+class NoParams:
+    """The parameters of a game that takes none."""
+
+
+@spec(GameError)
+class GoofspielParams:
+    num_cards: int = setting(5, ge=2)
+
+
+@spec(GameError)
+class LiarsDiceParams:
+    faces: int = setting(6, ge=2)
+
+
+@spec(GameError)
+class LiarsDiceIrParams(LiarsDiceParams):
+    # The legal bid set depends on the last bid, so at least that one
+    # action must stay in memory for infosets to be well formed.
+    recall: int = setting(2, ge=1)
+
+
+@dataclass(frozen=True)
+class MatrixParams:
+    rows: tuple[tuple[float, ...], ...]  # the row player's payoffs
+
+    def __post_init__(self):
+        widths = {len(row) for row in self.rows}
+        if len(widths) != 1 or 0 in widths or not np.isfinite(self.rows).all():
+            raise GameError("rows: must be a finite non-empty matrix")
+
+
+# Every game a run description may name: its parameter spec, and what builds
+# the game from those parameters as keywords. The plane game `ntmg` is its
+# parameters; the engine plays it without a tree.
+GAMES = {
+    "goofspiel": (GoofspielParams, Goofspiel),
+    "kuhn_poker": (NoParams, KuhnPoker),
+    "leduc_poker": (NoParams, LeducPoker),
+    "liars_dice": (LiarsDiceParams, LiarsDice),
+    "liars_dice_ir": (LiarsDiceIrParams, LiarsDice),
+    "matrix_game": (MatrixParams, MatrixGame),
+    "ntmg": (NtmgConfig, NtmgConfig),
 }
 
-# Every game a run description may name: the game trees and the plane
-# game `ntmg`, which the engine builds from an `NtmgConfig`.
-GAME_NAMES = tuple(sorted([*_ALLOWED_PARAMS, "ntmg"]))
 
-
-def make_game(name: str, params: dict | None = None) -> Game:
-    """Construct a benchmark game by name.
-
-    Raises GameError for unknown names or invalid parameters.
-    """
-    params = dict(params or {})
-    if name not in _ALLOWED_PARAMS:
-        raise GameError(f"unknown game {name!r}; valid names: "
-                        f"{sorted(_ALLOWED_PARAMS)}")
-    extra = set(params) - _ALLOWED_PARAMS[name]
-    if extra:
-        raise GameError(f"{name}: unexpected params {sorted(extra)}")
-    if name == "kuhn_poker":
-        return KuhnPoker()
-    if name == "leduc_poker":
-        return LeducPoker()
-    if name == "liars_dice":
-        return LiarsDice(faces=params.get("faces", 6))
-    if name == "liars_dice_ir":
-        return LiarsDice(faces=params.get("faces", 6),
-                         recall=params.get("recall", 2))
-    if name == "goofspiel":
-        return Goofspiel(num_cards=params.get("num_cards", 5))
-    if "rows" not in params:
-        raise GameError("matrix_game requires a `rows` payoff matrix")
-    return MatrixGame(params["rows"])
+def make_game(name: str, params: dict | None = None) -> Game | NtmgConfig:
+    """The game `name` built from `params`; GameError for an unknown name, a
+    parameter the game does not take or lacks, or a value its spec refuses."""
+    if name not in GAMES:
+        raise GameError(f"unknown game {name!r}; valid names: {sorted(GAMES)}")
+    params_spec, build = GAMES[name]
+    try:
+        checked = params_spec(**(params or {}))
+    except TypeError as exc:
+        raise GameError(f"{name}: {exc}") from exc
+    return build(**vars(checked))
 
 
 __all__ = [
     "CHANCE", "TERMINAL", "Game", "GameError", "InfosetView", "State",
-    "TraversalBudgetError", "GAME_NAMES", "play_episode", "best_response",
+    "TraversalBudgetError", "GAMES", "play_episode", "best_response",
     "expected_value", "exploitability", "make_game", "Goofspiel", "KuhnPoker",
-    "LeducPoker", "LiarsDice", "MatrixGame", "S_MATRIX", "NtmgConfig",
-    "ntmg_densities", "ntmg_densities_jacobian", "ntmg_payoff",
-    "ntmg_payoff_grad", "ntmg_weights",
+    "LeducPoker", "LiarsDice", "MatrixGame", "NtmgConfig",
 ]

@@ -16,7 +16,6 @@ node as its `InfosetView`.
 from __future__ import annotations
 
 import functools
-import numbers
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,19 +31,7 @@ MAX_TREE_NODES = 10_000_000
 
 
 class GameError(Exception):
-    """Invalid game construction or parameters; `param` names the parameter
-    at fault, if one is."""
-
-    def __init__(self, message: str, param: str | None = None):
-        super().__init__(message)
-        self.param = param
-
-
-def check_size(param: str, value, least: int):
-    """Refuse a game size that is not an integer of at least `least`."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise GameError(f"must be an integer >= {least}", param)
+    """Invalid game construction or parameters."""
 
 
 class TraversalBudgetError(Exception):
@@ -89,7 +76,6 @@ class State:
 class Game:
     """A two-player zero-sum game exposing tree traversal queries."""
 
-    name: str = "game"
     num_players: int = 2
     max_game_length: int = 0
     perfect_recall: bool = True
@@ -216,7 +202,7 @@ class FlatTree:
             grown += len(outcomes)
             if grown > MAX_TREE_NODES:
                 raise TraversalBudgetError(
-                    f"{game.name}: the game tree would grow past "
+                    f"{type(game).__name__}: the game tree would grow past "
                     f"{MAX_TREE_NODES} nodes")
             stack.extend((state.child(a), node, k, q, d + 1)
                          for k, (a, q) in reversed(list(enumerate(outcomes))))

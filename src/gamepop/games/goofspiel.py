@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TERMINAL, Game, GameError, State, check_size
+from .base import TERMINAL, Game, GameError, State
 
 
 class GoofspielState(State):
@@ -78,10 +78,8 @@ class GoofspielState(State):
 
 
 class Goofspiel(Game):
-    def __init__(self, num_cards: int = 5):
-        check_size("num_cards", num_cards, 2)
+    def __init__(self, num_cards: int):
         self.num_cards = num_cards
-        self.name = "goofspiel"
         self.max_game_length = 2 * num_cards
 
     def initial_state(self) -> GoofspielState:

@@ -61,7 +61,6 @@ class KuhnState(State):
 
 
 class KuhnPoker(Game):
-    name = "kuhn_poker"
     max_game_length = 5  # 2 deals + up to 3 betting actions
 
     def initial_state(self) -> KuhnState:

@@ -116,7 +116,6 @@ class LeducState(State):
 
 
 class LeducPoker(Game):
-    name = "leduc_poker"
     max_game_length = 13  # 3 deals + up to 5 actions per round
 
     def initial_state(self) -> LeducState:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import CHANCE, TERMINAL, Game, GameError, State, check_size
+from .base import CHANCE, TERMINAL, Game, GameError, State
 
 
 class LiarsDiceState(State):
@@ -73,16 +73,10 @@ class LiarsDiceState(State):
 
 
 class LiarsDice(Game):
-    def __init__(self, faces: int = 6, recall: int | None = None):
-        check_size("faces", faces, 2)
-        if recall is not None:
-            # The legal bid set depends on the last bid, so at least that
-            # one action must stay in memory for infosets to be well formed.
-            check_size("recall", recall, 1)
+    def __init__(self, faces: int, recall: int | None = None):
         self.faces = faces
         self.recall = recall
         self.challenge_action = 2 * faces
-        self.name = "liars_dice" if recall is None else "liars_dice_ir"
         self.perfect_recall = recall is None
         self.max_game_length = 2 + 2 * faces + 1
 

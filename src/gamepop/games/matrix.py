@@ -49,13 +49,7 @@ class MatrixState(State):
 
 class MatrixGame(Game):
     def __init__(self, rows):
-        M = np.asarray(rows, dtype=float)
-        if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
-            raise GameError("matrix_game rows must be a non-empty 2D array")
-        if not np.all(np.isfinite(M)):
-            raise GameError("matrix_game entries must be finite")
-        self.rows = M
-        self.name = "matrix_game"
+        self.rows = np.asarray(rows, dtype=float)
         self.max_game_length = 2
 
     def initial_state(self) -> MatrixState:

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..specs import check, setting
+from .base import GameError
+
 S_MATRIX = np.array([
     [0, 1, 1, 1, -1, -1, -1],
     [-1, 0, 1, 1, 1, -1, -1],
@@ -32,21 +35,20 @@ S_MATRIX = np.array([
 
 @dataclass(frozen=True)
 class NtmgConfig:
-    num_humps: int = 7
-    center_radius: float = 5.0
+    """The plane game, declared by its parameters."""
+    center_radius: float = setting(5.0, ge=0.0)
     # Neighboring centers sit ~2.9 sigma apart at this default: humps stay
     # distinct but the terrain between them keeps usable gradients.
-    gaussian_sigma: float = 1.5
-    plane_bound: float = 10.0
+    gaussian_sigma: float = setting(1.5, gt=0.0)
+    plane_bound: float = setting(10.0, gt=0.0)
 
     def __post_init__(self):
-        if self.num_humps != 7:
-            raise ValueError("num_humps must be 7 to match the cyclic matrix")
-        if self.gaussian_sigma <= 0:
-            raise ValueError("gaussian_sigma must be positive")
+        check(self, GameError)
+        if self.center_radius > self.plane_bound:
+            raise GameError("center_radius: must be <= plane_bound")
 
     def centers(self) -> np.ndarray:
-        angles = 2.0 * np.pi * np.arange(self.num_humps) / self.num_humps
+        angles = 2.0 * np.pi * np.arange(7) / 7  # a hump per S_MATRIX row
         return self.center_radius * np.stack(
             [np.cos(angles), np.sin(angles)], axis=1)
 

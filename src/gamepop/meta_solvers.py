@@ -240,6 +240,14 @@ def _dedup_indices(vectors: np.ndarray, tol: float) -> list[int]:
     return kept
 
 
+def _checked(M) -> np.ndarray:
+    """`M` as a float array, if it is a non-empty 2-D finite matrix."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.size == 0 or not np.isfinite(M).all():
+        raise SolverError("payoff matrix must be 2D, non-empty and finite")
+    return M
+
+
 def solve_nash_lp(M) -> tuple[np.ndarray, np.ndarray, float]:
     """Exact Nash equilibrium of the zero-sum matrix game M.
 
@@ -254,11 +262,7 @@ def solve_nash_lp(M) -> tuple[np.ndarray, np.ndarray, float]:
     solving, which changes neither the value nor the deviation bounds, and a
     deterministic right-hand-side perturbation handles remaining ties.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise SolverError("payoff matrix must be 2D and non-empty")
-    if not np.all(np.isfinite(M)):
-        raise SolverError("payoff matrix entries must be finite")
+    M = _checked(M)
     rows, cols = M.shape
     scale = float(np.abs(M).max())
     Mw = M / scale if scale > 0 else M
@@ -388,8 +392,9 @@ class FictitiousPlay:
 
 
 def solve(M, kind) -> tuple[np.ndarray, np.ndarray]:
-    """Compute a meta-strategy pair from the payoff matrix."""
-    M = np.asarray(M, dtype=float)
+    """Compute a meta-strategy pair from the payoff matrix; SolverError,
+    for every kind, unless it is a non-empty 2-D finite matrix."""
+    M = _checked(M)
     if isinstance(kind, Uniform):
         rows, cols = M.shape
         return np.full(rows, 1.0 / rows), np.full(cols, 1.0 / cols)

@@ -1,9 +1,10 @@
 """Field declarations shared by the run-description dataclasses.
 
 Every field of a run description (engine specs, `oracles.DqnOracle`, the
-meta-solver kinds) is declared once, on the dataclass: its type annotation,
-its default, and in `dataclasses.field` metadata, whatever else the JSON
-config and the construction-time check need:
+meta-solver kinds, the game parameters of `gamepop.games.GAMES`) is
+declared once, on the dataclass: its type annotation, its default, and in
+`dataclasses.field` metadata, whatever else the JSON config and the
+construction-time check need:
 
 - ``json``: its key in the config, where that differs from the attribute;
 - ``ge``, ``gt``, ``le``: bounds on a number, or on each item of a tuple;

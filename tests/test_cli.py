@@ -14,6 +14,7 @@ from gamepop.cli import main, run_from_config, solve_matrix, sweep
 from gamepop.config import (ConfigError, config_to_dict, load_config,
                             parse_config)
 from gamepop.engine import GradientOracle, PsroConfig, _build_arena
+from gamepop.games import GAMES
 from gamepop.svgplot import PlotError, render_svg
 
 RPS_ROWS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
@@ -89,7 +90,11 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("game, oracle", [
         ({"name": "kuhn_poker", "params": {"faces": 3}}, {"kind": "exact"}),
-        ({"name": "ntmg", "params": {"sigma": 1.0}}, {"kind": "gradient"})])
+        ({"name": "ntmg", "params": {"sigma": 1.0}}, {"kind": "gradient"}),
+        # The hump count is the size of the cyclic matrix, not a parameter.
+        ({"name": "ntmg", "params": {"num_humps": 7}}, {"kind": "gradient"}),
+        ({"name": "ntmg", "params": {"num_humps": 7.0}},
+         {"kind": "gradient"})])
     def test_bad_game_params_write_nothing(self, tmp_path, capsys, game,
                                            oracle):
         out = tmp_path / "out"
@@ -108,8 +113,43 @@ class TestRunCommand:
         path = write_config(tmp_path, minimal_config(out, game=game))
         assert main(["run", "--config", path]) == 2
         assert capsys.readouterr().err == (
-            f"error: game.params.{param}: must be an integer >= 2\n")
+            f"error: game.params.{param}: expected an integer\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("params, error", [
+        ({"center_radius": "x"}, "center_radius: expected a number"),
+        ({"plane_bound": -1}, "plane_bound: must be > 0.0"),
+        ({"plane_bound": True}, "plane_bound: expected a number"),
+        ({"center_radius": 20}, "center_radius: must be <= plane_bound"),
+        ({"center_radius": 11}, "center_radius: must be <= plane_bound"),
+        ({"center_radius": -1}, "center_radius: must be >= 0.0"),
+        ({"gaussian_sigma": 0}, "gaussian_sigma: must be > 0.0")])
+    def test_bad_plane_game_value_writes_nothing(self, tmp_path, capsys,
+                                                 params, error):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(
+            out, game={"name": "ntmg", "params": params},
+            oracle={"kind": "gradient"}))
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: game.params.{error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0, float("nan")]]])
+    def test_bad_matrix_game_rows_write_nothing(self, tmp_path, capsys,
+                                                rows):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(
+            out, game={"name": "matrix_game", "params": {"rows": rows}}))
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: game.params.rows: must be a finite non-empty matrix\n")
+        assert not out.exists()
+
+    def test_missing_config_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: No such file or directory\n")
 
     def test_unknown_game_names_the_game_field(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -226,19 +266,20 @@ def _json_keys(cls):
 
 
 def test_readme_names_every_config_key():
-    """Every key the config accepts, tag values included, is named in the
-    README's Configuration section, as `key` or as "key" in its example; a
-    dotted key like payoff.mode by each of its parts."""
-    keys = set(_json_keys(PsroConfig))
+    """Every key the config accepts, tag values, game names and game
+    parameters included, is named in the README's Configuration section, as
+    `key` or as "key" in its example."""
+    keys = set(_json_keys(PsroConfig)) | {"name", "params"}
     for tag, _, table in config_module._UNIONS.values():
         keys |= {tag, *table}
         for cls in table.values():
             keys.update(_json_keys(cls))
+    for name, (params_spec, _) in GAMES.items():
+        keys |= {name, *_json_keys(params_spec)}
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
-    unnamed = sorted(key for key in keys if not all(
-        f"`{part}`" in section or f'"{part}"' in section
-        for part in key.split(".")))
+    unnamed = sorted(key for key in keys
+                     if f"`{key}`" not in section and f'"{key}"' not in section)
     assert unnamed == []
 
 
@@ -327,6 +368,24 @@ class TestSolveMatrix:
             if mss == "prd":
                 continue  # default 1e5 steps; covered by unit tests
             assert solve_matrix(str(path), mss) == 0
+
+    @pytest.mark.parametrize("mss", ["nash", "uniform", "prd", "fp"])
+    @pytest.mark.parametrize("name, text", [
+        ("missing.json", None),
+        ("row.json", "[0, -1, 1]"),
+        ("nan.json", "[[0, NaN], [1, 0]]"),
+        ("inf.txt", "0 inf\n1 0\n"),
+        ("ragged.txt", "0 -1 1\n1 0\n")])
+    def test_malformed_matrix_is_an_error(self, tmp_path, capsys, mss, name,
+                                          text):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main(["solve-matrix", "--matrix", str(path),
+                     "--mss", mss]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.out == ""
 
 
 def _write_results(path, rows):

@@ -7,7 +7,7 @@ import pytest
 from gamepop.engine import (DiagnosticsSpec, Distill, DqnOracle, EngineError,
                             EvalSpec, ExactOracle, GradientOracle,
                             InheritBest, InheritLatest, NashFusion,
-                            NetworkArena, PsdSpec, PsroConfig,
+                            NetworkArena, PayoffSpec, PsdSpec, PsroConfig,
                             QLearningOracle,
                             SampleFromNE, Scratch, _build_arena,
                             approximate_exploitability, init_new_policy,
@@ -341,7 +341,7 @@ class TestNtmgRun:
         (dict(psd=PsdSpec(enabled=True)), "psd.enabled"),
         (dict(eval=EvalSpec(approx_oracle=ExactOracle())),
          "eval.approx_exploitability"),
-        (dict(payoff_mode="monte_carlo"), "payoff.mode"),
+        (dict(payoff=PayoffSpec(mode="monte_carlo")), "payoff.mode"),
         (dict(diagnostics=DiagnosticsSpec(kl_compare=True)),
          "diagnostics.kl_compare"),
         (dict(init=(Scratch("kaiming"), InheritLatest())), "init.kind"),

@@ -44,6 +44,17 @@ def test_make_game_bad_params():
     with pytest.raises(GameError):
         # legality depends on the last bid, so it must stay in memory
         make_game("liars_dice_ir", {"faces": 2, "recall": 0})
+    with pytest.raises(GameError):
+        make_game("matrix_game", {"rows": [[0, 1], [1]]})
+    with pytest.raises(GameError):
+        make_game("ntmg", {"num_humps": 7})
+
+
+def test_make_game_defaults():
+    assert make_game("ntmg", {}) == NtmgConfig()
+    assert make_game("goofspiel").num_cards == 5
+    assert make_game("liars_dice").recall is None
+    assert make_game("liars_dice_ir").recall == 2
 
 
 def _decision_nodes(state):
@@ -491,9 +502,9 @@ class TestNtmg:
             S_MATRIX[0, 1], abs=1e-6)
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            NtmgConfig(num_humps=6)
-        with pytest.raises(ValueError):
+        with pytest.raises(GameError, match="gaussian_sigma"):
             NtmgConfig(gaussian_sigma=0.0)
+        with pytest.raises(GameError, match="center_radius"):
+            NtmgConfig(center_radius=11.0)  # a hump outside the plane
         with pytest.raises(ValueError):
             ntmg_weights([np.inf, 0.0], self.cfg)

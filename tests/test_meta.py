@@ -155,6 +155,14 @@ class TestNashLp:
             solve_nash_lp(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("kind", [Nash(), Uniform(), Prd(), FictitiousPlay()])
+@pytest.mark.parametrize("matrix", [[1.0, 2.0], [[np.inf, 1.0]],
+                                    np.zeros((2, 0))])
+def test_solve_rejects_bad_matrices_for_every_kind(kind, matrix):
+    with pytest.raises(SolverError, match="payoff matrix"):
+        solve(matrix, kind)
+
+
 # ---------------------------------------------------------------------------
 # The vectorized pivot against the row-by-row loop it replaced
 
