@@ -21,8 +21,9 @@ import numpy as np
 
 from . import meta_solvers
 from .config import ConfigError, config_to_dict, load_config, parse_config
-from .engine import EngineError, _build_arena, run_psro
+from .engine import SOLVERS, EngineError, _build_arena, run_psro
 from .policies import checkpoint_loads
+from .specs import lookup
 from .svgplot import RENDER_KINDS, PlotError, render_svg
 
 log = logging.getLogger("gamepop")
@@ -135,8 +136,9 @@ def sweep(path: str, param: str, values: list[str],
 
 def evaluate_run(run_dir: str) -> int:
     """Re-evaluate a finished seed directory: rebuild the population from
-    its checkpoints, re-solve the meta-strategy from the last payoff matrix,
-    and report the profile's exploitability."""
+    the checkpoints of the iterations its `results.csv` records, re-solve
+    the meta-strategy from the last one's payoff matrix, and report the
+    profile's exploitability."""
     config_path = os.path.join(os.path.dirname(os.path.abspath(run_dir)),
                                "config.json")
     if not os.path.exists(config_path):
@@ -149,24 +151,26 @@ def evaluate_run(run_dir: str) -> int:
         raise ConfigError(f"{run_dir}: expected a seed_<n> directory") from exc
     arena = _checked_arena(config)
 
-    ckpt_dir = os.path.join(run_dir, "checkpoints")
-    names = sorted(os.listdir(ckpt_dir)) if os.path.isdir(ckpt_dir) else []
-    if not names:
-        raise ConfigError(f"{run_dir}: no checkpoints to evaluate")
+    # A run starts results.csv afresh, so checkpoints and matrices past its
+    # last row are left from an earlier, longer run into the same directory.
+    results = os.path.join(run_dir, "results.csv")
     pops = arena.initial_populations(seed)
-    last_iteration = 0
-    for name in names:
-        stem = name.rsplit(".", 1)[0]  # iter_0001_p0
-        _, iteration, player = stem.split("_")
-        last_iteration = max(last_iteration, int(iteration))
-        with open(os.path.join(ckpt_dir, name)) as fh:
-            pops[int(player[1])].append(checkpoint_loads(fh.read()))
-
-    matrix_path = os.path.join(run_dir, f"payoff_matrix_{last_iteration}.txt")
-    if not os.path.exists(matrix_path):
-        raise ConfigError(f"{matrix_path}: not found; the run has no payoff "
-                          "matrix for its last checkpointed iteration")
-    matrix = np.loadtxt(matrix_path, skiprows=3, ndmin=2)
+    try:
+        with open(results) as fh:
+            rows = list(csv.reader(fh))  # a version line, a header, the rows
+        if len(rows) < 3:
+            raise ConfigError(f"{results}: records no iteration")
+        last_iteration = int(rows[-1][0])
+        for t in range(1, last_iteration + 1):
+            for player in (0, 1):
+                with open(os.path.join(run_dir, "checkpoints",
+                                       f"iter_{t:04d}_p{player}.json")) as fh:
+                    pops[player].append(checkpoint_loads(fh.read()))
+        with open(os.path.join(run_dir,
+                               f"payoff_matrix_{last_iteration}.txt")) as fh:
+            matrix = np.loadtxt(fh, skiprows=3, ndmin=2)
+    except OSError as exc:
+        raise ConfigError(f"{exc.filename}: {exc.strerror}") from exc
     sigma_row, sigma_col = meta_solvers.solve(matrix, config.mss)
     value = arena.exploitability(pops, (sigma_row, sigma_col))
     print(f"iterations {last_iteration}")
@@ -175,21 +179,11 @@ def evaluate_run(run_dir: str) -> int:
     return 0
 
 
-_MSS_BY_NAME = {
-    "nash": meta_solvers.Nash(),
-    "uniform": meta_solvers.Uniform(),
-    "prd": meta_solvers.Prd(),
-    "fp": meta_solvers.FictitiousPlay(),
-}
-
-
 def solve_matrix(path: str, mss: str) -> int:
-    """Solve a payoff matrix from a JSON or whitespace-separated text file;
-    ConfigError, naming the file, if it holds no matrix the solver takes."""
-    kind = _MSS_BY_NAME.get(mss)
-    if kind is None:
-        raise ConfigError(f"unknown mss {mss!r}; valid: "
-                          f"{sorted(_MSS_BY_NAME)}")
+    """Solve a payoff matrix from a JSON or whitespace-separated text file
+    with the default solver of `mss.kind` `mss`; ConfigError, naming the
+    file, if it holds no matrix the solver takes."""
+    kind = lookup(SOLVERS.members, mss, "--mss", SOLVERS.noun, ConfigError)()
     try:
         with open(path) as fh:
             text = fh.read()
@@ -234,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="solve a zero-sum payoff matrix")
     p_solve.add_argument("--matrix", required=True)
     p_solve.add_argument("--mss", default="nash",
-                         choices=sorted(_MSS_BY_NAME))
+                         choices=sorted(SOLVERS.members))
 
     p_plot = sub.add_parser("plot", help="render an SVG from run CSVs")
     p_plot.add_argument("--kind", required=True, choices=RENDER_KINDS)

@@ -28,7 +28,8 @@ from . import meta_solvers, policies as pol
 from .games import expected_value, exploitability, make_game
 from .games.base import draw_index
 from .games.ntmg import NtmgConfig, ntmg_payoff
-from .meta_solvers import MetaGame, Prd, extend_payoff, fill_payoff
+from .meta_solvers import (FictitiousPlay, MetaGame, Nash, Prd, Uniform,
+                           extend_payoff, fill_payoff)
 from .nets import ArchSignature
 from .oracles import (DqnOracle, PsdBonus, dqn_oracle, exact_oracle,
                       ntmg_mixture_payoff, ntmg_oracle, q_learning_oracle)
@@ -36,7 +37,7 @@ from .policies import (PointPolicy, PolicyMixture, TabularPolicy,
                        checkpoint_dumps, fuse_parameters, fuse_points,
                        fuse_tabular, kl_to_ensemble, sample_member,
                        scratch_init)
-from .specs import setting, spec
+from .specs import TaggedUnion, setting, spec
 
 
 class EngineError(Exception):
@@ -52,18 +53,18 @@ class Scratch:
     kind: str = setting("normal", choices=("normal", "orthogonal", "kaiming"))
 
 
-@dataclass(frozen=True)
+@spec(EngineError)
 class InheritLatest:
     pass
 
 
-@dataclass(frozen=True)
+@spec(EngineError)
 class InheritBest:
     """Deterministic arm: copy the policy with the largest meta-strategy
     mass (lowest index on ties)."""
 
 
-@dataclass(frozen=True)
+@spec(EngineError)
 class SampleFromNE:
     pass
 
@@ -84,7 +85,7 @@ class Distill:
     lr: float = 0.05
 
 
-@dataclass(frozen=True)
+@spec(EngineError)
 class ExactOracle:
     pass
 
@@ -103,6 +104,19 @@ class GradientOracle:
     lr: float = 1.0
 
 
+# Where a run-description field holds one of several specs, a tag names it.
+ORACLES = TaggedUnion("kind", "oracle kind", {
+    "exact": ExactOracle, "q_learning": QLearningOracle, "dqn": DqnOracle,
+    "gradient": GradientOracle})
+SOLVERS = TaggedUnion("kind", "meta-strategy solver", {
+    "nash": Nash, "uniform": Uniform, "prd": Prd,
+    "fictitious_play": FictitiousPlay})
+INITS = TaggedUnion("method", "init method", {
+    "scratch": Scratch, "inherit_latest": InheritLatest,
+    "inherit_best": InheritBest, "sample_from_ne": SampleFromNE,
+    "nash_fusion": NashFusion, "distill": Distill})
+
+
 @spec(EngineError)
 class PsdSpec:
     enabled: bool = False
@@ -114,7 +128,7 @@ class PsdSpec:
 class EvalSpec:
     exact_exploitability_every: int = setting(1, ge=0)  # 0 disables
     approx_oracle: object | None = setting(None, json="approx_exploitability",
-                                           union="oracle")
+                                           union=ORACLES)
     approx_every: int = setting(0, ge=0)  # 0: final iteration only
 
 
@@ -133,9 +147,9 @@ class DiagnosticsSpec:
 @spec(EngineError)
 class PsroConfig:
     game: dict
-    oracle: object = setting(union="oracle")
-    mss: object = setting(union="mss")
-    init: tuple  # per-player InitMethod
+    oracle: object = setting(union=ORACLES)
+    mss: object = setting(union=SOLVERS)
+    init: tuple  # per player, a member of INITS
     iterations: int = setting(ge=1)
     psd: PsdSpec = PsdSpec()
     eval: EvalSpec = EvalSpec()
@@ -325,8 +339,10 @@ def _fit_init_to_oracle(init, game, oracle_spec, seed):
     members fall back to a seeded scratch network."""
     if not isinstance(oracle_spec, DqnOracle) or hasattr(init, "theta"):
         return init
-    return NetworkArena(None, game, oracle_spec.hidden_layers).scratch(
-        seed, "normal")
+    signature = ArchSignature(game.encoding_dim(), oracle_spec.hidden_layers,
+                              game.num_distinct_actions())
+    return scratch_init("normal", signature,
+                        np.random.default_rng(seed).integers(2 ** 31))
 
 
 def approximate_exploitability(game, profile, oracle_spec, seed) -> float:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..specs import setting, spec
+from ..specs import lookup, read, setting, spec
 from .base import (CHANCE, TERMINAL, Game, GameError, InfosetView, State,
                    TraversalBudgetError, play_episode)
 from .evaluate import best_response, expected_value, exploitability
@@ -40,7 +38,7 @@ class LiarsDiceIrParams(LiarsDiceParams):
     recall: int = setting(2, ge=1)
 
 
-@dataclass(frozen=True)
+@spec(GameError)
 class MatrixParams:
     rows: tuple[tuple[float, ...], ...]  # the row player's payoffs
 
@@ -64,22 +62,23 @@ GAMES = {
 }
 
 
+def read_params(name, params, error):
+    """Game `name`'s parameter spec read from JSON `params` as a config's
+    `game.params`; `error`, naming the field, for what the spec refuses."""
+    params_spec, _ = lookup(GAMES, name, "game.name", "game", error)
+    return read(params_spec, params, "game.params", error)
+
+
 def make_game(name: str, params: dict | None = None) -> Game | NtmgConfig:
-    """The game `name` built from `params`; GameError for an unknown name, a
-    parameter the game does not take or lacks, or a value its spec refuses."""
-    if name not in GAMES:
-        raise GameError(f"unknown game {name!r}; valid names: {sorted(GAMES)}")
-    params_spec, build = GAMES[name]
-    try:
-        checked = params_spec(**(params or {}))
-    except TypeError as exc:
-        raise GameError(f"{name}: {exc}") from exc
-    return build(**vars(checked))
+    """The game `name` built from `params`, read as a run description's
+    `game.params` is; GameError with the text a config refusal has."""
+    checked = read_params(name, {} if params is None else params, GameError)
+    return GAMES[name][1](**vars(checked))
 
 
 __all__ = [
     "CHANCE", "TERMINAL", "Game", "GameError", "InfosetView", "State",
     "TraversalBudgetError", "GAMES", "play_episode", "best_response",
-    "expected_value", "exploitability", "make_game", "Goofspiel", "KuhnPoker",
-    "LeducPoker", "LiarsDice", "MatrixGame", "NtmgConfig",
+    "expected_value", "exploitability", "make_game", "read_params", "Goofspiel",
+    "KuhnPoker", "LeducPoker", "LiarsDice", "MatrixGame", "NtmgConfig",
 ]

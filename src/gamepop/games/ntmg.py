@@ -15,11 +15,9 @@ gradient ascent cannot travel between humps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..specs import check, setting
+from ..specs import setting, spec
 from .base import GameError
 
 S_MATRIX = np.array([
@@ -33,7 +31,7 @@ S_MATRIX = np.array([
 ], dtype=float)
 
 
-@dataclass(frozen=True)
+@spec(GameError)
 class NtmgConfig:
     """The plane game, declared by its parameters."""
     center_radius: float = setting(5.0, ge=0.0)
@@ -43,7 +41,6 @@ class NtmgConfig:
     plane_bound: float = setting(10.0, gt=0.0)
 
     def __post_init__(self):
-        check(self, GameError)
         if self.center_radius > self.plane_bound:
             raise GameError("center_radius: must be <= plane_bound")
 

@@ -15,8 +15,6 @@ differences as a row-by-row update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .games import expected_value, play_episode
@@ -369,12 +367,12 @@ def solve_fp(M, iters: int) -> tuple[np.ndarray, np.ndarray]:
 # Meta-strategy solver kinds and dispatch
 
 
-@dataclass(frozen=True)
+@spec(SolverError)
 class Nash:
     pass
 
 
-@dataclass(frozen=True)
+@spec(SolverError)
 class Uniform:
     pass
 

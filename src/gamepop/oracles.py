@@ -22,7 +22,7 @@ from .games.ntmg import (S_MATRIX, NtmgConfig, ntmg_densities,
 from .policies import (ParametricPolicy, PointPolicy, PolicyMixture,
                        TabularPolicy, _one_hot, floored, greedy_index,
                        kl_divergence, sample_member, weighted_sum)
-from .specs import check, setting
+from .specs import setting, spec
 
 
 @dataclass
@@ -34,7 +34,7 @@ class Step:
     next_view: InfosetView | None  # None on the learner's last step
 
 
-@dataclass(frozen=True)
+@spec(ValueError)
 class DqnOracle:
     """The DQN best-response oracle: the network architecture of a fresh
     response and the training settings."""
@@ -51,7 +51,6 @@ class DqnOracle:
     soft_update_tau: float | None = setting(None, gt=0.0, le=1.0)
 
     def __post_init__(self):
-        check(self, ValueError)
         if self.replay_capacity < self.batch_size:
             raise ValueError("replay_capacity: must be >= batch_size")
 

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from gamepop import config as config_module
+from gamepop import meta_solvers, specs
 from gamepop.cli import main, run_from_config, solve_matrix, sweep
 from gamepop.config import (ConfigError, config_to_dict, load_config,
                             parse_config)
-from gamepop.engine import GradientOracle, PsroConfig, _build_arena
+from gamepop.engine import (INITS, ORACLES, SOLVERS, GradientOracle,
+                            PsroConfig, _build_arena)
 from gamepop.games import GAMES
 from gamepop.svgplot import PlotError, render_svg
 
@@ -259,7 +260,7 @@ class TestConfigSchema:
 
 def _json_keys(cls):
     """The JSON keys of a spec and of the specs nested in it."""
-    for key, f, kind in config_module._fields(cls):
+    for key, f, kind in specs._fields(cls):
         yield key
         if is_dataclass(kind):
             yield from _json_keys(kind)
@@ -270,7 +271,7 @@ def test_readme_names_every_config_key():
     parameters included, is named in the README's Configuration section, as
     `key` or as "key" in its example."""
     keys = set(_json_keys(PsroConfig)) | {"name", "params"}
-    for tag, _, table in config_module._UNIONS.values():
+    for tag, _, table in (ORACLES, SOLVERS, INITS):
         keys |= {tag, *table}
         for cls in table.values():
             keys.update(_json_keys(cls))
@@ -364,12 +365,24 @@ class TestSolveMatrix:
     def test_text_matrix_and_all_solvers(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         path.write_text("0 -1 1\n1 0 -1\n-1 1 0\n")
-        for mss in ("nash", "uniform", "prd", "fp"):
+        for mss in ("nash", "uniform", "prd", "fictitious_play"):
             if mss == "prd":
                 continue  # default 1e5 steps; covered by unit tests
             assert solve_matrix(str(path), mss) == 0
 
-    @pytest.mark.parametrize("mss", ["nash", "uniform", "prd", "fp"])
+    def test_mss_takes_the_config_solver_names(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(RPS_ROWS))
+        assert main(["solve-matrix", "--matrix", str(path),
+                     "--mss", "fictitious_play"]) == 0
+        sigma_row, sigma_col = meta_solvers.solve(
+            RPS_ROWS, SOLVERS.members["fictitious_play"]())
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "sigma_row " + " ".join(repr(float(p)) for p in sigma_row),
+            "sigma_col " + " ".join(repr(float(p)) for p in sigma_col)]
+
+    @pytest.mark.parametrize("mss", ["nash", "uniform", "prd",
+                                     pytest.param("fictitious_play", id="fp")])
     @pytest.mark.parametrize("name, text", [
         ("missing.json", None),
         ("row.json", "[0, -1, 1]"),
@@ -541,6 +554,34 @@ def test_eval_command_recomputes_exploitability(tmp_path, capsys):
     assert lines[0] == "iterations 4"
     assert lines[1] == "population 5 5"
     assert abs(float(lines[2].split()[1])) <= 1e-9
+
+
+def test_eval_reads_the_run_that_results_csv_records(tmp_path, capsys):
+    """A shorter rerun into the same directory leaves the earlier run's
+    later checkpoints and matrices behind; eval evaluates the iterations
+    results.csv records, and a file it needs but lacks is an error."""
+    out = tmp_path / "out"
+    data = {"game": {"name": "kuhn_poker", "params": {}},
+            "oracle": {"kind": "exact"}, "mss": {"kind": "nash"},
+            "init": {"method": "inherit_latest"}, "seeds": [0]}
+    for iterations in (6, 3):
+        run_from_config(write_config(tmp_path, {**data,
+                                                "iterations": iterations}),
+                        str(out))
+    seed_dir = out / "seed_0"
+    assert (seed_dir / "payoff_matrix_6.txt").exists()
+    (seed_dir / "checkpoints" / "notes.txt").write_text("not a checkpoint")
+    recorded = (seed_dir / "results.csv").read_text().splitlines()[-1]
+    capsys.readouterr()
+    assert main(["eval", "--run-dir", str(seed_dir)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "iterations 3", "population 4 4",
+        f"exploitability {recorded.split(',')[1]}"]
+    os.remove(seed_dir / "checkpoints" / "iter_0002_p1.json")
+    assert main(["eval", "--run-dir", str(seed_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {seed_dir / 'checkpoints' / 'iter_0002_p1.json'}: "
+        "No such file or directory\n")
 
 
 def test_eval_without_the_last_payoff_matrix_is_an_error(tmp_path, capsys):

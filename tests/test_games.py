@@ -48,6 +48,18 @@ def test_make_game_bad_params():
         make_game("matrix_game", {"rows": [[0, 1], [1]]})
     with pytest.raises(GameError):
         make_game("ntmg", {"num_humps": 7})
+    # make_game reads `params` as parse_config reads `game.params`: a value
+    # of the wrong type is refused with the config's text, before any tree
+    # is built.
+    for name, params in [("goofspiel", {"num_cards": 2.5}),
+                         ("liars_dice_ir", {"recall": 1.0}),
+                         ("ntmg", {"plane_bound": True}),
+                         ("liars_dice", {"faces": "3"}),
+                         ("matrix_game", {"rows": [[1, "a"]]})]:
+        field, = params
+        with pytest.raises(GameError,
+                           match=rf"^game\.params\.{field}: expected "):
+            make_game(name, params)
 
 
 def test_make_game_defaults():
