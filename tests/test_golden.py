@@ -8,8 +8,9 @@ sampling went through one function (the tabular fusion case before the
 arenas built fresh and fused policies themselves, `kuhn_approx_exact` before
 every walk and episode read one game tree, the two exact-oracle cases
 before exact runs reused their exploitability best responses and filled
-payoff rows and columns in one walk each); a change that is meant to keep
-behaviour must keep them. Networks are tiny, so BLAS does little of the
+payoff rows and columns in one walk each, `leduc_dqn_monte_carlo` before
+the DQN learn step ran one online forward and episodes drew from cached
+CDFs); a change that is meant to keep behaviour must keep them. Networks are tiny, so BLAS does little of the
 work.
 """
 
@@ -94,6 +95,22 @@ CASES = {
         "1,,,2,2\n2,0.33333333333333337,,3,3\n3,,,4,4\n"
         "4,0.16666666666666657,,5,5\n5,0.10344827586206917,,6,6\n",
         "b39967c1489907cac32eefec54806ff3e3a1d4d6f2870a344c091ce61a5085ed"),
+    # The shape of the benchmark's dqn_leduc workload, shortened: a DQN
+    # learner of 32x32 from meta-Nash fusion, with learn steps, target
+    # updates and a wrapping replay buffer, network members in Monte Carlo
+    # payoff entries, and exact exploitability at the last iteration.
+    "leduc_dqn_monte_carlo": (
+        {"game": LEDUC,
+         "oracle": {"kind": "dqn", "hidden_layers": [32, 32],
+                    "replay_capacity": 128, "batch_size": 64,
+                    "optimizer": "adam", "lr": 0.005, "epsilon": 0.1,
+                    "target_update_every": 5, "episodes": 100},
+         "mss": {"kind": "nash"}, "init": {"method": "nash_fusion", "c": 2},
+         "iterations": 3, "seeds": [0],
+         "eval": {"exact_exploitability_every": 3},
+         "payoff": {"mode": "monte_carlo", "episodes": 50}},
+        "1,,,2,2\n2,,,3,3\n3,3.8015210401448454,,4,4\n",
+        "2cdc381c06686536fb50e0525670b49c18f4af9ad6bc4a4f6946fd7c2939a483"),
     "ntmg": (
         {"game": {"name": "ntmg", "params": {}},
          "oracle": {"kind": "gradient", "steps": 30, "lr": 1.0},
