@@ -236,6 +236,19 @@ class FlatTree:
                            number[owner == player], depth[preorder], preorder)
             for player in (0, 1))
 
+    @functools.cached_property
+    def chance_cdf(self) -> np.ndarray:
+        """At each child of a chance node, the `checked_cdf` of its
+        siblings' chance probabilities up to it (NaN at other nodes).
+        Computed once, on the first sampled episode; exact evaluation
+        never reads it."""
+        cdf = np.full(len(self.owner), np.nan)
+        for node in np.flatnonzero(self.owner == CHANCE).tolist():
+            a, b = self.first[node], self.first[node + 1]
+            cdf[a:b] = checked_cdf(self.prob[a:b], b - a)
+        cdf.flags.writeable = False
+        return cdf
+
     def _view(self, game: Game, state: State, player: int) -> InfosetView:
         key = state.infoset_key(player)
         view = self.views.get((player, key))
@@ -281,48 +294,64 @@ def _starts(groups: np.ndarray, count: int) -> np.ndarray:
         groups, minlength=count))]).astype(np.int32)
 
 
+def checked_cdf(probs, count: int) -> np.ndarray:
+    """The cumulative distribution `sample_action` draws ``count`` actions
+    from: ``probs`` divided by its sum, cumulated and rescaled to end at 1.
+    Raises ValueError for negative, NaN or infinite probabilities, a sum
+    that is zero or overflows, or a length other than ``count``.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.shape != (count,) or not p.min() >= 0.0:
+        raise ValueError(f"invalid probabilities {probs!r} "
+                         f"for {count} actions")
+    total = p.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"probabilities {probs!r} do not sum to a positive "
+                         "finite number")
+    return _cumulative(p / total)
+
+
+def _cumulative(weights: np.ndarray) -> np.ndarray:
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw(cdf: np.ndarray, rng: np.random.Generator):
+    """The index of one ``rng.random()`` searched in ``cdf``."""
+    return cdf.searchsorted(rng.random(), side="right")
+
+
 def draw_index(weights: np.ndarray, rng: np.random.Generator):
     """The index ``Generator.choice(len(weights), p=weights)`` draws, and
     the generator state it leaves, without that method's per-call argument
     checks: one ``rng.random()`` searched in the cumulative sum, rescaled
     to end at 1."""
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(), side="right")
+    return draw(_cumulative(weights), rng)
 
 
 def sample_action(probs, actions, rng: np.random.Generator):
     """Draw one of ``actions`` with probability proportional to ``probs``,
-    as ``Generator.choice(len(actions), p=probs / probs.sum())`` does (see
-    `draw_index`). Raises ValueError for negative, NaN or infinite
-    probabilities, a sum that is zero or overflows, or a length that
-    differs from actions.
+    as ``Generator.choice(len(actions), p=probs / probs.sum())`` does: one
+    `draw` from `checked_cdf`, with its ValueErrors.
     """
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (len(actions),) or not p.min() >= 0.0:
-        raise ValueError(f"invalid probabilities {probs!r} "
-                         f"for {len(actions)} actions")
-    total = p.sum()
-    if not 0.0 < total < np.inf:
-        raise ValueError(f"probabilities {probs!r} do not sum to a positive "
-                         "finite number")
-    return actions[draw_index(p / total, rng)]
+    return actions[draw(checked_cdf(probs, len(actions)), rng)]
 
 
 def sample_episode(game: Game, choose,
                    rng: np.random.Generator) -> tuple[float, float]:
     """Sample one playthrough of ``game.tree`` and return its returns.
 
-    Chance outcomes are drawn from ``rng``; at each decision node
-    ``choose(player, view)`` returns the action taken.
+    Chance outcomes are drawn from ``rng`` and the tree's `chance_cdf`; at
+    each decision node ``choose(player, view)`` returns the action taken.
     """
     tree = game.tree
-    owner, first = tree.owner, tree.first
+    owner, first, chance_cdf = tree.owner, tree.first, tree.chance_cdf
     node = 0
     while (player := int(owner[node])) != TERMINAL:
         a, b = first[node], first[node + 1]
         if player == CHANCE:
-            node = sample_action(tree.prob[a:b], range(a, b), rng)
+            node = a + draw(chance_cdf[a:b], rng)
         else:
             view = tree.infosets[player].views[tree.infoset[node]]
             node = a + view.legal_actions.index(choose(player, view))
@@ -332,9 +361,6 @@ def sample_episode(game: Game, choose,
 def play_episode(game: Game, policies,
                  rng: np.random.Generator) -> tuple[float, float]:
     """Sample one playthrough; ``policies[i]`` plays its evaluation-time
-    distribution for player i."""
-    def choose(player, view):
-        return sample_action(policies[player].action_probs(view),
-                             view.legal_actions, rng)
-
-    return sample_episode(game, choose, rng)
+    distribution for player i, drawn by its ``draw(view, rng)``."""
+    return sample_episode(
+        game, lambda player, view: policies[player].draw(view, rng), rng)

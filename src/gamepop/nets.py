@@ -78,11 +78,14 @@ def forward(sig: ArchSignature, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def forward_backward(sig: ArchSignature, theta: np.ndarray, x: np.ndarray,
-                     grad_out: np.ndarray) -> np.ndarray:
-    """Gradient of sum(outputs * grad_out) with respect to theta.
+                     grad_out) -> tuple[np.ndarray, np.ndarray]:
+    """One forward and one backward pass over the batch ``x`` (B,
+    input_dim).
 
-    x is (B, input_dim), grad_out is (B, output_dim). Returns a flat
-    gradient with theta's layout.
+    ``grad_out(outputs)`` maps the (B, output_dim) outputs to the gradient
+    of the loss with respect to them. Returns ``(outputs, grad)``: the
+    outputs, equal bit for bit to ``forward(sig, theta, x)``, and the
+    gradient with respect to theta, in theta's flat layout.
     """
     layers = unpack(sig, theta)
     acts = [np.atleast_2d(x)]
@@ -90,9 +93,11 @@ def forward_backward(sig: ArchSignature, theta: np.ndarray, x: np.ndarray,
     for W, b in layers[:-1]:
         h = np.maximum(h @ W.T + b, 0.0)
         acts.append(h)
+    W, b = layers[-1]
+    out = h @ W.T + b
     grad = np.zeros_like(theta)
     slices = _slices(sig)
-    delta = np.atleast_2d(grad_out)
+    delta = np.atleast_2d(grad_out(out))
     for i in range(len(layers) - 1, -1, -1):
         W, _ = layers[i]
         w_sl, b_sl, r, c = slices[i]
@@ -100,7 +105,7 @@ def forward_backward(sig: ArchSignature, theta: np.ndarray, x: np.ndarray,
         grad[b_sl] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ W) * (acts[i] > 0.0)
-    return grad
+    return out, grad
 
 
 class Sgd:
@@ -120,18 +125,37 @@ class Adam:
         self.eps = eps
         self.m = None
         self.v = None
+        self._scratch = None  # two theta-sized buffers, reused every step
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """``theta - lr * m_hat / (sqrt(v_hat) + eps)`` with the moments
+        updated in place, each in the same elementwise operations, in the
+        same order, as the textbook expressions."""
         if self.m is None:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
+            self._scratch = (np.empty_like(theta), np.empty_like(theta))
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        term, step = self._scratch
+        # m = beta1 * m + (1 - beta1) * grad
+        np.multiply(grad, 1 - self.beta1, out=term)
+        m *= self.beta1
+        m += term
+        # v = beta2 * v + (1 - beta2) * grad * grad
+        np.multiply(grad, 1 - self.beta2, out=term)
+        term *= grad
+        v *= self.beta2
+        v += term
+        # lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(v, 1 - self.beta2 ** self.t, out=term)
+        np.sqrt(term, out=term)
+        term += self.eps
+        np.divide(m, 1 - self.beta1 ** self.t, out=step)
+        step *= self.lr
+        step /= term
+        return theta - step
 
 
 def make_optimizer(spec: str, lr: float):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nets
 from .games import best_response
-from .games.base import Game, InfosetView, sample_action, sample_episode
+from .games.base import Game, InfosetView, sample_episode
 from .games.ntmg import (S_MATRIX, NtmgConfig, ntmg_densities,
                          ntmg_densities_jacobian, ntmg_payoff,
                          ntmg_payoff_grad)
@@ -58,16 +58,15 @@ class DqnOracle:
 def run_learner_episode(game: Game, player: int, select, opponent,
                         rng: np.random.Generator) -> tuple[list[Step], float]:
     """Play one episode; `select(view) -> global action id` drives the
-    learner, the opponent plays its evaluation-time distribution. Returns the
-    learner's transitions and terminal reward."""
+    learner, the opponent plays its evaluation-time distribution by its
+    ``draw``. Returns the learner's transitions and terminal reward."""
     pending: tuple[InfosetView, int] | None = None
     steps: list[Step] = []
 
     def choose(current, view):
         nonlocal pending
         if current != player:
-            return sample_action(opponent.action_probs(view),
-                                 view.legal_actions, rng)
+            return opponent.draw(view, rng)
         action = select(view)
         assert action in view.legal_actions, "oracle chose an illegal action"
         if pending is not None:
@@ -212,26 +211,29 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
         q = nets.forward(sig, theta, view.features)
         return view.legal_actions[greedy_index(q, view.legal_actions)]
 
+    rows = np.arange(cfg.batch_size)
+
     def learn_step():
         nonlocal theta, target_theta, learner_steps
         batch = rng.integers(size, size=cfg.batch_size)
-        X = replay_x[batch]
-        q_all = nets.forward(sig, theta, X)
-        q_taken = q_all[np.arange(len(batch)), replay_action[batch]]
+        actions, next_mask = replay_action[batch], replay_next_mask[batch]
         q_next = nets.forward(sig, target_theta, replay_next[batch])
-        q_next = np.where(replay_next_mask[batch], q_next, -np.inf)
-        best_next = np.where(replay_next_mask[batch].any(axis=1),
-                             q_next.max(axis=1), 0.0)
+        q_next = np.where(next_mask, q_next, -np.inf)
+        best_next = np.where(next_mask.any(axis=1), q_next.max(axis=1), 0.0)
         # A terminal step has an empty next mask, so its best_next is 0.0.
         targets = replay_reward[batch] + cfg.gamma_discount * best_next
-        td = q_taken - targets
-        loss = float(np.mean(td * td))
-        if not np.isfinite(loss):
-            raise FloatingPointError("TD loss diverged; lower the lr")
-        grad_out = np.zeros_like(q_all)
-        grad_out[np.arange(len(batch)), replay_action[batch]] = (
-            2.0 * td / len(batch))
-        grad = nets.forward_backward(sig, theta, X, grad_out)
+
+        def td_gradient(q_all):
+            td = q_all[rows, actions] - targets
+            loss = float(np.mean(td * td))
+            if not np.isfinite(loss):
+                raise FloatingPointError("TD loss diverged; lower the lr")
+            grad_out = np.zeros_like(q_all)
+            grad_out[rows, actions] = 2.0 * td / len(batch)
+            return grad_out
+
+        _, grad = nets.forward_backward(sig, theta, replay_x[batch],
+                                        td_gradient)
         if cfg.grad_clip is not None:
             grad = nets.clip_grad_norm(grad, cfg.grad_clip)
         theta = optimizer.step(theta, grad)
@@ -241,6 +243,15 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
             target_theta = (1.0 - tau) * target_theta + tau * theta
         elif learner_steps % cfg.target_update_every == 0:
             target_theta = theta.copy()
+
+    masks: dict[InfosetView, np.ndarray] = {}  # legal mask per next view
+
+    def legal_mask(view: InfosetView) -> np.ndarray:
+        mask = masks.get(view)
+        if mask is None:
+            mask = masks[view] = np.zeros(n_actions, dtype=bool)
+            mask[list(view.legal_actions)] = True
+        return mask
 
     curve = []
     window: list[float] = []
@@ -256,13 +267,12 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
             replay_x[cursor] = step.view.features
             replay_action[cursor] = step.action
             replay_reward[cursor] = r
-            mask = np.zeros(n_actions, dtype=bool)
             if step.next_view is not None:
                 replay_next[cursor] = step.next_view.features
-                mask[list(step.next_view.legal_actions)] = True
+                replay_next_mask[cursor] = legal_mask(step.next_view)
             else:
                 replay_next[cursor] = 0.0
-            replay_next_mask[cursor] = mask
+                replay_next_mask[cursor] = False
             cursor = (cursor + 1) % cfg.replay_capacity
             size = min(size + 1, cfg.replay_capacity)
             if size >= cfg.batch_size:

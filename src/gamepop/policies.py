@@ -20,6 +20,12 @@ policy's `theta` is read-only; a network policy decides each view once and
 answers `action_probs` from that memo afterwards. Every array that
 `action_probs` returns is read-only, and the uniform and one-hot ones are
 shared.
+
+Sampled play draws through ``draw(view, rng)``: the action
+`sample_action(action_probs(view), view.legal_actions, rng)` would draw,
+with the same generator use, from a CDF each policy computes once per view
+and keeps. The shared uniform and one-hot distributions have one shared
+CDF each, so a network policy's draw memo grows only by dict entries.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ import json
 import numpy as np
 
 from . import nets
-from .games.base import (Game, InfosetView, draw_index, sample_action,
-                         sample_episode)
+from .games.base import (Game, InfosetView, checked_cdf, draw, draw_index,
+                         sample_action, sample_episode)
 from .nets import ArchSignature
 
 KL_FLOOR = 1e-9
@@ -41,12 +47,30 @@ class PolicyError(Exception):
     """Malformed policy construction or incompatible fusion inputs."""
 
 
+# Each shared distribution and its CDF, by the distribution's id. The
+# entry keeps the array alive, so its id never names another array.
+_SHARED: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _shared(probs: np.ndarray) -> np.ndarray:
+    """Make ``probs`` read-only and register it, with its CDF, as shared."""
+    probs.flags.writeable = False
+    cdf = checked_cdf(probs, len(probs))
+    cdf.flags.writeable = False
+    _SHARED[id(probs)] = (probs, cdf)
+    return probs
+
+
+def _shared_cdf(probs) -> np.ndarray | None:
+    """The CDF of ``probs`` if it is a shared distribution, else None."""
+    entry = _SHARED.get(id(probs))
+    return None if entry is None else entry[1]
+
+
 @functools.lru_cache(maxsize=None)
 def _uniform(n: int) -> np.ndarray:
     """The shared read-only uniform distribution over n actions."""
-    probs = np.full(n, 1.0 / n)
-    probs.flags.writeable = False
-    return probs
+    return _shared(np.full(n, 1.0 / n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -54,8 +78,7 @@ def _one_hot(n: int, index: int) -> np.ndarray:
     """The shared read-only length-n one-hot on `index`."""
     probs = np.zeros(n)
     probs[index] = 1.0
-    probs.flags.writeable = False
-    return probs
+    return _shared(probs)
 
 
 def greedy_index(q: np.ndarray, legal_actions) -> int:
@@ -64,21 +87,44 @@ def greedy_index(q: np.ndarray, legal_actions) -> int:
     return int(np.argmax(q[list(legal_actions)]))
 
 
-class TabularPolicy:
+class _Draws:
+    """`draw` for a policy whose `action_probs` never changes; the policy
+    sets ``self._cdfs = {}``."""
+
+    def draw(self, view: InfosetView, rng: np.random.Generator) -> int:
+        """The legal action ``sample_action(self.action_probs(view),
+        view.legal_actions, rng)`` draws, leaving ``rng`` as it would; the
+        CDF is computed, and checked, on the view's first draw."""
+        cdf = self._cdfs.get(view)
+        if cdf is None:
+            probs = self.action_probs(view)
+            cdf = _shared_cdf(probs)
+            if cdf is None:
+                cdf = checked_cdf(probs, len(view.legal_actions))
+            self._cdfs[view] = cdf
+        return view.legal_actions[draw(cdf, rng)]
+
+
+class TabularPolicy(_Draws):
     """Map from infoset key to an action distribution; unseen keys are
     uniform over the legal actions. Every distribution it hands out is
     read-only: stored ones are read-only views of the given arrays, and the
-    uniform default is shared."""
+    uniform default is shared. A shared uniform or one-hot distribution
+    (as `_one_hot` makes) is valid and read-only by construction, so it is
+    stored as is, unchecked."""
 
     def __init__(self, table: dict[str, np.ndarray] | None = None):
         self.table = {}
+        self._cdfs: dict[InfosetView, np.ndarray] = {}
         for key, dist in (table or {}).items():
-            dist = np.asarray(dist, dtype=float).view()
-            if dist.ndim != 1 or np.any(dist < -1e-12):
-                raise PolicyError(f"invalid distribution at {key!r}")
-            if abs(dist.sum() - 1.0) > 1e-9:
-                raise PolicyError(f"distribution at {key!r} does not sum to 1")
-            dist.flags.writeable = False
+            if _shared_cdf(dist) is None:
+                dist = np.asarray(dist, dtype=float).view()
+                if dist.ndim != 1 or np.any(dist < -1e-12):
+                    raise PolicyError(f"invalid distribution at {key!r}")
+                if abs(dist.sum() - 1.0) > 1e-9:
+                    raise PolicyError(
+                        f"distribution at {key!r} does not sum to 1")
+                dist.flags.writeable = False
             self.table[key] = dist
 
     def action_probs(self, view: InfosetView) -> np.ndarray:
@@ -97,7 +143,7 @@ class TabularPolicy:
         return dist
 
 
-class ParametricPolicy:
+class ParametricPolicy(_Draws):
     """Action-value network over infoset features, stored as a flat theta."""
 
     def __init__(self, signature: ArchSignature, theta: np.ndarray):
@@ -114,6 +160,7 @@ class ParametricPolicy:
         # Greedy decision per view, filled on first use. Theta is read-only,
         # so an entry never goes stale.
         self._decisions: dict[InfosetView, np.ndarray] = {}
+        self._cdfs: dict[InfosetView, np.ndarray] = {}
 
     def q_values(self, features: np.ndarray) -> np.ndarray:
         return nets.forward(self.signature, self.theta, features)
@@ -363,20 +410,24 @@ def distill(mixture: PolicyMixture, student_signature: ArchSignature,
         if not views:
             continue
         X = np.stack([v.features for v in views])
-        Q = nets.forward(student_signature, theta, X)
-        grad_out = np.zeros_like(Q)
-        loss = 0.0
-        for i, view in enumerate(views):
-            legal = list(view.legal_actions)
-            target = ensemble_distribution(mixture, view)
-            logits = Q[i, legal] - Q[i, legal].max()
-            soft = np.exp(logits)
-            soft /= soft.sum()
-            loss -= float(target @ np.log(np.maximum(soft, 1e-300)))
-            grad_out[i, legal] = (soft - target) / len(views)
-        if not np.isfinite(loss):
-            raise PolicyError("distillation loss diverged; lower the lr")
-        grad = nets.forward_backward(student_signature, theta, X, grad_out)
+
+        def cross_entropy_gradient(Q):
+            grad_out = np.zeros_like(Q)
+            loss = 0.0
+            for i, view in enumerate(views):
+                legal = list(view.legal_actions)
+                target = ensemble_distribution(mixture, view)
+                logits = Q[i, legal] - Q[i, legal].max()
+                soft = np.exp(logits)
+                soft /= soft.sum()
+                loss -= float(target @ np.log(np.maximum(soft, 1e-300)))
+                grad_out[i, legal] = (soft - target) / len(views)
+            if not np.isfinite(loss):
+                raise PolicyError("distillation loss diverged; lower the lr")
+            return grad_out
+
+        _, grad = nets.forward_backward(student_signature, theta, X,
+                                        cross_entropy_gradient)
         theta = optimizer.step(theta, grad)
     return ParametricPolicy(student_signature, theta)
 

@@ -11,7 +11,11 @@ from gamepop.games import (CHANCE, TERMINAL, GameError, KuhnPoker,
 from gamepop.games.base import sample_action, sample_episode
 from gamepop.games.ntmg import (S_MATRIX, NtmgConfig, ntmg_payoff,
                                 ntmg_weights)
-from gamepop.policies import PolicyMixture, TabularPolicy, sample_member
+from gamepop import nets
+from gamepop.games.base import InfosetView
+from gamepop.nets import ArchSignature
+from gamepop.policies import (ParametricPolicy, PolicyMixture, TabularPolicy,
+                              sample_member, scratch_init)
 
 ALL_GAMES = [
     ("kuhn_poker", {}),
@@ -283,28 +287,38 @@ def test_sampled_episodes_match_a_direct_state_walk(name, params):
     """Episodes sampled from the compiled tree make the same draws as
     episodes stepped through the game's states: the same returns (Python
     floats), the same decisions asked of the policies and the same
-    generator state afterwards."""
+    generator state afterwards. The tree draws chance outcomes from its
+    cached CDFs; decisions are drawn by `sample_action` or by the policies'
+    memoized `draw`, for tabular and for network policies."""
     game = make_game(name, params)
     rng = np.random.default_rng(7)
-    policies = [_sparse_policy(game.tree, rng) for _ in (0, 1)]
-    runs = []
-    for sample in (sample_episode, _state_episode):
-        asked = []
-        rng = np.random.default_rng(13)
+    sig = ArchSignature(game.encoding_dim(), (8,),
+                        game.num_distinct_actions())
+    for policies in ([_sparse_policy(game.tree, rng) for _ in (0, 1)],
+                     [scratch_init("normal", sig, seed) for seed in (1, 2)]):
+        runs = []
+        for sample, memoized in ((sample_episode, True),
+                                 (sample_episode, False),
+                                 (_state_episode, False)):
+            asked = []
+            rng = np.random.default_rng(13)
 
-        def choose(player, view):
-            assert type(player) is int
-            asked.append((player, view.key))
-            return sample_action(policies[player].action_probs(view),
-                                 view.legal_actions, rng)
+            def choose(player, view):
+                assert type(player) is int
+                asked.append((player, view.key))
+                if memoized:
+                    return policies[player].draw(view, rng)
+                return sample_action(policies[player].action_probs(view),
+                                     view.legal_actions, rng)
 
-        returns = [sample(game, choose, rng) for _ in range(200)]
-        runs.append((returns, asked, rng.bit_generator.state))
-    (got, got_asked, got_state), (want, want_asked, want_state) = runs
-    assert all(type(v) is float for r in got for v in r)
-    assert got == want
-    assert got_asked == want_asked
-    assert got_state == want_state
+            returns = [sample(game, choose, rng) for _ in range(200)]
+            runs.append((returns, asked, rng.bit_generator.state))
+        want, want_asked, want_state = runs[-1]
+        for got, got_asked, got_state in runs[:-1]:
+            assert all(type(v) is float for r in got for v in r)
+            assert got == want
+            assert got_asked == want_asked
+            assert got_state == want_state
 
 
 def _distributions(rng, count):
@@ -323,7 +337,10 @@ def _distributions(rng, count):
 
 def test_sample_action_draws_as_generator_choice():
     """Same action, and same mixture member, as `Generator.choice(len,
-    p=...)` and the same generator state afterwards, for every seed."""
+    p=...)` and the same generator state afterwards, for every seed. So do
+    a tabular and a network policy's memoized `draw`s, on a view's first
+    draw and from the memo."""
+    sig = ArchSignature(1, (), 17)
     for seed, probs in enumerate(_distributions(np.random.default_rng(11),
                                                 3000)):
         actions = [10 + a for a in range(len(probs))]
@@ -336,6 +353,19 @@ def test_sample_action_draws_as_generator_choice():
         expected = members[numpy_rng.choice(len(members), p=weights)]
         assert sample_member(PolicyMixture(members, weights), ours) is expected
         assert ours.random() == numpy_rng.random()
+        # A network whose greedy action is actions[hot].
+        hot = seed % len(actions)
+        theta = np.zeros(nets.theta_size(sig))
+        theta[17:] = -abs(np.arange(17) - actions[hot])
+        view = InfosetView("s", tuple(actions), np.zeros(1))
+        for policy, p in ((TabularPolicy({"s": weights}),
+                           weights / weights.sum()),
+                          (ParametricPolicy(sig, theta),
+                           np.eye(len(actions))[hot])):
+            for _ in range(2):
+                expected = actions[numpy_rng.choice(len(actions), p=p)]
+                assert policy.draw(view, ours) == expected
+                assert ours.random() == numpy_rng.random()
 
 
 @pytest.mark.parametrize("probs", [[0.0, 0.0], [-0.5, 1.5], [1.0, -1e-12],

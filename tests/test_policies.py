@@ -488,6 +488,42 @@ def test_memoized_greedy_decisions_match_a_fresh_forward(monkeypatch):
         assert len(forwards) == len(infosets)
 
 
+def test_shared_distributions_are_stored_as_is_with_one_cdf():
+    """A shared one-hot or uniform distribution enters a tabular table as
+    is, and every policy that draws from it holds its one shared CDF; a
+    caller's array, even one equal to a shared one, is checked and stored
+    as a read-only view."""
+    from gamepop.policies import _one_hot, _uniform
+
+    hot = _one_hot(3, 1)
+    tabular = TabularPolicy({"s": hot})
+    assert tabular.table["s"] is hot
+    own = np.array([0.0, 1.0, 0.0])
+    copied = TabularPolicy({"s": own})
+    assert copied.table["s"] is not own and own.flags.writeable
+    assert not copied.table["s"].flags.writeable
+    with pytest.raises(PolicyError):
+        TabularPolicy({"s": np.array([1.5, -0.5, 0.0])})
+
+    sig = ArchSignature(1, (), 3)
+    theta = np.zeros(nets.theta_size(sig))
+    theta[3:] = [0.0, 1.0, 0.0]  # greedy on action 1
+    network = ParametricPolicy(sig, theta)
+    view = InfosetView("s", (0, 1, 2), np.zeros(1))
+    unseen = InfosetView("t", (0, 1), np.zeros(1))
+    rng = np.random.default_rng(0)
+    for policy in (tabular, copied, network):
+        assert policy.draw(view, rng) == 1
+    assert tabular._cdfs[view] is network._cdfs[view]
+    assert copied._cdfs[view] is not network._cdfs[view]
+    assert copied._cdfs[view].tobytes() == network._cdfs[view].tobytes()
+    other = TabularPolicy()
+    for policy in (tabular, other):
+        policy.draw(unseen, rng)
+    assert tabular.action_probs(unseen) is _uniform(2)
+    assert tabular._cdfs[unseen] is other._cdfs[unseen]
+
+
 def test_mixture_validation():
     with pytest.raises(PolicyError):
         PolicyMixture([], [])
