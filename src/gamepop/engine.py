@@ -17,6 +17,7 @@ the field at fault: an oracle that does not fit the game, or an option of
 from __future__ import annotations
 
 import csv
+import json
 import operator
 import os
 import time
@@ -609,6 +610,24 @@ _OPTIONS = (
 )
 
 
+# The last game `_game` built, as (key, game): one slot, so every seed,
+# sweep arm and evaluation in a process that asks for the same game shares
+# its compiled tree, and a different game frees it.
+_last_game = (None, None)
+
+
+def _game(name: str, params: dict | None):
+    """`make_game(name, params)`, or the last game built if it had the same
+    name and the same parameters. Parameters compare by their JSON text,
+    which keeps apart what equality would merge (-0.0 and 0.0); trees are
+    read-only, so sharing one changes no result."""
+    global _last_game
+    key = json.dumps([name, params], sort_keys=True)
+    if _last_game[0] != key:
+        _last_game = (key, make_game(name, params))
+    return _last_game[1]
+
+
 def _build_arena(config: PsroConfig) -> _Arena:
     """The arena for `config`; EngineError, naming the field, for a run
     description no arena can carry out as written."""
@@ -617,7 +636,7 @@ def _build_arena(config: PsroConfig) -> _Arena:
         raise EngineError(f"mss.gamma: must be below 1/{final_size}: "
                           "replicator dynamics floors each of the final "
                           "policies at gamma")
-    game = make_game(config.game["name"], config.game.get("params"))
+    game = _game(config.game["name"], config.game.get("params"))
     oracle, approx = config.oracle, config.eval.approx_oracle
     plane = isinstance(game, NtmgConfig)
     if plane != isinstance(oracle, GradientOracle):

@@ -7,10 +7,12 @@ sequence (perfect recall); games that deliberately break this set
 ``perfect_recall = False``.
 
 A game is read through one tree, ``game.tree``: its whole tree compiled
-once from its states into flat arrays (a `FlatTree`), on the first sampled
-episode or exact evaluation. Sampled episodes walk those arrays, exact
-evaluation passes over them level by level, and policies see a decision
-node as its `InfosetView`.
+once from its states into read-only flat arrays (a `FlatTree`), on the
+first sampled episode or exact evaluation. The engine keeps the last game
+it built, so a process compiles the tree once per game and parameters for
+all of its runs. Sampled episodes walk those arrays, exact evaluation passes
+over them level by level, and policies see a decision node as its
+`InfosetView`.
 """
 
 from __future__ import annotations
@@ -83,7 +85,9 @@ class Game:
     @functools.cached_property
     def tree(self) -> "FlatTree":
         """The whole game tree as a `FlatTree`, compiled on first use and
-        kept; it holds no reference back to the game."""
+        kept; it holds no reference back to the game. The engine reuses its
+        last game, so a process compiles this once per game and parameters
+        for its runs."""
         return FlatTree(self)
 
     def initial_state(self) -> State:
@@ -166,7 +170,8 @@ class FlatTree:
     Building it steps every state of the game once, depth first;
     TraversalBudgetError fires once the tree passes `MAX_TREE_NODES`.
     Indices are int32 or narrower, no per-node Python object outlives the
-    build, and nothing refers back to the game.
+    build, and nothing refers back to the game. Every array is read-only:
+    one tree serves every run on its game in a process.
     """
 
     def __init__(self, game: Game):
@@ -235,6 +240,10 @@ class FlatTree:
             self._infosets(player, tuple(index[player]),
                            number[owner == player], depth[preorder], preorder)
             for player in (0, 1))
+        for value in (*vars(self).values(), *self.infosets[0],
+                      *self.infosets[1]):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @functools.cached_property
     def chance_cdf(self) -> np.ndarray:

@@ -49,7 +49,8 @@ class MatrixState(State):
 
 class MatrixGame(Game):
     def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=float)
+        self.rows = np.array(rows, dtype=float)
+        self.rows.flags.writeable = False
         self.max_game_length = 2
 
     def initial_state(self) -> MatrixState:

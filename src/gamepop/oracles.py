@@ -9,6 +9,7 @@ approximate oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,8 +226,8 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
 
         def td_gradient(q_all):
             td = q_all[rows, actions] - targets
-            loss = float(np.mean(td * td))
-            if not np.isfinite(loss):
+            # The mean squared TD error is finite when its sum is.
+            if not math.isfinite(td @ td):
                 raise FloatingPointError("TD loss diverged; lower the lr")
             grad_out = np.zeros_like(q_all)
             grad_out[rows, actions] = 2.0 * td / len(batch)

@@ -1,5 +1,8 @@
 """Population loop behavior: initialization menu, convergence, timing split,
-approximate exploitability, and determinism."""
+approximate exploitability, determinism, and game reuse."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -476,6 +479,59 @@ class TestExactResponseHandoff:
             fresh = train(members, weights)
             assert checkpoint_dumps(fresh) == checkpoint_dumps(reused)
         assert calls == [0, 0]
+
+
+class TestGameReuse:
+    """Runs in one process share the last game built, compiled tree
+    included, while they name the same game with the same parameters."""
+
+    @staticmethod
+    def game(name, params, **kwargs):
+        config = PsroConfig(game={"name": name, "params": params},
+                            oracle=ExactOracle(), mss=Nash(),
+                            init=(InheritLatest(), InheritLatest()),
+                            iterations=1, **kwargs)
+        return _build_arena(config).game
+
+    def test_seeds_share_the_game(self):
+        first = self.game("kuhn_poker", {}, seeds=(0,))
+        assert self.game("kuhn_poker", {}, seeds=(1,)) is first
+
+    def test_other_parameters_build_their_own_game(self):
+        four = self.game("goofspiel", {"num_cards": 4})
+        five = self.game("goofspiel", {"num_cards": 5})
+        again = self.game("goofspiel", {"num_cards": 4})
+        assert len({id(four), id(five), id(again)}) == 3
+        assert (four.num_cards, five.num_cards, again.num_cards) == (4, 5, 4)
+        full = self.game("liars_dice", {"faces": 2})
+        imperfect = self.game("liars_dice_ir", {"faces": 2})
+        assert imperfect is not full
+        assert (full.recall, imperfect.recall) == (None, 2)
+
+    def test_negative_zero_is_not_zero(self):
+        """Rows equal as numbers but not as bits build their own game."""
+        positive = self.game("matrix_game", {"rows": [[0.0, 1.0]]})
+        assert not np.signbit(positive.tree.utility[0, 0])
+        negative = self.game("matrix_game", {"rows": [[-0.0, 1.0]]})
+        assert np.signbit(negative.tree.utility[0, 0])
+
+    def test_one_game_is_kept(self):
+        """A run on another game frees the last one's tree without waiting
+        for the cyclic collector."""
+        kuhn = PsroConfig(game=KUHN, oracle=ExactOracle(), mss=Nash(),
+                          init=(InheritLatest(), InheritLatest()),
+                          iterations=1)
+        run_psro(kuhn, seed=0)
+        tree = weakref.ref(_build_arena(kuhn).game.tree)
+        gc.disable()
+        try:
+            run_psro(PsroConfig(game={"name": "leduc_poker", "params": {}},
+                                oracle=ExactOracle(), mss=Nash(),
+                                init=(InheritLatest(), InheritLatest()),
+                                iterations=1), seed=0)
+            assert tree() is None
+        finally:
+            gc.enable()
 
 
 class TestApproximateExploitability:

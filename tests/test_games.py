@@ -252,6 +252,22 @@ def test_the_tree_does_not_keep_its_game_alive():
         gc.enable()
 
 
+def test_the_tree_is_read_only():
+    """One tree serves every run on its game in a process, so none of its
+    arrays, nor a matrix game's rows, can be written into."""
+    tree = make("leduc_poker").tree
+    with pytest.raises(ValueError):
+        tree.owner[0] = 0
+    with pytest.raises(ValueError):
+        tree.infosets[0].nodes[0] = 0
+    arrays = [tree.chance_cdf, *vars(tree).values(), *tree.infosets[0],
+              *tree.infosets[1]]
+    assert not any(a.flags.writeable for a in arrays
+                   if isinstance(a, np.ndarray))
+    with pytest.raises(ValueError):
+        make("matrix_game").rows[0, 0] = 1.0
+
+
 def _sparse_policy(tree, rng):
     """A random tabular policy over every infoset of the tree, each action
     dropped to probability zero with probability 0.5, but never all."""

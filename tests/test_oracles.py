@@ -159,6 +159,19 @@ class TestDqn:
                       optimizer="sgd", lr=1e-3), seed=4)
         assert np.all(np.isfinite(policy.theta))
 
+    def test_diverging_lr_raises(self):
+        """A learning rate that blows the TD errors up stops the run
+        instead of training on NaN."""
+        game = make_game("kuhn_poker")
+        sig = ArchSignature(game.encoding_dim(), (8,),
+                            game.num_distinct_actions())
+        init = scratch_init("normal", sig, 0)
+        cfg = _desk_cfg(200, replay_capacity=64, batch_size=8,
+                        optimizer="sgd", lr=100.0)
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match="TD loss diverged"):
+            dqn_oracle(game, init, _mixture(TabularPolicy()), 0, cfg, seed=0)
+
     def test_signature_must_match_game(self):
         game = make_game("kuhn_poker")
         wrong = scratch_init("normal", ArchSignature(3, (4,), 2), 0)
