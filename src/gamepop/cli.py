@@ -22,7 +22,7 @@ import numpy as np
 from . import meta_solvers
 from .config import ConfigError, config_to_dict, load_config, parse_config
 from .engine import SOLVERS, EngineError, _build_arena, run_psro
-from .policies import checkpoint_loads
+from .policies import PolicyError, checkpoint_loads
 from .specs import lookup
 from .svgplot import RENDER_KINDS, PlotError, render_svg
 
@@ -163,9 +163,13 @@ def evaluate_run(run_dir: str) -> int:
         last_iteration = int(rows[-1][0])
         for t in range(1, last_iteration + 1):
             for player in (0, 1):
-                with open(os.path.join(run_dir, "checkpoints",
-                                       f"iter_{t:04d}_p{player}.json")) as fh:
-                    pops[player].append(checkpoint_loads(fh.read()))
+                path = os.path.join(run_dir, "checkpoints",
+                                    f"iter_{t:04d}_p{player}.json")
+                with open(path) as fh:
+                    try:
+                        pops[player].append(checkpoint_loads(fh.read()))
+                    except PolicyError as exc:
+                        raise ConfigError(f"{path}: {exc}") from exc
         with open(os.path.join(run_dir,
                                f"payoff_matrix_{last_iteration}.txt")) as fh:
             matrix = np.loadtxt(fh, skiprows=3, ndmin=2)

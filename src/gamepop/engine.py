@@ -83,7 +83,7 @@ class NashFusion:
 class Distill:
     epochs: int = setting(200, ge=0)
     samples: int = setting(64, ge=1)
-    lr: float = 0.05
+    lr: float = setting(0.05, gt=0.0)
 
 
 @spec(EngineError)
@@ -102,7 +102,7 @@ class QLearningOracle:
 @spec(EngineError)
 class GradientOracle:
     steps: int = setting(150, ge=1)
-    lr: float = 1.0
+    lr: float = setting(1.0, gt=0.0)
 
 
 # Where a run-description field holds one of several specs, a tag names it.
@@ -668,20 +668,24 @@ def run_psro(config: PsroConfig, seed: int,
     arena = _build_arena(config)
     writer = _RunWriter(out_dir)
     pops = arena.initial_populations(seed)
+    start = time.perf_counter()
     meta = arena.fill_payoffs(MetaGame(), pops, _mix_seed(seed, 2))
+    t_payoff = time.perf_counter() - start  # counted in iteration 1
     sigmas = (np.ones(1), np.ones(1))
     records = []
     # Outputs are written as each iteration completes, so a failing component
     # aborts the run with the partial history already on disk.
     for t in range(1, config.iterations + 1):
         meta, sigmas, record = _run_iteration(config, seed, t, arena, pops,
-                                              meta, sigmas, writer)
+                                              meta, sigmas, writer, t_payoff)
+        t_payoff = 0.0
         records.append(record)
         writer.record(record)
     return RunHistory(records, pops, meta, sigmas)
 
 
-def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
+def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer,
+                   t_payoff):
     t_fusion = 0.0
     t_br = 0.0
     t_io = 0.0
@@ -729,7 +733,7 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer):
 
     start = time.perf_counter()
     meta = arena.fill_payoffs(meta, pops, _mix_seed(seed, 2))
-    t_payoff = time.perf_counter() - start
+    t_payoff += time.perf_counter() - start
 
     start = time.perf_counter()
     sigma_row, sigma_col = meta_solvers.solve(meta.payoff, config.mss)

@@ -133,20 +133,12 @@ class Infosets(NamedTuple):
     Infoset i is ``views[i]``, has ``num_actions[i]`` legal actions and
     holds the nodes ``nodes[start[i]:start[i + 1]]``, in depth-first
     preorder; the shallowest of them lies on level ``first_level[i]``.
-    ``in_preorder`` lists all of the player's nodes in preorder.
-    ``below[below_start[i]:below_start[i + 1]]`` are the player's nodes
-    whose nearest ancestor of the player's lies in infoset i, ordered by
-    the action taken there, then by that ancestor's preorder, then by their
-    own preorder.
     """
     views: tuple[InfosetView, ...]
     num_actions: np.ndarray
     nodes: np.ndarray
     start: np.ndarray
     first_level: np.ndarray
-    in_preorder: np.ndarray
-    below: np.ndarray
-    below_start: np.ndarray
 
 
 class FlatTree:
@@ -237,8 +229,8 @@ class FlatTree:
         self.row = np.where(terminal, count - 1, -1).astype(np.int32)
         self.leaves = np.concatenate([[0], count])[self.levels]
         self.infosets = tuple(
-            self._infosets(player, tuple(index[player]),
-                           number[owner == player], depth[preorder], preorder)
+            self._infosets(tuple(index[player]), number[owner == player],
+                           depth[preorder])
             for player in (0, 1))
         for value in (*vars(self).values(), *self.infosets[0],
                       *self.infosets[1]):
@@ -268,32 +260,17 @@ class FlatTree:
                 key, tuple(state.legal_actions()), features)
         return view
 
-    def _infosets(self, player, views, in_preorder, depth,
-                  preorder) -> Infosets:
-        # Sorting a list in preorder by a stable lexsort keeps preorder
-        # within each group.
-        nodes = in_preorder[np.lexsort((self.infoset[in_preorder],))]
+    def _infosets(self, views, mine, depth) -> Infosets:
+        # ``mine``, the player's nodes, is in preorder, and a stable
+        # lexsort keeps preorder within each infoset.
+        nodes = mine[np.lexsort((self.infoset[mine],))]
         start = _starts(self.infoset[nodes], len(views))
         first_level = (np.minimum.reduceat(depth[nodes], start[:-1])
                        if len(views) else np.zeros(0, np.int64))
-        # The nearest ancestor of the player's and the slot taken there.
-        mine = self.owner == player
-        above = np.full(len(mine), -1, np.int32)
-        taken = np.zeros(len(mine), self.slot.dtype)
-        for b, c in zip(self.levels[1:-1], self.levels[2:]):
-            up = self.parent[b:c]
-            at = mine[up]
-            above[b:c] = np.where(at, up, above[up])
-            taken[b:c] = np.where(at, self.slot[b:c], taken[up])
-        below = in_preorder[above[in_preorder] >= 0]
-        below = below[np.lexsort((preorder[above[below]], taken[below],
-                                  self.infoset[above[below]]))]
         return Infosets(views,
                         np.array([len(v.legal_actions) for v in views],
                                  np.int32),
-                        nodes, start, first_level.astype(np.int32),
-                        in_preorder, below,
-                        _starts(self.infoset[above[below]], len(views)))
+                        nodes, start, first_level.astype(np.int32))
 
 
 def _starts(groups: np.ndarray, count: int) -> np.ndarray:

@@ -195,7 +195,7 @@ def _respond(flat: FlatTree, opponent_mixture, responder: int):
     infosets = flat.infosets[responder]
     table = {infosets.views[i].key: _one_hot(infosets.num_actions[i],
                                              best[i])
-             for i in _decision_order(flat, reached, responder)}
+             for i in np.flatnonzero(best >= 0).tolist()}
     return TabularPolicy(table), value[0], chance, fold[:, 0]
 
 
@@ -263,38 +263,6 @@ def _best_actions(flat: FlatTree, value, infosets, due):
                           + np.minimum(actions, width[k, None] - 1)]
     total[(actions >= width[:, None]) | np.isnan(total)] = -np.inf
     return total.argmax(axis=1)
-
-
-def _decision_order(flat: FlatTree, reached, responder: int) -> list[int]:
-    """The responder infosets holding a reached node, in the order a
-    recursive best response finishes deciding them: depth first from each
-    infoset in order of its first reached node in preorder, into the
-    infosets of the reached responder nodes `Infosets.below` it."""
-    infosets = flat.infosets[responder]
-    below = infosets.below
-    into = np.where(reached[below], flat.infoset[below], -1).tolist()
-    start = infosets.below_start.tolist()
-    firsts = infosets.in_preorder[reached[infosets.in_preorder]]
-    seen = bytearray(len(infosets.views))
-    finished = []
-    for root in flat.infoset[firsts].tolist():
-        if seen[root]:
-            continue
-        seen[root] = 1
-        stack = [[root, start[root]]]
-        while stack:
-            top = stack[-1]
-            node, edge = top
-            if edge == start[node + 1]:
-                stack.pop()
-                finished.append(node)
-                continue
-            top[1] = edge + 1
-            child = into[edge]
-            if child >= 0 and not seen[child]:
-                seen[child] = 1
-                stack.append([child, start[child]])
-    return finished
 
 
 def exploitability(game: Game, profile, with_responses: bool = False):

@@ -380,7 +380,7 @@ class Uniform:
 @spec(SolverError)
 class Prd:
     gamma: float = setting(1e-3, ge=0.0)
-    dt: float = 1e-3
+    dt: float = setting(1e-3, gt=0.0)
     steps: int = setting(100_000, ge=1)
 
 

@@ -81,6 +81,12 @@ def _one_hot(n: int, index: int) -> np.ndarray:
     return _shared(probs)
 
 
+def _on_simplex(x: np.ndarray, below: float, off: float) -> bool:
+    """Whether no entry of ``x`` is below ``-below`` and its sum is within
+    ``off`` of 1; written so that a NaN anywhere fails."""
+    return bool((x >= -below).all() and abs(x.sum() - 1.0) <= off)
+
+
 def greedy_index(q: np.ndarray, legal_actions) -> int:
     """Position in `legal_actions` of the largest action value in `q`
     (indexed by global action id); the lowest position on ties."""
@@ -119,11 +125,8 @@ class TabularPolicy(_Draws):
         for key, dist in (table or {}).items():
             if _shared_cdf(dist) is None:
                 dist = np.asarray(dist, dtype=float).view()
-                if dist.ndim != 1 or np.any(dist < -1e-12):
+                if dist.ndim != 1 or not _on_simplex(dist, 1e-12, 1e-9):
                     raise PolicyError(f"invalid distribution at {key!r}")
-                if abs(dist.sum() - 1.0) > 1e-9:
-                    raise PolicyError(
-                        f"distribution at {key!r} does not sum to 1")
                 dist.flags.writeable = False
             self.table[key] = dist
 
@@ -206,7 +209,7 @@ class PolicyMixture:
             raise PolicyError("mixture needs at least one member")
         if weights.shape != (len(members),):
             raise PolicyError("weights length must match members")
-        if np.any(weights < -1e-9) or abs(weights.sum() - 1.0) > 1e-9:
+        if not _on_simplex(weights, 1e-9, 1e-9):
             raise PolicyError("weights must form a probability simplex")
         self.members = members
         self.weights = weights
@@ -245,7 +248,7 @@ def _fusion_inputs(members, weights, tol: float = 1e-6):
     if weights.shape != (len(members),):
         raise PolicyError(f"expected {len(members)} weights, "
                           f"got {weights.shape}")
-    if np.any(weights < -tol) or abs(weights.sum() - 1.0) > tol:
+    if not _on_simplex(weights, tol, tol):
         raise PolicyError("fusion weights must form a probability simplex")
     return members, weights
 
@@ -457,15 +460,21 @@ def checkpoint_dumps(policy) -> str:
 
 
 def checkpoint_loads(text: str):
-    payload = json.loads(text)
-    if "theta" in payload:
-        sig = ArchSignature(payload["input_dim"],
-                            tuple(payload["hidden_layers"]),
-                            payload["output_dim"], payload["activation"])
-        return ParametricPolicy(sig, np.array(payload["theta"], dtype=float))
-    if "table" in payload:
-        return TabularPolicy({k: np.array(v, dtype=float)
-                              for k, v in payload["table"].items()})
-    if "x" in payload:
-        return PointPolicy(payload["x"])
+    """The policy a `checkpoint_dumps` text holds; PolicyError for a text
+    that holds none."""
+    try:
+        payload = json.loads(text)
+        if "theta" in payload:
+            sig = ArchSignature(payload["input_dim"],
+                                tuple(payload["hidden_layers"]),
+                                payload["output_dim"], payload["activation"])
+            return ParametricPolicy(sig, np.array(payload["theta"],
+                                                  dtype=float))
+        if "table" in payload:
+            return TabularPolicy({k: np.array(v, dtype=float)
+                                  for k, v in payload["table"].items()})
+        if "x" in payload:
+            return PointPolicy(payload["x"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PolicyError(f"malformed checkpoint: {exc!r}") from exc
     raise PolicyError("unrecognized checkpoint payload")

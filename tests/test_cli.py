@@ -146,6 +146,21 @@ class TestRunCommand:
             "error: game.params.rows: must be a finite non-empty matrix\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, error", [
+        ({"mss": {"kind": "prd", "dt": 0}}, "mss.dt: must be > 0.0"),
+        ({"init": {"method": "distill", "lr": -0.05}},
+         "init.lr: must be > 0.0"),
+        ({"game": {"name": "ntmg", "params": {}},
+          "oracle": {"kind": "gradient", "lr": 0.0}},
+         "oracle.lr: must be > 0.0")])
+    def test_non_positive_step_size_writes_nothing(self, tmp_path, capsys,
+                                                   overrides, error):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(out, **overrides))
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     def test_missing_config_file_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
         assert main(["run", "--config", str(path)]) == 2
@@ -591,3 +606,19 @@ def test_eval_without_the_last_payoff_matrix_is_an_error(tmp_path, capsys):
     assert main(["eval", "--run-dir", str(out / "seed_0")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "payoff_matrix_4.txt" in err
+
+
+@pytest.mark.parametrize("text", ['{"table": {"',
+                                  '{"table": {"k": [NaN, 1.0]}}'])
+def test_eval_of_a_corrupt_checkpoint_is_an_error(tmp_path, capsys, text):
+    """A checkpoint that holds no policy, truncated or with a NaN
+    probability, is reported by name, as a missing one is."""
+    out = tmp_path / "out"
+    run_from_config(write_config(tmp_path, minimal_config(out)))
+    path = out / "seed_0" / "checkpoints" / "iter_0002_p1.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["eval", "--run-dir", str(out / "seed_0")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")

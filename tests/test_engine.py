@@ -243,6 +243,28 @@ class TestRunPsro:
             [rec.t_eval_exact, rec.t_eval_approx, rec.t_io]
             for rec in history.records]
 
+    def test_payoff_time_covers_the_initial_fill(self, monkeypatch):
+        """Iteration 1's ``t_payoff`` includes the fill of the initial 1x1
+        matrix, which in a process's first run on a game also compiles the
+        game's tree."""
+        import time
+
+        import gamepop.engine as eng
+        fill = eng.TreeArena.fill_payoffs
+        sizes = []
+
+        def slow_initial_fill(self, meta, pops, seed):
+            sizes.append(len(pops[0]))
+            if len(sizes) == 1:
+                time.sleep(0.05)
+            return fill(self, meta, pops, seed)
+
+        monkeypatch.setattr(eng.TreeArena, "fill_payoffs", slow_initial_fill)
+        history = run_psro(rps_config(iterations=2), seed=0)
+        assert sizes == [1, 2, 3]
+        assert history.records[0].t_payoff >= 0.05
+        assert history.records[1].t_payoff < 0.05
+
     def test_history_deterministic_for_config_and_seed(self):
         config = PsroConfig(
             game={"name": "liars_dice", "params": {"faces": 2}},

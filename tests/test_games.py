@@ -224,19 +224,16 @@ def test_flat_tree_matches_the_tree(name, params):
             assert infosets.first_level[i] == level[nodes].min()
             assert infosets.num_actions[i] == len(view.legal_actions)
         assert infosets.start[-1] == (tree.owner == player).sum()
-        assert (infosets.in_preorder
-                == np.flatnonzero(tree.owner == player)[
-                    np.argsort(preorder[tree.owner == player])]).all()
 
 
 def test_flat_leduc_tree_stays_small():
-    """Leduc's compiled arrays take at most 0.5 MB."""
+    """Leduc's compiled arrays take at most 0.4 MB."""
     tree = make_game("leduc_poker").tree
     arrays = [*vars(tree).values()]
     for infosets in tree.infosets:
         arrays += infosets
     assert sum(a.nbytes for a in arrays
-               if isinstance(a, np.ndarray)) <= 500_000
+               if isinstance(a, np.ndarray)) <= 400_000
 
 
 def test_the_tree_does_not_keep_its_game_alive():

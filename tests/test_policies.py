@@ -531,3 +531,43 @@ def test_mixture_validation():
         PolicyMixture([TabularPolicy()], [0.5])
     with pytest.raises(PolicyError):
         PolicyMixture([TabularPolicy(), TabularPolicy()], [0.7, 0.7])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("dist", [[NAN, 1.0], [NAN, NAN], [0.5, 0.5, NAN],
+                                  [np.inf, -np.inf]])
+def test_tabular_refuses_nan(dist):
+    with pytest.raises(PolicyError):
+        TabularPolicy({"s": np.array(dist)})
+
+
+@pytest.mark.parametrize("weights", [[NAN, 1.0], [NAN, NAN], [0.0, NAN]])
+def test_mixture_refuses_nan_weights(weights):
+    with pytest.raises(PolicyError):
+        PolicyMixture([TabularPolicy(), TabularPolicy()], weights)
+
+
+@pytest.mark.parametrize("weights", [[NAN, 1.0], [NAN, NAN], [0.0, NAN]])
+def test_fusion_refuses_nan_weights(weights):
+    a, b = TabularPolicy(), TabularPolicy({"s": np.array([1.0, 0.0])})
+    with pytest.raises(PolicyError):
+        fuse_tabular([a, b], weights)
+
+
+@pytest.mark.parametrize("text", [
+    '{"table": {"k": [NaN, 1.0]}}', '{"table": {"k": [0.5, 0.5]}',
+    '{"theta": [0.0]}', '{"table": [1.0]}', '[1.0]', '{"y": 1}', ''])
+def test_checkpoint_loads_refuses_what_holds_no_policy(text):
+    with pytest.raises(PolicyError):
+        checkpoint_loads(text)
+
+
+def test_tabular_checkpoint_ignores_insertion_order():
+    dists = {"b": np.array([0.25, 0.75]), "a": np.array([1.0, 0.0]),
+             "c": np.array([0.5, 0.5])}
+    forward = TabularPolicy(dists)
+    backward = TabularPolicy(dict(reversed(list(dists.items()))))
+    assert list(forward.table) != list(backward.table)
+    assert checkpoint_dumps(forward) == checkpoint_dumps(backward)
