@@ -94,8 +94,8 @@ class ExactOracle:
 @spec(EngineError)
 class QLearningOracle:
     episodes: int = setting(5_000, ge=1)
-    lr: float = 0.1
-    epsilon: float = setting(0.1, ge=0.0)
+    lr: float = setting(0.1, ge=0.0)  # 0: the table keeps its initial values
+    epsilon: float = setting(0.1, ge=0.0, le=1.0)
     gamma_discount: float = setting(1.0, ge=0.0)
 
 

@@ -6,11 +6,16 @@ of mixed strategies over rows and columns.
 
 The zero-sum Nash solver is a dense tableau simplex with Bland's rule: small
 meta-games reward exactness and zero dependencies over sparse sophistication.
-Each pivot is a few whole-array operations: the entering column is the lowest
-improving index, the ratio test divides every eligible row at once, and the
-elimination is one masked rank-1 update that writes only the rows with a
-nonzero entry in the entering column, each with the same products and
-differences as a row-by-row update.
+The tableau is compact: it keeps only the nonbasic columns and the right-hand
+side, and a pivot puts the leaving variable's column in the entering one's
+slot. Each pivot is a few whole-array operations: the entering column is the
+improving one with the lowest variable id, the ratio test divides every
+eligible row at once and takes the least ratio by one argmin, falling back to
+a row-order scan whenever another ratio lies near enough to tie, and the
+elimination is one rank-1 update of the rows with a nonzero entry in the
+entering column. Every entry it keeps comes from the same products and
+differences as a row-by-row update of the full tableau, slack identity
+included.
 """
 
 from __future__ import annotations
@@ -125,47 +130,106 @@ _PIVOT_EPS = 1e-9  # smaller pivots amplify roundoff catastrophically
 _NE_TOL = 1e-8
 
 
+def _scan_leaving_row(eligible: np.ndarray, ratios: np.ndarray,
+                      basis: np.ndarray) -> int:
+    """Bland's ratio test as one scan in row order: a ratio more than 1e-12
+    below the running minimum wins, and one within 1e-12 of it wins if its
+    basis id is lower. -1 if no row is eligible."""
+    leaving, best_ratio = -1, np.inf
+    for i, ratio in zip(eligible.tolist(), ratios.tolist()):
+        if (ratio < best_ratio - 1e-12
+                or (ratio < best_ratio + 1e-12
+                    and (leaving < 0 or basis[i] < basis[leaving]))):
+            best_ratio = min(best_ratio, ratio)
+            leaving = i
+    return leaving
+
+
+def _leaving_row(eligible: np.ndarray, ratios: np.ndarray,
+                 basis: np.ndarray) -> int:
+    """The row `_scan_leaving_row` picks, by one argmin where no other ratio
+    can tie. The scan reaches the least ratio m with a running minimum of at
+    least the second-least ratio r2, takes m if it lies more than 1e-12
+    below, and then keeps it unless a later ratio lies below m + 1e-12.
+    Both hold when ``m < r2 - 1e-12`` in the scan's own floating-point
+    arithmetic: rounding is monotonic, so r2 - 1e-12 > m holds exactly and
+    r2 cannot lie below the rounded m + 1e-12. The test therefore holds at
+    every magnitude (above about 1e4 the window is under one ulp); NaN
+    fails it and goes to the scan."""
+    if ratios.size == 0:
+        return -1
+    k = int(ratios.argmin())
+    runner_up = np.partition(ratios, 1)[1] if ratios.size > 1 else np.inf
+    if ratios[k] < runner_up - 1e-12:
+        return int(eligible[k])
+    return _scan_leaving_row(eligible, ratios, basis)
+
+
 def _simplex_packing(A: np.ndarray, b: np.ndarray):
-    """max 1'y s.t. Ay <= b, y >= 0 (A > 0, b > 0) by dense tableau simplex
-    with Bland's rule. Returns (y, duals) or None if it stalls."""
+    """max 1'y s.t. Ay <= b, y >= 0 (A > 0, b > 0) by compact tableau simplex
+    with Bland's rule. Returns (y, duals) or None if it stalls.
+
+    Variables 0..cols-1 are y and cols..cols+rows-1 the slacks. The tableau
+    holds the nonbasic columns (``nonbasic`` names each one's variable) and
+    the right-hand side; the slack identity of the full tableau is implicit.
+    It reproduces the full tableau bit for bit because no entry is ever
+    -0.0: A > 0, b > 0, the objective row starts at -1.0 and every other
+    entry at +0.0, a division by a positive pivot gives -0.0 only from
+    -0.0 (or by underflow, far below any entry an O(1) tableau holds), and
+    an update t - c*r gives -0.0 only if t is -0.0. So every basic column
+    of the full tableau is an exact unit vector of +0.0 and 1.0. A pivot
+    resets the entering slot to the leaving variable's unit vector and then
+    applies the same row divide and rank-1 update, so each kept entry comes
+    from the same operations; the entering variable's column, which the
+    full tableau turns into a unit vector, is dropped. For the same reason
+    the sign of a zero product c*r never shows, so the products may come
+    from `np.einsum`, which writes +0.0 where c*r is -0.0 and is faster
+    than a broadcast multiply.
+    """
     rows, cols = A.shape
-    T = np.zeros((rows + 1, cols + rows + 1))
+    T = np.zeros((rows + 1, cols + 1))
     T[:rows, :cols] = A
-    T[:rows, cols:cols + rows] = np.eye(rows)
     T[:rows, -1] = b
     T[rows, :cols] = -1.0
-    basis = list(range(cols, cols + rows))
+    nonbasic = np.arange(cols)
+    basis = np.arange(cols, cols + rows)
+    objective = T[rows, :-1]
+    col = np.empty(rows + 1)
+    outer = np.empty_like(T)
 
     for _ in range(200 * (rows + cols)):
-        improving = np.flatnonzero(T[rows, :-1] < -_ENTER_EPS)
+        improving = (objective < -_ENTER_EPS).nonzero()[0]
         if improving.size == 0:
             y = np.zeros(cols)
-            for i, var in enumerate(basis):
-                if var < cols:
-                    y[var] = T[i, -1]
-            return y, T[rows, cols:cols + rows].copy()
-        entering = int(improving[0])  # Bland: lowest improving index
-        col = T[:, entering].copy()
-        eligible = np.flatnonzero(col[:rows] > _PIVOT_EPS)
-        ratios = T[eligible, -1] / col[eligible]
-        leaving, best_ratio = -1, np.inf
-        for i, ratio in zip(eligible.tolist(), ratios.tolist()):
-            if (ratio < best_ratio - 1e-12
-                    or (ratio < best_ratio + 1e-12
-                        and (leaving < 0 or basis[i] < basis[leaving]))):
-                best_ratio = min(best_ratio, ratio)
-                leaving = i
+            structural = basis < cols
+            y[basis[structural]] = T[:rows, -1][structural]
+            duals = np.zeros(rows)
+            slack = nonbasic >= cols
+            duals[nonbasic[slack] - cols] = objective[slack]
+            return y, duals
+        # Bland: the improving column with the lowest variable id
+        slot = int(improving[nonbasic[improving].argmin()])
+        np.copyto(col, T[:, slot])
+        eligible = (col[:rows] > _PIVOT_EPS).nonzero()[0]
+        leaving = _leaving_row(eligible, T[eligible, -1] / col[eligible],
+                               basis)
         if leaving < 0:
             return None  # no usable pivot: numerically stalled
+        T[:, slot] = 0.0
+        T[leaving, slot] = 1.0
         T[leaving] /= col[leaving]
         # One rank-1 update of the rows with a nonzero entry in the entering
-        # column; the mask leaves every other row's bits (-0.0 included) as
-        # they are.
+        # column; the mask leaves every other row's bits as they are.
         touched = col != 0.0
         touched[leaving] = False
-        np.subtract(T, np.multiply.outer(col, T[leaving]), out=T,
-                    where=touched[:, None])
-        basis[leaving] = entering
+        np.einsum("i,j->ij", col, T[leaving], out=outer)
+        if np.count_nonzero(touched) == rows:
+            np.subtract(T[:leaving], outer[:leaving], out=T[:leaving])
+            np.subtract(T[leaving + 1:], outer[leaving + 1:],
+                        out=T[leaving + 1:])
+        else:
+            np.subtract(T, outer, out=T, where=touched[:, None])
+        nonbasic[slot], basis[leaving] = basis[leaving], nonbasic[slot]
     return None
 
 
@@ -292,27 +356,54 @@ def solve_nash_lp(M) -> tuple[np.ndarray, np.ndarray, float]:
 # Projected replicator dynamics
 
 
-def _project_floored_simplex(v: np.ndarray, floor: float,
-                             idx: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x : sum x = 1, x >= floor}; ``idx`` is
-    ``np.arange(1, len(v) + 1)``."""
-    n = len(v)
-    target = 1.0 - n * floor
-    if target < -1e-12:
-        raise SolverError("floor too large for the simplex dimension")
-    u = v - floor
-    srt = np.sort(u)[::-1]
-    css = np.cumsum(srt) - target
-    rho = np.max(np.where(srt - css / idx > 0, idx, 0))
-    tau = css[rho - 1] / rho
-    return np.maximum(u - tau, 0.0) + floor
+def _floored_simplex_projector(n: int, floor: float):
+    """``project(v, out)``: the Euclidean projection of ``v`` onto
+    {x in R^n : sum x = 1, x >= floor}, written to ``out``, for a floor
+    below 1/n. Every call reuses the same buffers and makes the same
+    floating-point operations as the textbook form
+
+        u = v - floor;  srt = sort(u) descending;  css = cumsum(srt) - target
+        rho = max{i : srt[i-1] - css[i-1] / i > 0};  tau = css[rho-1] / rho
+        out = max(u - tau, 0) + floor
+    """
+    # Scalars as 0-d arrays: ufuncs take them with less overhead than
+    # Python floats, and the float64 arithmetic is the same.
+    target = np.array(1.0 - n * floor)
+    floor, zero = np.array(floor), np.array(0.0)
+    idx = np.arange(1.0, n + 1)  # exact, so css / idx divides as by ints
+    u, ascending, srt = np.empty(n), np.empty(n), np.empty(n)
+    css, gap = np.empty(n), np.empty(n)
+    positive = np.empty(n, dtype=bool)
+
+    def project(v: np.ndarray, out: np.ndarray) -> None:
+        np.subtract(v, floor, out=u)
+        np.copyto(ascending, u)
+        ascending.sort()
+        np.copyto(srt, ascending[::-1])
+        np.add.accumulate(srt, out=css)
+        np.subtract(css, target, out=css)
+        np.divide(css, idx, out=gap)
+        np.subtract(srt, gap, out=gap)
+        np.greater(gap, zero, out=positive)
+        # rho is the 1-based index of the last True (0 if none): one argmax
+        # on the buffer reversed
+        last = int(positive[::-1].argmax())
+        rho = n - last if positive[n - 1 - last] else 0
+        tau = css[rho - 1] / rho
+        np.subtract(u, tau, out=out)
+        np.maximum(out, zero, out=out)
+        np.add(out, floor, out=out)
+
+    return project
 
 
 def solve_prd(M, gamma: float, dt: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Discretized replicator dynamics with an exploration floor.
 
     Both strategies start uniform; each Euler step is followed by projection
-    onto the simplex with every coordinate >= gamma.
+    onto the simplex with every coordinate >= gamma. The steps run in place
+    in buffers allocated once, with each element's operations in the order
+    of ``x + dt * x * (payoffs - value)``.
     """
     M = np.asarray(M, dtype=float)
     rows, cols = M.shape
@@ -323,16 +414,25 @@ def solve_prd(M, gamma: float, dt: float, steps: int) -> tuple[np.ndarray, np.nd
     x = np.full(rows, 1.0 / rows)
     y = np.full(cols, 1.0 / cols)
     neg_mt = -M.T
-    row_idx = np.arange(1, rows + 1)
-    col_idx = np.arange(1, cols + 1)
+    project_row = _floored_simplex_projector(rows, gamma)
+    project_col = _floored_simplex_projector(cols, gamma)
+    row_payoffs, x_next = np.empty(rows), np.empty(rows)
+    col_payoffs, y_next = np.empty(cols), np.empty(cols)
+    dt = np.array(dt)  # 0-d, as in the projector
     for _ in range(steps):
-        row_payoffs = M @ y
-        col_payoffs = neg_mt @ x
+        np.matmul(M, y, out=row_payoffs)
+        np.matmul(neg_mt, x, out=col_payoffs)
         value = x @ row_payoffs
-        x_next = x + dt * x * (row_payoffs - value)
-        y_next = y + dt * y * (col_payoffs + value)
-        x = _project_floored_simplex(x_next, gamma, row_idx)
-        y = _project_floored_simplex(y_next, gamma, col_idx)
+        np.multiply(x, dt, out=x_next)
+        row_payoffs -= value
+        x_next *= row_payoffs
+        x_next += x
+        np.multiply(y, dt, out=y_next)
+        col_payoffs += value
+        y_next *= col_payoffs
+        y_next += y
+        project_row(x_next, x)
+        project_col(y_next, y)
     return x, y
 
 

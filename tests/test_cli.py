@@ -161,6 +161,20 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("oracle, error", [
+        ({"lr": float("nan")}, "oracle.lr: must be >= 0.0"),
+        ({"lr": -1.0}, "oracle.lr: must be >= 0.0"),
+        ({"epsilon": 5.0}, "oracle.epsilon: must be <= 1.0")])
+    def test_out_of_range_q_learning_setting_writes_nothing(
+            self, tmp_path, capsys, oracle, error):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(
+            out, game={"name": "kuhn_poker"},
+            oracle={"kind": "q_learning", "episodes": 200, **oracle}))
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     def test_missing_config_file_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
         assert main(["run", "--config", str(path)]) == 2

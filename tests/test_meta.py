@@ -293,6 +293,57 @@ def test_nash_lp_matches_row_loop_solver_bit_for_bit(M):
     assert got[2] == expected[2]
 
 
+def _leaving_row_scan(eligible, ratios, basis):
+    """Reference: the ratio test as one scan over the eligible rows, in row
+    order (Bland's rule: among ratios within 1e-12 of the running minimum
+    the lower basis id wins)."""
+    leaving, best_ratio = -1, np.inf
+    for i, ratio in zip(eligible.tolist(), ratios.tolist()):
+        if (ratio < best_ratio - 1e-12
+                or (ratio < best_ratio + 1e-12
+                    and (leaving < 0 or basis[i] < basis[leaving]))):
+            best_ratio = min(best_ratio, ratio)
+            leaving = i
+    return leaving
+
+
+def _near(base, kind, draw):
+    """A ratio placed relative to `base` in one of the ways ties arise."""
+    if kind == "tie":
+        return base
+    if kind == "window":  # inside, or just outside, the 1e-12 tie window
+        return base + draw(st.sampled_from([-1.0, -0.5, 0.5, 0.999, 1.0,
+                                            1.001, 1.5, 2.0])) * 1e-12
+    if kind == "ulps":
+        ratio = base
+        for _ in range(draw(st.integers(1, 4))):
+            ratio = np.nextafter(ratio, draw(st.sampled_from([0.0, np.inf])))
+        return float(ratio)
+    return base * draw(st.floats(1.0, 10.0))  # "spread"
+
+
+@st.composite
+def _ratio_tests(draw):
+    """(eligible rows, their ratios, the basis ids of every row)."""
+    count = draw(st.integers(1, 30))
+    rows = count + draw(st.integers(0, 10))
+    eligible = np.array(sorted(draw(st.permutations(range(rows)))[:count]))
+    base = 10.0 ** draw(st.floats(-3.0, 9.0))
+    ratios = np.array([
+        _near(base, draw(st.sampled_from(["tie", "window", "ulps", "spread"])),
+              draw) for _ in range(count)])
+    basis = np.array(draw(st.permutations(range(rows + 40)))[:rows])
+    return eligible, ratios, basis
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_ratio_tests())
+def test_leaving_row_matches_the_scan(case):
+    eligible, ratios, basis = case
+    expected = _leaving_row_scan(eligible, ratios, basis)
+    assert meta_solvers._leaving_row(eligible, ratios, basis) == expected
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(M=_DEGENERATE, copy_row=st.booleans(), which=st.integers(0, 29))
 def test_degenerate_population_matrices(M, copy_row, which):
@@ -345,6 +396,69 @@ class TestPrd:
             solve_prd(RPS, gamma=0.5, dt=1e-3, steps=10)
         with pytest.raises(SolverError):
             solve_prd(RPS, gamma=0.0, dt=0.0, steps=10)
+
+
+def _project_floored_simplex_reference(v: np.ndarray, floor: float,
+                                       idx: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x : sum x = 1, x >= floor}; ``idx`` is
+    ``np.arange(1, len(v) + 1)``."""
+    n = len(v)
+    target = 1.0 - n * floor
+    if target < -1e-12:
+        raise SolverError("floor too large for the simplex dimension")
+    u = v - floor
+    srt = np.sort(u)[::-1]
+    css = np.cumsum(srt) - target
+    rho = np.max(np.where(srt - css / idx > 0, idx, 0))
+    tau = css[rho - 1] / rho
+    return np.maximum(u - tau, 0.0) + floor
+
+
+def _solve_prd_reference(M, gamma, dt, steps):
+    """Reference: replicator dynamics with a freshly allocated array for
+    every step and projection, which ``solve_prd`` must reproduce bit for
+    bit."""
+    M = np.asarray(M, dtype=float)
+    rows, cols = M.shape
+    x = np.full(rows, 1.0 / rows)
+    y = np.full(cols, 1.0 / cols)
+    neg_mt = -M.T
+    row_idx = np.arange(1, rows + 1)
+    col_idx = np.arange(1, cols + 1)
+    for _ in range(steps):
+        row_payoffs = M @ y
+        col_payoffs = neg_mt @ x
+        value = x @ row_payoffs
+        x_next = x + dt * x * (row_payoffs - value)
+        y_next = y + dt * y * (col_payoffs + value)
+        x = _project_floored_simplex_reference(x_next, gamma, row_idx)
+        y = _project_floored_simplex_reference(y_next, gamma, col_idx)
+    return x, y
+
+
+def _prd_gamma(kind, rows, cols):
+    """No floor, or one that binds: just under 1/max(rows, cols)."""
+    limit = 1.0 / max(rows, cols)
+    return {"zero": 0.0, "last": float(np.nextafter(limit, 0.0)),
+            "near": limit * (1.0 - 1e-9), "half": 0.5 * limit}[kind]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["dense", "integer", "low_rank", "rank_one",
+                             "constant"]),
+       rows=st.integers(1, 60), cols=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1),
+       gamma=st.sampled_from(["zero", "last", "near", "half"]),
+       dt=st.floats(1e-3, 1e-1), steps=st.integers(1, 300))
+def test_prd_matches_reference_bit_for_bit(kind, rows, cols, seed, gamma, dt,
+                                           steps):
+    M = _population_matrix(kind, rows, cols, seed)
+    gamma = _prd_gamma(gamma, rows, cols)
+    expected = _solve_prd_reference(M, gamma, dt, steps)
+    for got in (solve_prd(M, gamma, dt, steps),
+                solve(M, Prd(gamma=gamma, dt=dt, steps=steps))):
+        assert _same_bits(got[0], expected[0])
+        assert _same_bits(got[1], expected[1])
 
 
 # ---------------------------------------------------------------------------
