@@ -12,10 +12,10 @@ slot. Each pivot is a few whole-array operations: the entering column is the
 improving one with the lowest variable id, the ratio test divides every
 eligible row at once and takes the least ratio by one argmin, falling back to
 a row-order scan whenever another ratio lies near enough to tie, and the
-elimination is one rank-1 update of the rows with a nonzero entry in the
-entering column. Every entry it keeps comes from the same products and
-differences as a row-by-row update of the full tableau, slack identity
-included.
+elimination is one rank-1 update of every row but the leaving one. Every
+entry it keeps comes from the same products and differences as a row-by-row
+update of the full tableau, slack identity included, and a row with a zero
+in the entering column keeps its bits.
 """
 
 from __future__ import annotations
@@ -218,17 +218,12 @@ def _simplex_packing(A: np.ndarray, b: np.ndarray):
         T[:, slot] = 0.0
         T[leaving, slot] = 1.0
         T[leaving] /= col[leaving]
-        # One rank-1 update of the rows with a nonzero entry in the entering
-        # column; the mask leaves every other row's bits as they are.
-        touched = col != 0.0
-        touched[leaving] = False
+        # One rank-1 update of every row but the leaving one. A row with a
+        # zero in the entering column keeps its bits: that zero is +0.0, its
+        # products are zeros, and t - 0.0 == t for every finite t.
         np.einsum("i,j->ij", col, T[leaving], out=outer)
-        if np.count_nonzero(touched) == rows:
-            np.subtract(T[:leaving], outer[:leaving], out=T[:leaving])
-            np.subtract(T[leaving + 1:], outer[leaving + 1:],
-                        out=T[leaving + 1:])
-        else:
-            np.subtract(T, outer, out=T, where=touched[:, None])
+        np.subtract(T[:leaving], outer[:leaving], out=T[:leaving])
+        np.subtract(T[leaving + 1:], outer[leaving + 1:], out=T[leaving + 1:])
         nonbasic[slot], basis[leaving] = basis[leaving], nonbasic[slot]
     return None
 
