@@ -10,15 +10,25 @@ A game is read through one tree, ``game.tree``: its whole tree compiled
 once from its states into read-only flat arrays (a `FlatTree`), on the
 first sampled episode or exact evaluation. The engine keeps the last game
 it built, so a process compiles the tree once per game and parameters for
-all of its runs. Sampled episodes walk those arrays, exact evaluation passes
-over them level by level, and policies see a decision node as its
-`InfosetView`.
+all of its runs. Exact evaluation passes over those arrays level by level,
+and policies see a decision node as its `InfosetView`.
+
+Sampled episodes walk `FlatTree.walk` instead: the same tree as Python
+tuples, built on the first sampled episode (exact evaluation never builds
+it), so a step reads Python ints and objects rather than numpy scalars.
+Each chance node's CDF there holds the floats of `FlatTree.chance_cdf`, and
+`draw` searches a CDF with `bisect.bisect_right`, which probes as numpy's
+``searchsorted(side="right")`` does (the same midpoint rule, for any array
+without NaN) at a fraction of its per-call cost. So an episode makes the
+same draws, and leaves the generator in the same state, as one over the
+arrays.
 """
 
 from __future__ import annotations
 
 import functools
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -250,6 +260,36 @@ class FlatTree:
         cdf.flags.writeable = False
         return cdf
 
+    @functools.cached_property
+    def walk(self) -> tuple[tuple, tuple, tuple]:
+        """The tree as `sample_episode` walks it, per node: its owner, its
+        first child, and what the walk reads there: the `InfosetView` at a
+        decision node, the floats of its children's `chance_cdf` at a chance
+        node and the returns at a terminal, each a tuple of Python floats.
+        Equal CDFs share one tuple (a draw only compares their values), and
+        so do returns equal bit for bit. Built on the first sampled episode;
+        exact evaluation never reads it."""
+        at = [None] * len(self.owner)
+        for player, infosets in enumerate(self.infosets):
+            nodes = np.flatnonzero(self.owner == player)
+            for node, index in zip(nodes.tolist(),
+                                   self.infoset[nodes].tolist()):
+                at[node] = infosets.views[index]
+        cdfs = {}
+        for node in np.flatnonzero(self.owner == CHANCE).tolist():
+            cdf = tuple(self.chance_cdf[
+                self.first[node]:self.first[node + 1]].tolist())
+            at[node] = cdfs.setdefault(cdf, cdf)
+        terminals = np.flatnonzero(self.owner == TERMINAL)
+        _, index, inverse = np.unique(self.utility.view(np.int64), axis=0,
+                                      return_index=True, return_inverse=True)
+        returns = [tuple(r) for r in self.utility[index].tolist()]
+        for node, k in zip(terminals.tolist(),
+                           inverse.ravel()[self.row[terminals]].tolist()):
+            at[node] = returns[k]
+        return (tuple(self.owner.tolist()), tuple(self.first[:-1].tolist()),
+                tuple(at))
+
     def _view(self, game: Game, state: State, player: int) -> InfosetView:
         key = state.infoset_key(player)
         view = self.views.get((player, key))
@@ -303,9 +343,11 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def draw(cdf: np.ndarray, rng: np.random.Generator):
-    """The index of one ``rng.random()`` searched in ``cdf``."""
-    return cdf.searchsorted(rng.random(), side="right")
+def draw(cdf, rng: np.random.Generator) -> int:
+    """The index of one ``rng.random()`` searched in ``cdf``, an array or a
+    tuple: ``cdf.searchsorted(rng.random(), side="right")``, probed the
+    same way by `bisect.bisect_right` for any ``cdf`` without NaN."""
+    return bisect_right(cdf, rng.random())
 
 
 def draw_index(weights: np.ndarray, rng: np.random.Generator):
@@ -328,20 +370,19 @@ def sample_episode(game: Game, choose,
                    rng: np.random.Generator) -> tuple[float, float]:
     """Sample one playthrough of ``game.tree`` and return its returns.
 
-    Chance outcomes are drawn from ``rng`` and the tree's `chance_cdf`; at
+    Chance outcomes are drawn from ``rng`` and the tree's chance CDFs; at
     each decision node ``choose(player, view)`` returns the action taken.
+    The walk reads `FlatTree.walk`.
     """
-    tree = game.tree
-    owner, first, chance_cdf = tree.owner, tree.first, tree.chance_cdf
+    owner, first, at = game.tree.walk
     node = 0
-    while (player := int(owner[node])) != TERMINAL:
-        a, b = first[node], first[node + 1]
+    while (player := owner[node]) != TERMINAL:
         if player == CHANCE:
-            node = a + draw(chance_cdf[a:b], rng)
+            node = first[node] + draw(at[node], rng)
         else:
-            view = tree.infosets[player].views[tree.infoset[node]]
-            node = a + view.legal_actions.index(choose(player, view))
-    return tuple(tree.utility[tree.row[node]].tolist())
+            view = at[node]
+            node = first[node] + view.legal_actions.index(choose(player, view))
+    return at[node]
 
 
 def play_episode(game: Game, policies,

@@ -193,17 +193,23 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
         return init, []
     rng = np.random.default_rng(seed)
     sig = init.signature
+    # The online and target networks live in these two arrays for the whole
+    # run and are updated in place, so `nets` keeps reading their views.
     theta = init.theta.copy()
     target_theta = theta.copy()
     optimizer = nets.make_optimizer(cfg.optimizer, cfg.lr)
+    tau = cfg.soft_update_tau
 
     dim = game.encoding_dim()
     n_actions = game.num_distinct_actions()
-    replay_x = np.zeros((cfg.replay_capacity, dim))
-    replay_next = np.zeros((cfg.replay_capacity, dim))
-    replay_action = np.zeros(cfg.replay_capacity, dtype=int)
-    replay_reward = np.zeros(cfg.replay_capacity)
-    replay_next_mask = np.zeros((cfg.replay_capacity, n_actions), dtype=bool)
+    capacity, batch_size = cfg.replay_capacity, cfg.batch_size
+    replay_x = np.zeros((capacity, dim))
+    replay_next = np.zeros((capacity, dim))
+    replay_action = np.zeros(capacity, dtype=np.intp)
+    replay_reward = np.zeros(capacity)
+    # Where the next view has no such legal action; all of a last step's.
+    replay_illegal = np.ones((capacity, n_actions), dtype=bool)
+    replay_last = np.zeros(capacity, dtype=bool)
     size, cursor, learner_steps = 0, 0, 0
 
     def select(view: InfosetView) -> int:
@@ -212,46 +218,69 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
         q = nets.forward(sig, theta, view.features)
         return view.legal_actions[greedy_index(q, view.legal_actions)]
 
-    rows = np.arange(cfg.batch_size)
+    # Each learn step gathers its batch into these buffers.
+    batch_x = np.empty((batch_size, dim))
+    batch_next = np.empty((batch_size, dim))
+    batch_action = np.empty(batch_size, dtype=np.intp)
+    batch_reward = np.empty(batch_size)
+    batch_illegal = np.empty((batch_size, n_actions), dtype=bool)
+    batch_last = np.empty(batch_size, dtype=bool)
+    best_next = np.empty(batch_size)
+    targets = np.empty(batch_size)
+    # Flat position of each row's taken action in a (batch, actions) array.
+    row_start = np.arange(batch_size) * n_actions
+    taken = np.empty(batch_size, dtype=np.intp)
+    td = np.empty(batch_size)
+    grad_out = np.zeros((batch_size, n_actions))
+    scaled = np.empty_like(theta) if tau is not None else None
+
+    def td_gradient(q_all):
+        np.subtract(np.take(q_all, taken, out=td), targets, out=td)
+        # The mean squared TD error is finite when its sum is.
+        if not math.isfinite(td @ td):
+            raise FloatingPointError("TD loss diverged; lower the lr")
+        np.divide(np.multiply(td, 2.0, out=td), batch_size, out=td)
+        grad_out.fill(0.0)
+        grad_out.put(taken, td)
+        return grad_out
 
     def learn_step():
-        nonlocal theta, target_theta, learner_steps
-        batch = rng.integers(size, size=cfg.batch_size)
-        actions, next_mask = replay_action[batch], replay_next_mask[batch]
-        q_next = nets.forward(sig, target_theta, replay_next[batch])
-        q_next = np.where(next_mask, q_next, -np.inf)
-        best_next = np.where(next_mask.any(axis=1), q_next.max(axis=1), 0.0)
-        # A terminal step has an empty next mask, so its best_next is 0.0.
-        targets = replay_reward[batch] + cfg.gamma_discount * best_next
-
-        def td_gradient(q_all):
-            td = q_all[rows, actions] - targets
-            # The mean squared TD error is finite when its sum is.
-            if not math.isfinite(td @ td):
-                raise FloatingPointError("TD loss diverged; lower the lr")
-            grad_out = np.zeros_like(q_all)
-            grad_out[rows, actions] = 2.0 * td / len(batch)
-            return grad_out
-
-        _, grad = nets.forward_backward(sig, theta, replay_x[batch],
-                                        td_gradient)
+        nonlocal learner_steps
+        batch = rng.integers(size, size=batch_size)
+        replay_x.take(batch, 0, out=batch_x)
+        replay_next.take(batch, 0, out=batch_next)
+        replay_action.take(batch, out=batch_action)
+        replay_reward.take(batch, out=batch_reward)
+        replay_illegal.take(batch, 0, out=batch_illegal)
+        replay_last.take(batch, out=batch_last)
+        np.add(row_start, batch_action, out=taken)
+        q_next = nets.forward(sig, target_theta, batch_next)
+        np.copyto(q_next, -np.inf, where=batch_illegal)
+        q_next.max(axis=1, out=best_next)
+        # A last step's next values are all -inf; its best_next is 0.0.
+        np.copyto(best_next, 0.0, where=batch_last)
+        np.add(batch_reward,
+               np.multiply(best_next, cfg.gamma_discount, out=best_next),
+               out=targets)
+        _, grad = nets.forward_backward(sig, theta, batch_x, td_gradient)
         if cfg.grad_clip is not None:
             grad = nets.clip_grad_norm(grad, cfg.grad_clip)
-        theta = optimizer.step(theta, grad)
+        optimizer.step(theta, grad, out=theta)
         learner_steps += 1
-        if cfg.soft_update_tau is not None:
-            tau = cfg.soft_update_tau
-            target_theta = (1.0 - tau) * target_theta + tau * theta
+        if tau is not None:
+            np.multiply(target_theta, 1.0 - tau, out=target_theta)
+            np.add(target_theta, np.multiply(theta, tau, out=scaled),
+                   out=target_theta)
         elif learner_steps % cfg.target_update_every == 0:
-            target_theta = theta.copy()
+            np.copyto(target_theta, theta)
 
-    masks: dict[InfosetView, np.ndarray] = {}  # legal mask per next view
+    illegal: dict[InfosetView, np.ndarray] = {}  # mask per next view
 
-    def legal_mask(view: InfosetView) -> np.ndarray:
-        mask = masks.get(view)
+    def illegal_mask(view: InfosetView) -> np.ndarray:
+        mask = illegal.get(view)
         if mask is None:
-            mask = masks[view] = np.zeros(n_actions, dtype=bool)
-            mask[list(view.legal_actions)] = True
+            mask = illegal[view] = np.ones(n_actions, dtype=bool)
+            mask[list(view.legal_actions)] = False
         return mask
 
     curve = []
@@ -259,24 +288,28 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
     for episode in range(cfg.episodes):
         opponent = sample_member(opponent_mixture, rng)
         steps, reward = run_learner_episode(game, player, select, opponent, rng)
-        rewards = np.array([s.reward for s in steps])
+        rewards = [s.reward for s in steps]
         if psd is not None:
             rewards = psd_intrinsic_reward(
                 steps, ParametricPolicy(sig, theta), psd.hull_samples,
                 psd.lam, cfg.gamma_discount)
+        # One transition at a time, each followed by its learn step: a
+        # learn step samples the buffer as it is after that transition.
         for step, r in zip(steps, rewards):
             replay_x[cursor] = step.view.features
             replay_action[cursor] = step.action
             replay_reward[cursor] = r
+            # A next view always has a legal action: the learner took one.
+            replay_last[cursor] = step.next_view is None
             if step.next_view is not None:
                 replay_next[cursor] = step.next_view.features
-                replay_next_mask[cursor] = legal_mask(step.next_view)
+                replay_illegal[cursor] = illegal_mask(step.next_view)
             else:
                 replay_next[cursor] = 0.0
-                replay_next_mask[cursor] = False
-            cursor = (cursor + 1) % cfg.replay_capacity
-            size = min(size + 1, cfg.replay_capacity)
-            if size >= cfg.batch_size:
+                replay_illegal[cursor] = True
+            cursor = (cursor + 1) % capacity
+            size = min(size + 1, capacity)
+            if size >= batch_size:
                 learn_step()
         window.append(reward)
         if len(window) > 100:

@@ -25,7 +25,9 @@ Sampled play draws through ``draw(view, rng)``: the action
 `sample_action(action_probs(view), view.legal_actions, rng)` would draw,
 with the same generator use, from a CDF each policy computes once per view
 and keeps. The shared uniform and one-hot distributions have one shared
-CDF each, so a network policy's draw memo grows only by dict entries.
+CDF each, so a network policy's draw memo grows only by dict entries. The
+CDFs stay arrays; `gamepop.games.base.draw` searches them with `bisect`,
+probing as ``searchsorted`` does.
 """
 
 from __future__ import annotations
@@ -87,10 +89,16 @@ def _on_simplex(x: np.ndarray, below: float, off: float) -> bool:
     return bool((x >= -below).all() and abs(x.sum() - 1.0) <= off)
 
 
-def greedy_index(q: np.ndarray, legal_actions) -> int:
+@functools.lru_cache(maxsize=None)
+def _positions(legal_actions: tuple[int, ...]) -> np.ndarray:
+    """The index array of a legal-action tuple, built once per tuple."""
+    return np.array(legal_actions, dtype=np.intp)
+
+
+def greedy_index(q: np.ndarray, legal_actions: tuple[int, ...]) -> int:
     """Position in `legal_actions` of the largest action value in `q`
     (indexed by global action id); the lowest position on ties."""
-    return int(np.argmax(q[list(legal_actions)]))
+    return int(q.take(_positions(legal_actions)).argmax())
 
 
 class _Draws:

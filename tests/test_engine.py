@@ -555,6 +555,20 @@ class TestGameReuse:
         finally:
             gc.enable()
 
+    def test_exact_runs_build_nothing_for_sampling(self):
+        """An exact-oracle Leduc run with exact payoffs and exact
+        exploitability every iteration samples no episode, so its tree
+        builds neither the chance CDFs nor the walk that episodes read."""
+        self.game("kuhn_poker", {})  # the kept Leduc game, if any, goes
+        config = PsroConfig(game={"name": "leduc_poker", "params": {}},
+                            oracle=ExactOracle(), mss=Nash(),
+                            init=(InheritLatest(), InheritLatest()),
+                            iterations=5, eval=EvalSpec(
+                                exact_exploitability_every=1))
+        run_psro(config, seed=0)
+        built = vars(_build_arena(config).game.tree)
+        assert "chance_cdf" not in built and "walk" not in built
+
 
 class TestApproximateExploitability:
     def test_profile_value_computed_once(self, monkeypatch):

@@ -96,3 +96,68 @@ def test_adam_in_place_matches_the_textbook_expressions():
         assert ours.m.tobytes() == textbook.m.tobytes()
         assert ours.v.tobytes() == textbook.v.tobytes()
         assert given.tobytes() == before.tobytes()
+
+
+def _layerwise_forward(sig, theta, x):
+    """The forward pass over fresh `nets.unpack` views, allocating every
+    intermediate."""
+    layers = nets.unpack(sig, theta)
+    h = np.atleast_2d(x)
+    for W, b in layers[:-1]:
+        h = np.maximum(h @ W.T + b, 0.0)
+    W, b = layers[-1]
+    return h @ W.T + b
+
+
+def test_returned_arrays_survive_later_calls():
+    """Outputs and gradients are fresh arrays: calls at other batch sizes
+    and signatures, and at the same ones, never write into them."""
+    rng = np.random.default_rng(2)
+    thetas = {sig: rng.normal(size=nets.theta_size(sig)) for sig in SIGNATURES}
+    kept = []
+    for _ in range(3):
+        for sig in SIGNATURES:
+            for batch in (1, 5, 64):
+                x = rng.normal(size=(batch, sig.input_dim))
+                out = nets.forward(sig, thetas[sig], x)
+                single = nets.forward(sig, thetas[sig], x[0])
+                both = nets.forward_backward(sig, thetas[sig], x,
+                                             lambda q: q * 0.5)
+                kept.extend((a, a.copy()) for a in (out, single, *both))
+    for array, snapshot in kept:
+        assert array.tobytes() == snapshot.tobytes()
+
+
+def test_a_reused_theta_id_never_gets_old_views():
+    """Thetas allocated and freed in a loop, each with its own values, so
+    ids of freed thetas come back: every forward reads the theta it is
+    given. A theta written in place is read as it is now."""
+    sig = SIGNATURES[1]
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, sig.input_dim))
+    ids = set()
+    for step in range(60):
+        theta = np.full(nets.theta_size(sig), 0.01 * step)
+        ids.add(id(theta))
+        assert nets.forward(sig, theta, x).tobytes() == _layerwise_forward(
+            sig, theta, x).tobytes()
+        theta[:] = rng.normal(size=theta.size)
+        assert nets.forward(sig, theta, x).tobytes() == _layerwise_forward(
+            sig, theta, x).tobytes()
+        del theta
+    assert len(ids) < 60  # the loop did hand out a freed id again
+
+
+def test_optimizer_steps_in_place_match_fresh_ones():
+    """``step(theta, grad, out=theta)`` writes into theta what
+    ``step(theta, grad)`` returns, for SGD and Adam."""
+    rng = np.random.default_rng(5)
+    for kind in ("sgd", "adam"):
+        fresh, in_place = (nets.make_optimizer(kind, 1e-2) for _ in range(2))
+        a = rng.normal(size=50)
+        b = a.copy()
+        for _ in range(20):
+            grad = rng.normal(size=a.size)
+            a = fresh.step(a, grad)
+            assert in_place.step(b, grad, out=b) is b
+            assert a.tobytes() == b.tobytes()
