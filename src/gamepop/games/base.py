@@ -287,8 +287,9 @@ class FlatTree:
         for node, k in zip(terminals.tolist(),
                            inverse.ravel()[self.row[terminals]].tolist()):
             at[node] = returns[k]
-        return (tuple(self.owner.tolist()), tuple(self.first[:-1].tolist()),
-                tuple(at))
+        # A terminal's first child is never read; 0 is one shared int.
+        first = np.where(self.owner == TERMINAL, 0, self.first[:-1])
+        return tuple(self.owner.tolist()), tuple(first.tolist()), tuple(at)
 
     def _view(self, game: Game, state: State, player: int) -> InfosetView:
         key = state.infoset_key(player)
