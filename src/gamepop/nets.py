@@ -160,7 +160,8 @@ def forward_backward(sig: ArchSignature, theta: np.ndarray, x: np.ndarray,
     layers = _layers(sig, theta)
     if x.ndim != 2:
         x = np.atleast_2d(x)
-    key, (_, acts, deltas, masks) = entry = _scratch(sig, len(x), True)
+    key, entry = _scratch(sig, len(x), True)
+    _, acts, deltas, masks = entry
     out = np.matmul(_hidden(layers, x, acts), layers[-1][0])
     np.add(out, layers[-1][2], out=out)
     grad = np.empty_like(theta)

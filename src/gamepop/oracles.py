@@ -284,7 +284,10 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
         return mask
 
     curve = []
-    window: list[float] = []
+    # The last 100 episode rewards, oldest first; their mean is taken as
+    # np.mean takes it, a sum in this order over the count.
+    window = np.empty(min(cfg.episodes, 100))
+    filled = 0
     for episode in range(cfg.episodes):
         opponent = sample_member(opponent_mixture, rng)
         steps, reward = run_learner_episode(game, player, select, opponent, rng)
@@ -311,10 +314,13 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
             size = min(size + 1, capacity)
             if size >= batch_size:
                 learn_step()
-        window.append(reward)
-        if len(window) > 100:
-            window.pop(0)
-        curve.append((episode + 1, float(np.mean(window))))
+        if filled == len(window):
+            window[:-1] = window[1:]
+            filled -= 1
+        window[filled] = reward
+        filled += 1
+        curve.append((episode + 1,
+                      float(np.add.reduce(window[:filled]) / filled)))
     return ParametricPolicy(sig, theta), curve
 
 

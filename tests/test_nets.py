@@ -161,3 +161,22 @@ def test_optimizer_steps_in_place_match_fresh_ones():
             a = fresh.step(a, grad)
             assert in_place.step(b, grad, out=b) is b
             assert a.tobytes() == b.tobytes()
+
+
+def test_scratch_buffers_are_reused():
+    """A second call at the same signature and batch runs in the buffers
+    of the first, for `forward` and for `forward_backward`."""
+    sig = SIGNATURES[2]
+    rng = np.random.default_rng(6)
+    theta = rng.normal(size=nets.theta_size(sig))
+    x = rng.normal(size=(7, sig.input_dim))
+
+    def calls():
+        nets.forward_backward(sig, theta, x, lambda q: q)
+        nets.forward(sig, theta, x)
+
+    calls()
+    kept = dict(nets._SCRATCH)
+    calls()
+    assert len(kept) >= 2
+    assert all(nets._SCRATCH[key] is entry for key, entry in kept.items())
