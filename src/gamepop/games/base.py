@@ -13,9 +13,10 @@ it built, so a process compiles the tree once per game and parameters for
 all of its runs. Exact evaluation passes over those arrays level by level,
 and policies see a decision node as its `InfosetView`.
 
-Sampled episodes walk `FlatTree.walk` instead: the same tree as Python
-tuples, built on the first sampled episode (exact evaluation never builds
-it), so a step reads Python ints and objects rather than numpy scalars.
+Sampled episodes walk `FlatTree.walk` instead: the same tree as typed
+arrays and a tuple of Python objects, built on the first sampled episode
+(exact evaluation never builds it), so a step reads Python ints and objects
+rather than numpy scalars.
 Each chance node's CDF there holds the floats of `FlatTree.chance_cdf`, and
 `draw` searches a CDF with `bisect.bisect_right`, which probes as numpy's
 ``searchsorted(side="right")`` does (the same midpoint rule, for any array
@@ -261,14 +262,15 @@ class FlatTree:
         return cdf
 
     @functools.cached_property
-    def walk(self) -> tuple[tuple, tuple, tuple]:
-        """The tree as `sample_episode` walks it, per node: its owner, its
-        first child, and what the walk reads there: the `InfosetView` at a
-        decision node, the floats of its children's `chance_cdf` at a chance
-        node and the returns at a terminal, each a tuple of Python floats.
-        Equal CDFs share one tuple (a draw only compares their values), and
-        so do returns equal bit for bit. Built on the first sampled episode;
-        exact evaluation never reads it."""
+    def walk(self) -> tuple[array, array, tuple]:
+        """The tree as `sample_episode` walks it, per node: its owner and
+        its first child (typed arrays, whose items are Python ints), and
+        what the walk reads there: the `InfosetView` at a decision node, the
+        floats of its children's `chance_cdf` at a chance node and the
+        returns at a terminal, each a tuple of Python floats. Equal CDFs
+        share one tuple (a draw only compares their values), and so do
+        returns equal bit for bit. Built on the first sampled episode;
+        exact evaluation never reads it. Nothing writes into it."""
         at = [None] * len(self.owner)
         for player, infosets in enumerate(self.infosets):
             nodes = np.flatnonzero(self.owner == player)
@@ -287,9 +289,9 @@ class FlatTree:
         for node, k in zip(terminals.tolist(),
                            inverse.ravel()[self.row[terminals]].tolist()):
             at[node] = returns[k]
-        # A terminal's first child is never read; 0 is one shared int.
-        first = np.where(self.owner == TERMINAL, 0, self.first[:-1])
-        return tuple(self.owner.tolist()), tuple(first.tolist()), tuple(at)
+        return (array("b", self.owner.tobytes()),
+                array("i", self.first[:-1].astype(np.intc).tobytes()),
+                tuple(at))
 
     def _view(self, game: Game, state: State, player: int) -> InfosetView:
         key = state.infoset_key(player)
