@@ -176,6 +176,7 @@ class IterationRecord:
     t_eval_exact: float
     t_eval_approx: float
     t_io: float
+    t_diag: float
     kl_compare: list = field(default_factory=list)
 
 
@@ -384,7 +385,7 @@ def _fmt(value) -> str:
 RESULTS_COLUMNS = ["iteration", "exploitability", "approx_exploitability",
                    "pop_size_p1", "pop_size_p2"]
 TIMINGS_COLUMNS = ["iteration", "t_meta", "t_br", "t_fusion", "t_payoff",
-                   "t_eval_exact", "t_eval_approx", "t_io"]
+                   "t_eval_exact", "t_eval_approx", "t_io", "t_diag"]
 RESULTS_VERSION = "gamepop-results-v1"
 
 
@@ -689,6 +690,7 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer,
     t_fusion = 0.0
     t_br = 0.0
     t_io = 0.0
+    t_diag = 0.0
     kl_rows = []
     new_policies = []
     for player in (0, 1):
@@ -704,8 +706,10 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer,
         t_fusion += time.perf_counter() - start
 
         if config.diagnostics.kl_compare:
+            start = time.perf_counter()
             kl_rows.append(_kl_compare_row(config, seed, t, player, arena,
                                            pops[player], sigma_own))
+            t_diag += time.perf_counter() - start
 
         psd_bonus = None
         if config.psd.enabled:
@@ -772,7 +776,7 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer,
         pop_size_p1=len(pops[0]),
         pop_size_p2=len(pops[1]), t_meta=t_meta, t_br=t_br,
         t_fusion=t_fusion, t_payoff=t_payoff, t_eval_exact=t_eval_exact,
-        t_eval_approx=t_eval_approx, t_io=t_io,
+        t_eval_approx=t_eval_approx, t_io=t_io, t_diag=t_diag,
         kl_compare=kl_rows)
     return meta, sigmas, record
 

@@ -13,12 +13,15 @@ it built, so a process compiles the tree once per game and parameters for
 all of its runs. Exact evaluation passes over those arrays level by level,
 and policies see a decision node as its `InfosetView`.
 
+Exact evaluation reads `FlatTree.plan` besides: per level, the index
+arrays its passes gather and scatter with, built on the first exact pass.
+
 Sampled episodes walk `FlatTree.walk` instead: the same tree as typed
 arrays and a tuple of Python objects, built on the first sampled episode
-(exact evaluation never builds it), so a step reads Python ints and objects
-rather than numpy scalars.
-Each chance node's CDF there holds the floats of `FlatTree.chance_cdf`, and
-`draw` searches a CDF with `bisect.bisect_right`, which probes as numpy's
+(exact evaluation never builds it, and sampling never builds the plan), so
+a step reads Python ints and objects rather than numpy scalars.
+Each chance node's CDF there holds the floats of `FlatTree.chance_cdfs`,
+and `draw` searches a CDF with `bisect.bisect_right`, which probes as numpy's
 ``searchsorted(side="right")`` does (the same midpoint rule, for any array
 without NaN) at a fraction of its per-call cost. So an episode makes the
 same draws, and leaves the generator in the same state, as one over the
@@ -152,6 +155,31 @@ class Infosets(NamedTuple):
     first_level: np.ndarray
 
 
+class PlayerLevel(NamedTuple):
+    """One player's part of a `LevelPlan` of level d. Offsets count from
+    the first node of the level they index: d for ``nodes``, d + 1 for
+    ``moves``."""
+    nodes: np.ndarray  # the player's nodes on level d
+    infoset: np.ndarray  # the infoset of each of them
+    moves: np.ndarray  # the children of those nodes, on level d + 1
+    move_infoset: np.ndarray  # the infoset each move is made at
+    move_slot: np.ndarray  # the action, as a slot, each move takes
+    firsts: np.ndarray  # the infosets whose shallowest node is on level d
+
+
+class LevelPlan(NamedTuple):
+    """Level d of a `FlatTree` as exact evaluation reads it (see
+    `FlatTree.plan`); the arrays about level d + 1 are empty on the
+    deepest level."""
+    leaf: np.ndarray  # per node of level d, whether it is terminal
+    up: np.ndarray  # per node of level d + 1, its parent's offset on d
+    prob: np.ndarray  # `FlatTree.prob` of level d + 1, a view
+    # Per slot s, the offsets of level d + 1's nodes in slot s and of their
+    # parents on level d.
+    siblings: tuple[tuple[np.ndarray, np.ndarray], ...]
+    players: tuple[PlayerLevel, PlayerLevel]
+
+
 class FlatTree:
     """A game's whole tree as flat arrays, read by every sampled episode and
     every exact evaluation.
@@ -248,25 +276,61 @@ class FlatTree:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    @functools.cached_property
-    def chance_cdf(self) -> np.ndarray:
+    def chance_cdfs(self) -> np.ndarray:
         """At each child of a chance node, the `checked_cdf` of its
         siblings' chance probabilities up to it (NaN at other nodes).
-        Computed once, on the first sampled episode; exact evaluation
-        never reads it."""
+        Computed afresh on each call and kept by nobody: `walk` holds the
+        same floats as tuples."""
         cdf = np.full(len(self.owner), np.nan)
         for node in np.flatnonzero(self.owner == CHANCE).tolist():
             a, b = self.first[node], self.first[node + 1]
             cdf[a:b] = checked_cdf(self.prob[a:b], b - a)
-        cdf.flags.writeable = False
         return cdf
+
+    @functools.cached_property
+    def plan(self) -> tuple[LevelPlan, ...]:
+        """One `LevelPlan` per level: what the exact passes of
+        `gamepop.games.evaluate` would otherwise derive from the tree on
+        every call. Built on the first exact pass and read-only; sampling
+        never builds it. Offsets and infoset indices are stored as narrow
+        as their ranges allow, one past the largest included (uint16 on
+        Leduc); the passes only index with them, so no sum can wrap."""
+        levels, plan = self.levels, []
+        offset = np.min_scalar_type(np.diff(levels).max())
+        index = np.min_scalar_type(max(len(i.views) for i in self.infosets))
+        for d in range(len(levels) - 1):
+            a, b = levels[d], levels[d + 1]
+            c = levels[min(d + 2, len(levels) - 1)]
+            own = self.owner[a:b]
+            up = self.parent[b:c].astype(np.intp) - a
+            slot = self.slot[b:c]
+            siblings = []
+            for s in np.flatnonzero(np.bincount(slot)).tolist():
+                k = np.flatnonzero(slot == s)
+                siblings.append((k.astype(offset), up[k].astype(offset)))
+            players = []
+            for player, infosets in enumerate(self.infosets):
+                nodes = np.flatnonzero(own == player)
+                moves = np.flatnonzero(own[up] == player)
+                players.append(PlayerLevel(
+                    nodes.astype(offset),
+                    self.infoset[a + nodes].astype(index),
+                    moves.astype(offset),
+                    self.infoset[a + up[moves]].astype(index), slot[moves],
+                    np.flatnonzero(infosets.first_level == d).astype(index)))
+            plan.append(LevelPlan(own == TERMINAL, up.astype(offset),
+                                  self.prob[b:c], tuple(siblings),
+                                  tuple(players)))
+        for value in _arrays(plan):
+            value.flags.writeable = False
+        return tuple(plan)
 
     @functools.cached_property
     def walk(self) -> tuple[array, array, tuple]:
         """The tree as `sample_episode` walks it, per node: its owner and
         its first child (typed arrays, whose items are Python ints), and
         what the walk reads there: the `InfosetView` at a decision node, the
-        floats of its children's `chance_cdf` at a chance node and the
+        floats of its children's `chance_cdfs` at a chance node and the
         returns at a terminal, each a tuple of Python floats. Equal CDFs
         share one tuple (a draw only compares their values), and so do
         returns equal bit for bit. Built on the first sampled episode;
@@ -277,9 +341,9 @@ class FlatTree:
             for node, index in zip(nodes.tolist(),
                                    self.infoset[nodes].tolist()):
                 at[node] = infosets.views[index]
-        cdfs = {}
+        cdfs, chance_cdfs = {}, self.chance_cdfs()
         for node in np.flatnonzero(self.owner == CHANCE).tolist():
-            cdf = tuple(self.chance_cdf[
+            cdf = tuple(chance_cdfs[
                 self.first[node]:self.first[node + 1]].tolist())
             at[node] = cdfs.setdefault(cdf, cdf)
         terminals = np.flatnonzero(self.owner == TERMINAL)
@@ -314,6 +378,15 @@ class FlatTree:
                         np.array([len(v.legal_actions) for v in views],
                                  np.int32),
                         nodes, start, first_level.astype(np.int32))
+
+
+def _arrays(value):
+    """Every numpy array in ``value``, a nest of tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
 
 
 def _starts(groups: np.ndarray, count: int) -> np.ndarray:

@@ -8,20 +8,31 @@ exactly: a pass carries one reach weight per mixture member and per player,
 so sampling a member once per playthrough is integrated out in closed form
 rather than simulated.
 
-Evaluation is two array passes over the tree's levels. `_descend`, the only
-step that reads policies, goes down: it reads each member once per infoset
-that holds a node the pass reaches, into an (infosets x members x actions)
-table, and a child's reach is its parent's times the table entry of the
-action leading to it. `_ascend` goes up: a node's value is 0.0 plus its
-children's, added in slot order. `best_response` ascends with one full
-value array and decides each responder infoset once the values below all
-of its nodes are known.
+Evaluation is two array passes over the tree's levels, each reading the
+tree's per-level index arrays from `FlatTree.plan` rather than deriving
+them per call. `_descend`, the only step that reads policies, goes down: a
+child's reach is its parent's times the entry of the action leading to it
+in an (infosets x members x actions) table, stacked from the members' kept
+tables. Each tabular and network policy keeps one (infosets x actions)
+table of its `action_probs`, for the infosets it was last read on
+(`policies._Kept.kept`): a pass reads a member at an infoset holding a
+node the pass reaches unless an earlier pass on the same infosets did, so
+a member is read once per infoset for as long as it keeps that table.
+`best_response` fills its response's table when it makes it, so a new
+exact-oracle member is never read row by row. `_ascend` goes up: a node's
+value is 0.0 plus its children's, added in slot order. `best_response`
+ascends with one full value array and decides each responder infoset once
+the values below all of its nodes are known.
 
 Every value takes the same floating-point operations, in the same order,
 as a recursive walk that skips each branch no member plays (the reference
 in tests/test_evaluate.py): the passes here skip nothing, but a skipped
 branch is worth +0.0 or -0.0, and adding either to a total that starts at
-+0.0, and so is never -0.0, leaves the total as it is.
++0.0, and so is never -0.0, leaves the total as it is. A kept row that an
+earlier pass read, at an infoset this pass does not reach, only enters the
+reaches below nodes this pass does not reach either, where some side's
+reach is already +0.0 or -0.0: every terminal there is still worth a zero
+(its sign may differ), so it too leaves every total as it is.
 
 `expected_value` also resolves one side by member: given a list of policies
 on that side, its pass keeps one reach entry per listed policy and never
@@ -34,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TERMINAL, FlatTree, Game
+from .base import FlatTree, Game, LevelPlan
 
 
 def _as_members(policy_or_mixture):
@@ -57,46 +68,46 @@ def _descend(flat: FlatTree, sides):
     the side folds and one column per member if not; and whether the pass
     reaches each node. The root is reached, and a child of a side's
     decision node is reached if its parent is and some member of that side
-    plays the action. Each member is read once per infoset of its player
-    that holds a reached node.
+    plays the action. A member is read at an infoset of its player that
+    holds a reached node unless it was read there before: each keeps its
+    rows, and this pass reads them from a stack of the kept tables.
     """
-    levels, owner, infoset = flat.levels, flat.owner, flat.infoset
-    tables, read = [], []
+    levels, plan = flat.levels, flat.plan
+    kept, tables, reads = [], [], []
     for player, members, _, _ in sides:
-        infosets = flat.infosets[player]
-        tables.append(np.zeros((len(infosets.views), len(members),
-                                infosets.num_actions.max(initial=1))))
-        read.append(np.zeros(len(infosets.views), bool))
+        kept.append([member.kept(flat.infosets[player])
+                     for member in members])
+        tables.append(np.stack([table for table, _ in kept[-1]], axis=1))
+        reads.append(np.stack([read for _, read in kept[-1]], axis=1))
     reach = [np.asarray(weights, dtype=float)[None, :]
              for _, _, weights, _ in sides]
     chance = np.ones(1)
     alive = np.ones(1, bool)
-    reached = np.empty(len(owner), bool)
+    reached = np.empty(len(flat.owner), bool)
     leaf_chance, leaf_reach = [], [[] for _ in sides]
-    for d in range(len(levels) - 1):
-        a, b = levels[d], levels[d + 1]
-        own = owner[a:b]
-        reached[a:b] = alive
-        leaf = own == TERMINAL
-        leaf_chance.append(chance[leaf])
+    for d, level in enumerate(plan):
+        reached[levels[d]:levels[d + 1]] = alive
+        leaf_chance.append(chance[level.leaf])
         for i, (_, _, _, fold) in enumerate(sides):
-            r = reach[i][leaf]
+            r = reach[i][level.leaf]
             leaf_reach[i].append(r.sum(axis=1, keepdims=True) if fold else r)
-        if d == len(levels) - 2:
+        if d == len(plan) - 1:
             break
-        c = slice(b, levels[d + 2])
-        up, slot = flat.parent[c] - a, flat.slot[c]
-        chance = chance[up] * flat.prob[c]
+        up = level.up
+        chance = chance[up] * level.prob
         alive_below = alive[up]
         for i, (player, members, _, _) in enumerate(sides):
-            due = np.zeros(len(read[i]), bool)
-            due[infoset[a:b][alive & (own == player)]] = True
-            _read(tables[i], read[i], members, flat.infosets[player].views,
-                  np.flatnonzero(due & ~read[i]))
+            mine = level.players[player]
+            due = mine.infoset[alive[mine.nodes]]
+            unread = ~reads[i][due]
+            if unread.any():
+                _read_due(tables[i], reads[i], kept[i], members,
+                          flat.infosets[player].views,
+                          due[unread.any(axis=1)])
             r = reach[i] = reach[i][up]
-            moves = np.flatnonzero(own[up] == player)
-            moved = r[moves] * tables[i][infoset[a + up[moves]], :,
-                                         slot[moves]]
+            moves = mine.moves
+            moved = r[moves] * tables[i][mine.move_infoset, :,
+                                         mine.move_slot]
             r[moves] = moved
             alive_below[moves] &= moved.any(axis=1)
         alive = alive_below
@@ -104,25 +115,29 @@ def _descend(flat: FlatTree, sides):
             [np.concatenate(r) for r in leaf_reach], reached)
 
 
-def _read(table, read, members, views, rows):
-    """Fill the table rows of infosets ``rows`` with every member's
-    ``action_probs``, one call per member and infoset."""
-    for i in rows.tolist():
+def _read_due(table, reads, kept, members, views, due):
+    """Fill the entries of ``table`` at infosets ``due`` that ``reads``,
+    the members' stacked read masks, lacks, in infoset order, from each
+    member's kept table (``kept[m]``, a table and its read mask); one
+    ``action_probs`` call fills a kept row first where it was never
+    read."""
+    for i in sorted(set(due.tolist())):
         view = views[i]
         width = len(view.legal_actions)
-        for m, member in enumerate(members):
-            table[i, m, :width] = member.action_probs(view)
-    read[rows] = True
+        for m in np.flatnonzero(~reads[i]).tolist():
+            rows, read = kept[m]
+            if not read[i]:  # a member listed twice is read once
+                rows[i, :width] = members[m].action_probs(view)
+                read[i] = True
+            table[i, m] = rows[i]
+        reads[i] = True
 
 
-def _add_children(flat: FlatTree, d: int, here, below):
+def _add_children(level: LevelPlan, here, below):
     """Add level d + 1's values ``below`` into their parents' values
-    ``here`` on level d, slot by slot."""
-    up = flat.parent[flat.levels[d + 1]:flat.levels[d + 2]] - flat.levels[d]
-    slot = flat.slot[flat.levels[d + 1]:flat.levels[d + 2]]
-    for s in range(int(slot.max()) + 1):
-        k = np.flatnonzero(slot == s)
-        here[up[k]] += below[k]
+    ``here`` on level d, slot by slot; ``level`` is level d's plan."""
+    for k, up in level.siblings:
+        here[up] += below[k]
 
 
 def _ascend(flat: FlatTree, leaf_values):
@@ -131,11 +146,11 @@ def _ascend(flat: FlatTree, leaf_values):
     levels, leaves = flat.levels, flat.leaves
     below = None
     for d in reversed(range(len(levels) - 1)):
+        level = flat.plan[d]
         here = np.zeros((levels[d + 1] - levels[d],) + leaf_values.shape[1:])
-        here[flat.owner[levels[d]:levels[d + 1]] == TERMINAL] = (
-            leaf_values[leaves[d]:leaves[d + 1]])
+        here[level.leaf] = leaf_values[leaves[d]:leaves[d + 1]]
         if below is not None:
-            _add_children(flat, d, here, below)
+            _add_children(level, here, below)
         below = here
     return below[0]
 
@@ -189,14 +204,22 @@ def _respond(flat: FlatTree, opponent_mixture, responder: int):
     chance, (fold,), reached = _descend(
         flat, [(1 - responder, members, weights, True)])
     value = np.zeros(len(flat.owner))
-    value[flat.owner == TERMINAL] = (chance * fold[:, 0]
-                                     * flat.utility[:, responder])
+    value[flat.row >= 0] = chance * fold[:, 0] * flat.utility[:, responder]
     best = _decide(flat, value, reached, responder)
     infosets = flat.infosets[responder]
-    table = {infosets.views[i].key: _one_hot(infosets.num_actions[i],
-                                             best[i])
-             for i in np.flatnonzero(best >= 0).tolist()}
-    return TabularPolicy(table), value[0], chance, fold[:, 0]
+    decided = np.flatnonzero(best >= 0)
+    policy = TabularPolicy({
+        infosets.views[i].key: _one_hot(infosets.num_actions[i], best[i])
+        for i in decided.tolist()})
+    # Its kept table, filled as `action_probs` would: the one-hot of each
+    # decided infoset, the uniform default elsewhere.
+    rows, read = policy.kept(infosets)
+    width = infosets.num_actions[:, None]
+    np.divide(1.0, width, out=rows, where=np.arange(rows.shape[1]) < width)
+    rows[decided] = 0.0
+    rows[decided, best[decided]] = 1.0
+    read[:] = True
+    return policy, value[0], chance, fold[:, 0]
 
 
 def _decide(flat: FlatTree, value, reached, responder: int):
@@ -211,34 +234,34 @@ def _decide(flat: FlatTree, value, reached, responder: int):
     on one level, one ascent decides all; an infoset that spans levels
     without perfect recall may wait for the next ascent.
     """
-    levels, owner, infoset = flat.levels, flat.owner, flat.infoset
+    levels, plan = flat.levels, flat.plan
     infosets = flat.infosets[responder]
-    mine = owner == responder
     live = np.zeros(len(infosets.views), bool)
-    live[infoset[reached & mine]] = True
+    live[flat.infoset[infosets.nodes[reached[infosets.nodes]]]] = True
     best = np.full(len(infosets.views), -1)
-    known = np.ones(len(owner), bool)  # value no longer waits for a decision
+    known = np.ones(len(flat.owner), bool)  # value no longer waits
     while True:
         decided = best >= 0
         waits = np.zeros(len(infosets.views), bool)
         for d in reversed(range(len(levels) - 2)):
             a, b, c = levels[d], levels[d + 1], levels[d + 2]
+            level = plan[d]
+            mine = level.players[responder]
             here = value[a:b]
-            inner = owner[a:b] != TERMINAL
-            here[inner] = 0.0
-            _add_children(flat, d, here, value[b:c])
+            here[~level.leaf] = 0.0
+            _add_children(level, here, value[b:c])
             ready = np.ones(b - a, bool)
-            ready[flat.parent[b:c][~known[b:c]] - a] = False
-            nodes = a + np.flatnonzero(mine[a:b])
-            waits[infoset[nodes[reached[nodes] & ~ready[nodes - a]]]] = True
-            due = np.flatnonzero((infosets.first_level == d) & live
-                                 & (best < 0) & ~waits)
+            ready[level.up[~known[b:c]]] = False
+            waits[mine.infoset[reached[a:b][mine.nodes]
+                               & ~ready[mine.nodes]]] = True
+            due = mine.firsts[live[mine.firsts] & (best[mine.firsts] < 0)
+                              & ~waits[mine.firsts]]
             best[due] = _best_actions(flat, value, infosets, due)
-            choice = best[infoset[nodes]]
+            choice = best[mine.infoset]
             chosen = choice >= 0
-            value[nodes[chosen]] = value[flat.first[nodes[chosen]]
-                                         + choice[chosen]]
-            ready[nodes[~chosen] - a] = False
+            nodes = mine.nodes[chosen]
+            here[nodes] = value[flat.first[a:b][nodes] + choice[chosen]]
+            ready[mine.nodes[~chosen]] = False
             known[a:b] = ready | ~reached[a:b]
         if known[0]:
             return best

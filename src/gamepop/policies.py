@@ -19,7 +19,10 @@ built, so a population member can be handed out as is, and a network
 policy's `theta` is read-only; a network policy decides each view once and
 answers `action_probs` from that memo afterwards. Every array that
 `action_probs` returns is read-only, and the uniform and one-hot ones are
-shared.
+shared. For the same reason a tabular or network policy keeps one table of
+its `action_probs` over one player's infosets of a compiled tree (`kept`),
+which exact evaluation fills as it reads it, so each row is read once
+while the policy keeps that table.
 
 Sampled play draws through ``draw(view, rng)``: the action
 `sample_action(action_probs(view), view.legal_actions, rng)` would draw,
@@ -38,8 +41,8 @@ import json
 import numpy as np
 
 from . import nets
-from .games.base import (Game, InfosetView, checked_cdf, draw, draw_index,
-                         sample_action, sample_episode)
+from .games.base import (Game, Infosets, InfosetView, checked_cdf, draw,
+                         draw_index, sample_action, sample_episode)
 from .nets import ArchSignature
 
 KL_FLOOR = 1e-9
@@ -119,7 +122,27 @@ class _Draws:
         return view.legal_actions[draw(cdf, rng)]
 
 
-class TabularPolicy(_Draws):
+class _Kept:
+    """`kept` for a policy whose `action_probs` never changes; the policy
+    sets ``self._kept = None``."""
+
+    def kept(self, infosets: Infosets) -> tuple[np.ndarray, np.ndarray]:
+        """The (infosets x actions) table of this policy's `action_probs`
+        kept for ``infosets``, one player's in a compiled tree, with the
+        mask of its rows read so far; exact evaluation fills both. A
+        policy keeps one slot: a call with other infosets (told apart by
+        identity) replaces it with a zero table and nothing read."""
+        slot = self._kept
+        if slot is None or slot[0] is not infosets:
+            count = len(infosets.views)
+            slot = self._kept = (
+                infosets,
+                np.zeros((count, infosets.num_actions.max(initial=1))),
+                np.zeros(count, bool))
+        return slot[1], slot[2]
+
+
+class TabularPolicy(_Draws, _Kept):
     """Map from infoset key to an action distribution; unseen keys are
     uniform over the legal actions. Every distribution it hands out is
     read-only: stored ones are read-only views of the given arrays, and the
@@ -130,6 +153,7 @@ class TabularPolicy(_Draws):
     def __init__(self, table: dict[str, np.ndarray] | None = None):
         self.table = {}
         self._cdfs: dict[InfosetView, np.ndarray] = {}
+        self._kept = None
         for key, dist in (table or {}).items():
             if _shared_cdf(dist) is None:
                 dist = np.asarray(dist, dtype=float).view()
@@ -154,7 +178,7 @@ class TabularPolicy(_Draws):
         return dist
 
 
-class ParametricPolicy(_Draws):
+class ParametricPolicy(_Draws, _Kept):
     """Action-value network over infoset features, stored as a flat theta."""
 
     def __init__(self, signature: ArchSignature, theta: np.ndarray):
@@ -172,6 +196,7 @@ class ParametricPolicy(_Draws):
         # so an entry never goes stale.
         self._decisions: dict[InfosetView, np.ndarray] = {}
         self._cdfs: dict[InfosetView, np.ndarray] = {}
+        self._kept = None
 
     def q_values(self, features: np.ndarray) -> np.ndarray:
         return nets.forward(self.signature, self.theta, features)

@@ -1,6 +1,7 @@
 """Population loop behavior: initialization menu, convergence, timing split,
 approximate exploitability, determinism, and game reuse."""
 
+import collections
 import gc
 import weakref
 
@@ -208,7 +209,8 @@ class TestRunPsro:
         history = run_psro(rps_config(iterations=2), seed=0)
         for rec in history.records:
             for part in (rec.t_meta, rec.t_br, rec.t_fusion, rec.t_payoff,
-                         rec.t_eval_exact, rec.t_eval_approx, rec.t_io):
+                         rec.t_eval_exact, rec.t_eval_approx, rec.t_io,
+                         rec.t_diag):
                 assert part >= 0.0
 
     def test_eval_time_covers_exploitability(self, tmp_path, monkeypatch):
@@ -237,10 +239,10 @@ class TestRunPsro:
         assert all(rec.t_io >= 0.05 for rec in history.records)
         rows = (out / "timings.csv").read_text().splitlines()
         assert rows[0] == ("iteration,t_meta,t_br,t_fusion,t_payoff,"
-                           "t_eval_exact,t_eval_approx,t_io")
+                           "t_eval_exact,t_eval_approx,t_io,t_diag")
         cells = [[float(cell) for cell in row.split(",")] for row in rows[1:]]
         assert [row[5:] for row in cells] == [
-            [rec.t_eval_exact, rec.t_eval_approx, rec.t_io]
+            [rec.t_eval_exact, rec.t_eval_approx, rec.t_io, rec.t_diag]
             for rec in history.records]
 
     def test_payoff_time_covers_the_initial_fill(self, monkeypatch):
@@ -264,6 +266,32 @@ class TestRunPsro:
         assert sizes == [1, 2, 3]
         assert history.records[0].t_payoff >= 0.05
         assert history.records[1].t_payoff < 0.05
+
+    def test_diag_time_covers_kl_compare(self, monkeypatch):
+        """``t_diag`` holds the divergence diagnostics, and the fusion and
+        best-response timers around them do not."""
+        import time
+
+        import gamepop.engine as eng
+        compare = eng._kl_compare_row
+
+        def slow_compare(*args):
+            time.sleep(0.05)
+            return compare(*args)
+
+        monkeypatch.setattr(eng, "_kl_compare_row", slow_compare)
+        dq = DqnOracle(hidden_layers=(4,), replay_capacity=50, batch_size=8,
+                       lr=5e-3, gamma_discount=1.0, epsilon=0.1,
+                       target_update_every=5, episodes=5, optimizer="adam")
+        config = PsroConfig(
+            game={"name": "liars_dice", "params": {"faces": 2}},
+            oracle=dq, mss=Nash(), init=(InheritLatest(), InheritLatest()),
+            iterations=2,
+            diagnostics=DiagnosticsSpec(kl_compare=True, kl_states=4))
+        history = run_psro(config, seed=0)
+        for rec in history.records:
+            assert rec.t_diag >= 0.1  # one comparison per player
+            assert rec.t_fusion < 0.05 and rec.t_br < 0.05
 
     def test_history_deterministic_for_config_and_seed(self):
         config = PsroConfig(
@@ -558,7 +586,8 @@ class TestGameReuse:
     def test_exact_runs_build_nothing_for_sampling(self):
         """An exact-oracle Leduc run with exact payoffs and exact
         exploitability every iteration samples no episode, so its tree
-        builds neither the chance CDFs nor the walk that episodes read."""
+        builds the plan of the exact passes but not the walk that
+        episodes read."""
         self.game("kuhn_poker", {})  # the kept Leduc game, if any, goes
         config = PsroConfig(game={"name": "leduc_poker", "params": {}},
                             oracle=ExactOracle(), mss=Nash(),
@@ -567,7 +596,46 @@ class TestGameReuse:
                                 exact_exploitability_every=1))
         run_psro(config, seed=0)
         built = vars(_build_arena(config).game.tree)
-        assert "chance_cdf" not in built and "walk" not in built
+        assert "plan" in built and "walk" not in built
+
+    def test_exact_runs_read_each_member_once_per_view(self, monkeypatch):
+        """Members keep what exact passes read of them, and each best
+        response is given its table when it is made: in a five-iteration
+        exact-oracle Leduc run only the two initial members are read at
+        all, each at most once per view."""
+        reads = collections.Counter()
+        action_probs = TabularPolicy.action_probs
+
+        def counted(policy, view):
+            reads[policy, view] += 1
+            return action_probs(policy, view)
+
+        monkeypatch.setattr(TabularPolicy, "action_probs", counted)
+        config = PsroConfig(game={"name": "leduc_poker", "params": {}},
+                            oracle=ExactOracle(), mss=Nash(),
+                            init=(InheritLatest(), InheritLatest()),
+                            iterations=5, eval=EvalSpec(
+                                exact_exploitability_every=1))
+        history = run_psro(config, seed=0)
+        assert max(reads.values()) == 1
+        assert {policy for policy, _ in reads} == {
+            history.populations[0][0], history.populations[1][0]}
+
+    def test_sampling_runs_build_no_plan(self):
+        """A run with a sampling oracle, Monte Carlo payoffs and no exact
+        exploitability makes no exact pass, so its tree builds the walk
+        but not the plan."""
+        self.game("kuhn_poker", {})  # the kept Leduc game, if any, goes
+        config = PsroConfig(game={"name": "leduc_poker", "params": {}},
+                            oracle=QLearningOracle(episodes=50), mss=Nash(),
+                            init=(InheritLatest(), InheritLatest()),
+                            iterations=2,
+                            eval=EvalSpec(exact_exploitability_every=0),
+                            payoff=PayoffSpec(mode="monte_carlo",
+                                              episodes=20))
+        run_psro(config, seed=0)
+        built = vars(_build_arena(config).game.tree)
+        assert "walk" in built and "plan" not in built
 
 
 class TestApproximateExploitability:

@@ -541,6 +541,41 @@ def test_ev_reads_each_member_once_per_reached_infoset(name, params):
             profile[player].members)
 
 
+def test_a_fresh_tree_replaces_the_kept_table():
+    """Members keep one table, for the infosets they were last read on: a
+    fresh tree of the same game gives equal bytes, each member's table is
+    then that tree's, and the first tree, read again, gives equal bytes
+    once more."""
+    games = [make_game("leduc_poker"), make_game("leduc_poker")]
+    profile = (_scratch_mixture(games[0], [0.2, 0.3, 0.5], seed=4),
+               _scratch_mixture(games[0], [0.6, 0.0, 0.4], seed=9))
+    values = []
+    for game in games + games[:1]:
+        total, responses = exploitability(game, profile, with_responses=True)
+        values.append((repr(total), repr(expected_value(game, profile)),
+                       [sorted((k, v.tobytes()) for k, v in r.table.items())
+                        for r in responses]))
+        for player in (0, 1):
+            for member in profile[player].members:
+                assert member._kept[0] is game.tree.infosets[player]
+    assert values[0] == values[1] == values[2]
+
+
+def test_a_member_listed_twice_is_read_once_per_infoset():
+    """A population can hold one policy twice (an oracle may hand back its
+    initial policy); it keeps one table, read once per infoset."""
+    game = make_game("kuhn_poker")
+    member, opponent = TabularPolicy(), TabularPolicy()
+    calls = []
+    read = member.action_probs
+    member.action_probs = lambda view: calls.append(view) or read(view)
+    twice = expected_value(game, (PolicyMixture([member, member],
+                                                [0.5, 0.5]), opponent))
+    assert sorted(calls, key=id) == sorted(game.tree.infosets[0].views,
+                                           key=id)
+    assert twice == expected_value(game, (member, opponent))
+
+
 def test_tabular_distributions_are_read_only():
     given = np.array([0.25, 0.75])
     policy = TabularPolicy({"s": given})

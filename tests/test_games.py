@@ -251,18 +251,64 @@ def test_the_tree_does_not_keep_its_game_alive():
 
 def test_the_tree_is_read_only():
     """One tree serves every run on its game in a process, so none of its
-    arrays, nor a matrix game's rows, can be written into."""
+    arrays, nor a matrix game's rows, can be written into. The chance
+    CDFs are computed afresh for each caller and kept by the tree in no
+    array."""
     tree = make("leduc_poker").tree
     with pytest.raises(ValueError):
         tree.owner[0] = 0
     with pytest.raises(ValueError):
         tree.infosets[0].nodes[0] = 0
-    arrays = [tree.chance_cdf, *vars(tree).values(), *tree.infosets[0],
-              *tree.infosets[1]]
+    tree.chance_cdfs()[0] = 0.0
+    arrays = [*vars(tree).values(), *tree.infosets[0], *tree.infosets[1]]
     assert not any(a.flags.writeable for a in arrays
                    if isinstance(a, np.ndarray))
     with pytest.raises(ValueError):
         make("matrix_game").rows[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("name,params", ALL_GAMES)
+def test_the_plan_matches_the_tree(name, params):
+    """Each level's plan holds what its arrays say of the tree, in node
+    order, and none of it can be written into; ``prob`` is a view of the
+    tree's own array."""
+    tree = make_game(name, dict(params)).tree
+    levels, plan = tree.levels, tree.plan
+    assert len(plan) == len(levels) - 1
+    for d, level in enumerate(plan):
+        a, b = levels[d], levels[d + 1]
+        c = levels[d + 2] if d + 2 < len(levels) else b
+        own, slot = tree.owner[a:b], tree.slot[b:c]
+        up = tree.parent[b:c] - a
+        assert level.leaf.tolist() == (own == TERMINAL).tolist()
+        assert level.up.tolist() == up.tolist()
+        assert level.prob.base is tree.prob
+        assert level.prob.tolist() == tree.prob[b:c].tolist()
+        children = []
+        for k, parents in level.siblings:
+            assert len(set(slot[k].tolist())) == 1
+            assert parents.tolist() == up[k].tolist()
+            children += k.tolist()
+        assert sorted(children) == list(range(c - b))
+        assert [slot[k[0]] for k, _ in level.siblings] == sorted(
+            {int(s) for s in slot})
+        for player, mine in enumerate(level.players):
+            nodes = np.flatnonzero(own == player)
+            moves = np.flatnonzero(own[up] == player)
+            assert mine.nodes.tolist() == nodes.tolist()
+            assert mine.infoset.tolist() == tree.infoset[a + nodes].tolist()
+            assert mine.moves.tolist() == moves.tolist()
+            assert mine.move_infoset.tolist() == tree.infoset[
+                a + up[moves]].tolist()
+            assert mine.move_slot.tolist() == slot[moves].tolist()
+            assert mine.firsts.tolist() == np.flatnonzero(
+                tree.infosets[player].first_level == d).tolist()
+        arrays = [level.leaf, level.up, level.prob, *level.players[0],
+                  *level.players[1]]
+        arrays += [array for pair in level.siblings for array in pair]
+        assert not any(array.flags.writeable for array in arrays)
+    with pytest.raises(ValueError):
+        plan[0].up[:1] = 0
 
 
 def _sparse_policy(tree, rng):

@@ -1,15 +1,19 @@
-"""The sampling and DQN hot loop against verbatim copies of the code it
-replaced: the same bytes out and the same generator state afterwards.
+"""The sampling and DQN hot loop and the exact passes against verbatim
+copies of the code they replaced: the same bytes out and the same
+generator state afterwards.
 
 The `_ref_*` functions below are the implementations of `games.base.draw`,
 `draw_index`, `sample_episode`, `nets.forward`, `nets.forward_backward`,
 `policies.greedy_index` and `oracles.dqn_oracle` (with the
 `run_learner_episode` and `sample_member` it calls) as they were before
 episodes walked per-tree Python lists, draws used `bisect` and the networks
-wrote into reused buffers. They call the current code only where that code
-kept its arithmetic: the tree's arrays and `chance_cdf`, `nets.unpack`,
-`nets._slices`, the optimizers (checked in `tests/test_nets.py`),
-`checked_cdf`, `psd_intrinsic_reward` and the policies' `action_probs`.
+wrote into reused buffers; and of the passes of `games.evaluate` as they
+were before members kept their tables and the passes read a per-tree plan.
+They call the current code only where that code kept its arithmetic: the
+tree's arrays and `chance_cdfs`, `nets.unpack`, `nets._slices`, the
+optimizers (checked in `tests/test_nets.py`), `checked_cdf`,
+`psd_intrinsic_reward`, `evaluate._as_members`, `evaluate._best_actions`
+and the policies' `action_probs`.
 """
 
 import math
@@ -20,9 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamepop import nets
-from gamepop.games import GAMES, make_game
+from gamepop.games import (GAMES, best_response, expected_value,
+                           exploitability, make_game)
 from gamepop.games.base import (CHANCE, TERMINAL, checked_cdf, draw,
                                 draw_index, sample_episode)
+from gamepop.games.evaluate import _as_members, _best_actions
 from gamepop.nets import ArchSignature
 from gamepop.oracles import (DqnOracle, PsdBonus, Step, dqn_oracle,
                              psd_intrinsic_reward)
@@ -68,7 +74,7 @@ def _ref_sample_action(probs, actions, rng):
 
 def _ref_sample_episode(game, choose, rng):
     tree = game.tree
-    owner, first, chance_cdf = tree.owner, tree.first, tree.chance_cdf
+    owner, first, chance_cdf = tree.owner, tree.first, tree.chance_cdfs()
     node = 0
     while (player := int(owner[node])) != TERMINAL:
         a, b = first[node], first[node + 1]
@@ -512,3 +518,265 @@ def test_dqn_oracle_matches_reference_on_leduc_desk_shape():
     theirs = _ref_dqn_oracle(game, init, opponents, 1, cfg, seed=11)
     assert ours[0].theta.tobytes() == theirs[0].theta.tobytes()
     assert ours[1] == theirs[1]
+
+
+# -- exact passes ------------------------------------------------------------
+
+def _ref_descend(flat, sides):
+    levels, owner, infoset = flat.levels, flat.owner, flat.infoset
+    tables, read = [], []
+    for player, members, _, _ in sides:
+        infosets = flat.infosets[player]
+        tables.append(np.zeros((len(infosets.views), len(members),
+                                infosets.num_actions.max(initial=1))))
+        read.append(np.zeros(len(infosets.views), bool))
+    reach = [np.asarray(weights, dtype=float)[None, :]
+             for _, _, weights, _ in sides]
+    chance = np.ones(1)
+    alive = np.ones(1, bool)
+    reached = np.empty(len(owner), bool)
+    leaf_chance, leaf_reach = [], [[] for _ in sides]
+    for d in range(len(levels) - 1):
+        a, b = levels[d], levels[d + 1]
+        own = owner[a:b]
+        reached[a:b] = alive
+        leaf = own == TERMINAL
+        leaf_chance.append(chance[leaf])
+        for i, (_, _, _, fold) in enumerate(sides):
+            r = reach[i][leaf]
+            leaf_reach[i].append(r.sum(axis=1, keepdims=True) if fold else r)
+        if d == len(levels) - 2:
+            break
+        c = slice(b, levels[d + 2])
+        up, slot = flat.parent[c] - a, flat.slot[c]
+        chance = chance[up] * flat.prob[c]
+        alive_below = alive[up]
+        for i, (player, members, _, _) in enumerate(sides):
+            due = np.zeros(len(read[i]), bool)
+            due[infoset[a:b][alive & (own == player)]] = True
+            _ref_read(tables[i], read[i], members,
+                      flat.infosets[player].views,
+                      np.flatnonzero(due & ~read[i]))
+            r = reach[i] = reach[i][up]
+            moves = np.flatnonzero(own[up] == player)
+            moved = r[moves] * tables[i][infoset[a + up[moves]], :,
+                                         slot[moves]]
+            r[moves] = moved
+            alive_below[moves] &= moved.any(axis=1)
+        alive = alive_below
+    return (np.concatenate(leaf_chance),
+            [np.concatenate(r) for r in leaf_reach], reached)
+
+
+def _ref_read(table, read, members, views, rows):
+    for i in rows.tolist():
+        view = views[i]
+        width = len(view.legal_actions)
+        for m, member in enumerate(members):
+            table[i, m, :width] = member.action_probs(view)
+    read[rows] = True
+
+
+def _ref_add_children(flat, d, here, below):
+    up = flat.parent[flat.levels[d + 1]:flat.levels[d + 2]] - flat.levels[d]
+    slot = flat.slot[flat.levels[d + 1]:flat.levels[d + 2]]
+    for s in range(int(slot.max()) + 1):
+        k = np.flatnonzero(slot == s)
+        here[up[k]] += below[k]
+
+
+def _ref_ascend(flat, leaf_values):
+    levels, leaves = flat.levels, flat.leaves
+    below = None
+    for d in reversed(range(len(levels) - 1)):
+        here = np.zeros((levels[d + 1] - levels[d],) + leaf_values.shape[1:])
+        here[flat.owner[levels[d]:levels[d + 1]] == TERMINAL] = (
+            leaf_values[leaves[d]:leaves[d + 1]])
+        if below is not None:
+            _ref_add_children(flat, d, here, below)
+        below = here
+    return below[0]
+
+
+def _ref_expected_value(game, profile):
+    sides = []
+    for player, side in enumerate(profile):
+        members, weights = _as_members(side)
+        sides.append((player, members, weights, not isinstance(side, list)))
+    flat = game.tree
+    chance, (fold0, fold1), _ = _ref_descend(flat, sides)
+    v0 = _ref_ascend(flat,
+                     chance[:, None] * fold0 * fold1 * flat.utility[:, :1])
+    if sides[0][3] and sides[1][3]:
+        v0 = v0[0]
+    return (v0, -v0)
+
+
+def _ref_respond(flat, opponent_mixture, responder):
+    members, weights = _as_members(opponent_mixture)
+    chance, (fold,), reached = _ref_descend(
+        flat, [(1 - responder, members, weights, True)])
+    value = np.zeros(len(flat.owner))
+    value[flat.owner == TERMINAL] = (chance * fold[:, 0]
+                                     * flat.utility[:, responder])
+    best = _ref_decide(flat, value, reached, responder)
+    infosets = flat.infosets[responder]
+    table = {infosets.views[i].key: _one_hot(infosets.num_actions[i],
+                                             best[i])
+             for i in np.flatnonzero(best >= 0).tolist()}
+    return TabularPolicy(table), value[0], chance, fold[:, 0]
+
+
+def _ref_decide(flat, value, reached, responder):
+    levels, owner, infoset = flat.levels, flat.owner, flat.infoset
+    infosets = flat.infosets[responder]
+    mine = owner == responder
+    live = np.zeros(len(infosets.views), bool)
+    live[infoset[reached & mine]] = True
+    best = np.full(len(infosets.views), -1)
+    known = np.ones(len(owner), bool)
+    while True:
+        decided = best >= 0
+        waits = np.zeros(len(infosets.views), bool)
+        for d in reversed(range(len(levels) - 2)):
+            a, b, c = levels[d], levels[d + 1], levels[d + 2]
+            here = value[a:b]
+            inner = owner[a:b] != TERMINAL
+            here[inner] = 0.0
+            _ref_add_children(flat, d, here, value[b:c])
+            ready = np.ones(b - a, bool)
+            ready[flat.parent[b:c][~known[b:c]] - a] = False
+            nodes = a + np.flatnonzero(mine[a:b])
+            waits[infoset[nodes[reached[nodes] & ~ready[nodes - a]]]] = True
+            due = np.flatnonzero((infosets.first_level == d) & live
+                                 & (best < 0) & ~waits)
+            best[due] = _best_actions(flat, value, infosets, due)
+            choice = best[infoset[nodes]]
+            chosen = choice >= 0
+            value[nodes[chosen]] = value[flat.first[nodes[chosen]]
+                                         + choice[chosen]]
+            ready[nodes[~chosen] - a] = False
+            known[a:b] = ready | ~reached[a:b]
+        if known[0]:
+            return best
+        if np.array_equal(decided, best >= 0):
+            raise ValueError("best_response: responder infosets depend on "
+                             "each other in a cycle")
+
+
+def _ref_exploitability(game, profile):
+    flat = game.tree
+    responses, values, folds = [], [], [None, None]
+    for player in (0, 1):
+        policy, value, chance, folds[1 - player] = _ref_respond(
+            flat, profile[1 - player], player)
+        responses.append(policy)
+        values.append(value)
+    v0 = _ref_ascend(flat, (chance * folds[0] * folds[1]
+                            * flat.utility[:, 0])[:, None])[0]
+    current = (v0, -v0)
+    total = 0.0
+    for player in (0, 1):
+        total += values[player] - current[player]
+    return total, tuple(responses)
+
+
+def _edge_tabular(tree, rng):
+    """A random tabular policy whose distributions hold exact zeros and,
+    at some infosets, an entry of -1e-13, which `TabularPolicy` accepts."""
+    table = {}
+    for infosets in tree.infosets:
+        for view in infosets.views:
+            n = len(view.legal_actions)
+            dist = rng.random(n) * (rng.random(n) < 0.6)
+            dist[rng.integers(n)] += 0.1
+            dist /= dist.sum()
+            if n > 1 and rng.random() < 0.3:
+                j = int(rng.integers(n))
+                dist[(j + 1) % n] += dist[j] + 1e-13
+                dist[j] = -1e-13
+            table[view.key] = dist
+    return TabularPolicy(table)
+
+
+def _exact_pool(game, rng):
+    """Members for one player: sparse, edge and shared one-hot tabular
+    policies, the uniform default and a network."""
+    tree = game.tree
+    return [_tabular(tree, rng, shared=False), _edge_tabular(tree, rng),
+            _tabular(tree, rng, shared=True), TabularPolicy(),
+            _policy("network", game, rng)]
+
+
+def _exact_weights(count, rng):
+    """Simplex weights with exact zeros, some of them -0.0."""
+    weights = rng.random(count) * (rng.random(count) < 0.6)
+    weights[rng.integers(count)] += 0.1
+    weights /= weights.sum()
+    weights[(weights == 0.0) & (rng.random(count) < 0.5)] = -0.0
+    return weights
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def _same_tables(got, want):
+    return (got.table.keys() == want.table.keys()
+            and all(_same_bits(got.table[k], v) for k, v in want.table.items()))
+
+
+_PASSES = st.sampled_from(["mixtures", "row", "column", "respond0",
+                           "respond1", "exploitability"])
+
+
+@pytest.mark.parametrize("index", range(len(TREE_GAMES)))
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       passes=st.lists(_PASSES, min_size=2, max_size=7))
+def test_exact_passes_match_reference(index, seed, passes):
+    """Several passes over the same members, each with fresh weights, so
+    later passes read rows that earlier ones kept, including rows at
+    infosets this pass does not reach; one member plays for both players,
+    so its kept table is replaced as the passes alternate. Every value has
+    the reference's bytes, sign of zero included; each best response joins
+    its player's members, so later passes read the table it was given."""
+    game = _game(index)
+    rng = np.random.default_rng(seed)
+    pools = [_exact_pool(game, rng), _exact_pool(game, rng)]
+    pools[1].append(pools[0][1])  # one member plays both sides
+
+    def mixture(player):
+        pool = pools[player]
+        return PolicyMixture(pool, _exact_weights(len(pool), rng))
+
+    for kind in passes:
+        if kind == "mixtures":
+            profile = (mixture(0), mixture(1))
+        elif kind == "row":
+            profile = (mixture(0), list(pools[1]))
+        elif kind == "column":
+            profile = (list(pools[0]), mixture(1))
+        if kind in ("mixtures", "row", "column"):
+            got = expected_value(game, profile)
+            want = _ref_expected_value(game, profile)
+            assert all(map(_same_bits, got, want))
+        elif kind == "exploitability":
+            profile = (mixture(0), mixture(1))
+            total, responses = exploitability(game, profile,
+                                              with_responses=True)
+            ref_total, ref_responses = _ref_exploitability(game, profile)
+            assert type(total) is type(ref_total)
+            assert _same_bits(total, ref_total)
+            assert all(map(_same_tables, responses, ref_responses))
+        else:
+            player = int(kind[-1])
+            opponent = mixture(1 - player)
+            policy, value = best_response(game, opponent, player)
+            ref_policy, ref_value, _, _ = _ref_respond(game.tree, opponent,
+                                                       player)
+            assert _same_bits(value, ref_value)
+            assert _same_tables(policy, ref_policy)
+            pools[player].append(policy)
