@@ -32,13 +32,6 @@ class LiarsDiceParams:
 
 
 @spec(GameError)
-class LiarsDiceIrParams(LiarsDiceParams):
-    # The legal bid set depends on the last bid, so at least that one
-    # action must stay in memory for infosets to be well formed.
-    recall: int = setting(2, ge=1)
-
-
-@spec(GameError)
 class MatrixParams:
     rows: tuple[tuple[float, ...], ...]  # the row player's payoffs
 
@@ -56,7 +49,6 @@ GAMES = {
     "kuhn_poker": (NoParams, KuhnPoker),
     "leduc_poker": (NoParams, LeducPoker),
     "liars_dice": (LiarsDiceParams, LiarsDice),
-    "liars_dice_ir": (LiarsDiceIrParams, LiarsDice),
     "matrix_game": (MatrixParams, MatrixGame),
     "ntmg": (NtmgConfig, NtmgConfig),
 }

@@ -3,8 +3,9 @@
 Games are trees of immutable states. A state is owned by player 0, player 1,
 chance, or is terminal. Information sets are identified by opaque string keys
 that must be a function of the owning player's own action/observation
-sequence (perfect recall); games that deliberately break this set
-``perfect_recall = False``.
+sequence (perfect recall), and every node of an infoset must lie at one
+depth: compiling a tree whose infoset spans depths raises GameError, since
+exact best responses decide each infoset on one level.
 
 A game is read through one tree, ``game.tree``: its whole tree compiled
 once from its states into read-only flat arrays (a `FlatTree`), on the
@@ -94,7 +95,6 @@ class Game:
 
     num_players: int = 2
     max_game_length: int = 0
-    perfect_recall: bool = True
 
     @functools.cached_property
     def tree(self) -> "FlatTree":
@@ -146,7 +146,7 @@ class Infosets(NamedTuple):
 
     Infoset i is ``views[i]``, has ``num_actions[i]`` legal actions and
     holds the nodes ``nodes[start[i]:start[i + 1]]``, in depth-first
-    preorder; the shallowest of them lies on level ``first_level[i]``.
+    preorder, all on level ``first_level[i]``.
     """
     views: tuple[InfosetView, ...]
     num_actions: np.ndarray
@@ -164,7 +164,7 @@ class PlayerLevel(NamedTuple):
     moves: np.ndarray  # the children of those nodes, on level d + 1
     move_infoset: np.ndarray  # the infoset each move is made at
     move_slot: np.ndarray  # the action, as a slot, each move takes
-    firsts: np.ndarray  # the infosets whose shallowest node is on level d
+    firsts: np.ndarray  # the infosets whose nodes are on level d
 
 
 class LevelPlan(NamedTuple):
@@ -199,7 +199,8 @@ class FlatTree:
     one view of each infoset, read-only features included.
 
     Building it steps every state of the game once, depth first;
-    TraversalBudgetError fires once the tree passes `MAX_TREE_NODES`.
+    TraversalBudgetError fires once the tree passes `MAX_TREE_NODES`, and
+    GameError if an infoset holds nodes at more than one depth.
     Indices are int32 or narrower, no per-node Python object outlives the
     build, and nothing refers back to the game. Every array is read-only:
     one tree serves every run on its game in a process.
@@ -372,8 +373,15 @@ class FlatTree:
         # lexsort keeps preorder within each infoset.
         nodes = mine[np.lexsort((self.infoset[mine],))]
         start = _starts(self.infoset[nodes], len(views))
-        first_level = (np.minimum.reduceat(depth[nodes], start[:-1])
-                       if len(views) else np.zeros(0, np.int64))
+        first_level = np.zeros(0, np.int64)
+        if len(views):
+            level = depth[nodes]
+            first_level = np.minimum.reduceat(level, start[:-1])
+            spans = np.flatnonzero(
+                np.maximum.reduceat(level, start[:-1]) != first_level)
+            if len(spans):
+                raise GameError(f"infoset {views[spans[0]].key!r} holds "
+                                "nodes at more than one depth")
         return Infosets(views,
                         np.array([len(v.legal_actions) for v in views],
                                  np.int32),

@@ -21,8 +21,9 @@ a member is read once per infoset for as long as it keeps that table.
 `best_response` fills its response's table when it makes it, so a new
 exact-oracle member is never read row by row. `_ascend` goes up: a node's
 value is 0.0 plus its children's, added in slot order. `best_response`
-ascends with one full value array and decides each responder infoset once
-the values below all of its nodes are known.
+ascends once with one full value array and decides each responder infoset
+on the one level that holds its nodes, after the level below has its
+values.
 
 Every value takes the same floating-point operations, in the same order,
 as a recursive walk that skips each branch no member plays (the reference
@@ -226,48 +227,31 @@ def _decide(flat: FlatTree, value, reached, responder: int):
     """Best action of each responder infoset holding a reached node (-1
     elsewhere), filling ``value`` with every node's value under them.
 
-    Levels are ascended from the deepest. On a level, every node first sums
-    its children; then the infosets whose shallowest node lies there are
-    decided, unless a node of theirs has a child whose value still waits
-    for a decision; then each responder node of a decided infoset takes its
-    best action's child's value. With perfect recall, or with each infoset
-    on one level, one ascent decides all; an infoset that spans levels
-    without perfect recall may wait for the next ascent.
+    One ascent from the deepest level: on each level, every node first sums
+    its children; then the live infosets on that level (every node of an
+    infoset lies on one level, see `FlatTree`) are decided, and each
+    responder node of a decided infoset takes its best action's child's
+    value.
     """
     levels, plan = flat.levels, flat.plan
     infosets = flat.infosets[responder]
     live = np.zeros(len(infosets.views), bool)
     live[flat.infoset[infosets.nodes[reached[infosets.nodes]]]] = True
     best = np.full(len(infosets.views), -1)
-    known = np.ones(len(flat.owner), bool)  # value no longer waits
-    while True:
-        decided = best >= 0
-        waits = np.zeros(len(infosets.views), bool)
-        for d in reversed(range(len(levels) - 2)):
-            a, b, c = levels[d], levels[d + 1], levels[d + 2]
-            level = plan[d]
-            mine = level.players[responder]
-            here = value[a:b]
-            here[~level.leaf] = 0.0
-            _add_children(level, here, value[b:c])
-            ready = np.ones(b - a, bool)
-            ready[level.up[~known[b:c]]] = False
-            waits[mine.infoset[reached[a:b][mine.nodes]
-                               & ~ready[mine.nodes]]] = True
-            due = mine.firsts[live[mine.firsts] & (best[mine.firsts] < 0)
-                              & ~waits[mine.firsts]]
-            best[due] = _best_actions(flat, value, infosets, due)
-            choice = best[mine.infoset]
-            chosen = choice >= 0
-            nodes = mine.nodes[chosen]
-            here[nodes] = value[flat.first[a:b][nodes] + choice[chosen]]
-            ready[mine.nodes[~chosen]] = False
-            known[a:b] = ready | ~reached[a:b]
-        if known[0]:
-            return best
-        if np.array_equal(decided, best >= 0):
-            raise ValueError("best_response: responder infosets depend on "
-                             "each other in a cycle")
+    for d in reversed(range(len(levels) - 2)):
+        a, b, c = levels[d], levels[d + 1], levels[d + 2]
+        level = plan[d]
+        mine = level.players[responder]
+        here = value[a:b]
+        here[~level.leaf] = 0.0
+        _add_children(level, here, value[b:c])
+        due = mine.firsts[live[mine.firsts]]
+        best[due] = _best_actions(flat, value, infosets, due)
+        choice = best[mine.infoset]
+        chosen = choice >= 0
+        nodes = mine.nodes[chosen]
+        here[nodes] = value[flat.first[a:b][nodes] + choice[chosen]]
+    return best
 
 
 def _best_actions(flat: FlatTree, value, infosets, due):

@@ -6,8 +6,8 @@ the last bid and ends the game: if at least `quantity` dice show `face` the
 challenger loses, otherwise the bidder loses. Terminal utility is +/-1.
 
 Bid action ids are (quantity-1)*faces + (face-1); the challenge id is
-2*faces. The imperfect-recall variant truncates the public action history in
-the infoset key to the last `recall` actions.
+2*faces. A player's infoset key is their die and the whole public bid
+history.
 """
 
 from __future__ import annotations
@@ -66,18 +66,13 @@ class LiarsDiceState(State):
         return (-1.0, 1.0) if loser == 0 else (1.0, -1.0)
 
     def infoset_key(self, player: int) -> str:
-        public = self.bids
-        if self.game.recall is not None:
-            public = public[-self.game.recall:] if self.game.recall > 0 else ()
-        return f"{self.dice[player]}:" + ",".join(str(b) for b in public)
+        return f"{self.dice[player]}:" + ",".join(str(b) for b in self.bids)
 
 
 class LiarsDice(Game):
-    def __init__(self, faces: int, recall: int | None = None):
+    def __init__(self, faces: int):
         self.faces = faces
-        self.recall = recall
         self.challenge_action = 2 * faces
-        self.perfect_recall = recall is None
         self.max_game_length = 2 + 2 * faces + 1
 
     def initial_state(self) -> LiarsDiceState:
@@ -88,24 +83,16 @@ class LiarsDice(Game):
 
     def encoding_dim(self) -> int:
         n = self.num_distinct_actions()
-        if self.recall is not None:
-            # own die + last `recall` bid slots (one-hot each, +1 for "none")
-            return self.faces + self.recall * n
         return self.faces + (n - 1) + n  # own die + bid-made mask + last bid
 
     def encode_infoset(self, state, player) -> np.ndarray:
         x = np.zeros(self.encoding_dim())
         x[state.dice[player]] = 1.0
         n = self.num_distinct_actions()
-        if self.recall is not None:
-            window = state.bids[-self.recall:] if self.recall > 0 else ()
-            for slot, bid in enumerate(window):
-                x[self.faces + slot * n + bid] = 1.0
-        else:
-            for bid in state.bids:
-                x[self.faces + bid] = 1.0
-            last = state.bids[-1] + 1 if state.bids else 0
-            x[self.faces + (n - 1) + last] = 1.0
+        for bid in state.bids:
+            x[self.faces + bid] = 1.0
+        last = state.bids[-1] + 1 if state.bids else 0
+        x[self.faces + (n - 1) + last] = 1.0
         return x
 
     def observation_sequence(self, state, player) -> tuple:

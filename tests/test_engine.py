@@ -16,7 +16,7 @@ from gamepop.engine import (DiagnosticsSpec, Distill, DqnOracle, EngineError,
                             SampleFromNE, Scratch, _build_arena,
                             approximate_exploitability, init_new_policy,
                             ntmg_exploitability, run_psro, top_k_filter)
-from gamepop.games import make_game
+from gamepop.games import KuhnPoker, LeducPoker, make_game
 from gamepop.meta_solvers import Nash, Prd, Uniform
 from gamepop.nets import ArchSignature, theta_size
 from gamepop.policies import (ParametricPolicy, PolicyMixture, TabularPolicy,
@@ -553,10 +553,9 @@ class TestGameReuse:
         again = self.game("goofspiel", {"num_cards": 4})
         assert len({id(four), id(five), id(again)}) == 3
         assert (four.num_cards, five.num_cards, again.num_cards) == (4, 5, 4)
-        full = self.game("liars_dice", {"faces": 2})
-        imperfect = self.game("liars_dice_ir", {"faces": 2})
-        assert imperfect is not full
-        assert (full.recall, imperfect.recall) == (None, 2)
+        kuhn = self.game("kuhn_poker", {})
+        leduc = self.game("leduc_poker", {})
+        assert isinstance(kuhn, KuhnPoker) and isinstance(leduc, LeducPoker)
 
     def test_negative_zero_is_not_zero(self):
         """Rows equal as numbers but not as bits build their own game."""

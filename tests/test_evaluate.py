@@ -235,7 +235,6 @@ def test_br_policy_is_deterministic_per_infoset():
     ("kuhn_poker", {}),
     ("matrix_game", {"rows": RPS_ROWS}),
     ("liars_dice", {"faces": 2}),
-    ("liars_dice_ir", {"faces": 2, "recall": 1}),
     ("goofspiel", {"num_cards": 3}),
 ])
 def test_br_dominates_random_policies(name, params):
@@ -437,15 +436,11 @@ def _scratch_mixture(game, weights, seed):
     return PolicyMixture(members, weights)
 
 
-# Liar's Dice without perfect recall has infosets whose nodes lie at
-# different depths.
 TREE_GAMES = [
     ("kuhn_poker", {}),
     ("leduc_poker", {}),
     ("goofspiel", {"num_cards": 4}),
     ("liars_dice", {"faces": 3}),
-    ("liars_dice_ir", {"faces": 3, "recall": 1}),
-    ("liars_dice_ir", {"faces": 3, "recall": 2}),
 ]
 
 

@@ -6,8 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from gamepop.games import (CHANCE, TERMINAL, GameError, KuhnPoker,
-                           make_game, play_episode)
+from gamepop.games import (CHANCE, TERMINAL, Game, GameError, KuhnPoker,
+                           State, make_game, play_episode)
 from gamepop.games.base import sample_action, sample_episode
 from gamepop.games.ntmg import (S_MATRIX, NtmgConfig, ntmg_payoff,
                                 ntmg_weights)
@@ -21,7 +21,7 @@ ALL_GAMES = [
     ("kuhn_poker", {}),
     ("leduc_poker", {}),
     ("liars_dice", {"faces": 3}),
-    ("liars_dice_ir", {"faces": 3, "recall": 2}),
+    ("liars_dice", {"faces": 2}),
     ("goofspiel", {"num_cards": 4}),
     ("matrix_game", {"rows": [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]}),
 ]
@@ -32,8 +32,9 @@ def make(name):
 
 
 def test_make_game_unknown_name():
-    with pytest.raises(GameError):
-        make_game("chess")
+    for name in ("chess", "liars_dice_ir"):
+        with pytest.raises(GameError):
+            make_game(name)
 
 
 def test_make_game_bad_params():
@@ -46,9 +47,6 @@ def test_make_game_bad_params():
     with pytest.raises(GameError):
         make_game("matrix_game", {})
     with pytest.raises(GameError):
-        # legality depends on the last bid, so it must stay in memory
-        make_game("liars_dice_ir", {"faces": 2, "recall": 0})
-    with pytest.raises(GameError):
         make_game("matrix_game", {"rows": [[0, 1], [1]]})
     with pytest.raises(GameError):
         make_game("ntmg", {"num_humps": 7})
@@ -56,7 +54,6 @@ def test_make_game_bad_params():
     # of the wrong type is refused with the config's text, before any tree
     # is built.
     for name, params in [("goofspiel", {"num_cards": 2.5}),
-                         ("liars_dice_ir", {"recall": 1.0}),
                          ("ntmg", {"plane_bound": True}),
                          ("liars_dice", {"faces": "3"}),
                          ("matrix_game", {"rows": [[1, "a"]]})]:
@@ -69,8 +66,6 @@ def test_make_game_bad_params():
 def test_make_game_defaults():
     assert make_game("ntmg", {}) == NtmgConfig()
     assert make_game("goofspiel").num_cards == 5
-    assert make_game("liars_dice").recall is None
-    assert make_game("liars_dice_ir").recall == 2
 
 
 def _decision_nodes(state):
@@ -91,15 +86,12 @@ def _decision_nodes(state):
     ("leduc_poker", {}),
     ("goofspiel", {"num_cards": 4}),
     ("liars_dice", {"faces": 4}),
-    ("liars_dice_ir", {"faces": 3, "recall": 1}),
-    ("liars_dice_ir", {"faces": 4, "recall": 2}),
     ("matrix_game", {"rows": [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]}),
 ])
 def test_infoset_key_fixes_legal_actions_and_features(name, params):
     """A game tree holds one view per (player, infoset key), and network
     policies memoize one decision per view; that is sound only if the key
-    determines what the decision depends on. With imperfect recall legality
-    depends on the last bid, which the key must keep."""
+    determines what the decision depends on."""
     game = make_game(name, params)
     seen = {}
     for state in _decision_nodes(game.initial_state()):
@@ -221,9 +213,61 @@ def test_flat_tree_matches_the_tree(name, params):
             assert (tree.owner[nodes] == player).all()
             assert (tree.infoset[nodes] == i).all()
             assert (np.diff(preorder[nodes]) > 0).all()
-            assert infosets.first_level[i] == level[nodes].min()
+            assert (level[nodes] == infosets.first_level[i]).all()
             assert infosets.num_actions[i] == len(view.legal_actions)
         assert infosets.start[-1] == (tree.owner == player).sum()
+
+
+class _SpanningState(State):
+    """Chance deals 0 or 1; player 0 moves right after a 0, and after a 1
+    only once a second, one-outcome chance node has passed, with the same
+    infoset key both times."""
+
+    def __init__(self, history=()):
+        self.history = history
+
+    @property
+    def current_player(self):
+        if self.history in ((), (1,)):
+            return CHANCE
+        return 0 if self.history in ((0,), (1, 0)) else TERMINAL
+
+    def legal_actions(self):
+        return [0, 1]
+
+    def chance_outcomes(self):
+        return [(0, 0.5), (1, 0.5)] if not self.history else [(0, 1.0)]
+
+    def child(self, action):
+        return _SpanningState(self.history + (action,))
+
+    def returns(self):
+        return (1.0, -1.0)
+
+    def infoset_key(self, player):
+        return "move"
+
+
+class _SpanningGame(Game):
+    def initial_state(self):
+        return _SpanningState()
+
+    def num_distinct_actions(self):
+        return 2
+
+    def encoding_dim(self):
+        return 1
+
+    def encode_infoset(self, state, player):
+        return np.zeros(1)
+
+
+def test_an_infoset_spanning_depths_is_refused():
+    """Exact best responses decide each infoset on the one level holding
+    its nodes, so compiling a tree whose infoset spans two depths fails."""
+    with pytest.raises(GameError, match="'move' holds nodes at more than "
+                                        "one depth"):
+        _SpanningGame().tree
 
 
 def test_flat_leduc_tree_stays_small():
@@ -455,15 +499,6 @@ def test_goofspiel_tie_splits_prize():
     assert state.returns() == (0.0, 0.0)
 
 
-def test_liars_dice_ir_key_truncation():
-    game = make_game("liars_dice_ir", {"faces": 6, "recall": 2})
-    state = game.initial_state().child(0).child(1)  # deal dice
-    for bid in (0, 2, 5):
-        state = state.child(bid)
-    key = state.infoset_key(1)
-    assert key == "1:2,5"  # only the last two public bids survive
-
-
 def test_liars_dice_challenge_resolution():
     game = make_game("liars_dice", {"faces": 2})
     # dice: p0 shows face 0, p1 shows face 1; p0 bids (1, face 0): truthful.
@@ -530,8 +565,7 @@ def test_playthroughs_respect_max_length(name, params):
         assert moves <= game.max_game_length
 
 
-@pytest.mark.parametrize("name,params",
-                         [g for g in ALL_GAMES if g[0] != "liars_dice_ir"])
+@pytest.mark.parametrize("name,params", ALL_GAMES)
 def test_perfect_recall_keys_follow_observations(name, params):
     """Histories with equal own observation sequences share an infoset key."""
     game = make_game(name, params)
@@ -549,11 +583,6 @@ def test_perfect_recall_keys_follow_observations(name, params):
                 key = state.infoset_key(player)
                 assert key_by_obs.setdefault(obs, key) == key
             state = state.child(actions[rng.integers(len(actions))])
-
-
-def test_imperfect_recall_flag():
-    assert make_game("liars_dice", {"faces": 2}).perfect_recall
-    assert not make_game("liars_dice_ir", {"faces": 2, "recall": 1}).perfect_recall
 
 
 class TestNtmg:

@@ -41,7 +41,6 @@ TREE_GAMES = [
     ("kuhn_poker", {}),
     ("leduc_poker", {}),
     ("liars_dice", {"faces": 3}),
-    ("liars_dice_ir", {"faces": 3, "recall": 2}),
     ("goofspiel", {"num_cards": 4}),
     ("matrix_game", {"rows": [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]}),
 ]
@@ -453,7 +452,9 @@ def test_greedy_index_matches_reference():
 
 @st.composite
 def _dqn_cases(draw_):
-    index = draw_(st.sampled_from([0, 1, 2, 5]))
+    # By name, so that editing TREE_GAMES cannot shift what is drawn.
+    index = [name for name, _ in TREE_GAMES].index(draw_(st.sampled_from(
+        ["kuhn_poker", "leduc_poker", "liars_dice", "matrix_game"])))
     batch = draw_(st.integers(1, 12))
     wraps = draw_(st.booleans())
     cfg = DqnOracle(
