@@ -12,7 +12,9 @@ once from its states into read-only flat arrays (a `FlatTree`), on the
 first sampled episode or exact evaluation. The engine keeps the last game
 it built, so a process compiles the tree once per game and parameters for
 all of its runs. Exact evaluation passes over those arrays level by level,
-and policies see a decision node as its `InfosetView`.
+and policies see a decision node as its `InfosetView`, which knows its
+row in its player's `Infosets`: sampled and exact play read a policy
+through its `gamepop.policies.Reading` of those rows.
 
 Exact evaluation reads `FlatTree.plan` besides: per level, the index
 arrays its passes gather and scatter with, built on the first exact pass.
@@ -133,20 +135,22 @@ class Game:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class InfosetView:
-    """A decision point as a policy sees it: infoset key, legal actions and
-    encoded features. A tree holds one view per (player, key), with
-    read-only features; views compare by identity, so they can key memos."""
+    """A decision point as a policy sees it: infoset key, legal actions,
+    encoded features and ``index``, its infoset's row in its player's
+    `Infosets` (-1 for a view no tree holds). A tree holds one view per
+    (player, key), with read-only features; views compare by identity."""
     key: str
     legal_actions: tuple[int, ...]
     features: np.ndarray | None = None
+    index: int = -1
 
 
 class Infosets(NamedTuple):
     """One player's infosets in a `FlatTree`.
 
-    Infoset i is ``views[i]``, has ``num_actions[i]`` legal actions and
-    holds the nodes ``nodes[start[i]:start[i + 1]]``, in depth-first
-    preorder, all on level ``first_level[i]``.
+    Infoset i is ``views[i]``, whose ``index`` is i, has ``num_actions[i]``
+    legal actions and holds the nodes ``nodes[start[i]:start[i + 1]]``, in
+    depth-first preorder, all on level ``first_level[i]``.
     """
     views: tuple[InfosetView, ...]
     num_actions: np.ndarray
@@ -213,7 +217,7 @@ class FlatTree:
         depth, infoset = array("i"), array("i")
         prob, returns = array("d"), array("d")
         self.views: dict[tuple[int, str], InfosetView] = {}
-        index = ({}, {})  # per player: view -> infoset index
+        listed = ([], [])  # per player, its views in infoset order
         grown = 1
         stack = [(game.initial_state(), -1, 0, 1.0, 0)]
         while stack:
@@ -225,12 +229,8 @@ class FlatTree:
             slot.append(s)
             prob.append(p)
             depth.append(d)
-            if player < 0:
-                infoset.append(-1)
-            else:
-                seen = index[player]
-                infoset.append(seen.setdefault(
-                    self._view(game, state, player), len(seen)))
+            infoset.append(-1 if player < 0 else self._view(
+                game, state, player, listed[player]).index)
             if player == TERMINAL:
                 returns.extend(state.returns())
                 continue
@@ -269,7 +269,7 @@ class FlatTree:
         self.row = np.where(terminal, count - 1, -1).astype(np.int32)
         self.leaves = np.concatenate([[0], count])[self.levels]
         self.infosets = tuple(
-            self._infosets(tuple(index[player]), number[owner == player],
+            self._infosets(tuple(listed[player]), number[owner == player],
                            depth[preorder])
             for player in (0, 1))
         for value in (*vars(self).values(), *self.infosets[0],
@@ -358,14 +358,16 @@ class FlatTree:
                 array("i", self.first[:-1].astype(np.intc).tobytes()),
                 tuple(at))
 
-    def _view(self, game: Game, state: State, player: int) -> InfosetView:
+    def _view(self, game: Game, state: State, player: int,
+              listed: list) -> InfosetView:
         key = state.infoset_key(player)
         view = self.views.get((player, key))
         if view is None:
             features = game.encode_infoset(state, player)
             features.flags.writeable = False
             view = self.views[player, key] = InfosetView(
-                key, tuple(state.legal_actions()), features)
+                key, tuple(state.legal_actions()), features, len(listed))
+            listed.append(view)
         return view
 
     def _infosets(self, views, mine, depth) -> Infosets:
@@ -472,6 +474,8 @@ def sample_episode(game: Game, choose,
 def play_episode(game: Game, policies,
                  rng: np.random.Generator) -> tuple[float, float]:
     """Sample one playthrough; ``policies[i]`` plays its evaluation-time
-    distribution for player i, drawn by its ``draw(view, rng)``."""
-    return sample_episode(
-        game, lambda player, view: policies[player].draw(view, rng), rng)
+    distribution for player i, drawn from its `Reading` of the tree."""
+    tree = game.tree
+    readings = (policies[0].reading(tree, 0), policies[1].reading(tree, 1))
+    return sample_episode(game, lambda player, view: readings[player].draw(
+        policies[player], view, rng), rng)

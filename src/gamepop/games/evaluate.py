@@ -12,25 +12,23 @@ Evaluation is two array passes over the tree's levels, each reading the
 tree's per-level index arrays from `FlatTree.plan` rather than deriving
 them per call. `_descend`, the only step that reads policies, goes down: a
 child's reach is its parent's times the entry of the action leading to it
-in an (infosets x members x actions) table, stacked from the members' kept
-tables. Each tabular and network policy keeps one (infosets x actions)
-table of its `action_probs`, for the infosets it was last read on
-(`policies._Kept.kept`): a pass reads a member at an infoset holding a
-node the pass reaches unless an earlier pass on the same infosets did, so
-a member is read once per infoset for as long as it keeps that table.
-`best_response` fills its response's table when it makes it, so a new
-exact-oracle member is never read row by row. `_ascend` goes up: a node's
-value is 0.0 plus its children's, added in slot order. `best_response`
-ascends once with one full value array and decides each responder infoset
-on the one level that holds its nodes, after the level below has its
-values.
+in an (infosets x members x actions) table, stacked from the members'
+readings (`policies.Reading`, one per policy and player, shared with
+sampled play): a pass reads a member at an infoset holding a node the
+pass reaches unless its reading has that row, so a member is read once
+per infoset for as long as it keeps that reading. `best_response` fills
+its response's reading when it makes it, so a new exact-oracle member is
+never read row by row. `_ascend` goes up: a node's value is 0.0 plus its
+children's, added in slot order. `best_response` ascends once with one
+full value array and decides each responder infoset on the one level
+that holds its nodes, after the level below has its values.
 
 Every value takes the same floating-point operations, in the same order,
 as a recursive walk that skips each branch no member plays (the reference
 in tests/test_evaluate.py): the passes here skip nothing, but a skipped
 branch is worth +0.0 or -0.0, and adding either to a total that starts at
-+0.0, and so is never -0.0, leaves the total as it is. A kept row that an
-earlier pass read, at an infoset this pass does not reach, only enters the
++0.0, and so is never -0.0, leaves the total as it is. A row that an
+earlier read filled, at an infoset this pass does not reach, only enters the
 reaches below nodes this pass does not reach either, where some side's
 reach is already +0.0 or -0.0: every terminal there is still worth a zero
 (its sign may differ), so it too leaves every total as it is.
@@ -70,16 +68,16 @@ def _descend(flat: FlatTree, sides):
     reaches each node. The root is reached, and a child of a side's
     decision node is reached if its parent is and some member of that side
     plays the action. A member is read at an infoset of its player that
-    holds a reached node unless it was read there before: each keeps its
-    rows, and this pass reads them from a stack of the kept tables.
+    holds a reached node unless its reading has that row: this pass reads
+    the rows from a stack of the members' readings.
     """
     levels, plan = flat.levels, flat.plan
-    kept, tables, reads = [], [], []
+    readers, tables, reads = [], [], []
     for player, members, _, _ in sides:
-        kept.append([member.kept(flat.infosets[player])
-                     for member in members])
-        tables.append(np.stack([table for table, _ in kept[-1]], axis=1))
-        reads.append(np.stack([read for _, read in kept[-1]], axis=1))
+        readings = [member.reading(flat, player) for member in members]
+        readers.append(list(zip(members, readings)))
+        tables.append(np.stack([r.rows for r in readings], axis=1))
+        reads.append(np.stack([r.read for r in readings], axis=1))
     reach = [np.asarray(weights, dtype=float)[None, :]
              for _, _, weights, _ in sides]
     chance = np.ones(1)
@@ -102,9 +100,10 @@ def _descend(flat: FlatTree, sides):
             due = mine.infoset[alive[mine.nodes]]
             unread = ~reads[i][due]
             if unread.any():
-                _read_due(tables[i], reads[i], kept[i], members,
-                          flat.infosets[player].views,
-                          due[unread.any(axis=1)])
+                views = flat.infosets[player].views
+                due = sorted(set(due[unread.any(axis=1)].tolist()))
+                _read_due(tables[i], reads[i], readers[i],
+                          [views[k] for k in due])
             r = reach[i] = reach[i][up]
             moves = mine.moves
             moved = r[moves] * tables[i][mine.move_infoset, :,
@@ -116,21 +115,16 @@ def _descend(flat: FlatTree, sides):
             [np.concatenate(r) for r in leaf_reach], reached)
 
 
-def _read_due(table, reads, kept, members, views, due):
-    """Fill the entries of ``table`` at infosets ``due`` that ``reads``,
-    the members' stacked read masks, lacks, in infoset order, from each
-    member's kept table (``kept[m]``, a table and its read mask); one
-    ``action_probs`` call fills a kept row first where it was never
-    read."""
-    for i in sorted(set(due.tolist())):
-        view = views[i]
-        width = len(view.legal_actions)
+def _read_due(table, reads, readers, due):
+    """Fill the entries of ``table`` at the views ``due``, in infoset order,
+    that ``reads``, the members' stacked read masks, lacks, each from the
+    row of a member's reading (``readers[m]``, the member and its
+    reading); a member listed twice shares one reading, read once."""
+    for view in due:
+        i = view.index
         for m in np.flatnonzero(~reads[i]).tolist():
-            rows, read = kept[m]
-            if not read[i]:  # a member listed twice is read once
-                rows[i, :width] = members[m].action_probs(view)
-                read[i] = True
-            table[i, m] = rows[i]
+            member, reading = readers[m]
+            table[i, m] = reading.row(member, view)
         reads[i] = True
 
 
@@ -185,9 +179,7 @@ def best_response(game: Game, opponent_mixture, responder: int):
     infoset reachable under the opponent mixture (ties broken by lowest
     action id); unreachable infosets fall back to the uniform default.
     """
-    policy, value, _, _ = _respond(game.tree, opponent_mixture,
-                                   responder)
-    return policy, value
+    return _respond(game.tree, opponent_mixture, responder)[:2]
 
 
 def _respond(flat: FlatTree, opponent_mixture, responder: int):
@@ -212,14 +204,14 @@ def _respond(flat: FlatTree, opponent_mixture, responder: int):
     policy = TabularPolicy({
         infosets.views[i].key: _one_hot(infosets.num_actions[i], best[i])
         for i in decided.tolist()})
-    # Its kept table, filled as `action_probs` would: the one-hot of each
+    # Its reading, filled as `action_probs` would: the one-hot of each
     # decided infoset, the uniform default elsewhere.
-    rows, read = policy.kept(infosets)
-    width = infosets.num_actions[:, None]
+    reading = policy.reading(flat, responder)
+    rows, width = reading.rows, infosets.num_actions[:, None]
     np.divide(1.0, width, out=rows, where=np.arange(rows.shape[1]) < width)
     rows[decided] = 0.0
     rows[decided, best[decided]] = 1.0
-    read[:] = True
+    reading.read[:] = True
     return policy, value[0], chance, fold[:, 0]
 
 

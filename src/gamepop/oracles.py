@@ -59,15 +59,17 @@ class DqnOracle:
 def run_learner_episode(game: Game, player: int, select, opponent,
                         rng: np.random.Generator) -> tuple[list[Step], float]:
     """Play one episode; `select(view) -> global action id` drives the
-    learner, the opponent plays its evaluation-time distribution by its
-    ``draw``. Returns the learner's transitions and terminal reward."""
+    learner, the opponent plays its evaluation-time distribution, drawn
+    from its `Reading` of the tree. Returns the learner's transitions and
+    terminal reward."""
     pending: tuple[InfosetView, int] | None = None
     steps: list[Step] = []
+    reading = opponent.reading(game.tree, 1 - player)
 
     def choose(current, view):
         nonlocal pending
         if current != player:
-            return opponent.draw(view, rng)
+            return reading.draw(opponent, view, rng)
         action = select(view)
         assert action in view.legal_actions, "oracle chose an illegal action"
         if pending is not None:
@@ -106,11 +108,8 @@ def q_learning_oracle(game: Game, init: TabularPolicy | None,
         q = q_table.get(view.key)
         if q is None:
             n = len(view.legal_actions)
-            if init is not None:
-                q = init.dist_for_key(view.key, n).astype(float).copy()
-            else:
-                q = np.zeros(n)
-            q_table[view.key] = q
+            q = q_table[view.key] = np.zeros(n) if init is None else (
+                init.dist_for_key(view.key, n).astype(float))
         return q
 
     def select(view: InfosetView) -> int:

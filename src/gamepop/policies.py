@@ -15,21 +15,15 @@ in one of two ways:
 Fusion averages flat parameter vectors with meta-strategy weights; the
 tabular analog averages per-infoset action distributions. Every fusion and
 ensemble is one `weighted_sum`. Policies are never changed after they are
-built, so a population member can be handed out as is, and a network
-policy's `theta` is read-only; a network policy decides each view once and
-answers `action_probs` from that memo afterwards. Every array that
-`action_probs` returns is read-only, and the uniform and one-hot ones are
-shared. For the same reason a tabular or network policy keeps one table of
-its `action_probs` over one player's infosets of a compiled tree (`kept`),
-which exact evaluation fills as it reads it, so each row is read once
-while the policy keeps that table.
+built, so a population member can be handed out as is. A network policy's
+`theta` is read-only, and so is every array `action_probs` returns; the
+uniform and one-hot ones are shared, each with one shared CDF.
 
-Sampled play draws through ``draw(view, rng)``: the action
-`sample_action(action_probs(view), view.legal_actions, rng)` would draw,
-with the same generator use, from a CDF each policy computes once per view
-and keeps. The shared uniform and one-hot distributions have one shared
-CDF each, so a network policy's draw memo grows only by dict entries. The
-CDFs stay arrays; `gamepop.games.base.draw` searches them with `bisect`,
+Exact evaluation and sampled play read a tabular or network policy through
+its `Reading` of one player's infosets in a compiled tree, which asks
+`action_probs` once per infoset: exact passes stack its table, and sampled
+play draws from its CDFs what `sample_action` would draw, with the same
+generator use. `gamepop.games.base.draw` searches a CDF with `bisect`,
 probing as ``searchsorted`` does.
 """
 
@@ -37,11 +31,12 @@ from __future__ import annotations
 
 import functools
 import json
+import weakref
 
 import numpy as np
 
 from . import nets
-from .games.base import (Game, Infosets, InfosetView, checked_cdf, draw,
+from .games.base import (FlatTree, Game, InfosetView, checked_cdf, draw,
                          draw_index, sample_action, sample_episode)
 from .nets import ArchSignature
 
@@ -104,45 +99,60 @@ def greedy_index(q: np.ndarray, legal_actions: tuple[int, ...]) -> int:
     return int(q.take(_positions(legal_actions)).argmax())
 
 
-class _Draws:
-    """`draw` for a policy whose `action_probs` never changes; the policy
-    sets ``self._cdfs = {}``."""
+class Reading:
+    """A policy's `action_probs` at one player's infosets in a compiled
+    tree, asked at most once per infoset. Once ``read[i]`` is set, row i of
+    ``rows`` (infosets x actions, zero past the legal actions) holds it at
+    infoset i; ``cdfs[i]`` is the CDF draws there use: a shared
+    distribution's CDF, else the row's `checked_cdf`, made on its first
+    draw. It refers to its tree weakly, and to no policy or view: reads
+    take both."""
+    __slots__ = ("tree", "rows", "read", "cdfs")
 
-    def draw(self, view: InfosetView, rng: np.random.Generator) -> int:
-        """The legal action ``sample_action(self.action_probs(view),
-        view.legal_actions, rng)`` draws, leaving ``rng`` as it would; the
-        CDF is computed, and checked, on the view's first draw."""
-        cdf = self._cdfs.get(view)
-        if cdf is None:
-            probs = self.action_probs(view)
-            cdf = _shared_cdf(probs)
-            if cdf is None:
-                cdf = checked_cdf(probs, len(view.legal_actions))
-            self._cdfs[view] = cdf
-        return view.legal_actions[draw(cdf, rng)]
+    def __init__(self, tree: FlatTree, player: int):
+        actions = tree.infosets[player].num_actions
+        self.tree = weakref.ref(tree)
+        self.rows = np.zeros((len(actions), actions.max(initial=1)))
+        self.read = np.zeros(len(actions), bool)
+        self.cdfs: list[np.ndarray | None] = [None] * len(actions)
+
+    def row(self, policy, view: InfosetView) -> np.ndarray:
+        """The row of ``view``, filled by one ``policy.action_probs(view)``
+        call if it was never read."""
+        i = view.index
+        if not self.read[i]:
+            probs = policy.action_probs(view)
+            self.rows[i, :len(probs)] = probs
+            self.read[i] = True
+            self.cdfs[i] = _shared_cdf(probs)
+        return self.rows[i]
+
+    def draw(self, policy, view: InfosetView, rng: np.random.Generator) -> int:
+        """The legal action ``sample_action(policy.action_probs(view),
+        view.legal_actions, rng)`` draws, leaving ``rng`` as it would."""
+        i = view.index
+        if self.cdfs[i] is None:
+            row, width = self.row(policy, view), len(view.legal_actions)
+            if self.cdfs[i] is None:
+                self.cdfs[i] = checked_cdf(row[:width], width)
+        return view.legal_actions[draw(self.cdfs[i], rng)]
 
 
-class _Kept:
-    """`kept` for a policy whose `action_probs` never changes; the policy
-    sets ``self._kept = None``."""
+class _Read:
+    """`reading` for a policy whose `action_probs` never changes; the policy
+    sets ``self._readings = [None, None]``."""
 
-    def kept(self, infosets: Infosets) -> tuple[np.ndarray, np.ndarray]:
-        """The (infosets x actions) table of this policy's `action_probs`
-        kept for ``infosets``, one player's in a compiled tree, with the
-        mask of its rows read so far; exact evaluation fills both. A
-        policy keeps one slot: a call with other infosets (told apart by
-        identity) replaces it with a zero table and nothing read."""
-        slot = self._kept
-        if slot is None or slot[0] is not infosets:
-            count = len(infosets.views)
-            slot = self._kept = (
-                infosets,
-                np.zeros((count, infosets.num_actions.max(initial=1))),
-                np.zeros(count, bool))
-        return slot[1], slot[2]
+    def reading(self, tree: FlatTree, player: int) -> Reading:
+        """This policy's `Reading` of ``player``'s infosets in ``tree``. A
+        policy keeps one per player: a call for another tree replaces it
+        with one that has read nothing."""
+        reading = self._readings[player]
+        if reading is None or reading.tree() is not tree:
+            reading = self._readings[player] = Reading(tree, player)
+        return reading
 
 
-class TabularPolicy(_Draws, _Kept):
+class TabularPolicy(_Read):
     """Map from infoset key to an action distribution; unseen keys are
     uniform over the legal actions. Every distribution it hands out is
     read-only: stored ones are read-only views of the given arrays, and the
@@ -152,8 +162,7 @@ class TabularPolicy(_Draws, _Kept):
 
     def __init__(self, table: dict[str, np.ndarray] | None = None):
         self.table = {}
-        self._cdfs: dict[InfosetView, np.ndarray] = {}
-        self._kept = None
+        self._readings = [None, None]
         for key, dist in (table or {}).items():
             if _shared_cdf(dist) is None:
                 dist = np.asarray(dist, dtype=float).view()
@@ -178,7 +187,7 @@ class TabularPolicy(_Draws, _Kept):
         return dist
 
 
-class ParametricPolicy(_Draws, _Kept):
+class ParametricPolicy(_Read):
     """Action-value network over infoset features, stored as a flat theta."""
 
     def __init__(self, signature: ArchSignature, theta: np.ndarray):
@@ -192,11 +201,7 @@ class ParametricPolicy(_Draws, _Kept):
         self.signature = signature
         theta.flags.writeable = False
         self.theta = theta
-        # Greedy decision per view, filled on first use. Theta is read-only,
-        # so an entry never goes stale.
-        self._decisions: dict[InfosetView, np.ndarray] = {}
-        self._cdfs: dict[InfosetView, np.ndarray] = {}
-        self._kept = None
+        self._readings = [None, None]
 
     def q_values(self, features: np.ndarray) -> np.ndarray:
         return nets.forward(self.signature, self.theta, features)
@@ -205,13 +210,10 @@ class ParametricPolicy(_Draws, _Kept):
         return greedy_index(self.q_values(features), legal_actions)
 
     def action_probs(self, view: InfosetView) -> np.ndarray:
-        """Read-only one-hot on the greedy action, computed once per view."""
-        probs = self._decisions.get(view)
-        if probs is None:
-            legal = view.legal_actions
-            probs = self._decisions[view] = _one_hot(
-                len(legal), self.greedy_action_index(view.features, legal))
-        return probs
+        """Read-only one-hot on the greedy action: one forward per call."""
+        legal = view.legal_actions
+        return _one_hot(len(legal),
+                        self.greedy_action_index(view.features, legal))
 
     def dist_at(self, view: InfosetView) -> np.ndarray:
         legal_q = self.q_values(view.features)[list(view.legal_actions)]

@@ -5,7 +5,9 @@ written directly from the rules; it shares no code with the package. Golden
 constants derived from it are frozen in the tests.
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -232,10 +234,10 @@ def test_br_policy_is_deterministic_per_infoset():
 
 
 @pytest.mark.parametrize("name,params", [
-    ("kuhn_poker", {}),
-    ("matrix_game", {"rows": RPS_ROWS}),
-    ("liars_dice", {"faces": 2}),
-    ("goofspiel", {"num_cards": 3}),
+    pytest.param("kuhn_poker", {}, id="kuhn_poker-params0"),
+    pytest.param("matrix_game", {"rows": RPS_ROWS}, id="matrix_game-params1"),
+    pytest.param("liars_dice", {"faces": 2}, id="liars_dice-params2"),
+    pytest.param("goofspiel", {"num_cards": 3}, id="goofspiel-params3"),
 ])
 def test_br_dominates_random_policies(name, params):
     game = make_game(name, params)
@@ -442,9 +444,14 @@ TREE_GAMES = [
     ("goofspiel", {"num_cards": 4}),
     ("liars_dice", {"faces": 3}),
 ]
+# Each case's ID, fixed per entry so that adding or deleting a game renames
+# no other case. They are the IDs these cases had when pytest numbered them
+# by position, kept so that no case was renamed when they were fixed.
+TREE_GAME_IDS = ["kuhn_poker-params0", "leduc_poker-params1",
+                 "goofspiel-params2", "liars_dice-params3"]
 
 
-@pytest.mark.parametrize("name,params", TREE_GAMES)
+@pytest.mark.parametrize("name,params", TREE_GAMES, ids=TREE_GAME_IDS)
 @pytest.mark.parametrize("weights", [
     [1.0], [0.5, 0.5], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7], [0.2, 0.3, 0.0, 0.5],
     [0.1, 0.0, 0.15, 0.05, 0.2, 0.0, 0.1, 0.25, 0.15],
@@ -501,7 +508,7 @@ def _count_reads(mixture):
     return calls
 
 
-@pytest.mark.parametrize("name,params", TREE_GAMES)
+@pytest.mark.parametrize("name,params", TREE_GAMES, ids=TREE_GAME_IDS)
 def test_br_reads_each_member_once_per_reached_opponent_node(name, params):
     """Each member is read once per opponent infoset that the mixture
     reaches, however many of its nodes are reached."""
@@ -517,7 +524,7 @@ def test_br_reads_each_member_once_per_reached_opponent_node(name, params):
         assert calls == [expected] * len(mixture.members)
 
 
-@pytest.mark.parametrize("name,params", TREE_GAMES)
+@pytest.mark.parametrize("name,params", TREE_GAMES, ids=TREE_GAME_IDS)
 def test_ev_reads_each_member_once_per_reached_infoset(name, params):
     """Each member is read once per infoset of its player holding a node
     that both mixtures reach."""
@@ -537,10 +544,10 @@ def test_ev_reads_each_member_once_per_reached_infoset(name, params):
 
 
 def test_a_fresh_tree_replaces_the_kept_table():
-    """Members keep one table, for the infosets they were last read on: a
-    fresh tree of the same game gives equal bytes, each member's table is
-    then that tree's, and the first tree, read again, gives equal bytes
-    once more."""
+    """Members keep one reading per player, for the tree they were last
+    read on: a fresh tree of the same game gives equal bytes, each member's
+    readings are then that tree's, and the first tree, read again, gives
+    equal bytes once more."""
     games = [make_game("leduc_poker"), make_game("leduc_poker")]
     profile = (_scratch_mixture(games[0], [0.2, 0.3, 0.5], seed=4),
                _scratch_mixture(games[0], [0.6, 0.0, 0.4], seed=9))
@@ -552,8 +559,24 @@ def test_a_fresh_tree_replaces_the_kept_table():
                         for r in responses]))
         for player in (0, 1):
             for member in profile[player].members:
-                assert member._kept[0] is game.tree.infosets[player]
+                assert member._readings[player].tree() is game.tree
     assert values[0] == values[1] == values[2]
+
+
+def test_members_keep_no_dropped_tree_alive():
+    """A reading refers to its tree weakly: once a game is dropped, its
+    views' features are freed, though the members read on it live on."""
+    game = make_game("leduc_poker")
+    profile = (_scratch_mixture(game, [0.2, 0.3, 0.5], seed=4),
+               _scratch_mixture(game, [0.6, 0.0, 0.4], seed=9))
+    exploitability(game, profile)
+    features = weakref.ref(game.tree.infosets[0].views[0].features)
+    del game
+    gc.collect()
+    assert features() is None
+    for player, mixture in enumerate(profile):
+        for member in mixture.members:
+            assert member._readings[player].tree() is None
 
 
 def test_a_member_listed_twice_is_read_once_per_infoset():
@@ -636,10 +659,10 @@ def _sparse_tabular(tree, rng, drop):
 
 
 @pytest.mark.parametrize("name,params", [
-    ("kuhn_poker", {}),
-    ("leduc_poker", {}),
-    ("goofspiel", {"num_cards": 4}),
-    ("liars_dice", {"faces": 3}),
+    pytest.param("kuhn_poker", {}, id="kuhn_poker-params0"),
+    pytest.param("leduc_poker", {}, id="leduc_poker-params1"),
+    pytest.param("goofspiel", {"num_cards": 4}, id="goofspiel-params2"),
+    pytest.param("liars_dice", {"faces": 3}, id="liars_dice-params3"),
 ])
 def test_member_resolved_walk_equals_pairwise_walks_bit_for_bit(name,
                                                                 params):
@@ -748,7 +771,8 @@ def _assorted_mixture(game, tree, size, rng):
 
 
 @pytest.mark.parametrize("name,params", TREE_GAMES + [
-    ("matrix_game", {"rows": [[0, -1, 2], [1, 0, 0]]})])
+    ("matrix_game", {"rows": [[0, -1, 2], [1, 0, 0]]})],
+    ids=TREE_GAME_IDS + ["matrix_game-params4"])
 @pytest.mark.parametrize("size", [1, 3, 9, 17])
 def test_ev_equals_recursive_reference_bit_for_bit(name, params, size):
     """The array passes equal the recursive walk, sign of zero included, on

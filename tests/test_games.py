@@ -12,7 +12,6 @@ from gamepop.games.base import sample_action, sample_episode
 from gamepop.games.ntmg import (S_MATRIX, NtmgConfig, ntmg_payoff,
                                 ntmg_weights)
 from gamepop import nets
-from gamepop.games.base import InfosetView
 from gamepop.nets import ArchSignature
 from gamepop.policies import (ParametricPolicy, PolicyMixture, TabularPolicy,
                               sample_member, scratch_init)
@@ -25,6 +24,12 @@ ALL_GAMES = [
     ("goofspiel", {"num_cards": 4}),
     ("matrix_game", {"rows": [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]}),
 ]
+# Each case's ID, fixed per entry so that adding or deleting a game renames
+# no other case. They are the IDs these cases had when pytest numbered them
+# by position, kept so that no case was renamed when they were fixed.
+ALL_GAME_IDS = ["kuhn_poker-params0", "leduc_poker-params1",
+                "liars_dice-params2", "liars_dice-params3",
+                "goofspiel-params4", "matrix_game-params5"]
 
 
 def make(name):
@@ -82,11 +87,13 @@ def _decision_nodes(state):
 
 
 @pytest.mark.parametrize("name,params", [
-    ("kuhn_poker", {}),
-    ("leduc_poker", {}),
-    ("goofspiel", {"num_cards": 4}),
-    ("liars_dice", {"faces": 4}),
-    ("matrix_game", {"rows": [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]}),
+    pytest.param("kuhn_poker", {}, id="kuhn_poker-params0"),
+    pytest.param("leduc_poker", {}, id="leduc_poker-params1"),
+    pytest.param("goofspiel", {"num_cards": 4}, id="goofspiel-params2"),
+    pytest.param("liars_dice", {"faces": 4}, id="liars_dice-params3"),
+    pytest.param("matrix_game",
+                 {"rows": [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]},
+                 id="matrix_game-params4"),
 ])
 def test_infoset_key_fixes_legal_actions_and_features(name, params):
     """A game tree holds one view per (player, infoset key), and network
@@ -137,7 +144,7 @@ def _ranks(tree, walk):
     return kids, np.array(rank_of)
 
 
-@pytest.mark.parametrize("name,params", ALL_GAMES)
+@pytest.mark.parametrize("name,params", ALL_GAMES, ids=ALL_GAME_IDS)
 def test_tree_matches_a_direct_state_walk(name, params):
     """The compiled tree holds every state of the game once, and per node
     its owner, depth, edge probability, number of children, returns (at
@@ -180,7 +187,7 @@ def test_tree_matches_a_direct_state_walk(name, params):
     assert len({id(view) for view in views.values()}) == len(views)
 
 
-@pytest.mark.parametrize("name,params", ALL_GAMES)
+@pytest.mark.parametrize("name,params", ALL_GAMES, ids=ALL_GAME_IDS)
 def test_flat_tree_matches_the_tree(name, params):
     """The compiled arrays lay the tree out level by level and each level
     in depth-first preorder, with each node's children at
@@ -311,7 +318,7 @@ def test_the_tree_is_read_only():
         make("matrix_game").rows[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("name,params", ALL_GAMES)
+@pytest.mark.parametrize("name,params", ALL_GAMES, ids=ALL_GAME_IDS)
 def test_the_plan_matches_the_tree(name, params):
     """Each level's plan holds what its arrays say of the tree, in node
     order, and none of it can be written into; ``prob`` is a view of the
@@ -385,14 +392,14 @@ def _state_episode(game, choose, rng):
     return state.returns()
 
 
-@pytest.mark.parametrize("name,params", ALL_GAMES)
+@pytest.mark.parametrize("name,params", ALL_GAMES, ids=ALL_GAME_IDS)
 def test_sampled_episodes_match_a_direct_state_walk(name, params):
     """Episodes sampled from the compiled tree make the same draws as
     episodes stepped through the game's states: the same returns (Python
     floats), the same decisions asked of the policies and the same
     generator state afterwards. The tree draws chance outcomes from its
-    cached CDFs; decisions are drawn by `sample_action` or by the policies'
-    memoized `draw`, for tabular and for network policies."""
+    cached CDFs; decisions are drawn by `sample_action` or from the
+    policies' readings, for tabular and for network policies."""
     game = make_game(name, params)
     rng = np.random.default_rng(7)
     sig = ArchSignature(game.encoding_dim(), (8,),
@@ -410,7 +417,9 @@ def test_sampled_episodes_match_a_direct_state_walk(name, params):
                 assert type(player) is int
                 asked.append((player, view.key))
                 if memoized:
-                    return policies[player].draw(view, rng)
+                    policy = policies[player]
+                    return policy.reading(game.tree, player).draw(
+                        policy, view, rng)
                 return sample_action(policies[player].action_probs(view),
                                      view.legal_actions, rng)
 
@@ -441,9 +450,12 @@ def _distributions(rng, count):
 def test_sample_action_draws_as_generator_choice():
     """Same action, and same mixture member, as `Generator.choice(len,
     p=...)` and the same generator state afterwards, for every seed. So do
-    a tabular and a network policy's memoized `draw`s, on a view's first
-    draw and from the memo."""
+    draws from a tabular and a network policy's reading, on a view's first
+    draw and from its kept CDF."""
     sig = ArchSignature(1, (), 17)
+    # Player 0's one view in each has 1 to 7 actions.
+    trees = {n: make_game("matrix_game", {"rows": [[0]] * n}).tree
+             for n in range(1, 8)}
     for seed, probs in enumerate(_distributions(np.random.default_rng(11),
                                                 3000)):
         actions = [10 + a for a in range(len(probs))]
@@ -456,18 +468,21 @@ def test_sample_action_draws_as_generator_choice():
         expected = members[numpy_rng.choice(len(members), p=weights)]
         assert sample_member(PolicyMixture(members, weights), ours) is expected
         assert ours.random() == numpy_rng.random()
-        # A network whose greedy action is actions[hot].
-        hot = seed % len(actions)
+        # A network whose greedy action is legal[hot].
+        tree = trees[len(actions)]
+        view = tree.infosets[0].views[0]
+        legal = view.legal_actions
+        hot = seed % len(legal)
         theta = np.zeros(nets.theta_size(sig))
-        theta[17:] = -abs(np.arange(17) - actions[hot])
-        view = InfosetView("s", tuple(actions), np.zeros(1))
-        for policy, p in ((TabularPolicy({"s": weights}),
+        theta[17:] = -abs(np.arange(17) - legal[hot])
+        for policy, p in ((TabularPolicy({view.key: weights}),
                            weights / weights.sum()),
                           (ParametricPolicy(sig, theta),
-                           np.eye(len(actions))[hot])):
+                           np.eye(len(legal))[hot])):
+            reading = policy.reading(tree, 0)
             for _ in range(2):
-                expected = actions[numpy_rng.choice(len(actions), p=p)]
-                assert policy.draw(view, ours) == expected
+                expected = legal[numpy_rng.choice(len(legal), p=p)]
+                assert reading.draw(policy, view, ours) == expected
                 assert ours.random() == numpy_rng.random()
 
 
@@ -522,7 +537,7 @@ def test_kuhn_payouts():
     assert call.returns() == (2.0, -2.0)
 
 
-@pytest.mark.parametrize("name,params", ALL_GAMES)
+@pytest.mark.parametrize("name,params", ALL_GAMES, ids=ALL_GAME_IDS)
 def test_zero_sum_conservation(name, params):
     game = make_game(name, params)
     uniform = TabularPolicy()
@@ -532,7 +547,7 @@ def test_zero_sum_conservation(name, params):
         assert abs(v0 + v1) < 1e-10
 
 
-@pytest.mark.parametrize("name,params", ALL_GAMES)
+@pytest.mark.parametrize("name,params", ALL_GAMES, ids=ALL_GAME_IDS)
 def test_chance_probabilities_sum_to_one(name, params):
     game = make_game(name, params)
     rng = np.random.default_rng(1)
@@ -547,7 +562,7 @@ def test_chance_probabilities_sum_to_one(name, params):
         state = state.child(legal[rng.integers(len(legal))])
 
 
-@pytest.mark.parametrize("name,params", ALL_GAMES)
+@pytest.mark.parametrize("name,params", ALL_GAMES, ids=ALL_GAME_IDS)
 def test_playthroughs_respect_max_length(name, params):
     game = make_game(name, params)
     rng = np.random.default_rng(2)
@@ -565,7 +580,7 @@ def test_playthroughs_respect_max_length(name, params):
         assert moves <= game.max_game_length
 
 
-@pytest.mark.parametrize("name,params", ALL_GAMES)
+@pytest.mark.parametrize("name,params", ALL_GAMES, ids=ALL_GAME_IDS)
 def test_perfect_recall_keys_follow_observations(name, params):
     """Histories with equal own observation sequences share an infoset key."""
     game = make_game(name, params)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamepop import nets
-from gamepop.games import CHANCE, make_game
+from gamepop.games import expected_value, make_game, play_episode
 from gamepop.nets import ArchSignature
 from gamepop.policies import (InfosetView, ParametricPolicy, PointPolicy,
                               PolicyError, PolicyMixture, TabularPolicy,
@@ -443,10 +443,14 @@ def test_theta_is_a_read_only_copy():
         policy.theta[0] = 1.0
 
 
-def test_memoized_greedy_decisions_match_a_fresh_forward(monkeypatch):
-    """Every Leduc decision node, both players: the memo answers exactly what
-    one forward and a masked argmax give, with one forward per infoset."""
+def test_a_network_member_makes_one_forward_per_infoset_in_either_order(
+        monkeypatch):
+    """One network member's readings serve sampled draws and exact passes
+    alike: drawn from first and then evaluated exactly, or the other way
+    round, it makes one forward per Leduc infoset in all, and each row is
+    the one-hot on the masked argmax of a fresh forward."""
     game = make_game("leduc_poker", {})
+    tree = game.tree
     sig = ArchSignature(game.encoding_dim(), (8,),
                         game.num_distinct_actions())
     forwards = []
@@ -457,35 +461,31 @@ def test_memoized_greedy_decisions_match_a_fresh_forward(monkeypatch):
         return real_forward(*args)
 
     monkeypatch.setattr(nets, "forward", counted_forward)
-    views = game.tree.views
-    for policy in (scratch_init("normal", sig, 5),
-                   ParametricPolicy(sig, np.zeros(nets.theta_size(sig)))):
+    count = sum(len(infosets.views) for infosets in tree.infosets)
+    for order in (("draws", "pass"), ("pass", "draws")):
+        policy = scratch_init("normal", sig, 5)
         forwards.clear()
-        infosets = set()
-        stack = [game.initial_state()]
-        while stack:
-            state = stack.pop()
-            player = state.current_player
-            if state.is_terminal:
-                continue
-            if player == CHANCE:
-                stack.extend(state.child(a)
-                             for a, _ in state.chance_outcomes())
-                continue
-            stack.extend(state.child(a) for a in state.legal_actions())
-            view = views[player, state.infoset_key(player)]
-            probs = policy.action_probs(view)
-            assert not probs.flags.writeable
-            with pytest.raises(ValueError):
-                probs[0] = 0.5
-            legal = list(view.legal_actions)
-            q = real_forward(sig, policy.theta, view.features)
-            expected = np.zeros(len(legal))
-            expected[int(np.argmax(q[legal]))] = 1.0
-            assert probs.tobytes() == expected.tobytes()
-            infosets.add((player, view.key))
-        assert {p for p, _ in infosets} == {0, 1}
-        assert len(forwards) == len(infosets)
+        for step in order:
+            if step == "draws":
+                rng = np.random.default_rng(0)
+                for _ in range(200):
+                    play_episode(game, (policy, policy), rng)
+                assert 0 < len(forwards) <= count
+            else:
+                # A uniform member reaches every node, so the pass reads
+                # the network at every infoset of both players.
+                expected_value(game, [PolicyMixture(
+                    [policy, TabularPolicy()], [0.5, 0.5])] * 2)
+                assert len(forwards) == count
+        assert len(forwards) == count
+        for player, infosets in enumerate(tree.infosets):
+            reading = policy.reading(tree, player)
+            assert reading.read.all()
+            for view in infosets.views:
+                q = real_forward(sig, policy.theta, view.features)
+                expected = np.zeros(reading.rows.shape[1])
+                expected[int(np.argmax(q[list(view.legal_actions)]))] = 1.0
+                assert reading.rows[view.index].tobytes() == expected.tobytes()
 
 
 def test_shared_distributions_are_stored_as_is_with_one_cdf():
@@ -496,12 +496,12 @@ def test_shared_distributions_are_stored_as_is_with_one_cdf():
     from gamepop.policies import _one_hot, _uniform
 
     hot = _one_hot(3, 1)
-    tabular = TabularPolicy({"s": hot})
-    assert tabular.table["s"] is hot
+    tabular = TabularPolicy({"p0": hot})
+    assert tabular.table["p0"] is hot
     own = np.array([0.0, 1.0, 0.0])
-    copied = TabularPolicy({"s": own})
-    assert copied.table["s"] is not own and own.flags.writeable
-    assert not copied.table["s"].flags.writeable
+    copied = TabularPolicy({"p0": own})
+    assert copied.table["p0"] is not own and own.flags.writeable
+    assert not copied.table["p0"].flags.writeable
     with pytest.raises(PolicyError):
         TabularPolicy({"s": np.array([1.5, -0.5, 0.0])})
 
@@ -509,19 +509,24 @@ def test_shared_distributions_are_stored_as_is_with_one_cdf():
     theta = np.zeros(nets.theta_size(sig))
     theta[3:] = [0.0, 1.0, 0.0]  # greedy on action 1
     network = ParametricPolicy(sig, theta)
-    view = InfosetView("s", (0, 1, 2), np.zeros(1))
-    unseen = InfosetView("t", (0, 1), np.zeros(1))
+    # Player 0's one view has actions (0, 1, 2), player 1's (0, 1).
+    tree = make_game("matrix_game", {"rows": [[0, 0]] * 3}).tree
+    view, unseen = (infosets.views[0] for infosets in tree.infosets)
     rng = np.random.default_rng(0)
     for policy in (tabular, copied, network):
-        assert policy.draw(view, rng) == 1
-    assert tabular._cdfs[view] is network._cdfs[view]
-    assert copied._cdfs[view] is not network._cdfs[view]
-    assert copied._cdfs[view].tobytes() == network._cdfs[view].tobytes()
+        assert policy.reading(tree, 0).draw(policy, view, rng) == 1
+
+    def cdf(policy, player):
+        return policy.reading(tree, player).cdfs[0]
+
+    assert cdf(tabular, 0) is cdf(network, 0)
+    assert cdf(copied, 0) is not cdf(network, 0)
+    assert cdf(copied, 0).tobytes() == cdf(network, 0).tobytes()
     other = TabularPolicy()
     for policy in (tabular, other):
-        policy.draw(unseen, rng)
+        policy.reading(tree, 1).draw(policy, unseen, rng)
     assert tabular.action_probs(unseen) is _uniform(2)
-    assert tabular._cdfs[unseen] is other._cdfs[unseen]
+    assert cdf(tabular, 1) is cdf(other, 1)
 
 
 def test_mixture_validation():

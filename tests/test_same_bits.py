@@ -44,6 +44,10 @@ TREE_GAMES = [
     ("goofspiel", {"num_cards": 4}),
     ("matrix_game", {"rows": [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]}),
 ]
+# Each case's ID, fixed per entry so that adding or deleting a game renames
+# no other case. They are the IDs these cases had when pytest numbered them
+# by position, kept so that no case was renamed when they were fixed.
+TREE_GAME_IDS = ["0", "1", "2", "3", "4"]
 
 
 def test_every_shipped_tree_game_is_covered():
@@ -349,21 +353,26 @@ def _policy(kind, game, rng):
 _KINDS = st.sampled_from(["tabular", "network", "mixture", "shared"])
 
 
-@pytest.mark.parametrize("index", range(len(TREE_GAMES)))
+@pytest.mark.parametrize("index", range(len(TREE_GAMES)), ids=TREE_GAME_IDS)
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(kinds=st.tuples(_KINDS, _KINDS), seed=st.integers(0, 2**32 - 1),
        episodes=st.integers(1, 60))
 def test_sampled_episodes_match_reference(index, kinds, seed, episodes):
-    """Episodes played by each policy's memoized ``draw`` (mixtures drawing
-    a member per episode) return the same Python floats, ask the same
+    """Episodes drawn from each policy's readings (mixtures drawing a
+    member per episode) return the same Python floats, ask the same
     decisions and leave the generator as the reference does."""
     game = _game(index)
     rng = np.random.default_rng(seed)
     policies = [_policy(kind, game, rng) for kind in kinds]
+
+    def reading_draw(policy, view, rng):
+        # The view's player: the tree holds one view per (player, key).
+        player = int(game.tree.views.get((1, view.key)) is view)
+        return policy.reading(game.tree, player).draw(policy, view, rng)
+
     runs = []
     for episode, member, policy_draw in (
-            (sample_episode, sample_member,
-             lambda policy, view, rng: policy.draw(view, rng)),
+            (sample_episode, sample_member, reading_draw),
             (_ref_sample_episode, _ref_sample_member, _ref_policy_draw)):
         rng = np.random.default_rng(seed)
         asked, returns = [], []
@@ -733,7 +742,7 @@ _PASSES = st.sampled_from(["mixtures", "row", "column", "respond0",
                            "respond1", "exploitability"])
 
 
-@pytest.mark.parametrize("index", range(len(TREE_GAMES)))
+@pytest.mark.parametrize("index", range(len(TREE_GAMES)), ids=TREE_GAME_IDS)
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        passes=st.lists(_PASSES, min_size=2, max_size=7))
