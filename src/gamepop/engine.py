@@ -790,7 +790,6 @@ def _kl_compare_row(config, seed, t, player, arena, pop, sigma):
     scratch = arena.scratch(_derive_seed(seed, t, player, 5), "normal")
     states = config.diagnostics.kl_states
     kl_seed = _mix_seed(seed, t, player, 7)
-    values = [kl_to_ensemble(candidate, mixture, arena.game, states, kl_seed,
-                             player=player)
-              for candidate in (fused, inherit, scratch)]
-    return (t, player, values[0], values[1], values[2])
+    values = kl_to_ensemble((fused, inherit, scratch), mixture, arena.game,
+                            states, kl_seed, player=player)
+    return (t, player, *values)

@@ -16,13 +16,13 @@ and policies see a decision node as its `InfosetView`, which knows its
 row in its player's `Infosets`: sampled and exact play read a policy
 through its `gamepop.policies.Reading` of those rows.
 
-Exact evaluation reads `FlatTree.plan` besides: per level, the index
-arrays its passes gather and scatter with, built on the first exact pass.
+Exact evaluation and every reading walk `FlatTree.plan` besides: per
+level, the index arrays they gather and scatter with, built on first use.
 
 Sampled episodes walk `FlatTree.walk` instead: the same tree as typed
 arrays and a tuple of Python objects, built on the first sampled episode
-(exact evaluation never builds it, and sampling never builds the plan), so
-a step reads Python ints and objects rather than numpy scalars.
+(exact evaluation never builds it), so a step reads Python ints and
+objects rather than numpy scalars.
 Each chance node's CDF there holds the floats of `FlatTree.chance_cdfs`,
 and `draw` searches a CDF with `bisect.bisect_right`, which probes as numpy's
 ``searchsorted(side="right")`` does (the same midpoint rule, for any array
@@ -292,10 +292,11 @@ class FlatTree:
     def plan(self) -> tuple[LevelPlan, ...]:
         """One `LevelPlan` per level: what the exact passes of
         `gamepop.games.evaluate` would otherwise derive from the tree on
-        every call. Built on the first exact pass and read-only; sampling
-        never builds it. Offsets and infoset indices are stored as narrow
-        as their ranges allow, one past the largest included (uint16 on
-        Leduc); the passes only index with them, so no sum can wrap."""
+        every call, and each `gamepop.policies.Reading` walks once. Built
+        on first use and read-only. Offsets and infoset indices are stored
+        as narrow as their ranges allow, one past the largest included
+        (uint16 on Leduc); the passes only index with them, so no sum can
+        wrap."""
         levels, plan = self.levels, []
         offset = np.min_scalar_type(np.diff(levels).max())
         index = np.min_scalar_type(max(len(i.views) for i in self.infosets))
@@ -477,5 +478,5 @@ def play_episode(game: Game, policies,
     distribution for player i, drawn from its `Reading` of the tree."""
     tree = game.tree
     readings = (policies[0].reading(tree, 0), policies[1].reading(tree, 1))
-    return sample_episode(game, lambda player, view: readings[player].draw(
-        policies[player], view, rng), rng)
+    return sample_episode(
+        game, lambda player, view: readings[player].draw(view, rng), rng)

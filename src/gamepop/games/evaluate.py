@@ -14,24 +14,21 @@ them per call. `_descend`, the only step that reads policies, goes down: a
 child's reach is its parent's times the entry of the action leading to it
 in an (infosets x members x actions) table, stacked from the members'
 readings (`policies.Reading`, one per policy and player, shared with
-sampled play): a pass reads a member at an infoset holding a node the
-pass reaches unless its reading has that row, so a member is read once
-per infoset for as long as it keeps that reading. `best_response` fills
-its response's reading when it makes it, so a new exact-oracle member is
-never read row by row. `_ascend` goes up: a node's value is 0.0 plus its
-children's, added in slot order. `best_response` ascends once with one
-full value array and decides each responder infoset on the one level
-that holds its nodes, after the level below has its values.
+sampled play, each read once where its policy's own play reaches).
+`best_response` writes its response's reading when it makes it, so a new
+exact-oracle member is never read. `_ascend` goes up: a node's value is
+0.0 plus its children's, added in slot order. `best_response` ascends once
+with one full value array and decides each responder infoset on the one
+level that holds its nodes, after the level below has its values.
 
 Every value takes the same floating-point operations, in the same order,
 as a recursive walk that skips each branch no member plays (the reference
 in tests/test_evaluate.py): the passes here skip nothing, but a skipped
 branch is worth +0.0 or -0.0, and adding either to a total that starts at
-+0.0, and so is never -0.0, leaves the total as it is. A row that an
-earlier read filled, at an infoset this pass does not reach, only enters the
-reaches below nodes this pass does not reach either, where some side's
-reach is already +0.0 or -0.0: every terminal there is still worth a zero
-(its sign may differ), so it too leaves every total as it is.
++0.0, and so is never -0.0, leaves the total as it is. At a node that a
+member's own play does not reach, its reach is +0.0 or -0.0 in every pass;
+its row there, whether read or an unread zero, only changes the sign of
+that zero, and so it too leaves every total as it is.
 
 `expected_value` also resolves one side by member: given a list of policies
 on that side, its pass keeps one reach entry per listed policy and never
@@ -67,17 +64,12 @@ def _descend(flat: FlatTree, sides):
     the side folds and one column per member if not; and whether the pass
     reaches each node. The root is reached, and a child of a side's
     decision node is reached if its parent is and some member of that side
-    plays the action. A member is read at an infoset of its player that
-    holds a reached node unless its reading has that row: this pass reads
-    the rows from a stack of the members' readings.
+    plays the action. The members' rows are their readings' rows, stacked.
     """
     levels, plan = flat.levels, flat.plan
-    readers, tables, reads = [], [], []
-    for player, members, _, _ in sides:
-        readings = [member.reading(flat, player) for member in members]
-        readers.append(list(zip(members, readings)))
-        tables.append(np.stack([r.rows for r in readings], axis=1))
-        reads.append(np.stack([r.read for r in readings], axis=1))
+    tables = [np.stack([member.reading(flat, player).rows
+                        for member in members], axis=1)
+              for player, members, _, _ in sides]
     reach = [np.asarray(weights, dtype=float)[None, :]
              for _, _, weights, _ in sides]
     chance = np.ones(1)
@@ -95,15 +87,8 @@ def _descend(flat: FlatTree, sides):
         up = level.up
         chance = chance[up] * level.prob
         alive_below = alive[up]
-        for i, (player, members, _, _) in enumerate(sides):
+        for i, (player, _, _, _) in enumerate(sides):
             mine = level.players[player]
-            due = mine.infoset[alive[mine.nodes]]
-            unread = ~reads[i][due]
-            if unread.any():
-                views = flat.infosets[player].views
-                due = sorted(set(due[unread.any(axis=1)].tolist()))
-                _read_due(tables[i], reads[i], readers[i],
-                          [views[k] for k in due])
             r = reach[i] = reach[i][up]
             moves = mine.moves
             moved = r[moves] * tables[i][mine.move_infoset, :,
@@ -113,19 +98,6 @@ def _descend(flat: FlatTree, sides):
         alive = alive_below
     return (np.concatenate(leaf_chance),
             [np.concatenate(r) for r in leaf_reach], reached)
-
-
-def _read_due(table, reads, readers, due):
-    """Fill the entries of ``table`` at the views ``due``, in infoset order,
-    that ``reads``, the members' stacked read masks, lacks, each from the
-    row of a member's reading (``readers[m]``, the member and its
-    reading); a member listed twice shares one reading, read once."""
-    for view in due:
-        i = view.index
-        for m in np.flatnonzero(~reads[i]).tolist():
-            member, reading = readers[m]
-            table[i, m] = reading.row(member, view)
-        reads[i] = True
 
 
 def _add_children(level: LevelPlan, here, below):
@@ -191,7 +163,7 @@ def _respond(flat: FlatTree, opponent_mixture, responder: int):
     chance and opponent reach times the responder's utility, and each
     responder node its best action's child.
     """
-    from ..policies import TabularPolicy, _one_hot
+    from ..policies import Reading, TabularPolicy, _one_hot
 
     members, weights = _as_members(opponent_mixture)
     chance, (fold,), reached = _descend(
@@ -206,12 +178,11 @@ def _respond(flat: FlatTree, opponent_mixture, responder: int):
         for i in decided.tolist()})
     # Its reading, filled as `action_probs` would: the one-hot of each
     # decided infoset, the uniform default elsewhere.
-    reading = policy.reading(flat, responder)
+    reading = policy._readings[responder] = Reading(flat, responder)
     rows, width = reading.rows, infosets.num_actions[:, None]
     np.divide(1.0, width, out=rows, where=np.arange(rows.shape[1]) < width)
     rows[decided] = 0.0
     rows[decided, best[decided]] = 1.0
-    reading.read[:] = True
     return policy, value[0], chance, fold[:, 0]
 
 

@@ -69,7 +69,7 @@ def run_learner_episode(game: Game, player: int, select, opponent,
     def choose(current, view):
         nonlocal pending
         if current != player:
-            return reading.draw(opponent, view, rng)
+            return reading.draw(view, rng)
         action = select(view)
         assert action in view.legal_actions, "oracle chose an illegal action"
         if pending is not None:
@@ -156,13 +156,12 @@ def psd_intrinsic_reward(steps: list[Step], new_policy, hull_samples,
     rewards = np.array([s.reward for s in steps], dtype=float)
     if lam == 0.0 or not steps:
         return rewards
+    news = [floored(new_policy.dist_at(step.view)) for step in steps]
     divergences = []
     for sample in hull_samples:
         total = 0.0
-        for step in steps:
-            p = floored(new_policy.dist_at(step.view))
-            q = sample.dist_at(step.view)
-            total += kl_divergence(p, q)
+        for step, p in zip(steps, news):
+            total += kl_divergence(p, sample.dist_at(step.view))
         divergences.append(total / len(steps))
     bonus = lam * min(divergences)
     horizon = len(steps)

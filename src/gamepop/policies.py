@@ -21,10 +21,11 @@ uniform and one-hot ones are shared, each with one shared CDF.
 
 Exact evaluation and sampled play read a tabular or network policy through
 its `Reading` of one player's infosets in a compiled tree, which asks
-`action_probs` once per infoset: exact passes stack its table, and sampled
-play draws from its CDFs what `sample_action` would draw, with the same
-generator use. `gamepop.games.base.draw` searches a CDF with `bisect`,
-probing as ``searchsorted`` does.
+`action_probs` once per infoset the policy's own play reaches, when it is
+made: exact passes stack its table, and sampled play draws from its CDFs
+what `sample_action` would draw, with the same generator use.
+`gamepop.games.base.draw` searches a CDF with `bisect`, probing as
+``searchsorted`` does.
 """
 
 from __future__ import annotations
@@ -101,40 +102,44 @@ def greedy_index(q: np.ndarray, legal_actions: tuple[int, ...]) -> int:
 
 class Reading:
     """A policy's `action_probs` at one player's infosets in a compiled
-    tree, asked at most once per infoset. Once ``read[i]`` is set, row i of
-    ``rows`` (infosets x actions, zero past the legal actions) holds it at
-    infoset i; ``cdfs[i]`` is the CDF draws there use: a shared
-    distribution's CDF, else the row's `checked_cdf`, made on its first
-    draw. It refers to its tree weakly, and to no policy or view: reads
-    take both."""
-    __slots__ = ("tree", "rows", "read", "cdfs")
+    tree, read once, when the reading is made, at each infoset its own play
+    reaches: from the root, every child of a chance or opponent node is
+    reached, and a child of its player's node if the row's entry for that
+    action is nonzero. Row i of ``rows`` (infosets x actions, zero past the
+    legal actions and at infosets not reached) holds it at infoset i;
+    ``cdfs[i]`` is the CDF draws there use: a shared distribution's CDF,
+    else the row's `checked_cdf`, made on its first draw. Made without a
+    policy, every row is zero for the caller to write. It refers to its
+    tree weakly, and to no policy or view."""
+    __slots__ = ("tree", "rows", "cdfs")
 
-    def __init__(self, tree: FlatTree, player: int):
-        actions = tree.infosets[player].num_actions
+    def __init__(self, tree: FlatTree, player: int, policy=None):
+        infosets = tree.infosets[player]
+        actions = infosets.num_actions
         self.tree = weakref.ref(tree)
         self.rows = np.zeros((len(actions), actions.max(initial=1)))
-        self.read = np.zeros(len(actions), bool)
         self.cdfs: list[np.ndarray | None] = [None] * len(actions)
+        if policy is None:
+            return
+        reached = np.ones(1, bool)
+        for level in tree.plan:
+            mine = level.players[player]
+            # Sorted without np.unique, which imports numpy.ma.
+            for i in sorted(set(mine.infoset[reached[mine.nodes]].tolist())):
+                probs = policy.action_probs(infosets.views[i])
+                self.rows[i, :len(probs)] = probs
+                self.cdfs[i] = _shared_cdf(probs)
+            reached = reached[level.up]
+            reached[mine.moves] &= self.rows[mine.move_infoset,
+                                             mine.move_slot] != 0
 
-    def row(self, policy, view: InfosetView) -> np.ndarray:
-        """The row of ``view``, filled by one ``policy.action_probs(view)``
-        call if it was never read."""
-        i = view.index
-        if not self.read[i]:
-            probs = policy.action_probs(view)
-            self.rows[i, :len(probs)] = probs
-            self.read[i] = True
-            self.cdfs[i] = _shared_cdf(probs)
-        return self.rows[i]
-
-    def draw(self, policy, view: InfosetView, rng: np.random.Generator) -> int:
+    def draw(self, view: InfosetView, rng: np.random.Generator) -> int:
         """The legal action ``sample_action(policy.action_probs(view),
-        view.legal_actions, rng)`` draws, leaving ``rng`` as it would."""
-        i = view.index
+        view.legal_actions, rng)`` draws, leaving ``rng`` as it would, at a
+        view its policy's own play reaches."""
+        i, width = view.index, len(view.legal_actions)
         if self.cdfs[i] is None:
-            row, width = self.row(policy, view), len(view.legal_actions)
-            if self.cdfs[i] is None:
-                self.cdfs[i] = checked_cdf(row[:width], width)
+            self.cdfs[i] = checked_cdf(self.rows[i, :width], width)
         return view.legal_actions[draw(self.cdfs[i], rng)]
 
 
@@ -145,10 +150,10 @@ class _Read:
     def reading(self, tree: FlatTree, player: int) -> Reading:
         """This policy's `Reading` of ``player``'s infosets in ``tree``. A
         policy keeps one per player: a call for another tree replaces it
-        with one that has read nothing."""
+        with one read on that tree."""
         reading = self._readings[player]
         if reading is None or reading.tree() is not tree:
-            reading = self._readings[player] = Reading(tree, player)
+            reading = self._readings[player] = Reading(tree, player, self)
         return reading
 
 
@@ -403,10 +408,12 @@ def sample_infoset_views(mixture: PolicyMixture, game: Game, player: int,
     return list(views)
 
 
-def kl_to_ensemble(candidate, mixture: PolicyMixture, game: Game,
+def kl_to_ensemble(candidates, mixture: PolicyMixture, game: Game,
                    num_states: int = 512, seed: int = 0,
-                   player: int = 0) -> float:
-    """Mean KL(ensemble || candidate) over sampled infosets.
+                   player: int = 0) -> list[float]:
+    """Mean KL(ensemble || candidate) over sampled infosets, per candidate
+    in ``candidates``; the infosets and the ensemble's distributions there
+    are computed once for all of them.
 
     The ensemble direction is used so any state mass the mixture cares about
     must be covered by the candidate; the candidate distribution is floored
@@ -417,13 +424,15 @@ def kl_to_ensemble(candidate, mixture: PolicyMixture, game: Game,
         raise ValueError("num_states must be >= 1")
     views = sample_infoset_views(mixture, game, player, num_states, seed)
     if not views:
-        return 0.0
-    total = 0.0
-    for view in views:
-        p = ensemble_distribution(mixture, view)
-        q = candidate.dist_at(view)
-        total += kl_divergence(p, q)
-    return total / len(views)
+        return [0.0] * len(candidates)
+    targets = [ensemble_distribution(mixture, view) for view in views]
+    means = []
+    for candidate in candidates:
+        total = 0.0
+        for view, p in zip(views, targets):
+            total += kl_divergence(p, candidate.dist_at(view))
+        means.append(total / len(views))
+    return means
 
 
 def distill(mixture: PolicyMixture, student_signature: ArchSignature,

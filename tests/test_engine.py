@@ -620,22 +620,6 @@ class TestGameReuse:
         assert {policy for policy, _ in reads} == {
             history.populations[0][0], history.populations[1][0]}
 
-    def test_sampling_runs_build_no_plan(self):
-        """A run with a sampling oracle, Monte Carlo payoffs and no exact
-        exploitability makes no exact pass, so its tree builds the walk
-        but not the plan."""
-        self.game("kuhn_poker", {})  # the kept Leduc game, if any, goes
-        config = PsroConfig(game={"name": "leduc_poker", "params": {}},
-                            oracle=QLearningOracle(episodes=50), mss=Nash(),
-                            init=(InheritLatest(), InheritLatest()),
-                            iterations=2,
-                            eval=EvalSpec(exact_exploitability_every=0),
-                            payoff=PayoffSpec(mode="monte_carlo",
-                                              episodes=20))
-        run_psro(config, seed=0)
-        built = vars(_build_arena(config).game.tree)
-        assert "walk" in built and "plan" not in built
-
 
 class TestApproximateExploitability:
     def test_profile_value_computed_once(self, monkeypatch):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import gamepop.games.base as base
 from gamepop.games import (CHANCE, TERMINAL, InfosetView,
                            TraversalBudgetError, best_response,
-                           expected_value, exploitability, make_game)
+                           expected_value, exploitability, make_game,
+                           play_episode)
 from gamepop.games.evaluate import _as_members
 from gamepop.nets import ArchSignature
 from gamepop.policies import PolicyMixture, TabularPolicy, scratch_init
@@ -492,55 +493,49 @@ def _reached_nodes(tree, mixture, player):
 
 
 def _infosets_of(tree, nodes, player):
-    return len({tree.view(node) for node in nodes
-                if tree.owner(node) == player})
+    return {tree.view(node) for node in nodes if tree.owner(node) == player}
 
 
-def _count_reads(mixture):
-    """Replace each member's `action_probs` by one that counts its calls
-    into the returned list."""
-    calls = [0] * len(mixture.members)
-    for i, member in enumerate(mixture.members):
-        def counted(view, i=i, read=member.action_probs):
-            calls[i] += 1
+def _record_reads(members):
+    """Replace each member's `action_probs` by one that records the views
+    it is asked at into the returned lists, one per member."""
+    calls = [[] for _ in members]
+    for i, member in enumerate(members):
+        def recorded(view, i=i, read=member.action_probs):
+            calls[i].append(view)
             return read(view)
-        member.action_probs = counted
+        member.action_probs = recorded
     return calls
 
 
 @pytest.mark.parametrize("name,params", TREE_GAMES, ids=TREE_GAME_IDS)
-def test_br_reads_each_member_once_per_reached_opponent_node(name, params):
-    """Each member is read once per opponent infoset that the mixture
-    reaches, however many of its nodes are reached."""
+def test_a_reading_reads_once_where_its_own_play_reaches(name, params):
+    """Making a member's reading asks it once at each infoset of its player
+    that its own play reaches (a one-member mixture's reached nodes, found
+    by brute force), and nowhere else; later exact passes, best responses
+    and draws ask nothing more."""
     game = make_game(name, params)
-    for responder in (0, 1):
-        opponent = 1 - responder
-        mixture = _scratch_mixture(game, [0.2, 0.3, 0.0, 0.5], seed=4)
-        tree = StateWalk(game)
-        expected = _infosets_of(
-            tree, _reached_nodes(tree, mixture, opponent).values(), opponent)
-        calls = _count_reads(mixture)
-        best_response(game, mixture, responder)
-        assert calls == [expected] * len(mixture.members)
-
-
-@pytest.mark.parametrize("name,params", TREE_GAMES, ids=TREE_GAME_IDS)
-def test_ev_reads_each_member_once_per_reached_infoset(name, params):
-    """Each member is read once per infoset of its player holding a node
-    that both mixtures reach."""
-    game = make_game(name, params)
-    profile = (_scratch_mixture(game, [0.2, 0.3, 0.0, 0.5], seed=4),
-               _scratch_mixture(game, [0.6, 0.0, 0.4], seed=9))
     tree = StateWalk(game)
-    reached = [_reached_nodes(tree, profile[player], player)
-               for player in (0, 1)]
-    both = [node for path, node in reached[0].items() if path in reached[1]]
-    expected = [_infosets_of(tree, both, player) for player in (0, 1)]
-    calls = [_count_reads(mixture) for mixture in profile]
-    expected_value(game, profile)
     for player in (0, 1):
-        assert calls[player] == [expected[player]] * len(
-            profile[player].members)
+        mixture = _scratch_mixture(game, [0.2, 0.3, 0.0, 0.5], seed=4)
+        members = mixture.members
+        expected = [_infosets_of(tree, _reached_nodes(
+            tree, PolicyMixture([member], [1.0]), player).values(), player)
+            for member in members]
+        calls = _record_reads(members)
+        members[0].reading(game.tree, player)
+        assert len(calls[0]) == len(expected[0])
+        assert set(calls[0]) == expected[0]
+        best_response(game, mixture, 1 - player)
+        profile = [TabularPolicy(), TabularPolicy()]
+        profile[player] = mixture
+        expected_value(game, profile)
+        profile[player] = members[0]
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            play_episode(game, profile, rng)
+        assert [len(c) for c in calls] == [len(e) for e in expected]
+        assert [set(c) for c in calls] == expected
 
 
 def test_a_fresh_tree_replaces_the_kept_table():

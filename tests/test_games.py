@@ -96,8 +96,8 @@ def _decision_nodes(state):
                  id="matrix_game-params4"),
 ])
 def test_infoset_key_fixes_legal_actions_and_features(name, params):
-    """A game tree holds one view per (player, infoset key), and network
-    policies memoize one decision per view; that is sound only if the key
+    """A game tree holds one view per (player, infoset key), and a policy's
+    reading holds one row per view; that is sound only if the key
     determines what the decision depends on."""
     game = make_game(name, params)
     seen = {}
@@ -417,9 +417,8 @@ def test_sampled_episodes_match_a_direct_state_walk(name, params):
                 assert type(player) is int
                 asked.append((player, view.key))
                 if memoized:
-                    policy = policies[player]
-                    return policy.reading(game.tree, player).draw(
-                        policy, view, rng)
+                    reading = policies[player].reading(game.tree, player)
+                    return reading.draw(view, rng)
                 return sample_action(policies[player].action_probs(view),
                                      view.legal_actions, rng)
 
@@ -482,7 +481,7 @@ def test_sample_action_draws_as_generator_choice():
             reading = policy.reading(tree, 0)
             for _ in range(2):
                 expected = legal[numpy_rng.choice(len(legal), p=p)]
-                assert reading.draw(policy, view, ours) == expected
+                assert reading.draw(view, ours) == expected
                 assert ours.random() == numpy_rng.random()
 
 

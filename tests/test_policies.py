@@ -264,8 +264,8 @@ class TestKlToEnsemble:
         game = make_game("kuhn_poker")
         uniform = TabularPolicy()
         mix = PolicyMixture([uniform], [1.0])
-        assert kl_to_ensemble(uniform, mix, game, 64, 0) == pytest.approx(
-            0.0, abs=1e-12)
+        assert kl_to_ensemble([uniform], mix, game, 64, 0) == [
+            pytest.approx(0.0, abs=1e-12)]
 
     def test_greedy_candidate_floored_value(self):
         # KL(uniform || floored pure) on a 2-action infoset, computed from
@@ -279,7 +279,7 @@ class TestKlToEnsemble:
         q = np.maximum(np.array([1.0, 0.0]), floor)
         q /= q.sum()
         expected = 0.5 * math.log(0.5 / q[0]) + 0.5 * math.log(0.5 / q[1])
-        got = kl_to_ensemble(pure, mix, game, 8, 0)
+        [got] = kl_to_ensemble([pure], mix, game, 8, 0)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_deterministic_given_seed(self):
@@ -288,8 +288,8 @@ class TestKlToEnsemble:
         pure = scratch_init("normal",
                             ArchSignature(game.encoding_dim(), (8,),
                                           game.num_distinct_actions()), 3)
-        a = kl_to_ensemble(pure, mix, game, 32, 7)
-        b = kl_to_ensemble(pure, mix, game, 32, 7)
+        a = kl_to_ensemble([pure], mix, game, 32, 7)
+        b = kl_to_ensemble([pure], mix, game, 32, 7)
         assert a == b
 
 
@@ -447,7 +447,8 @@ def test_a_network_member_makes_one_forward_per_infoset_in_either_order(
         monkeypatch):
     """One network member's readings serve sampled draws and exact passes
     alike: drawn from first and then evaluated exactly, or the other way
-    round, it makes one forward per Leduc infoset in all, and each row is
+    round, it makes one forward per Leduc infoset its own play reaches, all
+    when its readings are made by the first step, and each row it read is
     the one-hot on the masked argmax of a fresh forward."""
     game = make_game("leduc_poker", {})
     tree = game.tree
@@ -462,6 +463,7 @@ def test_a_network_member_makes_one_forward_per_infoset_in_either_order(
 
     monkeypatch.setattr(nets, "forward", counted_forward)
     count = sum(len(infosets.views) for infosets in tree.infosets)
+    made = []
     for order in (("draws", "pass"), ("pass", "draws")):
         policy = scratch_init("normal", sig, 5)
         forwards.clear()
@@ -470,22 +472,24 @@ def test_a_network_member_makes_one_forward_per_infoset_in_either_order(
                 rng = np.random.default_rng(0)
                 for _ in range(200):
                     play_episode(game, (policy, policy), rng)
-                assert 0 < len(forwards) <= count
             else:
-                # A uniform member reaches every node, so the pass reads
-                # the network at every infoset of both players.
                 expected_value(game, [PolicyMixture(
                     [policy, TabularPolicy()], [0.5, 0.5])] * 2)
-                assert len(forwards) == count
-        assert len(forwards) == count
+            made.append(len(forwards))
+        read = 0
         for player, infosets in enumerate(tree.infosets):
-            reading = policy.reading(tree, player)
-            assert reading.read.all()
+            rows = policy.reading(tree, player).rows
             for view in infosets.views:
+                if not rows[view.index].any():
+                    continue
+                read += 1
                 q = real_forward(sig, policy.theta, view.features)
-                expected = np.zeros(reading.rows.shape[1])
+                expected = np.zeros(rows.shape[1])
                 expected[int(np.argmax(q[list(view.legal_actions)]))] = 1.0
-                assert reading.rows[view.index].tobytes() == expected.tobytes()
+                assert rows[view.index].tobytes() == expected.tobytes()
+        assert read == len(forwards)
+    assert 0 < made[0] < count
+    assert made == [made[0]] * 4
 
 
 def test_shared_distributions_are_stored_as_is_with_one_cdf():
@@ -514,7 +518,7 @@ def test_shared_distributions_are_stored_as_is_with_one_cdf():
     view, unseen = (infosets.views[0] for infosets in tree.infosets)
     rng = np.random.default_rng(0)
     for policy in (tabular, copied, network):
-        assert policy.reading(tree, 0).draw(policy, view, rng) == 1
+        assert policy.reading(tree, 0).draw(view, rng) == 1
 
     def cdf(policy, player):
         return policy.reading(tree, player).cdfs[0]
@@ -524,7 +528,7 @@ def test_shared_distributions_are_stored_as_is_with_one_cdf():
     assert cdf(copied, 0).tobytes() == cdf(network, 0).tobytes()
     other = TabularPolicy()
     for policy in (tabular, other):
-        policy.reading(tree, 1).draw(policy, unseen, rng)
+        policy.reading(tree, 1).draw(unseen, rng)
     assert tabular.action_probs(unseen) is _uniform(2)
     assert cdf(tabular, 1) is cdf(other, 1)
 

@@ -368,7 +368,7 @@ def test_sampled_episodes_match_reference(index, kinds, seed, episodes):
     def reading_draw(policy, view, rng):
         # The view's player: the tree holds one view per (player, key).
         player = int(game.tree.views.get((1, view.key)) is view)
-        return policy.reading(game.tree, player).draw(policy, view, rng)
+        return policy.reading(game.tree, player).draw(view, rng)
 
     runs = []
     for episode, member, policy_draw in (
@@ -748,11 +748,11 @@ _PASSES = st.sampled_from(["mixtures", "row", "column", "respond0",
        passes=st.lists(_PASSES, min_size=2, max_size=7))
 def test_exact_passes_match_reference(index, seed, passes):
     """Several passes over the same members, each with fresh weights, so
-    later passes read rows that earlier ones kept, including rows at
-    infosets this pass does not reach; one member plays for both players,
-    so its kept table is replaced as the passes alternate. Every value has
-    the reference's bytes, sign of zero included; each best response joins
-    its player's members, so later passes read the table it was given."""
+    later passes stack the readings earlier ones made, with rows at
+    infosets this pass does not reach; one member plays for both players
+    and keeps one reading per player. Every value has the reference's
+    bytes, sign of zero included; each best response joins its player's
+    members, so later passes read the reading it was given."""
     game = _game(index)
     rng = np.random.default_rng(seed)
     pools = [_exact_pool(game, rng), _exact_pool(game, rng)]
