@@ -508,6 +508,50 @@ def _record_reads(members):
     return calls
 
 
+def _own_reach(tree, mixture, player):
+    """Per member of `mixture`, the infosets of `player` that the member's
+    own play reaches (a one-member mixture's reached nodes)."""
+    return [_infosets_of(tree, _reached_nodes(
+        tree, PolicyMixture([member], [1.0]), player).values(), player)
+        for member in mixture.members]
+
+
+@pytest.mark.parametrize("name,params", TREE_GAMES, ids=TREE_GAME_IDS)
+def test_br_reads_each_member_once_per_reached_opponent_node(name, params):
+    """A best response reads each opponent member once at each infoset
+    that the member's own play reaches, however many of its nodes are
+    reached, and nowhere else."""
+    game = make_game(name, params)
+    tree = StateWalk(game)
+    for responder in (0, 1):
+        opponent = 1 - responder
+        mixture = _scratch_mixture(game, [0.2, 0.3, 0.0, 0.5], seed=4)
+        expected = _own_reach(tree, mixture, opponent)
+        calls = _record_reads(mixture.members)
+        best_response(game, mixture, responder)
+        assert [len(c) for c in calls] == [len(e) for e in expected]
+        assert [set(c) for c in calls] == expected
+
+
+@pytest.mark.parametrize("name,params", TREE_GAMES, ids=TREE_GAME_IDS)
+def test_ev_reads_each_member_once_per_reached_infoset(name, params):
+    """An expected value reads each member once at each infoset of its
+    player that the member's own play reaches, whatever the other mixture
+    plays, and nowhere else."""
+    game = make_game(name, params)
+    tree = StateWalk(game)
+    profile = (_scratch_mixture(game, [0.2, 0.3, 0.0, 0.5], seed=4),
+               _scratch_mixture(game, [0.6, 0.0, 0.4], seed=9))
+    expected = [_own_reach(tree, profile[player], player)
+                for player in (0, 1)]
+    calls = [_record_reads(mixture.members) for mixture in profile]
+    expected_value(game, profile)
+    for player in (0, 1):
+        assert ([len(c) for c in calls[player]]
+                == [len(e) for e in expected[player]])
+        assert [set(c) for c in calls[player]] == expected[player]
+
+
 @pytest.mark.parametrize("name,params", TREE_GAMES, ids=TREE_GAME_IDS)
 def test_a_reading_reads_once_where_its_own_play_reaches(name, params):
     """Making a member's reading asks it once at each infoset of its player
@@ -519,9 +563,7 @@ def test_a_reading_reads_once_where_its_own_play_reaches(name, params):
     for player in (0, 1):
         mixture = _scratch_mixture(game, [0.2, 0.3, 0.0, 0.5], seed=4)
         members = mixture.members
-        expected = [_infosets_of(tree, _reached_nodes(
-            tree, PolicyMixture([member], [1.0]), player).values(), player)
-            for member in members]
+        expected = _own_reach(tree, mixture, player)
         calls = _record_reads(members)
         members[0].reading(game.tree, player)
         assert len(calls[0]) == len(expected[0])
