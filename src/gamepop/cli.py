@@ -151,8 +151,8 @@ def evaluate_run(run_dir: str) -> int:
         raise ConfigError(f"{run_dir}: expected a seed_<n> directory") from exc
     arena = _checked_arena(config)
 
-    # A run starts results.csv afresh, so checkpoints and matrices past its
-    # last row are left from an earlier, longer run into the same directory.
+    # The run's iterations are the rows of results.csv: a run that stopped
+    # within an iteration may have written that iteration's checkpoints.
     results = os.path.join(run_dir, "results.csv")
     pops = arena.initial_populations(seed)
     try:

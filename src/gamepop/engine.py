@@ -17,6 +17,7 @@ the field at fault: an oracle that does not fit the game, or an option of
 from __future__ import annotations
 
 import csv
+import glob
 import json
 import operator
 import os
@@ -389,15 +390,27 @@ TIMINGS_COLUMNS = ["iteration", "t_meta", "t_br", "t_fusion", "t_payoff",
 RESULTS_VERSION = "gamepop-results-v1"
 
 
+# The outputs of an earlier run into a reused directory that a run might
+# not write again, deleted when it starts; it writes `results.csv` and
+# `timings.csv` afresh.
+_EARLIER_OUTPUTS = ("payoff_matrix_*.txt", "checkpoints/iter_*_p*.json",
+                    "curves/iter_*_p*.csv", "trajectories.csv",
+                    "kl_compare.csv")
+
+
 class _RunWriter:
     """Incremental per-run output; partial results stay on disk if the run
     aborts. Timing columns live in a separate file so results.csv is
-    byte-reproducible for a given config and seed. Every write goes through
-    `_text` or `_rows`, which do nothing without a run directory."""
+    byte-reproducible for a given config and seed. A reused directory holds
+    no output of its earlier run once the writer is made. Every write goes
+    through `_text` or `_rows`, which do nothing without a run directory."""
 
     def __init__(self, out_dir):
         self.dir = out_dir
         self._started = set()  # files `_rows` has written in this run
+        for pattern in _EARLIER_OUTPUTS if out_dir is not None else ():
+            for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+                os.remove(path)
         self._rows("results.csv", RESULTS_COLUMNS, [],
                    preamble=f"# {RESULTS_VERSION}\n")
         self._rows("timings.csv", TIMINGS_COLUMNS, [])

@@ -138,7 +138,8 @@ class InfosetView:
     """A decision point as a policy sees it: infoset key, legal actions,
     encoded features and ``index``, its infoset's row in its player's
     `Infosets` (-1 for a view no tree holds). A tree holds one view per
-    (player, key), with read-only features; views compare by identity."""
+    (player, key), whose features are a read-only row of that player's
+    feature table; views compare by identity."""
     key: str
     legal_actions: tuple[int, ...]
     features: np.ndarray | None = None
@@ -150,13 +151,19 @@ class Infosets(NamedTuple):
 
     Infoset i is ``views[i]``, whose ``index`` is i, has ``num_actions[i]``
     legal actions and holds the nodes ``nodes[start[i]:start[i + 1]]``, in
-    depth-first preorder, all on level ``first_level[i]``.
+    depth-first preorder, all on level ``first_level[i]``. Row i of
+    ``features`` is its encoded features (``views[i].features`` is a view
+    of that row) and row i of ``legal`` marks its legal actions among the
+    game's `num_distinct_actions`. Each table has one more row, all zero
+    and all False, which index -1 reads: no infoset.
     """
     views: tuple[InfosetView, ...]
     num_actions: np.ndarray
     nodes: np.ndarray
     start: np.ndarray
     first_level: np.ndarray
+    features: np.ndarray
+    legal: np.ndarray
 
 
 class PlayerLevel(NamedTuple):
@@ -200,7 +207,8 @@ class FlatTree:
     terminals' returns in node order, terminal n's being row ``row[n]``
     (-1 at other nodes) and level d's rows ``leaves[d]:leaves[d + 1]``;
     ``infosets[p]`` describes player p's. ``views[player, key]`` is the
-    one view of each infoset, read-only features included.
+    one view of each infoset, its features a read-only row of its player's
+    feature table.
 
     Building it steps every state of the game once, depth first;
     TraversalBudgetError fires once the tree passes `MAX_TREE_NODES`, and
@@ -216,8 +224,9 @@ class FlatTree:
         owner, parent, slot = array("b"), array("i"), array("i")
         depth, infoset = array("i"), array("i")
         prob, returns = array("d"), array("d")
-        self.views: dict[tuple[int, str], InfosetView] = {}
-        listed = ([], [])  # per player, its views in infoset order
+        # Per player, key -> (infoset index, legal actions), and the
+        # features of its infosets, one after another in infoset order.
+        listed, encoded = ({}, {}), (array("d"), array("d"))
         grown = 1
         stack = [(game.initial_state(), -1, 0, 1.0, 0)]
         while stack:
@@ -229,8 +238,14 @@ class FlatTree:
             slot.append(s)
             prob.append(p)
             depth.append(d)
-            infoset.append(-1 if player < 0 else self._view(
-                game, state, player, listed[player]).index)
+            if player < 0:
+                infoset.append(-1)
+            else:
+                found, key = listed[player], state.infoset_key(player)
+                if key not in found:
+                    found[key] = (len(found), tuple(state.legal_actions()))
+                    encoded[player].extend(game.encode_infoset(state, player))
+                infoset.append(found[key][0])
             if player == TERMINAL:
                 returns.extend(state.returns())
                 continue
@@ -269,9 +284,12 @@ class FlatTree:
         self.row = np.where(terminal, count - 1, -1).astype(np.int32)
         self.leaves = np.concatenate([[0], count])[self.levels]
         self.infosets = tuple(
-            self._infosets(tuple(listed[player]), number[owner == player],
-                           depth[preorder])
+            self._infosets(game, listed[player], encoded[player],
+                           number[owner == player], depth[preorder])
             for player in (0, 1))
+        self.views = {(player, view.key): view
+                      for player, infosets in enumerate(self.infosets)
+                      for view in infosets.views}
         for value in (*vars(self).values(), *self.infosets[0],
                       *self.infosets[1]):
             if isinstance(value, np.ndarray):
@@ -359,36 +377,31 @@ class FlatTree:
                 array("i", self.first[:-1].astype(np.intc).tobytes()),
                 tuple(at))
 
-    def _view(self, game: Game, state: State, player: int,
-              listed: list) -> InfosetView:
-        key = state.infoset_key(player)
-        view = self.views.get((player, key))
-        if view is None:
-            features = game.encode_infoset(state, player)
-            features.flags.writeable = False
-            view = self.views[player, key] = InfosetView(
-                key, tuple(state.legal_actions()), features, len(listed))
-            listed.append(view)
-        return view
-
-    def _infosets(self, views, mine, depth) -> Infosets:
+    def _infosets(self, game, found, encoded, mine, depth) -> Infosets:
         # ``mine``, the player's nodes, is in preorder, and a stable
         # lexsort keeps preorder within each infoset.
         nodes = mine[np.lexsort((self.infoset[mine],))]
-        start = _starts(self.infoset[nodes], len(views))
+        start = _starts(self.infoset[nodes], len(found))
         first_level = np.zeros(0, np.int64)
-        if len(views):
+        if found:
             level = depth[nodes]
             first_level = np.minimum.reduceat(level, start[:-1])
             spans = np.flatnonzero(
                 np.maximum.reduceat(level, start[:-1]) != first_level)
             if len(spans):
-                raise GameError(f"infoset {views[spans[0]].key!r} holds "
+                raise GameError(f"infoset {[*found][spans[0]]!r} holds "
                                 "nodes at more than one depth")
-        return Infosets(views,
-                        np.array([len(v.legal_actions) for v in views],
-                                 np.int32),
-                        nodes, start, first_level.astype(np.int32))
+        encoded.extend([0.0] * game.encoding_dim())
+        features = np.frombuffer(encoded).reshape(len(found) + 1, -1)
+        legal = np.zeros((len(found) + 1, game.num_distinct_actions()), bool)
+        for i, actions in found.values():
+            legal[i, list(actions)] = True
+        # Read-only before the views are cut, so that each row is too.
+        features.flags.writeable = False
+        views = tuple(InfosetView(key, actions, features[i], i)
+                      for key, (i, actions) in found.items())
+        return Infosets(views, legal[:-1].sum(axis=1, dtype=np.int32), nodes,
+                        start, first_level.astype(np.int32), features, legal)
 
 
 def _arrays(value):

@@ -198,16 +198,16 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
     optimizer = nets.make_optimizer(cfg.optimizer, cfg.lr)
     tau = cfg.soft_update_tau
 
-    dim = game.encoding_dim()
     n_actions = game.num_distinct_actions()
+    # A transition holds its view and its next view as their rows in these
+    # tables; row -1, the next view of a last step, has zero features and
+    # no legal action.
+    infosets = game.tree.infosets[player]
+    features, illegal = infosets.features, ~infosets.legal
     capacity, batch_size = cfg.replay_capacity, cfg.batch_size
-    replay_x = np.zeros((capacity, dim))
-    replay_next = np.zeros((capacity, dim))
+    replay_views = np.zeros((capacity, 2), dtype=np.intp)
     replay_action = np.zeros(capacity, dtype=np.intp)
     replay_reward = np.zeros(capacity)
-    # Where the next view has no such legal action; all of a last step's.
-    replay_illegal = np.ones((capacity, n_actions), dtype=bool)
-    replay_last = np.zeros(capacity, dtype=bool)
     size, cursor, learner_steps = 0, 0, 0
 
     def select(view: InfosetView) -> int:
@@ -217,12 +217,12 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
         return view.legal_actions[greedy_index(q, view.legal_actions)]
 
     # Each learn step gathers its batch into these buffers.
-    batch_x = np.empty((batch_size, dim))
-    batch_next = np.empty((batch_size, dim))
+    batch_views = np.empty((batch_size, 2), dtype=np.intp)
+    batch_x = np.empty((batch_size, features.shape[1]))
+    batch_next = np.empty_like(batch_x)
     batch_action = np.empty(batch_size, dtype=np.intp)
     batch_reward = np.empty(batch_size)
     batch_illegal = np.empty((batch_size, n_actions), dtype=bool)
-    batch_last = np.empty(batch_size, dtype=bool)
     best_next = np.empty(batch_size)
     targets = np.empty(batch_size)
     # Flat position of each row's taken action in a (batch, actions) array.
@@ -245,18 +245,18 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
     def learn_step():
         nonlocal learner_steps
         batch = rng.integers(size, size=batch_size)
-        replay_x.take(batch, 0, out=batch_x)
-        replay_next.take(batch, 0, out=batch_next)
+        at, after = replay_views.take(batch, 0, out=batch_views).T
+        features.take(at, 0, out=batch_x)
+        features.take(after, 0, out=batch_next)
+        illegal.take(after, 0, out=batch_illegal)
         replay_action.take(batch, out=batch_action)
         replay_reward.take(batch, out=batch_reward)
-        replay_illegal.take(batch, 0, out=batch_illegal)
-        replay_last.take(batch, out=batch_last)
         np.add(row_start, batch_action, out=taken)
         q_next = nets.forward(sig, target_theta, batch_next)
         np.copyto(q_next, -np.inf, where=batch_illegal)
         q_next.max(axis=1, out=best_next)
         # A last step's next values are all -inf; its best_next is 0.0.
-        np.copyto(best_next, 0.0, where=batch_last)
+        np.copyto(best_next, 0.0, where=after < 0)
         np.add(batch_reward,
                np.multiply(best_next, cfg.gamma_discount, out=best_next),
                out=targets)
@@ -271,15 +271,6 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
                    out=target_theta)
         elif learner_steps % cfg.target_update_every == 0:
             np.copyto(target_theta, theta)
-
-    illegal: dict[InfosetView, np.ndarray] = {}  # mask per next view
-
-    def illegal_mask(view: InfosetView) -> np.ndarray:
-        mask = illegal.get(view)
-        if mask is None:
-            mask = illegal[view] = np.ones(n_actions, dtype=bool)
-            mask[list(view.legal_actions)] = False
-        return mask
 
     curve = []
     # The last 100 episode rewards, oldest first; their mean is taken as
@@ -297,17 +288,11 @@ def dqn_oracle(game: Game, init: ParametricPolicy,
         # One transition at a time, each followed by its learn step: a
         # learn step samples the buffer as it is after that transition.
         for step, r in zip(steps, rewards):
-            replay_x[cursor] = step.view.features
+            replay_views[cursor] = (
+                step.view.index,
+                -1 if step.next_view is None else step.next_view.index)
             replay_action[cursor] = step.action
             replay_reward[cursor] = r
-            # A next view always has a legal action: the learner took one.
-            replay_last[cursor] = step.next_view is None
-            if step.next_view is not None:
-                replay_next[cursor] = step.next_view.features
-                replay_illegal[cursor] = illegal_mask(step.next_view)
-            else:
-                replay_next[cursor] = 0.0
-                replay_illegal[cursor] = True
             cursor = (cursor + 1) % capacity
             size = min(size + 1, capacity)
             if size >= batch_size:

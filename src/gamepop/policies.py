@@ -31,6 +31,7 @@ what `sample_action` would draw, with the same generator use.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import weakref
 
@@ -378,34 +379,39 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def sample_infoset_views(mixture: PolicyMixture, game: Game, player: int,
-                         num_states: int, seed: int) -> list[InfosetView]:
+                         num_states: int,
+                         seed: int) -> dict[InfosetView, np.ndarray]:
     """Distinct infosets of `player` visited by the mixture ensemble playing
-    against a uniform opponent, in first-visit order.
+    against a uniform opponent, in first-visit order, each mapped to the
+    ensemble's distribution there. The rollouts compute that distribution
+    once per view they meet and draw every visit from it.
 
     Stops early once rollouts keep revisiting known infosets, so small games
     return their full reachable set quickly.
     """
     rng = np.random.default_rng(seed)
-    views: dict[InfosetView, None] = {}  # first-visit order
+    # Every view the rollouts meet, in first-visit order; the first
+    # num_states are the sample.
+    dists: dict[InfosetView, np.ndarray] = {}
 
     def choose(current, view):
         legal = view.legal_actions
         if current != player:
             return sample_action(_uniform(len(legal)), legal, rng)
-        if view not in views and len(views) < num_states:
-            views[view] = None
-        return sample_action(ensemble_distribution(mixture, view), legal, rng)
+        dist = dists.get(view)
+        if dist is None:
+            dist = dists[view] = ensemble_distribution(mixture, view)
+        return sample_action(dist, legal, rng)
 
-    episodes = 0
-    since_new = 0
+    episodes = since_new = 0
     patience = max(20, num_states // 2)
     cap = max(50, 10 * num_states)
-    while len(views) < num_states and episodes < cap and since_new <= patience:
+    while len(dists) < num_states and episodes < cap and since_new <= patience:
         episodes += 1
-        known = len(views)
+        known = len(dists)
         sample_episode(game, choose, rng)
-        since_new = 0 if len(views) > known else since_new + 1
-    return list(views)
+        since_new = 0 if len(dists) > known else since_new + 1
+    return dict(itertools.islice(dists.items(), num_states))
 
 
 def kl_to_ensemble(candidates, mixture: PolicyMixture, game: Game,
@@ -422,16 +428,15 @@ def kl_to_ensemble(candidates, mixture: PolicyMixture, game: Game,
     """
     if num_states < 1:
         raise ValueError("num_states must be >= 1")
-    views = sample_infoset_views(mixture, game, player, num_states, seed)
-    if not views:
+    targets = sample_infoset_views(mixture, game, player, num_states, seed)
+    if not targets:
         return [0.0] * len(candidates)
-    targets = [ensemble_distribution(mixture, view) for view in views]
     means = []
     for candidate in candidates:
         total = 0.0
-        for view, p in zip(views, targets):
+        for view, p in targets.items():
             total += kl_divergence(p, candidate.dist_at(view))
-        means.append(total / len(views))
+        means.append(total / len(targets))
     return means
 
 
@@ -451,24 +456,24 @@ def distill(mixture: PolicyMixture, student_signature: ArchSignature,
         return student
     theta = student.theta.copy()
     optimizer = nets.Sgd(lr)
+    features = game.tree.infosets[player].features
     for epoch in range(epochs):
-        views = sample_infoset_views(mixture, game, player, samples_per_epoch,
-                                     seed + 1 + epoch)
-        if not views:
+        targets = sample_infoset_views(mixture, game, player,
+                                       samples_per_epoch, seed + 1 + epoch)
+        if not targets:
             continue
-        X = np.stack([v.features for v in views])
+        X = features.take([view.index for view in targets], 0)
 
         def cross_entropy_gradient(Q):
             grad_out = np.zeros_like(Q)
             loss = 0.0
-            for i, view in enumerate(views):
+            for i, (view, target) in enumerate(targets.items()):
                 legal = list(view.legal_actions)
-                target = ensemble_distribution(mixture, view)
                 logits = Q[i, legal] - Q[i, legal].max()
                 soft = np.exp(logits)
                 soft /= soft.sum()
                 loss -= float(target @ np.log(np.maximum(soft, 1e-300)))
-                grad_out[i, legal] = (soft - target) / len(views)
+                grad_out[i, legal] = (soft - target) / len(targets)
             if not np.isfinite(loss):
                 raise PolicyError("distillation loss diverged; lower the lr")
             return grad_out

@@ -585,9 +585,54 @@ def test_eval_command_recomputes_exploitability(tmp_path, capsys):
     assert abs(float(lines[2].split()[1])) <= 1e-9
 
 
+# Runs that write every kind of output: payoff matrices and checkpoints
+# (all), reward curves and kl_compare rows (DQN with the diagnostic on), and
+# trajectories (the plane game).
+_RERUN_CONFIGS = {
+    "kuhn_exact": {"game": {"name": "kuhn_poker", "params": {}},
+                   "oracle": {"kind": "exact"}, "mss": {"kind": "nash"},
+                   "init": {"method": "inherit_latest"}},
+    "liars_dice_dqn": {
+        "game": {"name": "liars_dice", "params": {"faces": 2}},
+        "oracle": {"kind": "dqn", "hidden_layers": [8], "episodes": 12,
+                   "batch_size": 8, "replay_capacity": 64},
+        "mss": {"kind": "nash"},
+        "init": {"method": "nash_fusion", "c": 2, "top_k": "all",
+                 "weights": "nash"},
+        "diagnostics": {"kl_compare": True, "kl_states": 8}},
+    "ntmg": {"game": {"name": "ntmg", "params": {}},
+             "oracle": {"kind": "gradient", "steps": 5, "lr": 1.0},
+             "mss": {"kind": "nash"}, "init": {"method": "inherit_latest"},
+             "eval": {"exact_exploitability_every": 0}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RERUN_CONFIGS))
+def test_a_shorter_rerun_leaves_what_a_fresh_run_writes(tmp_path, name):
+    """After a 5-iteration run, a 2-iteration rerun into the same directory
+    leaves it byte for byte as a fresh 2-iteration run leaves its own,
+    timings aside: none of the longer run's outputs stay behind."""
+    data = {**_RERUN_CONFIGS[name], "seeds": [0]}
+
+    def files(root):
+        return {str(path.relative_to(root)): path.read_bytes()
+                for path in root.rglob("*")
+                if path.is_file() and path.name != "timings.csv"}
+
+    run_from_config(write_config(tmp_path, {**data, "iterations": 5}),
+                    str(tmp_path / "reused"))
+    longer = files(tmp_path / "reused")
+    for out in ("reused", "fresh"):
+        run_from_config(write_config(tmp_path, {**data, "iterations": 2}),
+                        str(tmp_path / out))
+    fresh = files(tmp_path / "fresh")
+    assert set(longer) > set(fresh)  # the rerun has files to delete
+    assert files(tmp_path / "reused") == fresh
+
+
 def test_eval_reads_the_run_that_results_csv_records(tmp_path, capsys):
-    """A shorter rerun into the same directory leaves the earlier run's
-    later checkpoints and matrices behind; eval evaluates the iterations
+    """A shorter rerun into the same directory leaves none of the earlier
+    run's later checkpoints and matrices; eval evaluates the iterations
     results.csv records, and a file it needs but lacks is an error."""
     out = tmp_path / "out"
     data = {"game": {"name": "kuhn_poker", "params": {}},
@@ -598,7 +643,7 @@ def test_eval_reads_the_run_that_results_csv_records(tmp_path, capsys):
                                                 "iterations": iterations}),
                         str(out))
     seed_dir = out / "seed_0"
-    assert (seed_dir / "payoff_matrix_6.txt").exists()
+    assert not (seed_dir / "payoff_matrix_6.txt").exists()
     (seed_dir / "checkpoints" / "notes.txt").write_text("not a checkpoint")
     recorded = (seed_dir / "results.csv").read_text().splitlines()[-1]
     capsys.readouterr()

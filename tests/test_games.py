@@ -278,11 +278,18 @@ def test_an_infoset_spanning_depths_is_refused():
 
 
 def test_flat_leduc_tree_stays_small():
-    """Leduc's compiled arrays take at most 0.4 MB."""
-    tree = make_game("leduc_poker").tree
+    """Leduc's compiled arrays take at most 0.4 MB, besides the feature and
+    legal tables, which take one float64 row of `encoding_dim` and one
+    bool row of `num_distinct_actions` per infoset and one more."""
+    game = make_game("leduc_poker")
+    tree = game.tree
     arrays = [*vars(tree).values()]
     for infosets in tree.infosets:
-        arrays += infosets
+        arrays += infosets[:-2]
+        rows = len(infosets.views) + 1
+        assert infosets._fields[-2:] == ("features", "legal")
+        assert infosets.features.nbytes == rows * game.encoding_dim() * 8
+        assert infosets.legal.nbytes == rows * game.num_distinct_actions()
     assert sum(a.nbytes for a in arrays
                if isinstance(a, np.ndarray)) <= 400_000
 
@@ -316,6 +323,42 @@ def test_the_tree_is_read_only():
                    if isinstance(a, np.ndarray))
     with pytest.raises(ValueError):
         make("matrix_game").rows[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("name,params", ALL_GAMES, ids=ALL_GAME_IDS)
+def test_infoset_tables_hold_each_view(name, params):
+    """Per player, row i of ``features`` is infoset i's `encode_infoset`,
+    and its view's features are that row, not a copy; row i of ``legal``
+    marks its legal actions. The last rows, which index -1 reads, are zero
+    and False, and neither table can be written into."""
+    game = make_game(name, params)
+    tree = game.tree
+    states = {}
+    for state in _decision_nodes(game.initial_state()):
+        player = state.current_player
+        states.setdefault((player, state.infoset_key(player)), state)
+    for player, infosets in enumerate(tree.infosets):
+        count = len(infosets.views)
+        features, legal = infosets.features, infosets.legal
+        assert features.shape == (count + 1, game.encoding_dim())
+        assert features.dtype == np.float64
+        assert legal.shape == (count + 1, game.num_distinct_actions())
+        assert legal.dtype == bool
+        for i, view in enumerate(infosets.views):
+            assert np.shares_memory(view.features, features)
+            state = states[player, view.key]
+            assert features[i].tobytes() == view.features.tobytes() == (
+                game.encode_infoset(state, player).tobytes())
+            assert np.flatnonzero(legal[i]).tolist() == sorted(
+                state.legal_actions())
+        assert not features[-1].any() and not legal[-1].any()
+        for table in (features, legal):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+        if count:
+            with pytest.raises(ValueError):
+                infosets.views[0].features[0] = 1.0
 
 
 @pytest.mark.parametrize("name,params", ALL_GAMES, ids=ALL_GAME_IDS)

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamepop import nets
+from gamepop import nets, policies
 from gamepop.games import expected_value, make_game, play_episode
+from gamepop.games.base import sample_action, sample_episode
 from gamepop.nets import ArchSignature
 from gamepop.policies import (InfosetView, ParametricPolicy, PointPolicy,
                               PolicyError, PolicyMixture, TabularPolicy,
@@ -291,6 +292,63 @@ class TestKlToEnsemble:
         a = kl_to_ensemble([pure], mix, game, 32, 7)
         b = kl_to_ensemble([pure], mix, game, 32, 7)
         assert a == b
+
+
+def _asking_at_every_decision(mixture, game, player, num_states, seed):
+    """`sample_infoset_views` as it would be if every rollout decision
+    asked `ensemble_distribution` afresh: the views it keeps, in order."""
+    rng = np.random.default_rng(seed)
+    views = {}
+
+    def choose(current, view):
+        legal = view.legal_actions
+        if current != player:
+            return sample_action(np.full(len(legal), 1.0 / len(legal)),
+                                 legal, rng)
+        if view not in views and len(views) < num_states:
+            views[view] = None
+        return sample_action(ensemble_distribution(mixture, view), legal, rng)
+
+    episodes = since_new = 0
+    while (len(views) < num_states and episodes < max(50, 10 * num_states)
+           and since_new <= max(20, num_states // 2)):
+        episodes += 1
+        known = len(views)
+        sample_episode(game, choose, rng)
+        since_new = 0 if len(views) > known else since_new + 1
+    return list(views)
+
+
+@pytest.mark.parametrize("states", [5, 40, 500])
+def test_sampled_views_ask_the_ensemble_once_per_view(monkeypatch, states):
+    """One call asks `ensemble_distribution` once per distinct view its
+    rollouts meet and hands back those very distributions with the views
+    it keeps, the same views in the same order as asking at every
+    decision; `kl_to_ensemble` and a `distill` epoch ask nothing more."""
+    game = make_game("leduc_poker")
+    sig = ArchSignature(game.encoding_dim(), (8,), game.num_distinct_actions())
+    mix = PolicyMixture([scratch_init("normal", sig, 1),
+                         scratch_init("normal", sig, 2), TabularPolicy()],
+                        [0.5, 0.3, 0.2])
+    want = _asking_at_every_decision(mix, game, 0, states, 5)
+    calls = []
+
+    def counted(mixture, view):
+        calls.append((view, ensemble_distribution(mixture, view)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(policies, "ensemble_distribution", counted)
+    targets = sample_infoset_views(mix, game, 0, states, 5)
+    asked = [view for view, _ in calls]
+    assert len(set(asked)) == len(asked) >= len(targets)
+    assert list(targets) == asked[:len(targets)] == want
+    assert all(targets[view] is dist for view, dist in calls[:len(targets)])
+    for run in (lambda: kl_to_ensemble([mix.members[0]], mix, game, states, 5),
+                lambda: distill(mix, sig, game, 1, states, 0.1, 5)):
+        calls.clear()
+        run()
+        asked = [view for view, _ in calls]
+        assert len(set(asked)) == len(asked) > 0
 
 
 def test_first_order_ensemble_approximation():
