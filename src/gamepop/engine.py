@@ -16,11 +16,13 @@ the field at fault: an oracle that does not fit the game, or an option of
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import glob
 import json
 import operator
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -390,14 +392,6 @@ TIMINGS_COLUMNS = ["iteration", "t_meta", "t_br", "t_fusion", "t_payoff",
 RESULTS_VERSION = "gamepop-results-v1"
 
 
-# The outputs of an earlier run into a reused directory that a run might
-# not write again, deleted when it starts; it writes `results.csv` and
-# `timings.csv` afresh.
-_EARLIER_OUTPUTS = ("payoff_matrix_*.txt", "checkpoints/iter_*_p*.json",
-                    "curves/iter_*_p*.csv", "trajectories.csv",
-                    "kl_compare.csv")
-
-
 class _RunWriter:
     """Incremental per-run output; partial results stay on disk if the run
     aborts. Timing columns live in a separate file so results.csv is
@@ -405,12 +399,25 @@ class _RunWriter:
     no output of its earlier run once the writer is made. Every write goes
     through `_text` or `_rows`, which do nothing without a run directory."""
 
+    # The name of each output but results.csv and timings.csv, which a run
+    # writes afresh, by the writer method that writes it. A writer made in a
+    # used directory deletes the earlier run's files of these names, and a
+    # folder of them that this leaves empty.
+    OUTPUTS = dict(payoff_matrix="payoff_matrix_{t}.txt",
+                   checkpoint="checkpoints/iter_{t:04d}_p{player}.json",
+                   curve="curves/iter_{t:04d}_p{player}.csv",
+                   trajectory="trajectories.csv", kl_compare="kl_compare.csv")
+
     def __init__(self, out_dir):
         self.dir = out_dir
         self._started = set()  # files `_rows` has written in this run
-        for pattern in _EARLIER_OUTPUTS if out_dir is not None else ():
+        for name in self.OUTPUTS.values() if out_dir is not None else ():
+            pattern = re.sub(r"\{.*?\}", "*", name)
             for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
                 os.remove(path)
+            if os.path.dirname(name):
+                with contextlib.suppress(OSError):  # absent, or holds more
+                    os.rmdir(os.path.join(out_dir, os.path.dirname(name)))
         self._rows("results.csv", RESULTS_COLUMNS, [],
                    preamble=f"# {RESULTS_VERSION}\n")
         self._rows("timings.csv", TIMINGS_COLUMNS, [])
@@ -427,35 +434,34 @@ class _RunWriter:
                  "row_ids " + " ".join(f"p0_{i}" for i in range(rows)),
                  "col_ids " + " ".join(f"p1_{j}" for j in range(cols))]
         lines += [" ".join(repr(float(v)) for v in row) for row in meta.payoff]
-        self._text(f"payoff_matrix_{t}.txt", "\n".join(lines) + "\n")
+        self._text(self.OUTPUTS["payoff_matrix"].format(t=t),
+                   "\n".join(lines) + "\n")
 
     def checkpoint(self, t: int, player: int, policy):
-        self._text(os.path.join("checkpoints", f"iter_{t:04d}_p{player}.json"),
+        self._text(self.OUTPUTS["checkpoint"].format(t=t, player=player),
                    checkpoint_dumps(policy))
 
     def curve(self, t: int, player: int, curve):
         if curve is None:
             return
-        self._rows(os.path.join("curves", f"iter_{t:04d}_p{player}.csv"),
+        self._rows(self.OUTPUTS["curve"].format(t=t, player=player),
                    ["episode", "mean_reward_window"],
                    [[episode, _fmt(float(mean))] for episode, mean in curve])
 
     def trajectory(self, t: int, player: int, traj):
         if traj is None:
             return
-        self._rows("trajectories.csv",
+        self._rows(self.OUTPUTS["trajectory"],
                    ["iteration", "player", "step", "x", "y"],
-                   [[t, player, step, _fmt(float(point[0])),
-                     _fmt(float(point[1]))]
+                   [[t, player, step, *(_fmt(float(v)) for v in point)]
                     for step, point in enumerate(traj)])
 
     def kl_compare(self, rows):
         if not rows:
             return
-        self._rows("kl_compare.csv", ["iteration", "player", "kl_fusion",
-                                      "kl_inherit", "kl_scratch"],
-                   [[row[0], row[1], _fmt(row[2]), _fmt(row[3]),
-                     _fmt(row[4])] for row in rows])
+        self._rows(self.OUTPUTS["kl_compare"],
+                   ["iteration", "player", "kl_fusion", "kl_inherit",
+                    "kl_scratch"], [[_fmt(v) for v in row] for row in rows])
 
     def _path(self, name):
         path = os.path.join(self.dir, name)
@@ -700,16 +706,11 @@ def run_psro(config: PsroConfig, seed: int,
 
 def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer,
                    t_payoff):
-    t_fusion = 0.0
-    t_br = 0.0
-    t_io = 0.0
-    t_diag = 0.0
-    kl_rows = []
-    new_policies = []
+    t_fusion = t_br = t_io = t_diag = 0.0
+    kl_rows, new_policies = [], []
     for player in (0, 1):
         sigma_own = sigmas[player]
-        sigma_opp = sigmas[1 - player]
-        opponent = PolicyMixture(pops[1 - player], sigma_opp)
+        opponent = PolicyMixture(pops[1 - player], sigmas[1 - player])
 
         start = time.perf_counter()
         init = init_new_policy(pops[player], sigma_own, t,
@@ -786,11 +787,10 @@ def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer,
         sigma_col=[float(x) for x in sigma_col],
         exploitability=None if exact is None else float(exact),
         approx_exploitability=None if approx is None else float(approx),
-        pop_size_p1=len(pops[0]),
-        pop_size_p2=len(pops[1]), t_meta=t_meta, t_br=t_br,
-        t_fusion=t_fusion, t_payoff=t_payoff, t_eval_exact=t_eval_exact,
-        t_eval_approx=t_eval_approx, t_io=t_io, t_diag=t_diag,
-        kl_compare=kl_rows)
+        pop_size_p1=len(pops[0]), pop_size_p2=len(pops[1]), t_meta=t_meta,
+        t_br=t_br, t_fusion=t_fusion, t_payoff=t_payoff,
+        t_eval_exact=t_eval_exact, t_eval_approx=t_eval_approx, t_io=t_io,
+        t_diag=t_diag, kl_compare=kl_rows)
     return meta, sigmas, record
 
 

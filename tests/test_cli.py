@@ -607,43 +607,76 @@ _RERUN_CONFIGS = {
 }
 
 
+def _rerun_listing(tmp_path, earlier, later):
+    """Run `earlier` into `reused`, then `later` into `reused` and `fresh`:
+    each run directory's paths, timings aside, each file's bytes (None for
+    a directory), after the first run and after the two later ones."""
+
+    def listing(root):
+        return {str(path.relative_to(root)):
+                path.read_bytes() if path.is_file() else None
+                for path in root.rglob("*") if path.name != "timings.csv"}
+
+    run_from_config(write_config(tmp_path, {**earlier, "seeds": [0]}),
+                    str(tmp_path / "reused"))
+    first = listing(tmp_path / "reused")
+    for out in ("reused", "fresh"):
+        run_from_config(write_config(tmp_path, {**later, "seeds": [0]}),
+                        str(tmp_path / out))
+    return (first, listing(tmp_path / "reused"),
+            listing(tmp_path / "fresh"))
+
+
 @pytest.mark.parametrize("name", sorted(_RERUN_CONFIGS))
 def test_a_shorter_rerun_leaves_what_a_fresh_run_writes(tmp_path, name):
     """After a 5-iteration run, a 2-iteration rerun into the same directory
     leaves it byte for byte as a fresh 2-iteration run leaves its own,
     timings aside: none of the longer run's outputs stay behind."""
-    data = {**_RERUN_CONFIGS[name], "seeds": [0]}
-
-    def files(root):
-        return {str(path.relative_to(root)): path.read_bytes()
-                for path in root.rglob("*")
-                if path.is_file() and path.name != "timings.csv"}
-
-    run_from_config(write_config(tmp_path, {**data, "iterations": 5}),
-                    str(tmp_path / "reused"))
-    longer = files(tmp_path / "reused")
-    for out in ("reused", "fresh"):
-        run_from_config(write_config(tmp_path, {**data, "iterations": 2}),
-                        str(tmp_path / out))
-    fresh = files(tmp_path / "fresh")
+    data = _RERUN_CONFIGS[name]
+    longer, rerun, fresh = _rerun_listing(tmp_path,
+                                          {**data, "iterations": 5},
+                                          {**data, "iterations": 2})
     assert set(longer) > set(fresh)  # the rerun has files to delete
-    assert files(tmp_path / "reused") == fresh
+    assert rerun == fresh
+
+
+def test_a_rerun_that_writes_no_curves_leaves_no_curves_folder(tmp_path):
+    """A DQN run writes reward curves and the exact oracle none: an exact
+    rerun into its directory deletes the curves and their emptied folder,
+    and leaves the directory as a fresh exact run leaves its own."""
+    dqn = {**_RERUN_CONFIGS["liars_dice_dqn"], "iterations": 3}
+    exact = {**_RERUN_CONFIGS["kuhn_exact"], "game": dqn["game"],
+             "iterations": 2}
+    earlier, rerun, fresh = _rerun_listing(tmp_path, dqn, exact)
+    assert earlier["seed_0/curves"] is None
+    assert "seed_0/curves" not in fresh
+    assert rerun == fresh
 
 
 def test_eval_reads_the_run_that_results_csv_records(tmp_path, capsys):
-    """A shorter rerun into the same directory leaves none of the earlier
-    run's later checkpoints and matrices; eval evaluates the iterations
-    results.csv records, and a file it needs but lacks is an error."""
+    """Eval evaluates the iterations results.csv records, though the run
+    directory holds checkpoints and a payoff matrix past the last of them,
+    as a run that stopped within an iteration leaves it; a file it needs
+    but lacks is an error. The leftovers are a longer earlier run's, put
+    back after a shorter rerun into the same directory has deleted them."""
     out = tmp_path / "out"
+    seed_dir = out / "seed_0"
     data = {"game": {"name": "kuhn_poker", "params": {}},
             "oracle": {"kind": "exact"}, "mss": {"kind": "nash"},
             "init": {"method": "inherit_latest"}, "seeds": [0]}
+    later = ["payoff_matrix_6.txt"] + [
+        os.path.join("checkpoints", f"iter_{t:04d}_p{player}.json")
+        for t in (4, 5, 6) for player in (0, 1)]
+    kept = {}
     for iterations in (6, 3):
         run_from_config(write_config(tmp_path, {**data,
                                                 "iterations": iterations}),
                         str(out))
-    seed_dir = out / "seed_0"
-    assert not (seed_dir / "payoff_matrix_6.txt").exists()
+        kept = kept or {name: (seed_dir / name).read_bytes()
+                        for name in later}
+    assert not any((seed_dir / name).exists() for name in later)
+    for name, text in kept.items():
+        (seed_dir / name).write_bytes(text)
     (seed_dir / "checkpoints" / "notes.txt").write_text("not a checkpoint")
     recorded = (seed_dir / "results.csv").read_text().splitlines()[-1]
     capsys.readouterr()
