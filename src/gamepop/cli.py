@@ -21,7 +21,7 @@ import numpy as np
 
 from . import meta_solvers
 from .config import ConfigError, config_to_dict, load_config, parse_config
-from .engine import SOLVERS, EngineError, _build_arena, run_psro
+from .engine import SOLVERS, EngineError, _build_arena, _RunWriter, run_psro
 from .policies import PolicyError, checkpoint_loads
 from .specs import lookup
 from .svgplot import RENDER_KINDS, PlotError, render_svg
@@ -104,6 +104,10 @@ def sweep(path: str, param: str, values: list[str],
     out = output_dir or base.output_dir
     if out is None:
         raise ConfigError("output_dir: required to run a sweep")
+    evals = base.eval
+    if not evals.exact_exploitability_every and evals.approx_oracle is None:
+        raise ConfigError("eval: a sweep summarizes the final exploitability; "
+                          "enable exact or approximate evaluation")
     arms = [(value, _arm(base, param, value,
                          os.path.join(out, f"{param}_{value}")))
             for value in values]
@@ -114,10 +118,6 @@ def sweep(path: str, param: str, values: list[str],
         finals = [rec.approx_exploitability if rec.exploitability is None
                   else rec.exploitability
                   for rec in run_config(config, config.output_dir)]
-        finals = [v for v in finals if v is not None]
-        if not finals:
-            raise ConfigError("sweep runs produced no exploitability values; "
-                              "enable exact or approximate evaluation")
         summary.append((value, float(np.mean(finals)), float(min(finals)),
                         float(max(finals))))
         log.info("%s=%s: mean=%.6f min=%.6f max=%.6f", param, value,
@@ -163,15 +163,15 @@ def evaluate_run(run_dir: str) -> int:
         last_iteration = int(rows[-1][0])
         for t in range(1, last_iteration + 1):
             for player in (0, 1):
-                path = os.path.join(run_dir, "checkpoints",
-                                    f"iter_{t:04d}_p{player}.json")
+                path = os.path.join(run_dir, _RunWriter.OUTPUTS[
+                    "checkpoint"].format(t=t, player=player))
                 with open(path) as fh:
                     try:
                         pops[player].append(checkpoint_loads(fh.read()))
                     except PolicyError as exc:
                         raise ConfigError(f"{path}: {exc}") from exc
-        with open(os.path.join(run_dir,
-                               f"payoff_matrix_{last_iteration}.txt")) as fh:
+        with open(os.path.join(run_dir, _RunWriter.OUTPUTS[
+                "payoff_matrix"].format(t=last_iteration))) as fh:
             matrix = np.loadtxt(fh, skiprows=3, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"{exc.filename}: {exc.strerror}") from exc

@@ -684,114 +684,89 @@ def _build_arena(config: PsroConfig) -> _Arena:
 def run_psro(config: PsroConfig, seed: int,
              out_dir: str | None = None) -> RunHistory:
     """Run the population loop for one seed. Writes incremental outputs when
-    `out_dir` is given and returns the full history."""
+    `out_dir` is given and returns the full history.
+
+    Each phase's wall time goes to its `TIMINGS_COLUMNS` column of `spent`
+    through `timed`; the initial fill counts in iteration 1."""
     arena = _build_arena(config)
     writer = _RunWriter(out_dir)
+    spent = dict.fromkeys(TIMINGS_COLUMNS[1:], 0.0)
+
+    @contextlib.contextmanager
+    def timed(phase):
+        """Add the block's wall time to column `phase`; KeyError for a
+        phase that is not a column."""
+        before, start = spent[phase], time.perf_counter()
+        yield
+        spent[phase] = before + (time.perf_counter() - start)
+
     pops = arena.initial_populations(seed)
-    start = time.perf_counter()
-    meta = arena.fill_payoffs(MetaGame(), pops, _mix_seed(seed, 2))
-    t_payoff = time.perf_counter() - start  # counted in iteration 1
+    with timed("t_payoff"):
+        meta = arena.fill_payoffs(MetaGame(), pops, _mix_seed(seed, 2))
     sigmas = (np.ones(1), np.ones(1))
     records = []
+    evals = config.eval
     # Outputs are written as each iteration completes, so a failing component
     # aborts the run with the partial history already on disk.
     for t in range(1, config.iterations + 1):
-        meta, sigmas, record = _run_iteration(config, seed, t, arena, pops,
-                                              meta, sigmas, writer, t_payoff)
-        t_payoff = 0.0
+        kl_rows, new_policies = [], []
+        for player in (0, 1):
+            pop, sigma = pops[player], sigmas[player]
+            with timed("t_fusion"):
+                init = init_new_policy(pop, sigma, t, config.init[player],
+                                       _derive_seed(seed, t, player, 0),
+                                       arena, player)
+            if config.diagnostics.kl_compare:
+                with timed("t_diag"):
+                    kl_rows.append(_kl_compare_row(config, seed, t, player,
+                                                   arena, pop, sigma))
+            psd_bonus = None
+            if config.psd.enabled:
+                rng = np.random.default_rng(_derive_seed(seed, t, player, 4))
+                psd_bonus = PsdBonus([pop[i] for i in rng.integers(
+                    len(pop), size=config.psd.hull_samples)], config.psd.lam)
+            with timed("t_br"):
+                trained, curve, traj = arena.train(
+                    init, PolicyMixture(pops[1 - player], sigmas[1 - player]),
+                    player, _derive_seed(seed, t, player, 1), psd_bonus)
+            with timed("t_io"):
+                writer.curve(t, player, curve)
+                writer.trajectory(t, player, traj)
+                writer.checkpoint(t, player, trained)
+            new_policies.append(trained)
+        for player in (0, 1):
+            pops[player].append(new_policies[player])
+        with timed("t_payoff"):
+            meta = arena.fill_payoffs(meta, pops, _mix_seed(seed, 2))
+        with timed("t_meta"):
+            sigmas = meta_solvers.solve(meta.payoff, config.mss)
+        # Each evaluation runs every k-th iteration and the last; k = 0
+        # turns exact evaluation off and leaves approximate at the last.
+        last = t == config.iterations
+        exact = approx = None
+        every = evals.exact_exploitability_every
+        if every and (last or t % every == 0):
+            with timed("t_eval_exact"):
+                exact = float(arena.exploitability(pops, sigmas))
+        every, spec = evals.approx_every, evals.approx_oracle
+        if spec is not None and (last or every and t % every == 0):
+            with timed("t_eval_approx"):
+                approx = float(approximate_exploitability(
+                    arena.game, (PolicyMixture(pops[0], sigmas[0]),
+                                 PolicyMixture(pops[1], sigmas[1])),
+                    spec, _mix_seed(seed, t, 3)))
+        with timed("t_io"):
+            writer.kl_compare(kl_rows)
+            writer.payoff_matrix(t, meta)
+        record = IterationRecord(
+            iteration=t, sigma_row=[float(x) for x in sigmas[0]],
+            sigma_col=[float(x) for x in sigmas[1]], exploitability=exact,
+            approx_exploitability=approx, pop_size_p1=len(pops[0]),
+            pop_size_p2=len(pops[1]), kl_compare=kl_rows, **spent)
+        spent.update(dict.fromkeys(spent, 0.0))
         records.append(record)
         writer.record(record)
     return RunHistory(records, pops, meta, sigmas)
-
-
-def _run_iteration(config, seed, t, arena, pops, meta, sigmas, writer,
-                   t_payoff):
-    t_fusion = t_br = t_io = t_diag = 0.0
-    kl_rows, new_policies = [], []
-    for player in (0, 1):
-        sigma_own = sigmas[player]
-        opponent = PolicyMixture(pops[1 - player], sigmas[1 - player])
-
-        start = time.perf_counter()
-        init = init_new_policy(pops[player], sigma_own, t,
-                               config.init[player],
-                               _derive_seed(seed, t, player, 0), arena,
-                               player)
-        t_fusion += time.perf_counter() - start
-
-        if config.diagnostics.kl_compare:
-            start = time.perf_counter()
-            kl_rows.append(_kl_compare_row(config, seed, t, player, arena,
-                                           pops[player], sigma_own))
-            t_diag += time.perf_counter() - start
-
-        psd_bonus = None
-        if config.psd.enabled:
-            rng = np.random.default_rng(_derive_seed(seed, t, player, 4))
-            hull = [pops[player][i] for i in
-                    rng.integers(len(pops[player]),
-                                 size=config.psd.hull_samples)]
-            psd_bonus = PsdBonus(hull, config.psd.lam)
-
-        start = time.perf_counter()
-        trained, curve, traj = arena.train(init, opponent, player,
-                                           _derive_seed(seed, t, player, 1),
-                                           psd_bonus)
-        t_br += time.perf_counter() - start
-
-        start = time.perf_counter()
-        writer.curve(t, player, curve)
-        writer.trajectory(t, player, traj)
-        writer.checkpoint(t, player, trained)
-        t_io += time.perf_counter() - start
-        new_policies.append(trained)
-
-    for player in (0, 1):
-        pops[player].append(new_policies[player])
-
-    start = time.perf_counter()
-    meta = arena.fill_payoffs(meta, pops, _mix_seed(seed, 2))
-    t_payoff += time.perf_counter() - start
-
-    start = time.perf_counter()
-    sigma_row, sigma_col = meta_solvers.solve(meta.payoff, config.mss)
-    t_meta = time.perf_counter() - start
-    sigmas = (sigma_row, sigma_col)
-
-    start = time.perf_counter()
-    exact = None
-    every = config.eval.exact_exploitability_every
-    if every and (t % every == 0 or t == config.iterations):
-        exact = arena.exploitability(pops, sigmas)
-    t_eval_exact = time.perf_counter() - start
-
-    start = time.perf_counter()
-    approx = None
-    spec = config.eval.approx_oracle
-    if spec is not None:
-        cadence = config.eval.approx_every
-        due = (t % cadence == 0) if cadence else (t == config.iterations)
-        if due:
-            approx = approximate_exploitability(
-                arena.game, (PolicyMixture(pops[0], sigma_row),
-                       PolicyMixture(pops[1], sigma_col)),
-                spec, _mix_seed(seed, t, 3))
-    t_eval_approx = time.perf_counter() - start
-
-    start = time.perf_counter()
-    writer.kl_compare(kl_rows)
-    writer.payoff_matrix(t, meta)
-    t_io += time.perf_counter() - start
-    record = IterationRecord(
-        iteration=t, sigma_row=[float(x) for x in sigma_row],
-        sigma_col=[float(x) for x in sigma_col],
-        exploitability=None if exact is None else float(exact),
-        approx_exploitability=None if approx is None else float(approx),
-        pop_size_p1=len(pops[0]), pop_size_p2=len(pops[1]), t_meta=t_meta,
-        t_br=t_br, t_fusion=t_fusion, t_payoff=t_payoff,
-        t_eval_exact=t_eval_exact, t_eval_approx=t_eval_approx, t_io=t_io,
-        t_diag=t_diag, kl_compare=kl_rows)
-    return meta, sigmas, record
 
 
 def _kl_compare_row(config, seed, t, player, arena, pop, sigma):

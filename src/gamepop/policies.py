@@ -39,7 +39,7 @@ import numpy as np
 
 from . import nets
 from .games.base import (FlatTree, Game, InfosetView, checked_cdf, draw,
-                         draw_index, sample_action, sample_episode)
+                         draw_index, sample_episode)
 from .nets import ArchSignature
 
 KL_FLOOR = 1e-9
@@ -384,7 +384,8 @@ def sample_infoset_views(mixture: PolicyMixture, game: Game, player: int,
     """Distinct infosets of `player` visited by the mixture ensemble playing
     against a uniform opponent, in first-visit order, each mapped to the
     ensemble's distribution there. The rollouts compute that distribution
-    once per view they meet and draw every visit from it.
+    and its CDF once per view they meet and draw every visit from the CDF,
+    as `sample_action` would from the distribution.
 
     Stops early once rollouts keep revisiting known infosets, so small games
     return their full reachable set quickly.
@@ -393,15 +394,17 @@ def sample_infoset_views(mixture: PolicyMixture, game: Game, player: int,
     # Every view the rollouts meet, in first-visit order; the first
     # num_states are the sample.
     dists: dict[InfosetView, np.ndarray] = {}
+    cdfs: dict[InfosetView, np.ndarray] = {}
 
     def choose(current, view):
         legal = view.legal_actions
         if current != player:
-            return sample_action(_uniform(len(legal)), legal, rng)
-        dist = dists.get(view)
-        if dist is None:
-            dist = dists[view] = ensemble_distribution(mixture, view)
-        return sample_action(dist, legal, rng)
+            return legal[draw(_shared_cdf(_uniform(len(legal))), rng)]
+        cdf = cdfs.get(view)
+        if cdf is None:
+            dists[view] = ensemble_distribution(mixture, view)
+            cdf = cdfs[view] = checked_cdf(dists[view], len(legal))
+        return legal[draw(cdf, rng)]
 
     episodes = since_new = 0
     patience = max(20, num_states // 2)

@@ -364,6 +364,20 @@ class TestSweep:
             "error: init: missing field 'method'\n"
         assert not (tmp_path / "x").exists()
 
+    def test_a_sweep_without_evaluation_runs_no_arm(self, tmp_path, capsys):
+        """A sweep summarizes each arm's final exploitability, so one with
+        exact and approximate evaluation both off is refused before any
+        seed directory is written."""
+        config = minimal_config(tmp_path / "x",
+                                eval={"exact_exploitability_every": 0})
+        path = write_config(tmp_path, config)
+        assert main(["sweep", "--config", path, "--param", "mss",
+                     "--values", "nash,uniform"]) == 2
+        assert capsys.readouterr().err == (
+            "error: eval: a sweep summarizes the final exploitability; "
+            "enable exact or approximate evaluation\n")
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_param(self, tmp_path):
         path = write_config(tmp_path, minimal_config(tmp_path / "x"))
         with pytest.raises(ConfigError, match="param"):

@@ -3,17 +3,20 @@ approximate exploitability, determinism, and game reuse."""
 
 import collections
 import gc
+import time
 import weakref
 
 import numpy as np
 import pytest
 
-from gamepop.engine import (DiagnosticsSpec, Distill, DqnOracle, EngineError,
-                            EvalSpec, ExactOracle, GradientOracle,
-                            InheritBest, InheritLatest, NashFusion,
-                            NetworkArena, PayoffSpec, PsdSpec, PsroConfig,
-                            QLearningOracle,
-                            SampleFromNE, Scratch, _build_arena,
+import gamepop.engine as eng
+from gamepop import meta_solvers
+from gamepop.engine import (TIMINGS_COLUMNS, DiagnosticsSpec, Distill,
+                            DqnOracle, EngineError, EvalSpec, ExactOracle,
+                            GradientOracle, InheritBest, InheritLatest,
+                            NashFusion, NetworkArena, PayoffSpec, PsdSpec,
+                            PsroConfig, QLearningOracle, SampleFromNE,
+                            Scratch, TreeArena, _build_arena,
                             approximate_exploitability, init_new_policy,
                             ntmg_exploitability, run_psro, top_k_filter)
 from gamepop.games import KuhnPoker, LeducPoker, make_game
@@ -292,6 +295,31 @@ class TestRunPsro:
         for rec in history.records:
             assert rec.t_diag >= 0.1  # one comparison per player
             assert rec.t_fusion < 0.05 and rec.t_br < 0.05
+
+    @pytest.mark.parametrize("column,owner,name", [
+        ("t_meta", meta_solvers, "solve"),
+        ("t_br", TreeArena, "train"),
+        ("t_fusion", eng, "init_new_policy"),
+        ("t_eval_approx", eng, "approximate_exploitability")])
+    def test_each_phase_is_timed_in_its_own_column(self, monkeypatch, column,
+                                                   owner, name):
+        """A stand-in for one phase, slowed by 0.05 s, shows in that
+        phase's column of every iteration, and no other column reaches
+        0.05 s."""
+        function = getattr(owner, name)
+
+        def slowed(*args, **kwargs):
+            time.sleep(0.05)
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, slowed)
+        config = rps_config(iterations=2, eval=EvalSpec(
+            approx_oracle=ExactOracle(), approx_every=1))
+        for rec in run_psro(config, seed=0).records:
+            assert getattr(rec, column) >= 0.05
+            others = {other: getattr(rec, other)
+                      for other in TIMINGS_COLUMNS[1:] if other != column}
+            assert max(others.values()) < 0.05, others
 
     def test_history_deterministic_for_config_and_seed(self):
         config = PsroConfig(
@@ -640,6 +668,19 @@ class TestApproximateExploitability:
                    PolicyMixture([uniform], [1.0]))
         approximate_exploitability(game, profile, ExactOracle(), seed=0)
         assert len(calls) == 3
+
+    def test_evaluated_every_kth_iteration_and_the_last(self):
+        """Approximate evaluation keeps exact evaluation's cadence: every
+        `approx_every`-th iteration and the last one."""
+        config = PsroConfig(
+            game=KUHN, oracle=ExactOracle(), mss=Nash(),
+            init=(InheritLatest(), InheritLatest()), iterations=3,
+            eval=EvalSpec(exact_exploitability_every=0,
+                          approx_oracle=ExactOracle(), approx_every=2))
+        records = run_psro(config, seed=0).records
+        assert [rec.approx_exploitability is not None
+                for rec in records] == [False, True, True]
+        assert all(rec.exploitability is None for rec in records)
 
     def test_exact_oracle_reduces_to_exact_exploitability(self):
         from gamepop.games import exploitability

@@ -3,15 +3,17 @@ and checkpoint round-trips."""
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gamepop.games.base as games_base
 from gamepop import nets, policies
 from gamepop.games import expected_value, make_game, play_episode
-from gamepop.games.base import sample_action, sample_episode
+from gamepop.games.base import checked_cdf, sample_action, sample_episode
 from gamepop.nets import ArchSignature
 from gamepop.policies import (InfosetView, ParametricPolicy, PointPolicy,
                               PolicyError, PolicyMixture, TabularPolicy,
@@ -324,25 +326,37 @@ def test_sampled_views_ask_the_ensemble_once_per_view(monkeypatch, states):
     """One call asks `ensemble_distribution` once per distinct view its
     rollouts meet and hands back those very distributions with the views
     it keeps, the same views in the same order as asking at every
-    decision; `kl_to_ensemble` and a `distill` epoch ask nothing more."""
+    decision. It runs `checked_cdf` once on each of those distributions
+    and never for the opponent's uniform, whose CDF is shared.
+    `kl_to_ensemble` and a `distill` epoch ask nothing more."""
     game = make_game("leduc_poker")
     sig = ArchSignature(game.encoding_dim(), (8,), game.num_distinct_actions())
     mix = PolicyMixture([scratch_init("normal", sig, 1),
                          scratch_init("normal", sig, 2), TabularPolicy()],
                         [0.5, 0.3, 0.2])
     want = _asking_at_every_decision(mix, game, 0, states, 5)
-    calls = []
+    # Made once per process: the shared uniforms and their CDFs.
+    sample_infoset_views(mix, game, 0, states, 5)
+    calls, cdf_of = [], []
 
     def counted(mixture, view):
         calls.append((view, ensemble_distribution(mixture, view)))
         return calls[-1][1]
 
+    def counted_cdf(probs, count):
+        cdf_of.append(probs)
+        return checked_cdf(probs, count)
+
     monkeypatch.setattr(policies, "ensemble_distribution", counted)
+    for module in (policies, games_base):
+        monkeypatch.setattr(module, "checked_cdf", counted_cdf)
     targets = sample_infoset_views(mix, game, 0, states, 5)
     asked = [view for view, _ in calls]
     assert len(set(asked)) == len(asked) >= len(targets)
     assert list(targets) == asked[:len(targets)] == want
     assert all(targets[view] is dist for view, dist in calls[:len(targets)])
+    assert len(cdf_of) == len(calls)
+    assert all(map(operator.is_, cdf_of, (dist for _, dist in calls)))
     for run in (lambda: kl_to_ensemble([mix.members[0]], mix, game, states, 5),
                 lambda: distill(mix, sig, game, 1, states, 0.1, 5)):
         calls.clear()
