@@ -165,6 +165,13 @@ class Infosets(NamedTuple):
     features: np.ndarray
     legal: np.ndarray
 
+    @property
+    def width(self) -> int:
+        """The most legal actions at one infoset, 1 if there is none: the
+        width of a table with one row per infoset and one column per
+        legal action."""
+        return int(self.num_actions.max(initial=1))
+
 
 class PlayerLevel(NamedTuple):
     """One player's part of a `LevelPlan` of level d. Offsets count from
@@ -176,6 +183,10 @@ class PlayerLevel(NamedTuple):
     move_infoset: np.ndarray  # the infoset each move is made at
     move_slot: np.ndarray  # the action, as a slot, each move takes
     firsts: np.ndarray  # the infosets whose nodes are on level d
+    # Each move's entry ``move_infoset * width + move_slot`` in an
+    # (infosets x width) table, ``width`` the most legal actions at one of
+    # the player's infosets (see `FlatTree.last_moves`).
+    move: np.ndarray
 
 
 class LevelPlan(NamedTuple):
@@ -189,6 +200,30 @@ class LevelPlan(NamedTuple):
     # parents on level d.
     siblings: tuple[tuple[np.ndarray, np.ndarray], ...]
     players: tuple[PlayerLevel, PlayerLevel]
+
+
+class LastMoves(NamedTuple):
+    """One player's moves as `FlatTree.last_moves` gives them: each is an
+    entry of `PlayerLevel.move`, and the entry one past the table,
+    infosets x width, stands for no move yet."""
+    before: np.ndarray  # per infoset, the player's last move on the way
+    last: np.ndarray  # per terminal, in row order, the same
+    # per node of the other player, in that player's `Infosets.nodes`
+    # order, the same
+    facing: np.ndarray
+
+
+class Choices(NamedTuple):
+    """One player's infosets on one level (`PlayerLevel.firsts`), as
+    `FlatTree.choices` gathers their best actions' values: their nodes,
+    rank by rank, rank r being the r-th node of each infoset holding more
+    than r nodes."""
+    ranks: tuple[int, ...]  # where each rank starts below, and their end
+    at: np.ndarray  # per node, its infoset's position among them
+    # Per node, its children's node numbers, one per action up to the most
+    # legal actions among them, the last child repeated past its own.
+    children: np.ndarray
+    wide: np.ndarray  # per infoset and action, whether it is past its legal
 
 
 class FlatTree:
@@ -213,9 +248,10 @@ class FlatTree:
     Building it steps every state of the game once, depth first;
     TraversalBudgetError fires once the tree passes `MAX_TREE_NODES`, and
     GameError if an infoset holds nodes at more than one depth.
-    Indices are int32 or narrower, no per-node Python object outlives the
-    build, and nothing refers back to the game. Every array is read-only:
-    one tree serves every run on its game in a process.
+    Indices take the narrowest signed type that holds minus the node count
+    (int16 on Leduc), no per-node Python object outlives the build, and
+    nothing refers back to the game. Every array is read-only: one tree
+    serves every run on its game in a process.
     """
 
     def __init__(self, game: Game):
@@ -269,19 +305,21 @@ class FlatTree:
         up = np.array(parent)[preorder]
         self.levels = np.concatenate([[0], np.cumsum(np.bincount(depth))])
         self.owner = owner[preorder]
-        self.parent = np.where(up < 0, -1, number[up]).astype(np.int32)
+        # Node numbers and -1 fit in ``node``, as does every index below.
+        node = np.min_scalar_type(-len(up))
+        self.parent = np.where(up < 0, -1, number[up]).astype(node)
         self.first = np.searchsorted(
-            self.parent, np.arange(len(up) + 1)).astype(np.int32)
+            self.parent, np.arange(len(up) + 1)).astype(node)
         slot = np.array(slot)[preorder]
         self.slot = slot.astype(np.min_scalar_type(slot.max()))
         self.prob = np.array(prob)[preorder]
-        self.infoset = np.array(infoset, np.int32)[preorder]
+        self.infoset = np.array(infoset, node)[preorder]
         terminal = self.owner == TERMINAL
         ends = np.cumsum(owner == TERMINAL)  # in preorder
         self.utility = np.array(returns).reshape(-1, 2)[
             ends[preorder[terminal]] - 1]
         count = np.cumsum(terminal)
-        self.row = np.where(terminal, count - 1, -1).astype(np.int32)
+        self.row = np.where(terminal, count - 1, -1).astype(node)
         self.leaves = np.concatenate([[0], count])[self.levels]
         self.infosets = tuple(
             self._infosets(game, listed[player], encoded[player],
@@ -332,18 +370,95 @@ class FlatTree:
             for player, infosets in enumerate(self.infosets):
                 nodes = np.flatnonzero(own == player)
                 moves = np.flatnonzero(own[up] == player)
+                made = self.infoset[a + up[moves]]
+                width = infosets.width
                 players.append(PlayerLevel(
                     nodes.astype(offset),
                     self.infoset[a + nodes].astype(index),
-                    moves.astype(offset),
-                    self.infoset[a + up[moves]].astype(index), slot[moves],
-                    np.flatnonzero(infosets.first_level == d).astype(index)))
+                    moves.astype(offset), made.astype(index), slot[moves],
+                    np.flatnonzero(infosets.first_level == d).astype(index),
+                    (made.astype(np.intp) * width + slot[moves]).astype(
+                        np.min_scalar_type(len(infosets.views) * width))))
             plan.append(LevelPlan(own == TERMINAL, up.astype(offset),
                                   self.prob[b:c], tuple(siblings),
                                   tuple(players)))
         for value in _arrays(plan):
             value.flags.writeable = False
         return tuple(plan)
+
+    @functools.cached_property
+    def last_moves(self) -> tuple[LastMoves, LastMoves]:
+        """Per player, the player's last move on the way to each of its
+        infosets, to each terminal and to each node of the other player:
+        where reach read from realization plans
+        (`gamepop.policies.Reading.own_reach`) looks a node up. Built on
+        first use, read-only and as narrow as the plan's moves.
+
+        A player's own reach at a node is its realization plan's entry for
+        that last move, provided every node of an infoset follows the same
+        last move of its player; GameError if one does not, since the
+        infoset would not recall its player's own play.
+        """
+        players = []
+        for player, infosets in enumerate(self.infosets):
+            moves = self.plan[0].players[player].move.dtype
+            none = len(infosets.views) * infosets.width
+            before = np.full(len(infosets.views), none, moves)
+            at, last = np.full(1, none, moves), []
+            facing = np.full(len(self.owner), none, moves)
+            for d, level in enumerate(self.plan):
+                mine = level.players[player]
+                last.append(at[level.leaf])
+                facing[self.levels[d]:self.levels[d + 1]] = at
+                before[mine.infoset] = at[mine.nodes]
+                forgot = before[mine.infoset] != at[mine.nodes]
+                if forgot.any():
+                    key = infosets.views[mine.infoset[forgot][0]].key
+                    raise GameError(f"infoset {key!r} holds nodes after "
+                                    "different moves of its player")
+                at = at[level.up]
+                at[mine.moves] = mine.move
+            players.append(LastMoves(
+                before, np.concatenate(last),
+                facing[self.infosets[1 - player].nodes]))
+        for value in _arrays(players):
+            value.flags.writeable = False
+        return tuple(players)
+
+    @functools.cached_property
+    def choices(self) -> tuple[tuple[Choices, Choices], ...]:
+        """Per level, per player, the `Choices` of the player's infosets on
+        that level: what an exact best response gathers to decide them,
+        built on first use for all of them. Read-only, and as narrow as the
+        plan's (uint16 on Leduc)."""
+        node = np.min_scalar_type(len(self.owner))
+        choices = []
+        for level in self.plan:
+            pair = []
+            for mine, infosets in zip(level.players, self.infosets):
+                start = infosets.start[mine.firsts]
+                count = infosets.start[mine.firsts + 1] - start
+                width = infosets.num_actions[mine.firsts]
+                actions = np.arange(width.max(initial=1))
+                ranks = [0]
+                at = [np.zeros(0, np.intp)]
+                children = [np.zeros((0, len(actions)), np.intp)]
+                for rank in range(count.max(initial=0)):
+                    k = np.flatnonzero(count > rank)
+                    nodes = infosets.nodes[start[k] + rank]
+                    ranks.append(ranks[-1] + len(k))
+                    at.append(k)
+                    children.append(self.first[nodes][:, None] + np.minimum(
+                        actions, width[k, None] - 1))
+                pair.append(Choices(
+                    tuple(ranks),
+                    np.concatenate(at).astype(mine.firsts.dtype),
+                    np.concatenate(children).astype(node),
+                    actions >= width[:, None]))
+            choices.append(tuple(pair))
+        for value in _arrays(choices):
+            value.flags.writeable = False
+        return tuple(choices)
 
     @functools.cached_property
     def walk(self) -> tuple[array, array, tuple]:

@@ -112,14 +112,16 @@ class Reading:
     else the row's `checked_cdf`, made on its first draw. Made without a
     policy, every row is zero for the caller to write. It refers to its
     tree weakly, and to no policy or view."""
-    __slots__ = ("tree", "rows", "cdfs")
+    __slots__ = ("tree", "player", "rows", "cdfs", "reach")
 
     def __init__(self, tree: FlatTree, player: int, policy=None):
         infosets = tree.infosets[player]
         actions = infosets.num_actions
         self.tree = weakref.ref(tree)
-        self.rows = np.zeros((len(actions), actions.max(initial=1)))
+        self.player = player
+        self.rows = np.zeros((len(actions), infosets.width))
         self.cdfs: list[np.ndarray | None] = [None] * len(actions)
+        self.reach = None
         if policy is None:
             return
         reached = np.ones(1, bool)
@@ -133,6 +135,38 @@ class Reading:
             reached = reached[level.up]
             reached[mine.moves] &= self.rows[mine.move_infoset,
                                              mine.move_slot] != 0
+
+    def own_reach(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The policy's own reach, as its realization plan: entry
+        ``i * width + a`` (`PlayerLevel.move`) is 1.0 times its rows'
+        entries along its own moves to infoset i and then action a, and the
+        last entry, 1.0, its reach before its first move. The products are
+        the ones an exact pass forms for a side of weight 1.0, in the same
+        order. Made from the rows on the first call, read-only and kept.
+
+        Returns ``(entries, values)``: the entries that are not +0.0 and
+        their values, or None for values if each is 1.0, as a deterministic
+        policy's are."""
+        if self.reach is None:
+            tree = self.tree()
+            before = tree.last_moves[self.player].before
+            plan = np.empty(self.rows.size + 1)
+            plan[-1] = 1.0
+            table = plan[:-1].reshape(self.rows.shape)
+            for level in tree.plan:
+                firsts = level.players[self.player].firsts
+                table[firsts] = plan[before[firsts]][:, None] * self.rows[
+                    firsts]
+            entries = np.flatnonzero((plan != 0.0) | np.signbit(plan))
+            values = plan[entries]
+            if (values == 1.0).all():
+                values = None
+            else:
+                values.flags.writeable = False
+            entries = entries.astype(np.min_scalar_type(plan.size))
+            entries.flags.writeable = False
+            self.reach = (entries, values)
+        return self.reach
 
     def draw(self, view: InfosetView, rng: np.random.Generator) -> int:
         """The legal action ``sample_action(policy.action_probs(view),
@@ -489,7 +523,8 @@ def distill(mixture: PolicyMixture, student_signature: ArchSignature,
 
 # Checkpoint format: JSON object with exactly the fields input_dim,
 # hidden_layers, output_dim, activation, theta. Floats are written with
-# repr precision so a round-trip is bit-exact.
+# repr precision so a round-trip is bit-exact; ``tolist`` gives the same
+# Python floats as ``float`` of each entry, in one call.
 
 def checkpoint_dumps(policy) -> str:
     if isinstance(policy, ParametricPolicy):
@@ -499,13 +534,13 @@ def checkpoint_dumps(policy) -> str:
             "hidden_layers": list(sig.hidden_layers),
             "output_dim": sig.output_dim,
             "activation": sig.activation,
-            "theta": [float(t) for t in policy.theta],
+            "theta": policy.theta.tolist(),
         }
     elif isinstance(policy, TabularPolicy):
-        payload = {"table": {k: [float(p) for p in v]
+        payload = {"table": {k: v.tolist()
                              for k, v in sorted(policy.table.items())}}
     elif isinstance(policy, PointPolicy):
-        payload = {"x": [float(policy.x[0]), float(policy.x[1])]}
+        payload = {"x": policy.x.tolist()}
     else:
         raise PolicyError(f"cannot checkpoint {type(policy).__name__}")
     return json.dumps(payload, separators=(",", ":"))

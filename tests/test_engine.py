@@ -648,6 +648,41 @@ class TestGameReuse:
         assert {policy for policy, _ in reads} == {
             history.populations[0][0], history.populations[1][0]}
 
+    def test_exact_runs_reach_each_member_once(self, monkeypatch):
+        """In a five-iteration exact-oracle Leduc run, each member's own
+        reach is made once per player it plays, and no pass descends a side
+        whose weights are all 1.0: every payoff row and column, and each
+        best response to a one-member mixture, reads the members' own
+        reach instead."""
+        import gamepop.games.evaluate as evaluate
+        from gamepop.policies import Reading
+        made = collections.Counter()
+        own_reach, descend = Reading.own_reach, evaluate._descend
+        weights = []
+
+        def counted(reading):
+            made[reading] += reading.reach is None
+            return own_reach(reading)
+
+        def descended(flat, sides):
+            weights.extend(tuple(side[2]) for side in sides)
+            return descend(flat, sides)
+
+        monkeypatch.setattr(Reading, "own_reach", counted)
+        monkeypatch.setattr(evaluate, "_descend", descended)
+        config = PsroConfig(game={"name": "leduc_poker", "params": {}},
+                            oracle=ExactOracle(), mss=Nash(),
+                            init=(InheritLatest(), InheritLatest()),
+                            iterations=5, eval=EvalSpec(
+                                exact_exploitability_every=1))
+        history = run_psro(config, seed=0)
+        readings = {member._readings[player]
+                    for player, population in enumerate(history.populations)
+                    for member in population}
+        assert len(readings) == sum(map(len, history.populations)) == 12
+        assert set(made) == readings and set(made.values()) == {1}
+        assert weights and all(any(w != 1.0 for w in ws) for ws in weights)
+
 
 class TestApproximateExploitability:
     def test_profile_value_computed_once(self, monkeypatch):

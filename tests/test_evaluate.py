@@ -19,7 +19,7 @@ from gamepop.games import (CHANCE, TERMINAL, InfosetView,
                            TraversalBudgetError, best_response,
                            expected_value, exploitability, make_game,
                            play_episode)
-from gamepop.games.evaluate import _as_members
+from gamepop.games.evaluate import _as_members, _descend, _plans
 from gamepop.nets import ArchSignature
 from gamepop.policies import PolicyMixture, TabularPolicy, scratch_init
 
@@ -602,18 +602,77 @@ def test_a_fresh_tree_replaces_the_kept_table():
 
 def test_members_keep_no_dropped_tree_alive():
     """A reading refers to its tree weakly: once a game is dropped, its
-    views' features are freed, though the members read on it live on."""
+    views' features are freed, and so are the arrays the tree built for
+    exact passes (its plan, the moves behind cached reach and the
+    best-action gathers), though the members read on it live on, each
+    with its own reach, which refers to no array of the tree."""
     game = make_game("leduc_poker")
     profile = (_scratch_mixture(game, [0.2, 0.3, 0.5], seed=4),
                _scratch_mixture(game, [0.6, 0.0, 0.4], seed=9))
     exploitability(game, profile)
-    features = weakref.ref(game.tree.infosets[0].views[0].features)
-    del game
+    expected_value(game, (profile[0].members, profile[1].members[0]))
+    tree = game.tree
+    built = [tree.infosets[0].views[0].features, tree.plan[2].players[0].move,
+             *tree.last_moves[1], *tree.choices[2][0][1:]]
+    freed = [weakref.ref(array) for array in built]
+    reach = [member._readings[0].own_reach()
+             for member in profile[0].members]
+    del game, tree, built
     gc.collect()
-    assert features() is None
+    assert all(array() is None for array in freed)
     for player, mixture in enumerate(profile):
         for member in mixture.members:
             assert member._readings[player].tree() is None
+    for entries, values in reach:
+        assert entries.base is None
+        assert values is None or values.base is None
+
+
+def _signed_tabular(tree, rng):
+    """A `_sparse_tabular` policy whose dropped actions hold -0.0, one of
+    them -1e-13 at about a third of its infosets: `TabularPolicy` accepts
+    both."""
+    table = {}
+    for key, dist in _sparse_tabular(tree, rng, 0.4).table.items():
+        dist = np.where(dist == 0.0, -0.0, dist)
+        dropped = np.flatnonzero(dist == 0.0)
+        if len(dropped) and rng.random() < 0.3:
+            dist[dropped[0]] = -1e-13
+        table[key] = dist
+    return TabularPolicy(table)
+
+
+@pytest.mark.parametrize("name,params", TREE_GAMES + [
+    ("matrix_game", {"rows": [[0, -1, 2], [1, 0, 0]]})],
+    ids=TREE_GAME_IDS + ["matrix_game-params4"])
+def test_cached_reach_equals_the_descent_bit_for_bit(name, params):
+    """Each member's own reach read from its realization plan equals, sign
+    of zero included, the column a side of weight 1.0 carries down in
+    `_descend`: at every terminal, and, as whether any member reaches
+    them, at the other player's nodes. Members are tabular (uniform,
+    pure, and sparse with -0.0 and -1e-13 entries), networks and exact
+    best responses, and one is listed twice."""
+    game = make_game(name, params)
+    tree, flat = StateWalk(game), game.tree
+    rng = np.random.default_rng(7)
+    sig = ArchSignature(game.encoding_dim(), (8,),
+                        game.num_distinct_actions())
+    for player in (0, 1):
+        opponent = _scratch_mixture(game, [0.5, 0.5], seed=3)
+        response, _ = best_response(game, opponent, player)
+        members = [TabularPolicy(), _sparse_tabular(tree, rng, 1.0),
+                   _signed_tabular(tree, rng), scratch_init("kaiming", sig, 5),
+                   response]
+        members.append(members[2])
+        moves = flat.last_moves[player]
+        plans = _plans(flat, player, members)
+        _, (column,), reached = _descend(
+            flat, [(player, members, np.ones(len(members)), False)])
+        cached = plans[moves.last]
+        assert cached.tobytes() == column.tobytes()
+        assert np.signbit(cached).any() or name == "matrix_game"
+        other = flat.infosets[1 - player].nodes
+        assert (plans[moves.facing].any(axis=1) == reached[other]).all()
 
 
 def test_a_member_listed_twice_is_read_once_per_infoset():

@@ -8,7 +8,7 @@ import pytest
 
 from gamepop.games import (CHANCE, TERMINAL, Game, GameError, KuhnPoker,
                            State, make_game, play_episode)
-from gamepop.games.base import sample_action, sample_episode
+from gamepop.games.base import _arrays, sample_action, sample_episode
 from gamepop.games.ntmg import (S_MATRIX, NtmgConfig, ntmg_payoff,
                                 ntmg_weights)
 from gamepop import nets
@@ -277,6 +277,36 @@ def test_an_infoset_spanning_depths_is_refused():
         _SpanningGame().tree
 
 
+class _ForgetfulState(_SpanningState):
+    """Player 0 moves, player 1 moves, then player 0 moves again under one
+    infoset key whatever it played first."""
+
+    @property
+    def current_player(self):
+        return (0, 1, 0, TERMINAL)[len(self.history)]
+
+    def child(self, action):
+        return _ForgetfulState(self.history + (action,))
+
+    def infoset_key(self, player):
+        return f"{player}:{len(self.history)}"
+
+
+class _ForgetfulGame(_SpanningGame):
+    def initial_state(self):
+        return _ForgetfulState()
+
+
+def test_an_infoset_forgetting_its_players_moves_is_refused():
+    """Cached own reach reads a player's reach at a node from its last own
+    move there, so the moves it is read from refuse an infoset whose
+    nodes follow different moves of its player."""
+    tree = _ForgetfulGame().tree
+    with pytest.raises(GameError, match="'0:2' holds nodes after different "
+                                        "moves of its player"):
+        tree.last_moves
+
+
 def test_flat_leduc_tree_stays_small():
     """Leduc's compiled arrays take at most 0.4 MB, besides the feature and
     legal tables, which take one float64 row of `encoding_dim` and one
@@ -311,7 +341,9 @@ def test_the_tree_is_read_only():
     """One tree serves every run on its game in a process, so none of its
     arrays, nor a matrix game's rows, can be written into. The chance
     CDFs are computed afresh for each caller and kept by the tree in no
-    array."""
+    array. What exact passes build on it (the plan, the moves behind
+    cached reach and the best-action gathers) is read-only too, its node
+    numbers and infoset positions as narrow as the plan's offsets."""
     tree = make("leduc_poker").tree
     with pytest.raises(ValueError):
         tree.owner[0] = 0
@@ -321,6 +353,15 @@ def test_the_tree_is_read_only():
     arrays = [*vars(tree).values(), *tree.infosets[0], *tree.infosets[1]]
     assert not any(a.flags.writeable for a in arrays
                    if isinstance(a, np.ndarray))
+    built = [*_arrays(tree.plan), *_arrays(tree.last_moves),
+             *_arrays(tree.choices)]
+    assert not any(a.flags.writeable for a in built)
+    with pytest.raises(ValueError):
+        tree.choices[2][0].children[0, 0] = 0
+    for level, pair in zip(tree.plan, tree.choices):
+        for mine, choices in zip(level.players, pair):
+            assert choices.at.dtype == mine.firsts.dtype == np.uint16
+            assert choices.children.dtype == level.up.dtype == np.uint16
     with pytest.raises(ValueError):
         make("matrix_game").rows[0, 0] = 1.0
 
@@ -395,6 +436,9 @@ def test_the_plan_matches_the_tree(name, params):
             assert mine.move_infoset.tolist() == tree.infoset[
                 a + up[moves]].tolist()
             assert mine.move_slot.tolist() == slot[moves].tolist()
+            assert mine.move.tolist() == (
+                mine.move_infoset.astype(int) * tree.infosets[player].width
+                + mine.move_slot).tolist()
             assert mine.firsts.tolist() == np.flatnonzero(
                 tree.infosets[player].first_level == d).tolist()
         arrays = [level.leaf, level.up, level.prob, *level.players[0],

@@ -2,6 +2,7 @@
 and checkpoint round-trips."""
 
 import itertools
+import json
 import math
 import operator
 
@@ -17,10 +18,11 @@ from gamepop.games.base import checked_cdf, sample_action, sample_episode
 from gamepop.nets import ArchSignature
 from gamepop.policies import (InfosetView, ParametricPolicy, PointPolicy,
                               PolicyError, PolicyMixture, TabularPolicy,
-                              checkpoint_dumps, checkpoint_loads, distill,
-                              ensemble_distribution, fuse_parameters,
-                              fuse_points, fuse_tabular, kl_to_ensemble,
-                              sample_infoset_views, scratch_init)
+                              _one_hot, checkpoint_dumps, checkpoint_loads,
+                              distill, ensemble_distribution,
+                              fuse_parameters, fuse_points, fuse_tabular,
+                              kl_to_ensemble, sample_infoset_views,
+                              scratch_init)
 
 SIG = ArchSignature(2, (), 2)  # theta layout: W (4 entries) then b (2)
 
@@ -652,3 +654,49 @@ def test_tabular_checkpoint_ignores_insertion_order():
     backward = TabularPolicy(dict(reversed(list(dists.items()))))
     assert list(forward.table) != list(backward.table)
     assert checkpoint_dumps(forward) == checkpoint_dumps(backward)
+
+
+def _per_element_dumps(policy) -> str:
+    """`checkpoint_dumps` as it was written before: one ``float`` call per
+    entry."""
+    if isinstance(policy, ParametricPolicy):
+        sig = policy.signature
+        payload = {"input_dim": sig.input_dim,
+                   "hidden_layers": list(sig.hidden_layers),
+                   "output_dim": sig.output_dim,
+                   "activation": sig.activation,
+                   "theta": [float(t) for t in policy.theta]}
+    elif isinstance(policy, TabularPolicy):
+        payload = {"table": {k: [float(p) for p in v]
+                             for k, v in sorted(policy.table.items())}}
+    else:
+        payload = {"x": [float(policy.x[0]), float(policy.x[1])]}
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def test_checkpoint_floats_match_per_element_writes():
+    """Checkpoints write each float as ``float(entry)`` would, byte for
+    byte, the sign of zero, the smallest subnormal and the largest
+    magnitudes included, and read back to the same bits."""
+    edges = [-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0]
+    sig = ArchSignature(2, (3,), 2)
+    theta = np.resize(edges, nets.theta_size(sig))
+    checkpointed = [
+        ParametricPolicy(sig, theta),
+        TabularPolicy({"a": np.array([-0.0, 5e-324, 1.0]),
+                       "b": np.array([0.1, 0.9]), "c": _one_hot(3, 1)}),
+        PointPolicy([-0.0, 5e-324]), PointPolicy([1e308, -1e308]),
+    ]
+    for policy in checkpointed:
+        text = checkpoint_dumps(policy)
+        assert text == _per_element_dumps(policy)
+        again = checkpoint_loads(text)
+        assert checkpoint_dumps(again) == text
+        if isinstance(policy, ParametricPolicy):
+            assert again.theta.tobytes() == policy.theta.tobytes()
+        elif isinstance(policy, TabularPolicy):
+            assert again.table.keys() == policy.table.keys()
+            for key, dist in policy.table.items():
+                assert again.table[key].tobytes() == dist.tobytes()
+        else:
+            assert again.x.tobytes() == policy.x.tobytes()
