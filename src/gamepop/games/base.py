@@ -18,6 +18,8 @@ through its `gamepop.policies.Reading` of those rows.
 
 Exact evaluation and every reading walk `FlatTree.plan` besides: per
 level, the index arrays they gather and scatter with, built on first use.
+Exact evaluation also reads each terminal's chance probability from the
+tree (`FlatTree.chance`), made once from that plan.
 
 Sampled episodes walk `FlatTree.walk` instead: the same tree as typed
 arrays and a tuple of Python objects, built on the first sampled episode
@@ -95,7 +97,6 @@ class State:
 class Game:
     """A two-player zero-sum game exposing tree traversal queries."""
 
-    num_players: int = 2
     max_game_length: int = 0
 
     @functools.cached_property
@@ -252,6 +253,12 @@ class FlatTree:
     (int16 on Leduc), no per-node Python object outlives the build, and
     nothing refers back to the game. Every array is read-only: one tree
     serves every run on its game in a process.
+
+    Exact passes read the facts of the tree from it, each built on first
+    use and kept: the per-level index arrays (`plan`), each terminal's
+    chance probability (`chance`), each player's last moves (`last_moves`)
+    and the best-action gathers (`choices`). No pass multiplies chance
+    probabilities itself.
     """
 
     def __init__(self, game: Game):
@@ -385,6 +392,20 @@ class FlatTree:
         for value in _arrays(plan):
             value.flags.writeable = False
         return tuple(plan)
+
+    @functools.cached_property
+    def chance(self) -> np.ndarray:
+        """Each terminal's chance probability, in row order: 1.0 times the
+        `prob` of each edge on its way down, multiplied level by level from
+        the root, as every exact pass weighs its terminals. Built on first
+        use and read-only."""
+        at, chance = np.ones(1), []
+        for level in self.plan:
+            chance.append(at[level.leaf])
+            at = at[level.up] * level.prob
+        chance = np.concatenate(chance)
+        chance.flags.writeable = False
+        return chance
 
     @functools.cached_property
     def last_moves(self) -> tuple[LastMoves, LastMoves]:

@@ -10,14 +10,16 @@ rather than simulated.
 
 Evaluation is two array passes over the tree's levels, each reading the
 tree's per-level index arrays from `FlatTree.plan` rather than deriving
-them per call. The first gives each terminal each side's reach, from the
-members' readings (`policies.Reading`, one per policy and player, shared
-with sampled play, each read once where its policy's own play reaches);
-`best_response` writes its response's reading when it makes it, so a new
-exact-oracle member is never read.
+them per call, and each terminal's chance probability from
+`FlatTree.chance` rather than multiplying it out. The first gives each
+terminal one side's reach, from the members' readings (`policies.Reading`,
+one per policy and player, shared with sampled play, each read once where
+its policy's own play reaches); `best_response` writes its response's
+reading when it makes it, so a new exact-oracle member is never read.
 
-A side whose weights are all 1.0 (a single policy, a one-member mixture or
-a listed population: every payoff row and column) is never descended. Its
+`_reach` is the one place that picks how a side's reach is made. A side
+whose weights are all 1.0 (a single policy, a one-member mixture or a
+listed population: every payoff row and column) is never descended. Its
 members' own reach never changes, so each reading keeps it, made once as
 the policy's realization plan (`policies.Reading.own_reach`), and one
 gather through `FlatTree.last_moves` gives it at every terminal, with the
@@ -25,7 +27,8 @@ products a descent from 1.0 forms. A side weighed by a meta-strategy
 sigma starts its products at sigma_k, so no cache gives its bits:
 `_descend` multiplies each level's reach by the members' entries, gathered
 with one flat index per move (`PlayerLevel.move`) from an (infosets x
-actions, members) table of their rows.
+actions, members) table of their rows. A profile of two mixtures is two
+such descents, one per side: one side's products never read the other's.
 
 `_ascend` goes up: a node's value is 0.0 plus its children's, added in slot
 order. `best_response` ascends once with one full value array and decides
@@ -43,8 +46,8 @@ its row there, whether read or an unread zero, only changes the sign of
 that zero, and so it too leaves every total as it is.
 
 `expected_value` also resolves one side by member: given a list of policies
-on that side, its pass keeps one reach entry per listed policy and never
-sums them, so one pass values one policy against a whole population (a new
+on that side, its reach keeps one column per listed policy and never sums
+them, so one ascent values one policy against a whole population (a new
 payoff row or column), each entry equal bit for bit to that pair's own
 value.
 """
@@ -67,64 +70,70 @@ def _as_members(policy_or_mixture):
     return [policy_or_mixture], np.ones(1)
 
 
-def _weighed(weights) -> bool:
-    """Whether a side's pass must weigh its members: some weight is not
-    1.0. A side of weights 1.0, a single policy or a listed population,
-    reads its members' own reach instead (`_plans`)."""
-    return bool((np.asarray(weights) != 1.0).any())
+def _reach(flat: FlatTree, player: int, side, facing: bool = False):
+    """``side``'s reach at each terminal, in row order; ``side`` is a
+    policy, mixture or list of ``player``'s policies (see `_as_members`).
+    Reach has one column per listed policy, else one column summed over the
+    members. With ``facing``, returns ``(reach, reached)``: also whether the
+    side reaches each node of the other player, in that player's
+    `Infosets.nodes` order.
+
+    The one place that picks how: a side whose weights are all 1.0 gathers
+    its members' realization plans (`_plans`) through
+    `FlatTree.last_moves`, with the products a descent from 1.0 forms; any
+    other side starts its products at sigma_k, which no plan holds, and is
+    descended (`_descend`).
+    """
+    members, weights = _as_members(side)
+    if (weights != 1.0).any():
+        reach, reached = _descend(flat, player, members, weights)
+        return (reach, reached) if facing else reach
+    moves = flat.last_moves[player]
+    plans = _plans(flat, player, members)
+    reach = plans[moves.last]
+    if not isinstance(side, list):
+        reach = reach.sum(axis=1, keepdims=True)
+    return (reach, plans[moves.facing].any(axis=1)) if facing else reach
 
 
-def _descend(flat: FlatTree, sides):
-    """The top-down pass for ``sides``, each ``(player, members, weights,
-    fold)``; with no side, only each terminal's chance probability.
-
-    Returns ``(chance, reaches, reached)``: each terminal's chance
-    probability; per side, each terminal's reach, summed over members if
-    the side folds and one column per member if not; and whether the pass
-    reaches each node. The root is reached, and a child of a side's
-    decision node is reached if its parent is and some member of that side
-    plays the action. The members' rows are their readings' rows, stacked
-    as an (infosets x actions, members) table that each move's one flat
-    index (`PlayerLevel.move`) gathers from.
+def _descend(flat: FlatTree, player: int, members, weights):
+    """``(reach, reached)``, as `_reach` gives them with ``facing``, of
+    ``player``'s ``members`` weighed by ``weights``, by the top-down pass:
+    each level's reach is its parent's times the members' entries,
+    gathered with each move's one flat index (`PlayerLevel.move`) from an
+    (infosets x actions, members) table of their readings' rows, and summed
+    over the members level by level, at that level's terminals. The root is
+    reached, and a child of the player's decision node is reached if its
+    parent is and some member plays the action.
     """
     levels, plan = flat.levels, flat.plan
-    tables = [np.stack([member.reading(flat, player).rows.ravel()
-                        for member in members], axis=1)
-              for player, members, _, _ in sides]
-    reach = [np.asarray(weights, dtype=float)[None, :]
-             for _, _, weights, _ in sides]
-    chance = np.ones(1)
+    table = np.stack([member.reading(flat, player).rows.ravel()
+                      for member in members], axis=1)
+    reach = np.asarray(weights, dtype=float)[None, :]
     alive = np.ones(1, bool)
     reached = np.empty(len(flat.owner), bool)
-    leaf_chance, leaf_reach = [], [[] for _ in sides]
+    leaf_reach = []
     for d, level in enumerate(plan):
         reached[levels[d]:levels[d + 1]] = alive
-        leaf_chance.append(chance[level.leaf])
-        for i, (_, _, _, fold) in enumerate(sides):
-            r = reach[i][level.leaf]
-            leaf_reach[i].append(r.sum(axis=1, keepdims=True) if fold else r)
+        leaf_reach.append(reach[level.leaf].sum(axis=1, keepdims=True))
         if d == len(plan) - 1:
             break
-        up = level.up
-        chance = chance[up] * level.prob
-        alive_below = alive[up]
-        for i, (player, _, _, _) in enumerate(sides):
-            mine = level.players[player]
-            r = reach[i] = reach[i][up]
-            moves = mine.moves
-            moved = r[moves] * tables[i][mine.move]
-            r[moves] = moved
-            alive_below[moves] &= moved.any(axis=1)
-        alive = alive_below
-    return (np.concatenate(leaf_chance),
-            [np.concatenate(r) for r in leaf_reach], reached)
+        mine = level.players[player]
+        up, moves = level.up, mine.moves
+        reach = reach[up]
+        moved = reach[moves] * table[mine.move]
+        reach[moves] = moved
+        alive = alive[up]
+        alive[moves] &= moved.any(axis=1)
+    return (np.concatenate(leaf_reach),
+            reached[flat.infosets[1 - player].nodes])
 
 
 def _plans(flat: FlatTree, player: int, members):
     """The members' realization plans (`policies.Reading.own_reach`), one
     column each. Row m holds each member's own reach at every node whose
     last move of ``player`` is m (`FlatTree.last_moves`), bit for bit what
-    a side of weight 1.0 carries down to that node in `_descend`."""
+    `_descend` carries down to that node from a weight of 1.0."""
     infosets = flat.infosets[player]
     plans = np.zeros((len(infosets.views) * infosets.width + 1,
                       len(members)))
@@ -163,25 +172,16 @@ def expected_value(game: Game, profile):
     utilities are then arrays with one entry per listed policy, each equal
     bit for bit to the utility of that policy's own profile.
     """
-    sides = []
-    for player, side in enumerate(profile):
-        members, weights = _as_members(side)
-        sides.append((player, members, weights, not isinstance(side, list)))
-    if not (sides[0][3] or sides[1][3]):
+    listed = [isinstance(side, list) for side in profile]
+    if all(listed):
         raise ValueError("expected_value resolves one side of a profile by "
                          "member, not both")
     flat = game.tree
-    chance, folds, _ = _descend(
-        flat, [side for side in sides if _weighed(side[2])])
-    for player, members, weights, fold in sides:
-        if not _weighed(weights):  # its reach goes in at its own place
-            reach = _plans(flat, player, members)[
-                flat.last_moves[player].last]
-            folds.insert(player, (reach.sum(axis=1, keepdims=True) if fold
-                                  else reach))
-    v0 = _ascend(flat, chance[:, None] * folds[0] * folds[1]
+    reach0, reach1 = (_reach(flat, player, side)
+                      for player, side in enumerate(profile))
+    v0 = _ascend(flat, flat.chance[:, None] * reach0 * reach1
                  * flat.utility[:, :1])
-    if sides[0][3] and sides[1][3]:
+    if not any(listed):
         v0 = v0[0]
     return (v0, -v0)
 
@@ -197,37 +197,30 @@ def best_response(game: Game, opponent_mixture, responder: int):
 
 
 def _respond(flat: FlatTree, opponent_mixture, responder: int):
-    """`best_response` on ``flat``, followed by each terminal's chance
-    probability and summed opponent reach.
+    """`best_response` on ``flat``, followed by the opponent's summed reach
+    at each terminal.
 
     Johanson et al. (IJCAI 2011): the opponent's reach at each terminal
-    and each responder node, from one `_descend` or, for weights of 1.0,
-    from the members' own reach; then one ascent over a full value array in
-    which each terminal is worth its chance and opponent reach times the
-    responder's utility, and each responder node its best action's child.
+    and each responder node (`_reach`); then one ascent over a full value
+    array in which each terminal is worth its chance and opponent reach
+    times the responder's utility, and each responder node its best
+    action's child.
     """
-    from ..policies import Reading, TabularPolicy, _one_hot
+    from ..policies import Reading, TabularPolicy
 
-    members, weights = _as_members(opponent_mixture)
     infosets = flat.infosets[responder]
-    if _weighed(weights):
-        chance, (fold,), reached = _descend(
-            flat, [(1 - responder, members, weights, True)])
-        fold, reached = fold[:, 0], reached[infosets.nodes]
-    else:
-        chance, moves = _descend(flat, [])[0], flat.last_moves[1 - responder]
-        plans = _plans(flat, 1 - responder, members)
-        fold = plans[moves.last].sum(axis=1)
-        reached = plans[moves.facing].any(axis=1)
+    fold, reached = _reach(flat, 1 - responder, opponent_mixture,
+                           facing=True)
+    fold = fold[:, 0]
     live = np.zeros(len(infosets.views), bool)
     live[flat.infoset[infosets.nodes[reached]]] = True
     value = np.zeros(len(flat.owner))
-    value[flat.row >= 0] = chance * fold * flat.utility[:, responder]
+    value[flat.row >= 0] = flat.chance * fold * flat.utility[:, responder]
     best = _decide(flat, value, live, responder)
     decided = np.flatnonzero(best >= 0)
-    policy = TabularPolicy({
-        infosets.views[i].key: _one_hot(infosets.num_actions[i], best[i])
-        for i in decided.tolist()})
+    policy = TabularPolicy.greedy(
+        [infosets.views[i].key for i in decided.tolist()],
+        infosets.num_actions[decided].tolist(), best[decided].tolist())
     # Its reading, filled as `action_probs` would: the one-hot of each
     # decided infoset, the uniform default elsewhere.
     reading = policy._readings[responder] = Reading(flat, responder)
@@ -235,7 +228,7 @@ def _respond(flat: FlatTree, opponent_mixture, responder: int):
     np.divide(1.0, width, out=rows, where=np.arange(rows.shape[1]) < width)
     rows[decided] = 0.0
     rows[decided, best[decided]] = 1.0
-    return policy, value[0], chance, fold
+    return policy, value[0], fold
 
 
 def _decide(flat: FlatTree, value, live, responder: int):
@@ -259,7 +252,7 @@ def _decide(flat: FlatTree, value, live, responder: int):
         here[~level.leaf] = 0.0
         _add_children(level, here, value[b:c])
         due = mine.firsts[live[mine.firsts]]
-        best[due] = _best_actions(flat, value, infosets, due)
+        best[due] = _best_actions(flat, value, responder, due)
         choice = best[mine.infoset]
         chosen = choice >= 0
         nodes = mine.nodes[chosen]
@@ -267,17 +260,16 @@ def _decide(flat: FlatTree, value, live, responder: int):
     return best
 
 
-def _best_actions(flat: FlatTree, value, infosets, due):
-    """For each infoset in ``due``, all of one player's ``infosets`` and on
-    one level, the action whose children's values, summed over the
-    infoset's nodes in preorder from 0.0, is largest; the lowest such
-    action, ignoring NaN; action 0 if none beats -inf. The sums are made
-    for every infoset on the level, from the gathers of `FlatTree.choices`,
-    and those of ``due`` picked out."""
+def _best_actions(flat: FlatTree, value, player: int, due):
+    """For each infoset in ``due``, all of ``player``'s and on one level,
+    the action whose children's values, summed over the infoset's nodes in
+    preorder from 0.0, is largest; the lowest such action, ignoring NaN;
+    action 0 if none beats -inf. The sums are made for every infoset on the
+    level, from the gathers of `FlatTree.choices`, and those of ``due``
+    picked out."""
     if not len(due):
         return np.zeros(0, np.intp)
-    d = infosets.first_level[due[0]]
-    player = 0 if infosets is flat.infosets[0] else 1
+    d = flat.infosets[player].first_level[due[0]]
     choices = flat.choices[d][player]
     total = np.zeros(choices.wide.shape)
     ranks = choices.ranks
@@ -302,12 +294,11 @@ def exploitability(game: Game, profile, with_responses: bool = False):
     flat = game.tree
     responses, values, folds = [], [], [None, None]
     for player in (0, 1):
-        # Both descents give each terminal the same chance probability.
-        policy, value, chance, folds[1 - player] = _respond(
+        policy, value, folds[1 - player] = _respond(
             flat, profile[1 - player], player)
         responses.append(policy)
         values.append(value)
-    v0 = _ascend(flat, (chance * folds[0] * folds[1]
+    v0 = _ascend(flat, (flat.chance * folds[0] * folds[1]
                         * flat.utility[:, 0])[:, None])[0]
     current = (v0, -v0)
     total = 0.0

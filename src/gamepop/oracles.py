@@ -21,7 +21,7 @@ from .games.ntmg import (S_MATRIX, NtmgConfig, ntmg_densities,
                          ntmg_densities_jacobian, ntmg_payoff,
                          ntmg_payoff_grad)
 from .policies import (ParametricPolicy, PointPolicy, PolicyMixture,
-                       TabularPolicy, _one_hot, floored, greedy_index,
+                       TabularPolicy, floored, greedy_index,
                        kl_divergence, sample_member, weighted_sum)
 from .specs import setting, spec
 
@@ -130,8 +130,9 @@ def q_learning_oracle(game: Game, init: TabularPolicy | None,
                 bootstrap = float(q_table[step.next_view.key].max())
             q[idx] += lr * (step.reward + gamma_discount * bootstrap - q[idx])
 
-    return TabularPolicy({key: _one_hot(len(q), int(np.argmax(q)))
-                          for key, q in q_table.items()})
+    return TabularPolicy.greedy(
+        q_table, [len(q) for q in q_table.values()],
+        [int(np.argmax(q)) for q in q_table.values()])
 
 
 @dataclass

@@ -211,6 +211,15 @@ class TabularPolicy(_Read):
                 dist.flags.writeable = False
             self.table[key] = dist
 
+    @classmethod
+    def greedy(cls, keys, counts, actions) -> "TabularPolicy":
+        """The deterministic policy that plays, at the i-th of ``keys``,
+        action position ``actions[i]`` of its ``counts[i]`` legal actions:
+        each entry is the shared `_one_hot` itself, stored with no lookup."""
+        policy = cls()
+        policy.table = dict(zip(keys, map(_one_hot, counts, actions)))
+        return policy
+
     def action_probs(self, view: InfosetView) -> np.ndarray:
         return self.dist_for_key(view.key, len(view.legal_actions))
 

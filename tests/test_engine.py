@@ -2,6 +2,7 @@
 approximate exploitability, determinism, and game reuse."""
 
 import collections
+import functools
 import gc
 import time
 import weakref
@@ -653,23 +654,34 @@ class TestGameReuse:
         reach is made once per player it plays, and no pass descends a side
         whose weights are all 1.0: every payoff row and column, and each
         best response to a one-member mixture, reads the members' own
-        reach instead."""
+        reach instead. Each descent carries one side, and the tree's
+        terminal chance probabilities are built once."""
         import gamepop.games.evaluate as evaluate
+        from gamepop.games.base import FlatTree
         from gamepop.policies import Reading
-        made = collections.Counter()
+        made, built = collections.Counter(), collections.Counter()
         own_reach, descend = Reading.own_reach, evaluate._descend
-        weights = []
+        chance = FlatTree.chance.func
+        sides = []
 
         def counted(reading):
             made[reading] += reading.reach is None
             return own_reach(reading)
 
-        def descended(flat, sides):
-            weights.extend(tuple(side[2]) for side in sides)
-            return descend(flat, sides)
+        def descended(flat, player, members, weights):
+            sides.append((player, len(members), tuple(weights)))
+            return descend(flat, player, members, weights)
 
+        def chanced(tree):
+            built[tree] += 1
+            return chance(tree)
+
+        counted_chance = functools.cached_property(chanced)
+        counted_chance.__set_name__(FlatTree, "chance")
         monkeypatch.setattr(Reading, "own_reach", counted)
         monkeypatch.setattr(evaluate, "_descend", descended)
+        monkeypatch.setattr(FlatTree, "chance", counted_chance)
+        monkeypatch.setattr(eng, "_last_game", (None, None))
         config = PsroConfig(game={"name": "leduc_poker", "params": {}},
                             oracle=ExactOracle(), mss=Nash(),
                             init=(InheritLatest(), InheritLatest()),
@@ -681,7 +693,11 @@ class TestGameReuse:
                     for member in population}
         assert len(readings) == sum(map(len, history.populations)) == 12
         assert set(made) == readings and set(made.values()) == {1}
-        assert weights and all(any(w != 1.0 for w in ws) for ws in weights)
+        assert sides and all(
+            player in (0, 1) and count == len(weights)
+            and any(w != 1.0 for w in weights)
+            for player, count, weights in sides)
+        assert list(built.values()) == [1]
 
 
 class TestApproximateExploitability:

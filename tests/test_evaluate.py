@@ -19,9 +19,10 @@ from gamepop.games import (CHANCE, TERMINAL, InfosetView,
                            TraversalBudgetError, best_response,
                            expected_value, exploitability, make_game,
                            play_episode)
-from gamepop.games.evaluate import _as_members, _descend, _plans
+from gamepop.games.evaluate import _as_members, _descend, _plans, _reach
 from gamepop.nets import ArchSignature
 from gamepop.policies import PolicyMixture, TabularPolicy, scratch_init
+from test_same_bits import _ref_descend
 
 # ---------------------------------------------------------------------------
 # Independent Kuhn enumeration oracle
@@ -628,6 +629,30 @@ def test_members_keep_no_dropped_tree_alive():
         assert values is None or values.base is None
 
 
+@pytest.mark.parametrize("name,params", TREE_GAMES + [
+    ("matrix_game", {"rows": [[0, -1, 2], [1, 0, 0]]})],
+    ids=TREE_GAME_IDS + ["matrix_game-params4"])
+def test_tree_chance_is_the_recursive_product(name, params):
+    """`FlatTree.chance` holds, bit for bit and in row order (level by
+    level, in preorder within a level), the product of chance
+    probabilities that a recursive walk forms on its way down to each
+    terminal: 1.0, times each chance edge's probability in turn."""
+    game = make_game(name, params)
+    tree = StateWalk(game)
+    found = []  # (depth, chance) of each terminal, in preorder
+
+    def walk(node, depth, chance):
+        if tree.owner(node) == TERMINAL:
+            found.append((depth, chance))
+        for _, child, p in tree.children(node):
+            walk(child, depth + 1, chance if p is None else chance * p)
+
+    walk(tree.root, 0, 1.0)
+    found.sort(key=lambda terminal: terminal[0])  # stable: keeps preorder
+    assert game.tree.chance.tobytes() == np.array(
+        [chance for _, chance in found]).tobytes()
+
+
 def _signed_tabular(tree, rng):
     """A `_sparse_tabular` policy whose dropped actions hold -0.0, one of
     them -1e-13 at about a third of its infosets: `TabularPolicy` accepts
@@ -647,11 +672,16 @@ def _signed_tabular(tree, rng):
     ids=TREE_GAME_IDS + ["matrix_game-params4"])
 def test_cached_reach_equals_the_descent_bit_for_bit(name, params):
     """Each member's own reach read from its realization plan equals, sign
-    of zero included, the column a side of weight 1.0 carries down in
-    `_descend`: at every terminal, and, as whether any member reaches
-    them, at the other player's nodes. Members are tabular (uniform,
-    pure, and sparse with -0.0 and -1e-13 entries), networks and exact
-    best responses, and one is listed twice."""
+    of zero included, the column that the unfolded reference descent
+    (`test_same_bits._ref_descend`) carries down from its weight of 1.0
+    alone: at every terminal, and, as whether any member reaches them, at
+    the other player's nodes; `_reach` of the listed members gives those
+    columns. (Descended alone, a member is read only where its own play
+    reaches, as its reading is, so an unread row holds +0.0 in both.)
+    Summed over the members, the plans equal `_descend` from weights of
+    1.0 bit for bit, and reach the same nodes. Members are tabular
+    (uniform, pure, and sparse with -0.0 and -1e-13 entries), networks and
+    exact best responses, and one is listed twice."""
     game = make_game(name, params)
     tree, flat = StateWalk(game), game.tree
     rng = np.random.default_rng(7)
@@ -664,15 +694,28 @@ def test_cached_reach_equals_the_descent_bit_for_bit(name, params):
                    _signed_tabular(tree, rng), scratch_init("kaiming", sig, 5),
                    response]
         members.append(members[2])
+        ones = np.ones(len(members))
         moves = flat.last_moves[player]
         plans = _plans(flat, player, members)
-        _, (column,), reached = _descend(
-            flat, [(player, members, np.ones(len(members)), False)])
+        columns, reached = [], np.zeros(len(flat.owner), bool)
+        for member in members:
+            _, (column,), alone = _ref_descend(
+                flat, [(player, [member], np.ones(1), False)])
+            columns.append(column)
+            reached |= alone
         cached = plans[moves.last]
-        assert cached.tobytes() == column.tobytes()
+        assert cached.tobytes() == np.hstack(columns).tobytes()
         assert np.signbit(cached).any() or name == "matrix_game"
         other = flat.infosets[1 - player].nodes
-        assert (plans[moves.facing].any(axis=1) == reached[other]).all()
+        facing = plans[moves.facing].any(axis=1)
+        assert (facing == reached[other]).all()
+        listed, listed_facing = _reach(flat, player, members, facing=True)
+        assert listed.tobytes() == cached.tobytes()
+        assert (listed_facing == facing).all()
+        folded, descended = _descend(flat, player, members, ones)
+        assert folded.tobytes() == cached.sum(axis=1,
+                                              keepdims=True).tobytes()
+        assert (descended == facing).all()
 
 
 def test_a_member_listed_twice_is_read_once_per_infoset():

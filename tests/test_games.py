@@ -341,9 +341,10 @@ def test_the_tree_is_read_only():
     """One tree serves every run on its game in a process, so none of its
     arrays, nor a matrix game's rows, can be written into. The chance
     CDFs are computed afresh for each caller and kept by the tree in no
-    array. What exact passes build on it (the plan, the moves behind
-    cached reach and the best-action gathers) is read-only too, its node
-    numbers and infoset positions as narrow as the plan's offsets."""
+    array. What exact passes build on it (the plan, the terminals' chance
+    probabilities, the moves behind cached reach and the best-action
+    gathers) is read-only too, its node numbers and infoset positions as
+    narrow as the plan's offsets."""
     tree = make("leduc_poker").tree
     with pytest.raises(ValueError):
         tree.owner[0] = 0
@@ -353,9 +354,11 @@ def test_the_tree_is_read_only():
     arrays = [*vars(tree).values(), *tree.infosets[0], *tree.infosets[1]]
     assert not any(a.flags.writeable for a in arrays
                    if isinstance(a, np.ndarray))
-    built = [*_arrays(tree.plan), *_arrays(tree.last_moves),
+    built = [*_arrays(tree.plan), tree.chance, *_arrays(tree.last_moves),
              *_arrays(tree.choices)]
     assert not any(a.flags.writeable for a in built)
+    with pytest.raises(ValueError):
+        tree.chance[0] = 0.0
     with pytest.raises(ValueError):
         tree.choices[2][0].children[0, 0] = 0
     for level, pair in zip(tree.plan, tree.choices):

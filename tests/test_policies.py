@@ -566,6 +566,20 @@ def test_a_network_member_makes_one_forward_per_infoset_in_either_order(
     assert made == [made[0]] * 4
 
 
+def test_a_greedy_table_holds_the_shared_one_hots():
+    """`TabularPolicy.greedy` stores each entry as the shared `_one_hot`
+    object itself, keyed in the order given, and checkpoints to the same
+    text as the policy built from the equal dict."""
+    keys, counts, actions = ["b", "a", "c"], [2, 3, 3], [1, 0, 2]
+    greedy = TabularPolicy.greedy(keys, counts, actions)
+    built = TabularPolicy({key: _one_hot(n, a)
+                           for key, n, a in zip(keys, counts, actions)})
+    assert list(greedy.table) == keys
+    for key, n, a in zip(keys, counts, actions):
+        assert greedy.table[key] is _one_hot(n, a)
+    assert checkpoint_dumps(greedy) == checkpoint_dumps(built)
+
+
 def test_shared_distributions_are_stored_as_is_with_one_cdf():
     """A shared one-hot or uniform distribution enters a tabular table as
     is, and every policy that draws from it holds its one shared CDF; a

@@ -660,7 +660,7 @@ def _ref_decide(flat, value, reached, responder):
             waits[infoset[nodes[reached[nodes] & ~ready[nodes - a]]]] = True
             due = np.flatnonzero((infosets.first_level == d) & live
                                  & (best < 0) & ~waits)
-            best[due] = _best_actions(flat, value, infosets, due)
+            best[due] = _best_actions(flat, value, responder, due)
             choice = best[infoset[nodes]]
             chosen = choice >= 0
             value[nodes[chosen]] = value[flat.first[nodes[chosen]]
