@@ -8,7 +8,8 @@ sampling went through one function (the tabular fusion case before the
 arenas built fresh and fused policies themselves, `kuhn_approx_exact` before
 every walk and episode read one game tree, the two exact-oracle cases
 before exact runs reused their exploitability best responses and filled
-payoff rows and columns in one walk each, `leduc_dqn_monte_carlo` before
+payoff rows and columns in one walk each, `liars_dice5_exact` before
+the exact passes dropped their scatter-adds, `leduc_dqn_monte_carlo` before
 the DQN learn step ran one online forward and episodes drew from cached
 CDFs); a change that is meant to keep behaviour must keep them. Networks are tiny, so BLAS does little of the
 work.
@@ -111,6 +112,17 @@ CASES = {
          "payoff": {"mode": "monte_carlo", "episodes": 50}},
         "1,,,2,2\n2,,,3,3\n3,3.8015210401448454,,4,4\n",
         "2cdc381c06686536fb50e0525670b49c18f4af9ad6bc4a4f6946fd7c2939a483"),
+    # Exact oracle on a wider tree: Liar's Dice with five faces (51,181
+    # nodes), whose bids give decision nodes of up to 10 children.
+    "liars_dice5_exact": (
+        {"game": {"name": "liars_dice", "params": {"faces": 5}},
+         "oracle": {"kind": "exact"}, "mss": {"kind": "nash"},
+         "init": {"method": "inherit_latest"}, "iterations": 3, "seeds": [0],
+         "eval": {"exact_exploitability_every": 1},
+         "payoff": {"mode": "exact"}},
+        "1,1.04,,2,2\n2,1.6690564344763568,,3,3\n"
+        "3,1.2623269513991167,,4,4\n",
+        "43d4e2f4ba257aea34e1e3b24de0a59aa06ab1df3d69d48beec1e7285494dfcf"),
     "ntmg": (
         {"game": {"name": "ntmg", "params": {}},
          "oracle": {"kind": "gradient", "steps": 30, "lr": 1.0},
