@@ -411,6 +411,7 @@ class _RunWriter:
     def __init__(self, out_dir):
         self.dir = out_dir
         self._started = set()  # files `_rows` has written in this run
+        self._folders = set()  # folders `_path` has made in this run
         for name in self.OUTPUTS.values() if out_dir is not None else ():
             pattern = re.sub(r"\{.*?\}", "*", name)
             for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
@@ -464,8 +465,14 @@ class _RunWriter:
                     "kl_scratch"], [[_fmt(v) for v in row] for row in rows])
 
     def _path(self, name):
+        """The path of a run file, making its folder on the run's first
+        write there (after the start-of-run deletion, which may remove
+        it)."""
         path = os.path.join(self.dir, name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        folder = os.path.dirname(path)
+        if folder not in self._folders:
+            os.makedirs(folder, exist_ok=True)
+            self._folders.add(folder)
         return path
 
     def _text(self, name, text):

@@ -176,37 +176,41 @@ class Infosets(NamedTuple):
 
 class PlayerLevel(NamedTuple):
     """One player's part of a `LevelPlan` of level d. Offsets count from
-    the first node of the level they index: d for ``nodes``, d + 1 for
-    ``moves``."""
+    the first node of level d."""
     nodes: np.ndarray  # the player's nodes on level d
     infoset: np.ndarray  # the infoset of each of them
-    moves: np.ndarray  # the children of those nodes, on level d + 1
-    move_infoset: np.ndarray  # the infoset each move is made at
-    move_slot: np.ndarray  # the action, as a slot, each move takes
     firsts: np.ndarray  # the infosets whose nodes are on level d
-    # Each move's entry ``move_infoset * width + move_slot`` in an
-    # (infosets x width) table, ``width`` the most legal actions at one of
-    # the player's infosets (see `FlatTree.last_moves`).
+    # Per node of level d + 1, the entry ``infoset * width + slot`` of the
+    # player's move into it in an (infosets x width) table, ``width`` the
+    # most legal actions at one of the player's infosets; the entry one
+    # past the table, infosets x width, where the player made no move
+    # into the node. Empty on a level where the player does not move.
     move: np.ndarray
 
 
 class LevelPlan(NamedTuple):
     """Level d of a `FlatTree` as exact evaluation reads it (see
     `FlatTree.plan`); the arrays about level d + 1 are empty on the
-    deepest level."""
+    deepest level.
+
+    ``inner`` lists level d's nodes that have children, most children
+    first (in preorder among equals), and ``kids[s]`` the offset on level
+    d + 1 of child s of each of the first ``len(kids[s])`` of them: those
+    with more than s children. So a pass sums children slot by slot into
+    a prefix of ``inner``, reading every child once and writing no parent
+    twice."""
     leaf: np.ndarray  # per node of level d, whether it is terminal
     up: np.ndarray  # per node of level d + 1, its parent's offset on d
     prob: np.ndarray  # `FlatTree.prob` of level d + 1, a view
-    # Per slot s, the offsets of level d + 1's nodes in slot s and of their
-    # parents on level d.
-    siblings: tuple[tuple[np.ndarray, np.ndarray], ...]
+    inner: np.ndarray
+    kids: tuple[np.ndarray, ...]
     players: tuple[PlayerLevel, PlayerLevel]
 
 
 class LastMoves(NamedTuple):
     """One player's moves as `FlatTree.last_moves` gives them: each is an
-    entry of `PlayerLevel.move`, and the entry one past the table,
-    infosets x width, stands for no move yet."""
+    entry of `PlayerLevel.move`, the entry one past the table, infosets x
+    width, standing for no move yet."""
     before: np.ndarray  # per infoset, the player's last move on the way
     last: np.ndarray  # per terminal, in row order, the same
     # per node of the other player, in that player's `Infosets.nodes`
@@ -216,15 +220,17 @@ class LastMoves(NamedTuple):
 
 class Choices(NamedTuple):
     """One player's infosets on one level (`PlayerLevel.firsts`), as
-    `FlatTree.choices` gathers their best actions' values: their nodes,
-    rank by rank, rank r being the r-th node of each infoset holding more
-    than r nodes."""
-    ranks: tuple[int, ...]  # where each rank starts below, and their end
-    at: np.ndarray  # per node, its infoset's position among them
-    # Per node, its children's node numbers, one per action up to the most
-    # legal actions among them, the last child repeated past its own.
-    children: np.ndarray
-    wide: np.ndarray  # per infoset and action, whether it is past its legal
+    `FlatTree.choices` gathers their best actions' values, most nodes
+    first (in infoset order among equals): ``children[r]`` holds, for each
+    of the first ``len(children[r])`` of them, those with more than r
+    nodes, the children of its r-th node in preorder, one per action up to
+    the most legal actions on the level, the last child repeated past its
+    own. So the values of an action's children are summed node by node
+    into a prefix of them."""
+    children: tuple[np.ndarray, ...]
+    # Per infoset in `firsts` order, its row in ``children`` and ``wide``.
+    position: np.ndarray
+    wide: np.ndarray  # per row and action, whether it is past its legal
 
 
 class FlatTree:
@@ -369,25 +375,26 @@ class FlatTree:
             own = self.owner[a:b]
             up = self.parent[b:c].astype(np.intp) - a
             slot = self.slot[b:c]
-            siblings = []
-            for s in np.flatnonzero(np.bincount(slot)).tolist():
-                k = np.flatnonzero(slot == s)
-                siblings.append((k.astype(offset), up[k].astype(offset)))
+            first = self.first[a:b + 1].astype(np.intp) - b
+            count = np.diff(first)
+            inner = np.argsort(-count, kind="stable")[:np.count_nonzero(count)]
+            kids = tuple((first[inner[count[inner] > s]] + s).astype(offset)
+                         for s in range(count.max(initial=0)))
             players = []
             for player, infosets in enumerate(self.infosets):
                 nodes = np.flatnonzero(own == player)
+                none = len(infosets.views) * infosets.width
+                move = np.full(c - b if len(nodes) else 0, none)
                 moves = np.flatnonzero(own[up] == player)
-                made = self.infoset[a + up[moves]]
-                width = infosets.width
+                move[moves] = (self.infoset[a + up[moves]].astype(np.intp)
+                               * infosets.width + slot[moves])
                 players.append(PlayerLevel(
                     nodes.astype(offset),
                     self.infoset[a + nodes].astype(index),
-                    moves.astype(offset), made.astype(index), slot[moves],
                     np.flatnonzero(infosets.first_level == d).astype(index),
-                    (made.astype(np.intp) * width + slot[moves]).astype(
-                        np.min_scalar_type(len(infosets.views) * width))))
+                    move.astype(np.min_scalar_type(none))))
             plan.append(LevelPlan(own == TERMINAL, up.astype(offset),
-                                  self.prob[b:c], tuple(siblings),
+                                  self.prob[b:c], inner.astype(offset), kids,
                                   tuple(players)))
         for value in _arrays(plan):
             value.flags.writeable = False
@@ -438,7 +445,8 @@ class FlatTree:
                     raise GameError(f"infoset {key!r} holds nodes after "
                                     "different moves of its player")
                 at = at[level.up]
-                at[mine.moves] = mine.move
+                if len(mine.move):
+                    at = np.where(mine.move < none, mine.move, at)
             players.append(LastMoves(
                 before, np.concatenate(last),
                 facing[self.infosets[1 - player].nodes]))
@@ -459,23 +467,19 @@ class FlatTree:
             for mine, infosets in zip(level.players, self.infosets):
                 start = infosets.start[mine.firsts]
                 count = infosets.start[mine.firsts + 1] - start
-                width = infosets.num_actions[mine.firsts]
+                order = np.argsort(-count, kind="stable")
+                start, count = start[order], count[order]
+                width = infosets.num_actions[mine.firsts][order]
                 actions = np.arange(width.max(initial=1))
-                ranks = [0]
-                at = [np.zeros(0, np.intp)]
-                children = [np.zeros((0, len(actions)), np.intp)]
+                children = []
                 for rank in range(count.max(initial=0)):
-                    k = np.flatnonzero(count > rank)
+                    k = count > rank
                     nodes = infosets.nodes[start[k] + rank]
-                    ranks.append(ranks[-1] + len(k))
-                    at.append(k)
-                    children.append(self.first[nodes][:, None] + np.minimum(
-                        actions, width[k, None] - 1))
-                pair.append(Choices(
-                    tuple(ranks),
-                    np.concatenate(at).astype(mine.firsts.dtype),
-                    np.concatenate(children).astype(node),
-                    actions >= width[:, None]))
+                    children.append((self.first[nodes][:, None] + np.minimum(
+                        actions, width[k, None] - 1)).astype(node))
+                pair.append(Choices(  # argsort inverts the permutation
+                    tuple(children), np.argsort(order).astype(
+                        mine.firsts.dtype), actions >= width[:, None]))
             choices.append(tuple(pair))
         for value in _arrays(choices):
             value.flags.writeable = False

@@ -25,16 +25,22 @@ the policy's realization plan (`policies.Reading.own_reach`), and one
 gather through `FlatTree.last_moves` gives it at every terminal, with the
 products a descent from 1.0 forms. A side weighed by a meta-strategy
 sigma starts its products at sigma_k, so no cache gives its bits:
-`_descend` multiplies each level's reach by the members' entries, gathered
-with one flat index per move (`PlayerLevel.move`) from an (infosets x
-actions, members) table of their rows. A profile of two mixtures is two
-such descents, one per side: one side's products never read the other's.
+`_descend` gathers each level's reach from its parents and, on a level
+where the player moves, multiplies it by the members' entries, gathered
+with one flat index per node (`PlayerLevel.move`) from their readings'
+rows, stacked with a last entry of 1.0 that a node no move of the player
+leads into reads (`policies.Reading.entries`). A profile of two mixtures
+is two such descents, one per side: one side's products never read the
+other's.
 
 `_ascend` goes up: a node's value is 0.0 plus its children's, added in slot
-order. `best_response` ascends once with one full value array and decides
-each responder infoset on the one level that holds its nodes, after the
-level below has its values, from gathers built once per tree for all of
-that level's infosets (`FlatTree.choices`).
+order. Each level gathers its children slot by slot into the prefix of its
+inner nodes that has that slot (`LevelPlan.kids`, most children first),
+and writes the sums into the level once; no parent is added into twice.
+`best_response` ascends once with one full value array and decides each
+responder infoset on the one level that holds its nodes, after the level
+below has its values, summing its nodes' children the same way, node by
+node into a prefix of that level's infosets (`FlatTree.choices`).
 
 Every value takes the same floating-point operations, in the same order,
 as a recursive walk that skips each branch no member plays (the reference
@@ -56,7 +62,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FlatTree, Game, LevelPlan
+from .base import FlatTree, Game
 
 
 def _as_members(policy_or_mixture):
@@ -99,32 +105,30 @@ def _reach(flat: FlatTree, player: int, side, facing: bool = False):
 def _descend(flat: FlatTree, player: int, members, weights):
     """``(reach, reached)``, as `_reach` gives them with ``facing``, of
     ``player``'s ``members`` weighed by ``weights``, by the top-down pass:
-    each level's reach is its parent's times the members' entries,
-    gathered with each move's one flat index (`PlayerLevel.move`) from an
-    (infosets x actions, members) table of their readings' rows, and summed
-    over the members level by level, at that level's terminals. The root is
-    reached, and a child of the player's decision node is reached if its
-    parent is and some member plays the action.
+    each level's reach is its parent's, times, on a level where the player
+    moves, the members' entries gathered with each node's flat index
+    (`PlayerLevel.move`) from a (members, infosets x actions + 1) table of
+    their readings' `entries`, whose last, 1.0, stands for no move
+    (``x * 1.0`` is ``x``), and is summed over the members level by level,
+    at that level's terminals. A node is reached where some member's reach
+    is nonzero: with weights on the simplex and finite rows, exactly where
+    the parent is reached and, after a move of the player, some member
+    plays it.
     """
     levels, plan = flat.levels, flat.plan
-    table = np.stack([member.reading(flat, player).rows.ravel()
-                      for member in members], axis=1)
+    table = np.stack([member.reading(flat, player).entries
+                      for member in members])
     reach = np.asarray(weights, dtype=float)[None, :]
-    alive = np.ones(1, bool)
-    reached = np.empty(len(flat.owner), bool)
+    reached = np.zeros(len(flat.owner), bool)
     leaf_reach = []
     for d, level in enumerate(plan):
-        reached[levels[d]:levels[d + 1]] = alive
+        facing = level.players[1 - player].nodes
+        reached[levels[d]:levels[d + 1]][facing] = reach[facing].any(axis=1)
         leaf_reach.append(reach[level.leaf].sum(axis=1, keepdims=True))
-        if d == len(plan) - 1:
-            break
-        mine = level.players[player]
-        up, moves = level.up, mine.moves
-        reach = reach[up]
-        moved = reach[moves] * table[mine.move]
-        reach[moves] = moved
-        alive = alive[up]
-        alive[moves] &= moved.any(axis=1)
+        move = level.players[player].move
+        reach = reach[level.up]
+        if len(move):
+            reach *= table[:, move].T
     return (np.concatenate(leaf_reach),
             reached[flat.infosets[1 - player].nodes])
 
@@ -143,11 +147,15 @@ def _plans(flat: FlatTree, player: int, members):
     return plans
 
 
-def _add_children(level: LevelPlan, here, below):
-    """Add level d + 1's values ``below`` into their parents' values
-    ``here`` on level d, slot by slot; ``level`` is level d's plan."""
-    for k, up in level.siblings:
-        here[up] += below[k]
+def _prefix_sums(values, gathers):
+    """Per row, 0.0 plus the ``values`` it gathers, added in order:
+    ``gathers[s]`` holds the s-th gather of the first ``len(gathers[s])``
+    rows (`LevelPlan.kids`, `Choices.children`), so each is added into a
+    contiguous prefix of the sums and no row is written twice."""
+    sums = values[gathers[0]] + 0.0
+    for k in gathers[1:]:
+        sums[:len(k)] += values[k]
+    return sums
 
 
 def _ascend(flat: FlatTree, leaf_values):
@@ -157,10 +165,10 @@ def _ascend(flat: FlatTree, leaf_values):
     below = None
     for d in reversed(range(len(levels) - 1)):
         level = flat.plan[d]
-        here = np.zeros((levels[d + 1] - levels[d],) + leaf_values.shape[1:])
+        here = np.empty((levels[d + 1] - levels[d],) + leaf_values.shape[1:])
         here[level.leaf] = leaf_values[leaves[d]:leaves[d + 1]]
-        if below is not None:
-            _add_children(level, here, below)
+        if level.kids:
+            here[level.inner] = _prefix_sums(below, level.kids)
         below = here
     return below[0]
 
@@ -235,11 +243,11 @@ def _decide(flat: FlatTree, value, live, responder: int):
     """Best action of each ``live`` responder infoset (-1 elsewhere),
     filling ``value`` with every node's value under them.
 
-    One ascent from the deepest level: on each level, every node first sums
-    its children; then the live infosets on that level (every node of an
-    infoset lies on one level, see `FlatTree`) are decided, and each
-    responder node of a decided infoset takes its best action's child's
-    value.
+    One ascent from the deepest level: on each level, every node with
+    children first sums them (`_prefix_sums`); then the live infosets on
+    that level (every node of an infoset lies on one level, see
+    `FlatTree`) are decided, and each responder node of a decided infoset
+    takes its best action's child's value instead.
     """
     levels, plan = flat.levels, flat.plan
     infosets = flat.infosets[responder]
@@ -249,8 +257,7 @@ def _decide(flat: FlatTree, value, live, responder: int):
         level = plan[d]
         mine = level.players[responder]
         here = value[a:b]
-        here[~level.leaf] = 0.0
-        _add_children(level, here, value[b:c])
+        here[level.inner] = _prefix_sums(value[b:c], level.kids)
         due = mine.firsts[live[mine.firsts]]
         best[due] = _best_actions(flat, value, responder, due)
         choice = best[mine.infoset]
@@ -266,19 +273,15 @@ def _best_actions(flat: FlatTree, value, player: int, due):
     preorder from 0.0, is largest; the lowest such action, ignoring NaN;
     action 0 if none beats -inf. The sums are made for every infoset on the
     level, from the gathers of `FlatTree.choices`, and those of ``due``
-    picked out."""
+    picked out through `Choices.position`."""
     if not len(due):
         return np.zeros(0, np.intp)
     d = flat.infosets[player].first_level[due[0]]
     choices = flat.choices[d][player]
-    total = np.zeros(choices.wide.shape)
-    ranks = choices.ranks
-    for r in range(len(ranks) - 1):
-        rank = slice(ranks[r], ranks[r + 1])
-        total[choices.at[rank]] += value[choices.children[rank]]
+    total = _prefix_sums(value, choices.children)
     total[choices.wide | np.isnan(total)] = -np.inf
-    return total.argmax(axis=1)[
-        np.searchsorted(flat.plan[d].players[player].firsts, due)]
+    return total.argmax(axis=1)[choices.position[
+        np.searchsorted(flat.plan[d].players[player].firsts, due)]]
 
 
 def exploitability(game: Game, profile, with_responses: bool = False):

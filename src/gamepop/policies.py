@@ -108,18 +108,22 @@ class Reading:
     reached, and a child of its player's node if the row's entry for that
     action is nonzero. Row i of ``rows`` (infosets x actions, zero past the
     legal actions and at infosets not reached) holds it at infoset i;
+    ``entries`` holds the rows one after another, then 1.0, the entry that
+    `PlayerLevel.move` gives a node that no move of the player leads into.
     ``cdfs[i]`` is the CDF draws there use: a shared distribution's CDF,
     else the row's `checked_cdf`, made on its first draw. Made without a
     policy, every row is zero for the caller to write. It refers to its
     tree weakly, and to no policy or view."""
-    __slots__ = ("tree", "player", "rows", "cdfs", "reach")
+    __slots__ = ("tree", "player", "entries", "rows", "cdfs", "reach")
 
     def __init__(self, tree: FlatTree, player: int, policy=None):
         infosets = tree.infosets[player]
         actions = infosets.num_actions
         self.tree = weakref.ref(tree)
         self.player = player
-        self.rows = np.zeros((len(actions), infosets.width))
+        self.entries = np.zeros(len(actions) * infosets.width + 1)
+        self.entries[-1] = 1.0
+        self.rows = self.entries[:-1].reshape(len(actions), infosets.width)
         self.cdfs: list[np.ndarray | None] = [None] * len(actions)
         self.reach = None
         if policy is None:
@@ -133,8 +137,8 @@ class Reading:
                 self.rows[i, :len(probs)] = probs
                 self.cdfs[i] = _shared_cdf(probs)
             reached = reached[level.up]
-            reached[mine.moves] &= self.rows[mine.move_infoset,
-                                             mine.move_slot] != 0
+            if len(mine.move):
+                reached &= self.entries[mine.move] != 0
 
     def own_reach(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The policy's own reach, as its realization plan: entry

@@ -14,7 +14,7 @@ from gamepop.cli import main, run_from_config, solve_matrix, sweep
 from gamepop.config import (ConfigError, config_to_dict, load_config,
                             parse_config)
 from gamepop.engine import (INITS, ORACLES, SOLVERS, GradientOracle,
-                            PsroConfig, _build_arena)
+                            PsroConfig, _build_arena, run_psro)
 from gamepop.games import GAMES
 from gamepop.svgplot import PlotError, render_svg
 
@@ -665,6 +665,33 @@ def test_a_rerun_that_writes_no_curves_leaves_no_curves_folder(tmp_path):
     assert earlier["seed_0/curves"] is None
     assert "seed_0/curves" not in fresh
     assert rerun == fresh
+
+
+def test_a_run_makes_each_output_folder_once(tmp_path, monkeypatch):
+    """A 3-iteration exact Kuhn run makes its run directory and its
+    checkpoints folder once each, however many files it writes there. A
+    rerun into that directory, whose start deletes the emptied
+    checkpoints folder, makes it again, once, and writes what the first
+    run wrote."""
+    made = []
+
+    def makedirs(path, *args, makedirs=os.makedirs, **kwargs):
+        made.append(path)
+        return makedirs(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", makedirs)
+    config = parse_config({**_RERUN_CONFIGS["kuhn_exact"], "iterations": 3,
+                           "seeds": [0]})
+    out = tmp_path / "run"
+    listings = []
+    for _ in range(2):
+        made.clear()
+        run_psro(config, 0, out_dir=str(out))
+        assert sorted(made) == [str(out), str(out / "checkpoints")]
+        listings.append({str(path.relative_to(out)): path.read_bytes()
+                         for path in out.rglob("*")
+                         if path.is_file() and path.name != "timings.csv"})
+    assert len(listings[0]) == 10 and listings[1] == listings[0]
 
 
 def test_eval_reads_the_run_that_results_csv_records(tmp_path, capsys):

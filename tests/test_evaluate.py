@@ -604,17 +604,18 @@ def test_a_fresh_tree_replaces_the_kept_table():
 def test_members_keep_no_dropped_tree_alive():
     """A reading refers to its tree weakly: once a game is dropped, its
     views' features are freed, and so are the arrays the tree built for
-    exact passes (its plan, the moves behind cached reach and the
-    best-action gathers), though the members read on it live on, each
-    with its own reach, which refers to no array of the tree."""
+    exact passes (every array of a level's plan and best-action gathers,
+    and the moves behind cached reach), though the members read on it
+    live on, each with its own reach, which refers to no array of the
+    tree."""
     game = make_game("leduc_poker")
     profile = (_scratch_mixture(game, [0.2, 0.3, 0.5], seed=4),
                _scratch_mixture(game, [0.6, 0.0, 0.4], seed=9))
     exploitability(game, profile)
     expected_value(game, (profile[0].members, profile[1].members[0]))
     tree = game.tree
-    built = [tree.infosets[0].views[0].features, tree.plan[2].players[0].move,
-             *tree.last_moves[1], *tree.choices[2][0][1:]]
+    built = [tree.infosets[0].views[0].features, *tree.last_moves[1],
+             *base._arrays((tree.plan[2], tree.choices[2][0]))]
     freed = [weakref.ref(array) for array in built]
     reach = [member._readings[0].own_reach()
              for member in profile[0].members]

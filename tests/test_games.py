@@ -343,8 +343,8 @@ def test_the_tree_is_read_only():
     CDFs are computed afresh for each caller and kept by the tree in no
     array. What exact passes build on it (the plan, the terminals' chance
     probabilities, the moves behind cached reach and the best-action
-    gathers) is read-only too, its node numbers and infoset positions as
-    narrow as the plan's offsets."""
+    gathers) is read-only too, its node numbers, moves and infoset
+    positions as narrow as the plan's offsets."""
     tree = make("leduc_poker").tree
     with pytest.raises(ValueError):
         tree.owner[0] = 0
@@ -360,11 +360,18 @@ def test_the_tree_is_read_only():
     with pytest.raises(ValueError):
         tree.chance[0] = 0.0
     with pytest.raises(ValueError):
-        tree.choices[2][0].children[0, 0] = 0
+        tree.choices[2][0].children[0][0, 0] = 0
+    with pytest.raises(ValueError):
+        tree.plan[2].kids[0][0] = 0
     for level, pair in zip(tree.plan, tree.choices):
+        assert level.up.dtype == np.uint16
+        for offsets in (level.inner, *level.kids):
+            assert offsets.dtype == np.uint16
         for mine, choices in zip(level.players, pair):
-            assert choices.at.dtype == mine.firsts.dtype == np.uint16
-            assert choices.children.dtype == level.up.dtype == np.uint16
+            assert mine.move.dtype == np.uint16
+            assert choices.position.dtype == mine.firsts.dtype == np.uint16
+            for children in choices.children:
+                assert children.dtype == np.uint16
     with pytest.raises(ValueError):
         make("matrix_game").rows[0, 0] = 1.0
 
@@ -409,7 +416,10 @@ def test_infoset_tables_hold_each_view(name, params):
 def test_the_plan_matches_the_tree(name, params):
     """Each level's plan holds what its arrays say of the tree, in node
     order, and none of it can be written into; ``prob`` is a view of the
-    tree's own array."""
+    tree's own array. ``inner`` holds every node with children once, most
+    children first and in preorder among equals; ``kids[s]`` holds child s
+    of the nodes in a prefix of ``inner``, those with more than s
+    children, so every child appears exactly once, under its own parent."""
     tree = make_game(name, dict(params)).tree
     levels, plan = tree.levels, tree.plan
     assert len(plan) == len(levels) - 1
@@ -422,32 +432,36 @@ def test_the_plan_matches_the_tree(name, params):
         assert level.up.tolist() == up.tolist()
         assert level.prob.base is tree.prob
         assert level.prob.tolist() == tree.prob[b:c].tolist()
+        count = np.diff(tree.first[a:b + 1])
+        assert np.flatnonzero(count).tolist() == np.flatnonzero(
+            own != TERMINAL).tolist()
+        assert level.inner.tolist() == sorted(np.flatnonzero(count).tolist(),
+                                              key=lambda n: -count[n])
         children = []
-        for k, parents in level.siblings:
-            assert len(set(slot[k].tolist())) == 1
-            assert parents.tolist() == up[k].tolist()
-            children += k.tolist()
+        for s, kids in enumerate(level.kids):
+            parents = level.inner[:len(kids)]
+            assert len(kids) == np.count_nonzero(count > s)
+            assert (count[parents] > s).all()
+            assert (slot[kids] == s).all()
+            assert tree.parent[b + kids].tolist() == (a + parents).tolist()
+            children += kids.tolist()
+        assert len(level.kids) == count.max(initial=0)
         assert sorted(children) == list(range(c - b))
-        assert [slot[k[0]] for k, _ in level.siblings] == sorted(
-            {int(s) for s in slot})
         for player, mine in enumerate(level.players):
+            infosets = tree.infosets[player]
             nodes = np.flatnonzero(own == player)
             moves = np.flatnonzero(own[up] == player)
+            none = len(infosets.views) * infosets.width
+            move = np.full(c - b if len(nodes) else 0, none)
+            move[moves] = (tree.infoset[a + up[moves]].astype(int)
+                           * infosets.width + slot[moves])
             assert mine.nodes.tolist() == nodes.tolist()
             assert mine.infoset.tolist() == tree.infoset[a + nodes].tolist()
-            assert mine.moves.tolist() == moves.tolist()
-            assert mine.move_infoset.tolist() == tree.infoset[
-                a + up[moves]].tolist()
-            assert mine.move_slot.tolist() == slot[moves].tolist()
-            assert mine.move.tolist() == (
-                mine.move_infoset.astype(int) * tree.infosets[player].width
-                + mine.move_slot).tolist()
+            assert mine.move.tolist() == move.tolist()
+            assert mine.move.dtype == np.min_scalar_type(none)
             assert mine.firsts.tolist() == np.flatnonzero(
-                tree.infosets[player].first_level == d).tolist()
-        arrays = [level.leaf, level.up, level.prob, *level.players[0],
-                  *level.players[1]]
-        arrays += [array for pair in level.siblings for array in pair]
-        assert not any(array.flags.writeable for array in arrays)
+                infosets.first_level == d).tolist()
+        assert not any(array.flags.writeable for array in _arrays(level))
     with pytest.raises(ValueError):
         plan[0].up[:1] = 0
 

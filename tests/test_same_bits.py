@@ -12,8 +12,10 @@ were before members kept their tables and the passes read a per-tree plan.
 They call the current code only where that code kept its arithmetic: the
 tree's arrays and `chance_cdfs`, `nets.unpack`, `nets._slices`, the
 optimizers (checked in `tests/test_nets.py`), `checked_cdf`,
-`psd_intrinsic_reward`, `evaluate._as_members`, `evaluate._best_actions`
-and the policies' `action_probs`.
+`psd_intrinsic_reward`, `evaluate._as_members` and the policies'
+`action_probs`. `_ref_best_actions` is no earlier code but a per-infoset
+loop written for these tests, so that a rewrite of `_best_actions` is
+checked against something other than itself.
 """
 
 import math
@@ -28,7 +30,8 @@ from gamepop.games import (GAMES, best_response, expected_value,
                            exploitability, make_game)
 from gamepop.games.base import (CHANCE, TERMINAL, checked_cdf, draw,
                                 draw_index, sample_episode)
-from gamepop.games.evaluate import _as_members, _best_actions
+from gamepop.games.evaluate import (_as_members, _ascend, _best_actions,
+                                    _descend)
 from gamepop.nets import ArchSignature
 from gamepop.oracles import (DqnOracle, PsdBonus, Step, dqn_oracle,
                              psd_intrinsic_reward)
@@ -660,7 +663,7 @@ def _ref_decide(flat, value, reached, responder):
             waits[infoset[nodes[reached[nodes] & ~ready[nodes - a]]]] = True
             due = np.flatnonzero((infosets.first_level == d) & live
                                  & (best < 0) & ~waits)
-            best[due] = _best_actions(flat, value, responder, due)
+            best[due] = _ref_best_actions(flat, value, responder, due)
             choice = best[infoset[nodes]]
             chosen = choice >= 0
             value[nodes[chosen]] = value[flat.first[nodes[chosen]]
@@ -672,6 +675,26 @@ def _ref_decide(flat, value, reached, responder):
         if np.array_equal(decided, best >= 0):
             raise ValueError("best_response: responder infosets depend on "
                              "each other in a cycle")
+
+
+def _ref_best_actions(flat, value, player, due):
+    """Per infoset in ``due``, the action whose children's values, summed
+    over its nodes in preorder from 0.0, is largest: the lowest such
+    action, ignoring NaN; action 0 if none beats -inf. Only legal actions
+    are summed, so one past them counts as -inf."""
+    infosets = flat.infosets[player]
+    best = []
+    for i in due.tolist():
+        nodes = infosets.nodes[infosets.start[i]:infosets.start[i + 1]]
+        top, pick = -math.inf, 0
+        for action in range(infosets.num_actions[i]):
+            total = np.float64(0.0)
+            for node in nodes.tolist():
+                total = total + value[flat.first[node] + action]
+            if total > top:
+                top, pick = total, action
+        best.append(pick)
+    return np.array(best, np.intp)
 
 
 def _ref_exploitability(game, profile):
@@ -790,3 +813,86 @@ def test_exact_passes_match_reference(index, seed, passes):
             assert _same_bits(value, ref_value)
             assert _same_tables(policy, ref_policy)
             pools[player].append(policy)
+
+
+def _special_values(rng, shape):
+    """Values from a few integers and halves, so that sums tie, with three
+    in ten of them -0.0, +0.0, NaN, inf or -inf."""
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf])
+    values = rng.integers(-2, 3, shape) * 0.5
+    chosen = rng.random(shape) < 0.3
+    values[chosen] = special[rng.integers(len(special), size=chosen.sum())]
+    return values
+
+
+@pytest.mark.parametrize("index", range(len(TREE_GAMES)), ids=TREE_GAME_IDS)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_best_actions_match_the_loop_reference(index, seed):
+    """`_best_actions` picks what the per-infoset loop picks, for a random
+    subset of each level's infosets of each player, when node values
+    include NaN, +-inf, -0.0 and ties."""
+    flat = _game(index).tree
+    rng = np.random.default_rng(seed)
+    value = _special_values(rng, len(flat.owner))
+    for player, infosets in enumerate(flat.infosets):
+        for d in sorted(set(infosets.first_level.tolist())):
+            firsts = np.flatnonzero(infosets.first_level == d)
+            due = firsts[rng.random(len(firsts)) < 0.7]
+            with np.errstate(invalid="ignore"):  # inf + -inf
+                got = _best_actions(flat, value, player, due)
+                want = _ref_best_actions(flat, value, player, due)
+            assert got.tolist() == want.tolist()
+
+
+def _zero_rows(tree, rng):
+    """A sparse tabular policy that plays all-zero rows at about a fifth
+    of the infosets, as no valid policy does: the passes read rows as
+    they are."""
+    policy = _edge_tabular(tree, rng)
+    for key, dist in policy.table.items():
+        if rng.random() < 0.2:
+            policy.table[key] = np.zeros(len(dist))
+    return policy
+
+
+@pytest.mark.parametrize("index", range(len(TREE_GAMES)), ids=TREE_GAME_IDS)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_descent_reaches_what_alive_tracking_reaches(index, seed):
+    """`_descend` takes a node of the other player as reached where some
+    member's reach there is nonzero; the reference descent tracks instead
+    whether the node's parent is reached and, after a move, some member
+    plays it. They agree for sparse simplex weights (some zero, some
+    -0.0), members with all-zero rows and a member listed twice, and the
+    summed reach at the terminals has the reference's bytes."""
+    game = _game(index)
+    flat = game.tree
+    rng = np.random.default_rng(seed)
+    for player in (0, 1):
+        pool = _exact_pool(game, rng) + [_zero_rows(flat, rng)]
+        pool.append(pool[int(rng.integers(len(pool)))])
+        weights = _exact_weights(len(pool), rng)
+        reach, reached = _descend(flat, player, pool, weights)
+        _, (ref_reach,), ref_reached = _ref_descend(
+            flat, [(player, pool, weights, True)])
+        other = flat.infosets[1 - player].nodes
+        assert reached.tolist() == ref_reached[other].tolist()
+        assert _same_bits(reach, ref_reach)
+
+
+@pytest.mark.parametrize("index", range(len(TREE_GAMES)), ids=TREE_GAME_IDS)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 4))
+def test_ascent_matches_reference_on_special_values(index, seed, columns):
+    """`_ascend` gives the reference's bytes on leaf values with several
+    columns that include -0.0, NaN and +-inf. The last column is all
+    -0.0, which sums that start at +0.0 make +0.0 at the root."""
+    flat = _game(index).tree
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(len(flat.utility), columns + 1))
+    chosen = rng.random(values.shape) < 0.5
+    values[chosen] = _special_values(rng, chosen.sum())
+    values[:, -1] = -0.0
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        assert _same_bits(_ascend(flat, values), _ref_ascend(flat, values))
