@@ -208,11 +208,14 @@ class LevelPlan(NamedTuple):
 
 
 class LastMoves(NamedTuple):
-    """One player's moves as `FlatTree.last_moves` gives them: each is an
-    entry of `PlayerLevel.move`, the entry one past the table, infosets x
-    width, standing for no move yet."""
+    """One player's moves as `FlatTree.last_moves` gives them. ``before``
+    holds entries of `PlayerLevel.move`, the entry one past the table,
+    infosets x width, standing for no move yet. A realization plan keeps
+    one row per legal move and one for no move, the entries ``legal``
+    lists in order; ``last`` and ``facing`` hold rows of it."""
     before: np.ndarray  # per infoset, the player's last move on the way
-    last: np.ndarray  # per terminal, in row order, the same
+    legal: np.ndarray  # per plan row, its entry
+    last: np.ndarray  # per terminal, in row order, the last move's row
     # per node of the other player, in that player's `Infosets.nodes`
     # order, the same
     facing: np.ndarray
@@ -419,8 +422,10 @@ class FlatTree:
         """Per player, the player's last move on the way to each of its
         infosets, to each terminal and to each node of the other player:
         where reach read from realization plans
-        (`gamepop.policies.Reading.own_reach`) looks a node up. Built on
-        first use, read-only and as narrow as the plan's moves.
+        (`gamepop.policies.Reading.own_reach`) looks a node up, in plan
+        rows that skip the table's entries past an infoset's legal
+        actions. Built on first use, read-only and as narrow as the plan's
+        moves.
 
         A player's own reach at a node is its realization plan's entry for
         that last move, provided every node of an infoset follows the same
@@ -447,9 +452,14 @@ class FlatTree:
                 at = at[level.up]
                 if len(mine.move):
                     at = np.where(mine.move < none, mine.move, at)
+            legal = np.append(np.flatnonzero(
+                np.arange(infosets.width) < infosets.num_actions[:, None]),
+                none).astype(moves)
+            last = np.concatenate(last)
+            facing = facing[self.infosets[1 - player].nodes]
             players.append(LastMoves(
-                before, np.concatenate(last),
-                facing[self.infosets[1 - player].nodes]))
+                before, legal, np.searchsorted(legal, last).astype(moves),
+                np.searchsorted(legal, facing).astype(moves)))
         for value in _arrays(players):
             value.flags.writeable = False
         return tuple(players)

@@ -8,30 +8,28 @@ exactly: a pass carries one reach weight per mixture member and per player,
 so sampling a member once per playthrough is integrated out in closed form
 rather than simulated.
 
-Evaluation is two array passes over the tree's levels, each reading the
-tree's per-level index arrays from `FlatTree.plan` rather than deriving
-them per call, and each terminal's chance probability from
-`FlatTree.chance` rather than multiplying it out. The first gives each
-terminal one side's reach, from the members' readings (`policies.Reading`,
-one per policy and player, shared with sampled play, each read once where
-its policy's own play reaches); `best_response` writes its response's
-reading when it makes it, so a new exact-oracle member is never read.
+Evaluation reads each side's reach at the terminals, then makes one
+array pass up the tree's levels, reading the tree's per-level index arrays
+from `FlatTree.plan` rather than deriving them per call, and each
+terminal's chance probability from `FlatTree.chance` rather than
+multiplying it out. A side's reach comes from its members' readings
+(`policies.Reading`, one per policy and player, shared with sampled play,
+each read once where its policy's own play reaches); `best_response`
+writes its response's reading when it makes it, so a new exact-oracle
+member is never read.
 
-`_reach` is the one place that picks how a side's reach is made. A side
-whose weights are all 1.0 (a single policy, a one-member mixture or a
-listed population: every payoff row and column) is never descended. Its
-members' own reach never changes, so each reading keeps it, made once as
-the policy's realization plan (`policies.Reading.own_reach`), and one
-gather through `FlatTree.last_moves` gives it at every terminal, with the
-products a descent from 1.0 forms. A side weighed by a meta-strategy
-sigma starts its products at sigma_k, so no cache gives its bits:
-`_descend` gathers each level's reach from its parents and, on a level
-where the player moves, multiplies it by the members' entries, gathered
-with one flat index per node (`PlayerLevel.move`) from their readings'
-rows, stacked with a last entry of 1.0 that a node no move of the player
-leads into reads (`policies.Reading.entries`). A profile of two mixtures
-is two such descents, one per side: one side's products never read the
-other's.
+`_reach` is the one path for every side, and no pass walks down the tree.
+A member's own reach never changes, so each reading keeps it, made once as
+the policy's realization plan (`policies.Reading.own_reach`): 1.0 times
+its entries along its own moves. One gather through `FlatTree.last_moves`
+gives every member's plan at every terminal. A listed population keeps one
+column per member (every payoff row and column). A side weighed by a
+meta-strategy sigma multiplies each member's column by sigma_k, last, and
+sums over every member, sigma_k = 0 included; a profile of two mixtures
+reads each side alone, since one side's products never read the other's.
+For a pure member (an exact best response, a greedy network) sigma_k times
+1.0 is sigma_k, the product a walk that starts each member at sigma_k
+forms; with mixed rows the two orders may differ in the last bit.
 
 `_ascend` goes up: a node's value is 0.0 plus its children's, added in slot
 order. Each level gathers its children slot by slot into the prefix of its
@@ -43,13 +41,15 @@ below has its values, summing its nodes' children the same way, node by
 node into a prefix of that level's infosets (`FlatTree.choices`).
 
 Every value takes the same floating-point operations, in the same order,
-as a recursive walk that skips each branch no member plays (the reference
-in tests/test_evaluate.py): the passes here skip nothing, but a skipped
-branch is worth +0.0 or -0.0, and adding either to a total that starts at
-+0.0, and so is never -0.0, leaves the total as it is. At a node that a
-member's own play does not reach, its reach is +0.0 or -0.0 in every pass;
-its row there, whether read or an unread zero, only changes the sign of
-that zero, and so it too leaves every total as it is.
+as a recursive walk that carries each member's own reach from 1.0, weighs
+it at the terminals and skips each branch no member of nonzero weight
+plays (the reference in tests/test_evaluate.py): the passes here skip
+nothing, but a skipped branch is worth +0.0 or -0.0, and adding either to
+a total that starts at +0.0, and so is never -0.0, leaves the total as it
+is. At a node that a member's own play does not reach, its reach is +0.0
+or -0.0 in every pass; its row there, whether read or an unread zero, only
+changes the sign of that zero, and so it too leaves every total as it
+is.
 
 `expected_value` also resolves one side by member: given a list of policies
 on that side, its reach keeps one column per listed policy and never sums
@@ -84,63 +84,33 @@ def _reach(flat: FlatTree, player: int, side, facing: bool = False):
     side reaches each node of the other player, in that player's
     `Infosets.nodes` order.
 
-    The one place that picks how: a side whose weights are all 1.0 gathers
-    its members' realization plans (`_plans`) through
-    `FlatTree.last_moves`, with the products a descent from 1.0 forms; any
-    other side starts its products at sigma_k, which no plan holds, and is
-    descended (`_descend`).
+    Every side reads its members' realization plans (`_plans`) through
+    `FlatTree.last_moves`. A side that is not listed weighs each member's
+    plan by its weight, last, and sums each row of plans over every
+    member, zero weights included, in numpy's order for a C-contiguous row
+    (``sum(axis=1)``) before the gather: a terminal's sum is its last
+    move's. It reaches a node where some member's weighed plan is nonzero.
     """
     members, weights = _as_members(side)
-    if (weights != 1.0).any():
-        reach, reached = _descend(flat, player, members, weights)
-        return (reach, reached) if facing else reach
-    moves = flat.last_moves[player]
+    moves, listed = flat.last_moves[player], isinstance(side, list)
     plans = _plans(flat, player, members)
+    if not listed:
+        plans *= weights
+    if facing:
+        reached = plans.any(axis=1)[moves.facing]
+    if not listed:
+        plans = plans.sum(axis=1, keepdims=True)
     reach = plans[moves.last]
-    if not isinstance(side, list):
-        reach = reach.sum(axis=1, keepdims=True)
-    return (reach, plans[moves.facing].any(axis=1)) if facing else reach
-
-
-def _descend(flat: FlatTree, player: int, members, weights):
-    """``(reach, reached)``, as `_reach` gives them with ``facing``, of
-    ``player``'s ``members`` weighed by ``weights``, by the top-down pass:
-    each level's reach is its parent's, times, on a level where the player
-    moves, the members' entries gathered with each node's flat index
-    (`PlayerLevel.move`) from a (members, infosets x actions + 1) table of
-    their readings' `entries`, whose last, 1.0, stands for no move
-    (``x * 1.0`` is ``x``), and is summed over the members level by level,
-    at that level's terminals. A node is reached where some member's reach
-    is nonzero: with weights on the simplex and finite rows, exactly where
-    the parent is reached and, after a move of the player, some member
-    plays it.
-    """
-    levels, plan = flat.levels, flat.plan
-    table = np.stack([member.reading(flat, player).entries
-                      for member in members])
-    reach = np.asarray(weights, dtype=float)[None, :]
-    reached = np.zeros(len(flat.owner), bool)
-    leaf_reach = []
-    for d, level in enumerate(plan):
-        facing = level.players[1 - player].nodes
-        reached[levels[d]:levels[d + 1]][facing] = reach[facing].any(axis=1)
-        leaf_reach.append(reach[level.leaf].sum(axis=1, keepdims=True))
-        move = level.players[player].move
-        reach = reach[level.up]
-        if len(move):
-            reach *= table[:, move].T
-    return (np.concatenate(leaf_reach),
-            reached[flat.infosets[1 - player].nodes])
+    return (reach, reached) if facing else reach
 
 
 def _plans(flat: FlatTree, player: int, members):
     """The members' realization plans (`policies.Reading.own_reach`), one
-    column each. Row m holds each member's own reach at every node whose
-    last move of ``player`` is m (`FlatTree.last_moves`), bit for bit what
-    `_descend` carries down to that node from a weight of 1.0."""
-    infosets = flat.infosets[player]
-    plans = np.zeros((len(infosets.views) * infosets.width + 1,
-                      len(members)))
+    column each, in a fresh C-contiguous matrix the caller may write. Each
+    row holds each member's own reach at every node whose last move of
+    ``player`` is that row's (`FlatTree.last_moves`): 1.0 times its
+    entries along its own moves, in order."""
+    plans = np.zeros((len(flat.last_moves[player].legal), len(members)))
     for j, member in enumerate(members):
         entries, values = member.reading(flat, player).own_reach()
         plans[entries, j] = 1.0 if values is None else values

@@ -109,7 +109,9 @@ class Reading:
     action is nonzero. Row i of ``rows`` (infosets x actions, zero past the
     legal actions and at infosets not reached) holds it at infoset i;
     ``entries`` holds the rows one after another, then 1.0, the entry that
-    `PlayerLevel.move` gives a node that no move of the player leads into.
+    `PlayerLevel.move` gives a node that no move of the player leads into,
+    which only the reading's own walk below reads (exact passes read
+    `own_reach`).
     ``cdfs[i]`` is the CDF draws there use: a shared distribution's CDF,
     else the row's `checked_cdf`, made on its first draw. Made without a
     policy, every row is zero for the caller to write. It refers to its
@@ -141,26 +143,29 @@ class Reading:
                 reached &= self.entries[mine.move] != 0
 
     def own_reach(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The policy's own reach, as its realization plan: entry
-        ``i * width + a`` (`PlayerLevel.move`) is 1.0 times its rows'
-        entries along its own moves to infoset i and then action a, and the
-        last entry, 1.0, its reach before its first move. The products are
-        the ones an exact pass forms for a side of weight 1.0, in the same
-        order. Made from the rows on the first call, read-only and kept.
+        """The policy's own reach, as its realization plan: the row of legal
+        move ``i * width + a`` (`PlayerLevel.move`, `LastMoves.legal`) is
+        1.0 times its rows' entries along its own moves to infoset i and
+        then action a, and the last row, 1.0, its reach before its first
+        move. Every exact pass reads a member's reach from these products;
+        a side weighed by a meta-strategy multiplies them by the member's
+        weight last. Made from the rows on the first call, read-only and
+        kept.
 
-        Returns ``(entries, values)``: the entries that are not +0.0 and
+        Returns ``(entries, values)``: the rows that are not +0.0 and
         their values, or None for values if each is 1.0, as a deterministic
         policy's are."""
         if self.reach is None:
             tree = self.tree()
-            before = tree.last_moves[self.player].before
+            moves = tree.last_moves[self.player]
             plan = np.empty(self.rows.size + 1)
             plan[-1] = 1.0
             table = plan[:-1].reshape(self.rows.shape)
             for level in tree.plan:
                 firsts = level.players[self.player].firsts
-                table[firsts] = plan[before[firsts]][:, None] * self.rows[
-                    firsts]
+                table[firsts] = (plan[moves.before[firsts]][:, None]
+                                 * self.rows[firsts])
+            plan = plan[moves.legal]
             entries = np.flatnonzero((plan != 0.0) | np.signbit(plan))
             values = plan[entries]
             if (values == 1.0).all():

@@ -651,26 +651,32 @@ class TestGameReuse:
 
     def test_exact_runs_reach_each_member_once(self, monkeypatch):
         """In a five-iteration exact-oracle Leduc run, each member's own
-        reach is made once per player it plays, and no pass descends a side
-        whose weights are all 1.0: every payoff row and column, and each
-        best response to a one-member mixture, reads the members' own
-        reach instead. Each descent carries one side, and the tree's
-        terminal chance probabilities are built once."""
+        reach is made once per player it plays, and every side of every
+        exact pass, sigma-weighted mixtures included, is read from its
+        members' realization plans: each `_reach` makes one `_plans` matrix
+        of its members. The tree's terminal chance probabilities are built
+        once."""
         import gamepop.games.evaluate as evaluate
         from gamepop.games.base import FlatTree
         from gamepop.policies import Reading
         made, built = collections.Counter(), collections.Counter()
-        own_reach, descend = Reading.own_reach, evaluate._descend
+        own_reach, reach, plans = (Reading.own_reach, evaluate._reach,
+                                   evaluate._plans)
         chance = FlatTree.chance.func
-        sides = []
+        sides, planned = [], []
 
         def counted(reading):
             made[reading] += reading.reach is None
             return own_reach(reading)
 
-        def descended(flat, player, members, weights):
-            sides.append((player, len(members), tuple(weights)))
-            return descend(flat, player, members, weights)
+        def reached(flat, player, side, facing=False):
+            members, weights = evaluate._as_members(side)
+            sides.append((len(members), tuple(weights)))
+            return reach(flat, player, side, facing)
+
+        def planned_for(flat, player, members):
+            planned.append(len(members))
+            return plans(flat, player, members)
 
         def chanced(tree):
             built[tree] += 1
@@ -679,7 +685,8 @@ class TestGameReuse:
         counted_chance = functools.cached_property(chanced)
         counted_chance.__set_name__(FlatTree, "chance")
         monkeypatch.setattr(Reading, "own_reach", counted)
-        monkeypatch.setattr(evaluate, "_descend", descended)
+        monkeypatch.setattr(evaluate, "_reach", reached)
+        monkeypatch.setattr(evaluate, "_plans", planned_for)
         monkeypatch.setattr(FlatTree, "chance", counted_chance)
         monkeypatch.setattr(eng, "_last_game", (None, None))
         config = PsroConfig(game={"name": "leduc_poker", "params": {}},
@@ -693,10 +700,8 @@ class TestGameReuse:
                     for member in population}
         assert len(readings) == sum(map(len, history.populations)) == 12
         assert set(made) == readings and set(made.values()) == {1}
-        assert sides and all(
-            player in (0, 1) and count == len(weights)
-            and any(w != 1.0 for w in weights)
-            for player, count, weights in sides)
+        assert planned == [count for count, _ in sides]
+        assert any(w != 1.0 for _, weights in sides for w in weights)
         assert list(built.values()) == [1]
 
 

@@ -19,7 +19,7 @@ from gamepop.games import (CHANCE, TERMINAL, InfosetView,
                            TraversalBudgetError, best_response,
                            expected_value, exploitability, make_game,
                            play_episode)
-from gamepop.games.evaluate import _as_members, _descend, _plans, _reach
+from gamepop.games.evaluate import _as_members, _plans, _reach
 from gamepop.nets import ArchSignature
 from gamepop.policies import PolicyMixture, TabularPolicy, scratch_init
 from test_same_bits import _ref_descend
@@ -347,8 +347,10 @@ class StateWalk:
 
 
 def two_pass_best_response(game, opponent_mixture, responder: int):
-    """The earlier best response, kept verbatim as a reference: its second
-    pass re-reads the opponent's policies and recomputes every reach."""
+    """The earlier best response, kept as a reference: its second pass
+    re-reads the opponent's policies and recomputes every reach. It carries
+    each member's own reach from 1.0, weighs it last, at the terminals, and
+    skips every branch that no member of nonzero weight plays."""
     members, base_weights = _as_members(opponent_mixture)
     opponent = 1 - responder
     tree = StateWalk(game)
@@ -369,14 +371,15 @@ def two_pass_best_response(game, opponent_mixture, responder: int):
             probs = np.stack([m.action_probs(view) for m in members])
             for j, (_, child, _) in enumerate(kids):
                 r_next = reach * probs[:, j]
-                if r_next.any():
+                if (r_next * base_weights).any():
                     collect(child, chance, r_next)
             return
         infosets.setdefault(view, []).append((node, chance, reach))
         for _, child, _ in kids:
             collect(child, chance, reach)
 
-    collect(tree.root, 1.0, base_weights)
+    ones = np.ones(len(members))
+    collect(tree.root, 1.0, ones)
 
     br_actions: dict = {}  # view -> index of the best action
 
@@ -384,7 +387,8 @@ def two_pass_best_response(game, opponent_mixture, responder: int):
         # Reach-weighted responder value assuming BR play at responder nodes.
         player = tree.owner(node)
         if player == TERMINAL:
-            v = chance * reach.sum() * tree.returns(node)[responder]
+            v = (chance * (reach * base_weights).sum()
+                 * tree.returns(node)[responder])
         else:
             kids = tree.children(node)
             if player == CHANCE:
@@ -396,7 +400,7 @@ def two_pass_best_response(game, opponent_mixture, responder: int):
                 v = 0.0
                 for j, (_, child, _) in enumerate(kids):
                     r_next = reach * probs[:, j]
-                    if r_next.any():
+                    if (r_next * base_weights).any():
                         v += weighted_value(child, chance, r_next)
             else:
                 j = infoset_action(tree.view(node))
@@ -421,7 +425,7 @@ def two_pass_best_response(game, opponent_mixture, responder: int):
     for view in infosets:
         infoset_action(view)
 
-    value = weighted_value(tree.root, 1.0, base_weights)
+    value = weighted_value(tree.root, 1.0, ones)
     table = {}
     for view, best in br_actions.items():
         dist = np.zeros(len(view.legal_actions))
@@ -679,8 +683,8 @@ def test_cached_reach_equals_the_descent_bit_for_bit(name, params):
     the other player's nodes; `_reach` of the listed members gives those
     columns. (Descended alone, a member is read only where its own play
     reaches, as its reading is, so an unread row holds +0.0 in both.)
-    Summed over the members, the plans equal `_descend` from weights of
-    1.0 bit for bit, and reach the same nodes. Members are tabular
+    `_reach` of one member alone gives its column, summed as a mixture's
+    are, and the nodes it alone reaches. Members are tabular
     (uniform, pure, and sparse with -0.0 and -1e-13 entries), networks and
     exact best responses, and one is listed twice."""
     game = make_game(name, params)
@@ -695,28 +699,27 @@ def test_cached_reach_equals_the_descent_bit_for_bit(name, params):
                    _signed_tabular(tree, rng), scratch_init("kaiming", sig, 5),
                    response]
         members.append(members[2])
-        ones = np.ones(len(members))
         moves = flat.last_moves[player]
         plans = _plans(flat, player, members)
+        other = flat.infosets[1 - player].nodes
         columns, reached = [], np.zeros(len(flat.owner), bool)
         for member in members:
             _, (column,), alone = _ref_descend(
                 flat, [(player, [member], np.ones(1), False)])
             columns.append(column)
             reached |= alone
+            single, single_facing = _reach(flat, player, member, facing=True)
+            assert single.tobytes() == column.sum(
+                axis=1, keepdims=True).tobytes()
+            assert (single_facing == alone[other]).all()
         cached = plans[moves.last]
         assert cached.tobytes() == np.hstack(columns).tobytes()
         assert np.signbit(cached).any() or name == "matrix_game"
-        other = flat.infosets[1 - player].nodes
         facing = plans[moves.facing].any(axis=1)
         assert (facing == reached[other]).all()
         listed, listed_facing = _reach(flat, player, members, facing=True)
         assert listed.tobytes() == cached.tobytes()
         assert (listed_facing == facing).all()
-        folded, descended = _descend(flat, player, members, ones)
-        assert folded.tobytes() == cached.sum(axis=1,
-                                              keepdims=True).tobytes()
-        assert (descended == facing).all()
 
 
 def test_a_member_listed_twice_is_read_once_per_infoset():
@@ -832,14 +835,15 @@ def test_member_resolved_walk_equals_pairwise_walks_bit_for_bit(name,
         assert (np.signbit(resolved) == np.signbit(pairwise[:, c].T)).all()
 
 
-def _follow(members, view, reach: np.ndarray):
+def _follow(members, view, reach: np.ndarray, weights: np.ndarray):
     """The mixture's branching step at a decision node: yields ``(j,
-    reach * probs[:, j])`` for each legal action j that some member still
-    plays, reading every member's ``action_probs(view)`` once."""
+    reach * probs[:, j])`` for each legal action j that some member of
+    nonzero weight still plays, reading every member's
+    ``action_probs(view)`` once."""
     probs = np.stack([m.action_probs(view) for m in members])
     for j in range(len(view.legal_actions)):
         r_next = reach * probs[:, j]
-        if r_next.any():
+        if (r_next * weights).any():
             yield j, r_next
 
 
@@ -848,8 +852,10 @@ def _resolved(reach: np.ndarray) -> np.ndarray:
 
 
 def recursive_expected_value(game, profile):
-    """The earlier expected value, kept verbatim as a reference: a
-    recursive walk that skips every branch no member plays."""
+    """The earlier expected value, kept as a reference: a recursive walk
+    that skips every branch no member of positive weight plays. It carries
+    each member's own reach from 1.0 and weighs it last, at the
+    terminals."""
     members = [None, None]
     weights = [None, None]
     for i in (0, 1):
@@ -866,20 +872,23 @@ def recursive_expected_value(game, profile):
              r1: np.ndarray) -> float:
         player = tree.owner(node)
         if player == TERMINAL:
-            return chance * fold0(r0) * fold1(r1) * tree.returns(node)[0]
+            return (chance * fold0(r0 * weights[0]) * fold1(r1 * weights[1])
+                    * tree.returns(node)[0])
         kids = tree.children(node)
         if player == CHANCE:
             return sum(walk(child, chance * p, r0, r1) for _, child, p in kids)
         reach = r0 if player == 0 else r1
         total = 0.0
-        for j, r_next in _follow(members[player], tree.view(node), reach):
+        for j, r_next in _follow(members[player], tree.view(node), reach,
+                                 weights[player]):
             if player == 0:
                 total += walk(kids[j][1], chance, r_next, r1)
             else:
                 total += walk(kids[j][1], chance, r0, r_next)
         return total
 
-    v0 = walk(tree.root, 1.0, weights[0], weights[1])
+    ones = [np.ones(len(m)) for m in members]
+    v0 = walk(tree.root, 1.0, ones[0], ones[1])
     return (v0, -v0)
 
 

@@ -16,6 +16,13 @@ optimizers (checked in `tests/test_nets.py`), `checked_cdf`,
 `action_probs`. `_ref_best_actions` is no earlier code but a per-infoset
 loop written for these tests, so that a rewrite of `_best_actions` is
 checked against something other than itself.
+
+The exact passes now weigh each member's own reach last, times its
+weight, where the earlier descent started each member's products at its
+weight. `_ref_reach` gives the reach in the new order, each member
+descended alone from 1.0 by `_ref_descend`; `_old_reach` keeps the earlier
+order, one joint descent from the weights, against which pure members keep
+every bit and mixed ones agree to 1e-12.
 """
 
 import math
@@ -31,7 +38,7 @@ from gamepop.games import (GAMES, best_response, expected_value,
 from gamepop.games.base import (CHANCE, TERMINAL, checked_cdf, draw,
                                 draw_index, sample_episode)
 from gamepop.games.evaluate import (_as_members, _ascend, _best_actions,
-                                    _descend)
+                                    _reach)
 from gamepop.nets import ArchSignature
 from gamepop.oracles import (DqnOracle, PsdBonus, Step, dqn_oracle,
                              psd_intrinsic_reward)
@@ -611,24 +618,54 @@ def _ref_ascend(flat, leaf_values):
     return below[0]
 
 
-def _ref_expected_value(game, profile):
-    sides = []
+def _ref_chance(flat):
+    return _ref_descend(flat, [])[0]
+
+
+def _ref_reach(flat, player, members, weights, fold):
+    """A side's reach at each terminal and whether it reaches each node,
+    each member's own reach weighed last: every member is descended alone
+    from 1.0 (its realization plan, read only where its own play reaches),
+    times its weight, and, if ``fold``, summed over all members in one
+    C-contiguous row. A member reaches nothing if its weight is zero."""
+    columns, reached = [], np.zeros(len(flat.owner), bool)
+    for member, weight in zip(members, weights):
+        _, (column,), alone = _ref_descend(
+            flat, [(player, [member], np.ones(1), False)])
+        columns.append(column)
+        if weight != 0.0:
+            reached |= alone
+    reach = np.hstack(columns)
+    reach *= weights
+    return (reach.sum(axis=1, keepdims=True) if fold else reach), reached
+
+
+def _old_reach(flat, player, members, weights, fold):
+    """`_ref_reach` in the earlier product order: one descent of all the
+    members whose products start at their weights."""
+    _, (reach,), reached = _ref_descend(flat, [(player, members, weights,
+                                                fold)])
+    return reach, reached
+
+
+def _ref_expected_value(game, profile, reach=_ref_reach):
+    flat = game.tree
+    folds = []
     for player, side in enumerate(profile):
         members, weights = _as_members(side)
-        sides.append((player, members, weights, not isinstance(side, list)))
-    flat = game.tree
-    chance, (fold0, fold1), _ = _ref_descend(flat, sides)
-    v0 = _ref_ascend(flat,
-                     chance[:, None] * fold0 * fold1 * flat.utility[:, :1])
-    if sides[0][3] and sides[1][3]:
+        folds.append(reach(flat, player, members, weights,
+                           not isinstance(side, list))[0])
+    v0 = _ref_ascend(flat, _ref_chance(flat)[:, None] * folds[0] * folds[1]
+                     * flat.utility[:, :1])
+    if not any(isinstance(side, list) for side in profile):
         v0 = v0[0]
     return (v0, -v0)
 
 
-def _ref_respond(flat, opponent_mixture, responder):
+def _ref_respond(flat, opponent_mixture, responder, reach=_ref_reach):
     members, weights = _as_members(opponent_mixture)
-    chance, (fold,), reached = _ref_descend(
-        flat, [(1 - responder, members, weights, True)])
+    chance = _ref_chance(flat)
+    fold, reached = reach(flat, 1 - responder, members, weights, True)
     value = np.zeros(len(flat.owner))
     value[flat.owner == TERMINAL] = (chance * fold[:, 0]
                                      * flat.utility[:, responder])
@@ -697,12 +734,12 @@ def _ref_best_actions(flat, value, player, due):
     return np.array(best, np.intp)
 
 
-def _ref_exploitability(game, profile):
+def _ref_exploitability(game, profile, reach=_ref_reach):
     flat = game.tree
     responses, values, folds = [], [], [None, None]
     for player in (0, 1):
         policy, value, chance, folds[1 - player] = _ref_respond(
-            flat, profile[1 - player], player)
+            flat, profile[1 - player], player, reach)
         responses.append(policy)
         values.append(value)
     v0 = _ref_ascend(flat, (chance * folds[0] * folds[1]
@@ -860,12 +897,13 @@ def _zero_rows(tree, rng):
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_descent_reaches_what_alive_tracking_reaches(index, seed):
-    """`_descend` takes a node of the other player as reached where some
-    member's reach there is nonzero; the reference descent tracks instead
-    whether the node's parent is reached and, after a move, some member
-    plays it. They agree for sparse simplex weights (some zero, some
+    """`_reach` takes a node of the other player as reached where some
+    member's weighed plan there is nonzero; the reference descent tracks
+    instead whether the node's parent is reached and, after a move, some
+    member plays it. They agree for sparse simplex weights (some zero, some
     -0.0), members with all-zero rows and a member listed twice, and the
-    summed reach at the terminals has the reference's bytes."""
+    summed reach at the terminals has the bytes of the reference that
+    weighs each member's own reach last."""
     game = _game(index)
     flat = game.tree
     rng = np.random.default_rng(seed)
@@ -873,12 +911,104 @@ def test_descent_reaches_what_alive_tracking_reaches(index, seed):
         pool = _exact_pool(game, rng) + [_zero_rows(flat, rng)]
         pool.append(pool[int(rng.integers(len(pool)))])
         weights = _exact_weights(len(pool), rng)
-        reach, reached = _descend(flat, player, pool, weights)
-        _, (ref_reach,), ref_reached = _ref_descend(
-            flat, [(player, pool, weights, True)])
+        reach, reached = _reach(flat, player, PolicyMixture(pool, weights),
+                                facing=True)
+        _, ref_reached = _old_reach(flat, player, pool, weights, True)
+        ref_reach, alone = _ref_reach(flat, player, pool, weights, True)
         other = flat.infosets[1 - player].nodes
         assert reached.tolist() == ref_reached[other].tolist()
+        assert reached.tolist() == alone[other].tolist()
         assert _same_bits(reach, ref_reach)
+
+
+def _pure_pool(game, rng, size):
+    """``size`` pure members for each player: greedy tables on random
+    actions (`TabularPolicy.greedy`) and scratch networks, alternating."""
+    views = [view for infosets in game.tree.infosets
+             for view in infosets.views]
+    counts = [len(view.legal_actions) for view in views]
+    return [_policy("network", game, rng) if i % 3 == 2
+            else TabularPolicy.greedy([view.key for view in views], counts,
+                                      [int(rng.integers(n)) for n in counts])
+            for i in range(size)]
+
+
+@pytest.mark.parametrize("index", range(len(TREE_GAMES)), ids=TREE_GAME_IDS)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(9, 17))
+def test_pure_members_keep_the_descents_bits(index, seed, size):
+    """For a sigma mixture of pure members, a weight times a plan entry of
+    1.0 is the product a descent from that weight forms, so `_reach`'s
+    reach and reached equal the earlier joint descent's byte for byte,
+    sign of zero included: sparse weights with zeros and -0.0, 9 to 17
+    members (past numpy's pairwise block of 8) and one listed twice."""
+    game = _game(index)
+    flat = game.tree
+    rng = np.random.default_rng(seed)
+    for player in (0, 1):
+        pool = _pure_pool(game, rng, size - 1)
+        pool.append(pool[int(rng.integers(len(pool)))])
+        weights = _exact_weights(len(pool), rng)
+        reach, reached = _reach(flat, player, PolicyMixture(pool, weights),
+                                facing=True)
+        ref_reach, ref_reached = _old_reach(flat, player, pool, weights, True)
+        assert _same_bits(reach, ref_reach)
+        assert _same_bits(reached,
+                          ref_reached[flat.infosets[1 - player].nodes])
+
+
+@pytest.mark.parametrize("index", range(len(TREE_GAMES)), ids=TREE_GAME_IDS)
+def test_cancelling_weights_still_reach(index):
+    """`PolicyMixture` accepts weights down to -1e-9, so a member listed
+    twice at 1e-9 and -1e-9 sums to zero reach where it alone plays, yet
+    the descent reaches those nodes; so does `_reach`, which asks before
+    it sums."""
+    game = _game(index)
+    flat = game.tree
+    rng = np.random.default_rng(index)
+    for player in (0, 1):
+        pool = _pure_pool(game, rng, 2)
+        pool.insert(1, pool[0])
+        weights = np.array([1e-9, -1e-9, 1.0])
+        reach, reached = _reach(flat, player, PolicyMixture(pool, weights),
+                                facing=True)
+        ref_reach, ref_reached = _old_reach(flat, player, pool, weights, True)
+        assert _same_bits(reach, ref_reach)
+        assert _same_bits(reached,
+                          ref_reached[flat.infosets[1 - player].nodes])
+
+
+@pytest.mark.parametrize("index", range(len(TREE_GAMES)), ids=TREE_GAME_IDS)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_weighing_own_reach_last_keeps_the_old_values(index, seed):
+    """Weighing each member's own reach last can move the last bit of a
+    product with mixed rows; expected values, best-response values and
+    exploitability of sigma mixtures of random sparse tabular members stay
+    within 1e-12 of the earlier order's, relative to the value or, near
+    zero, to the game's largest payoff."""
+    game = _game(index)
+    flat = game.tree
+    rng = np.random.default_rng(seed)
+    scale = 1e-12 * np.abs(flat.utility).max()
+    pools = [[_tabular(flat, rng, shared=False) for _ in range(5)]
+             for _ in range(2)]
+    profile = tuple(PolicyMixture(pool, _exact_weights(len(pool), rng))
+                    for pool in pools)
+
+    def close(got, want):
+        return math.isclose(got, want, rel_tol=1e-12, abs_tol=scale)
+
+    got = expected_value(game, profile)
+    want = _ref_expected_value(game, profile, _old_reach)
+    assert all(map(close, got, want))
+    for player in (0, 1):
+        _, value = best_response(game, profile[1 - player], player)
+        _, ref_value, _, _ = _ref_respond(flat, profile[1 - player], player,
+                                          _old_reach)
+        assert close(value, ref_value)
+    total = exploitability(game, profile)
+    assert close(total, _ref_exploitability(game, profile, _old_reach)[0])
 
 
 @pytest.mark.parametrize("index", range(len(TREE_GAMES)), ids=TREE_GAME_IDS)
