@@ -17,8 +17,8 @@ optimizers (checked in `tests/test_nets.py`), `checked_cdf`,
 loop written for these tests, so that a rewrite of `_best_actions` is
 checked against something other than itself.
 
-The exact passes now weigh each member's own reach last, times its
-weight, where the earlier descent started each member's products at its
+The exact passes weigh each member's own reach last, times its weight,
+where the earlier descent started each member's products at its
 weight. `_ref_reach` gives the reach in the new order, each member
 descended alone from 1.0 by `_ref_descend`; `_old_reach` keeps the earlier
 order, one joint descent from the weights, against which pure members keep
