@@ -11,15 +11,15 @@ A game is read through one tree, ``game.tree``: its whole tree compiled
 once from its states into read-only flat arrays (a `FlatTree`), on the
 first sampled episode or exact evaluation. The engine keeps the last game
 it built, so a process compiles the tree once per game and parameters for
-all of its runs. Exact evaluation passes over those arrays level by level,
-and policies see a decision node as its `InfosetView`, which knows its
-row in its player's `Infosets`: sampled and exact play read a policy
-through its `gamepop.policies.Reading` of those rows.
+all of its runs. Policies see a decision node as its `InfosetView`, which
+knows its row in its player's `Infosets`: sampled and exact play read a
+policy through its `gamepop.policies.Reading` of those rows.
 
-Exact evaluation and every reading walk `FlatTree.plan` besides: per
-level, the index arrays they gather and scatter with, built on first use.
-Exact evaluation also reads each terminal's chance probability from the
-tree (`FlatTree.chance`), made once from that plan.
+Every reading walks `FlatTree.plan`: per level, the index arrays it
+gathers with, built on first use. From that plan the tree also makes, once
+each, its terminals' chance probabilities (`FlatTree.chance`), each
+player's last moves (`FlatTree.last_moves`) and the game in sequence form
+(`FlatTree.sequence_form`), which is all that exact evaluation reads.
 
 Sampled episodes walk `FlatTree.walk` instead: the same tree as typed
 arrays and a tuple of Python objects, built on the first sampled episode
@@ -189,21 +189,12 @@ class PlayerLevel(NamedTuple):
 
 
 class LevelPlan(NamedTuple):
-    """Level d of a `FlatTree` as exact evaluation reads it (see
-    `FlatTree.plan`); the arrays about level d + 1 are empty on the
-    deepest level.
-
-    ``inner`` lists level d's nodes that have children, most children
-    first (in preorder among equals), and ``kids[s]`` the offset on level
-    d + 1 of child s of each of the first ``len(kids[s])`` of them: those
-    with more than s children. So a pass sums children slot by slot into
-    a prefix of ``inner``, reading every child once and writing no parent
-    twice."""
+    """Level d of a `FlatTree` as readings and the tree's own facts read it
+    (see `FlatTree.plan`); the arrays about level d + 1 are empty on the
+    deepest level."""
     leaf: np.ndarray  # per node of level d, whether it is terminal
     up: np.ndarray  # per node of level d + 1, its parent's offset on d
     prob: np.ndarray  # `FlatTree.prob` of level d + 1, a view
-    inner: np.ndarray
-    kids: tuple[np.ndarray, ...]
     players: tuple[PlayerLevel, PlayerLevel]
 
 
@@ -221,19 +212,30 @@ class LastMoves(NamedTuple):
     facing: np.ndarray
 
 
-class Choices(NamedTuple):
-    """One player's infosets on one level (`PlayerLevel.firsts`), as
-    `FlatTree.choices` gathers their best actions' values, most nodes
-    first (in infoset order among equals): ``children[r]`` holds, for each
-    of the first ``len(children[r])`` of them, those with more than r
-    nodes, the children of its r-th node in preorder, one per action up to
-    the most legal actions on the level, the last child repeated past its
-    own. So the values of an action's children are summed node by node
-    into a prefix of them."""
-    children: tuple[np.ndarray, ...]
-    # Per infoset in `firsts` order, its row in ``children`` and ``wide``.
-    position: np.ndarray
-    wide: np.ndarray  # per row and action, whether it is past its legal
+class InfosetLevel(NamedTuple):
+    """One player's infosets on one level, as `SequenceForm.levels` lists
+    them for a best response to decide: ``rows[k]`` holds the plan rows of
+    infoset ``infosets[k]``'s legal actions, the last repeated up to the
+    most legal actions on the level, where ``wide`` marks the repeats."""
+    infosets: np.ndarray
+    rows: np.ndarray
+    wide: np.ndarray
+
+
+class SequenceForm(NamedTuple):
+    """One player's part of `FlatTree.sequence_form`: the game in sequence
+    form (Koller, Megiddo and von Stengel, GEB 1996) as the exact passes
+    read it. The player's plan rows are its legal moves, infoset by infoset
+    in index order and in action order within one, then one row for no
+    move (`LastMoves.legal`); so infoset i's moves are the rows
+    ``start[i]:start[i + 1]``, and ``start[-1]`` is the no-move row."""
+    last: np.ndarray  # per terminal, in row order, `LastMoves.last`
+    weight: np.ndarray  # per terminal, in row order, chance x own utility
+    start: np.ndarray
+    parent: np.ndarray  # per infoset, the row of its player's move before
+    # Per level that holds some of the player's infosets, deepest first,
+    # those infosets in index order.
+    levels: tuple[InfosetLevel, ...]
 
 
 class FlatTree:
@@ -264,10 +266,11 @@ class FlatTree:
     serves every run on its game in a process.
 
     Exact passes read the facts of the tree from it, each built on first
-    use and kept: the per-level index arrays (`plan`), each terminal's
-    chance probability (`chance`), each player's last moves (`last_moves`)
-    and the best-action gathers (`choices`). No pass multiplies chance
-    probabilities itself.
+    use and kept: each player's last moves (`last_moves`) and, from them
+    and each terminal's chance probability (`chance`), the game in
+    sequence form (`sequence_form`); readings walk the per-level index
+    arrays (`plan`) those are made from. No pass multiplies chance
+    probabilities itself or reads the tree's inner nodes.
     """
 
     def __init__(self, game: Game):
@@ -362,10 +365,9 @@ class FlatTree:
 
     @functools.cached_property
     def plan(self) -> tuple[LevelPlan, ...]:
-        """One `LevelPlan` per level: what the exact passes of
-        `gamepop.games.evaluate` would otherwise derive from the tree on
-        every call, and each `gamepop.policies.Reading` walks once. Built
-        on first use and read-only. Offsets and infoset indices are stored
+        """One `LevelPlan` per level: what each `gamepop.policies.Reading`
+        walks once, and `chance` and `last_moves` are made from. Built on
+        first use and read-only. Offsets and infoset indices are stored
         as narrow as their ranges allow, one past the largest included
         (uint16 on Leduc); the passes only index with them, so no sum can
         wrap."""
@@ -378,11 +380,6 @@ class FlatTree:
             own = self.owner[a:b]
             up = self.parent[b:c].astype(np.intp) - a
             slot = self.slot[b:c]
-            first = self.first[a:b + 1].astype(np.intp) - b
-            count = np.diff(first)
-            inner = np.argsort(-count, kind="stable")[:np.count_nonzero(count)]
-            kids = tuple((first[inner[count[inner] > s]] + s).astype(offset)
-                         for s in range(count.max(initial=0)))
             players = []
             for player, infosets in enumerate(self.infosets):
                 nodes = np.flatnonzero(own == player)
@@ -397,8 +394,7 @@ class FlatTree:
                     np.flatnonzero(infosets.first_level == d).astype(index),
                     move.astype(np.min_scalar_type(none))))
             plan.append(LevelPlan(own == TERMINAL, up.astype(offset),
-                                  self.prob[b:c], inner.astype(offset), kids,
-                                  tuple(players)))
+                                  self.prob[b:c], tuple(players)))
         for value in _arrays(plan):
             value.flags.writeable = False
         return tuple(plan)
@@ -465,35 +461,33 @@ class FlatTree:
         return tuple(players)
 
     @functools.cached_property
-    def choices(self) -> tuple[tuple[Choices, Choices], ...]:
-        """Per level, per player, the `Choices` of the player's infosets on
-        that level: what an exact best response gathers to decide them,
-        built on first use for all of them. Read-only, and as narrow as the
-        plan's (uint16 on Leduc)."""
-        node = np.min_scalar_type(len(self.owner))
-        choices = []
-        for level in self.plan:
-            pair = []
-            for mine, infosets in zip(level.players, self.infosets):
-                start = infosets.start[mine.firsts]
-                count = infosets.start[mine.firsts + 1] - start
-                order = np.argsort(-count, kind="stable")
-                start, count = start[order], count[order]
-                width = infosets.num_actions[mine.firsts][order]
-                actions = np.arange(width.max(initial=1))
-                children = []
-                for rank in range(count.max(initial=0)):
-                    k = count > rank
-                    nodes = infosets.nodes[start[k] + rank]
-                    children.append((self.first[nodes][:, None] + np.minimum(
-                        actions, width[k, None] - 1)).astype(node))
-                pair.append(Choices(  # argsort inverts the permutation
-                    tuple(children), np.argsort(order).astype(
-                        mine.firsts.dtype), actions >= width[:, None]))
-            choices.append(tuple(pair))
-        for value in _arrays(choices):
+    def sequence_form(self) -> tuple[SequenceForm, SequenceForm]:
+        """Per player, its `SequenceForm`: what payoffs (x0^T A x1 over the
+        players' realization plans) and best responses (one pass up the
+        responder's own infosets) read instead of the tree's inner nodes.
+        Built on first use from `last_moves` and `chance`, and read-only;
+        rows and infoset indices are as narrow as the plan rows."""
+        forms = []
+        for player, (infosets, moves) in enumerate(zip(self.infosets,
+                                                       self.last_moves)):
+            row = moves.last.dtype
+            start = np.concatenate([[0], np.cumsum(infosets.num_actions)])
+            levels = []
+            for d in sorted(set(infosets.first_level.tolist()), reverse=True):
+                mine = np.flatnonzero(infosets.first_level == d)
+                count = infosets.num_actions[mine, None]
+                slots = np.arange(count.max())
+                levels.append(InfosetLevel(
+                    mine.astype(row), (start[mine, None] + np.minimum(
+                        slots, count - 1)).astype(row), slots >= count))
+            forms.append(SequenceForm(
+                moves.last, self.chance * self.utility[:, player],
+                start.astype(row),
+                np.searchsorted(moves.legal, moves.before).astype(row),
+                tuple(levels)))
+        for value in _arrays(forms):
             value.flags.writeable = False
-        return tuple(choices)
+        return tuple(forms)
 
     @functools.cached_property
     def walk(self) -> tuple[array, array, tuple]:

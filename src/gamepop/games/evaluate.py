@@ -4,58 +4,48 @@ response, exploitability.
 Every evaluation reads ``game.tree`` (see `gamepop.games.base.FlatTree`),
 the whole tree compiled into flat arrays on first use; it raises
 TraversalBudgetError for a game too large to compile. Mixtures are handled
-exactly: a pass carries one reach weight per mixture member and per player,
-so sampling a member once per playthrough is integrated out in closed form
-rather than simulated.
+exactly: a side's realization plan sums its members' plans weighed by
+their weights, so sampling a member once per playthrough is integrated out
+in closed form rather than simulated.
 
-Evaluation reads each side's reach at the terminals, then makes one
-array pass up the tree's levels, reading the tree's per-level index arrays
-from `FlatTree.plan` rather than deriving them per call, and each
-terminal's chance probability from `FlatTree.chance` rather than
-multiplying it out. A side's reach comes from its members' readings
-(`policies.Reading`, one per policy and player, shared with sampled play,
-each read once where its policy's own play reaches); `best_response`
+The passes work in sequence form (`FlatTree.sequence_form`; Koller,
+Megiddo and von Stengel, GEB 1996) and read none of the tree's inner
+nodes. A side is its members' realization plans (`_reach`), one row per
+legal move of its player and one for no move: each member's plan is kept
+by its reading (`policies.Reading.own_reach`, shared with sampled play and
+read once where its policy's own play reaches), and `best_response`
 writes its response's reading when it makes it, so a new exact-oracle
-member is never read.
+member is never read. A listed population keeps one plan per member; a
+side weighed by a meta-strategy sigma multiplies each member's plan by
+sigma_k, last, and sums each row over every member, sigma_k = 0 included.
 
-`_reach` is the one path for every side, and no pass walks down the tree.
-A member's own reach never changes, so each reading keeps it, made once as
-the policy's realization plan (`policies.Reading.own_reach`): 1.0 times
-its entries along its own moves. One gather through `FlatTree.last_moves`
-gives every member's plan at every terminal. A listed population keeps one
-column per member (every payoff row and column). A side weighed by a
-meta-strategy sigma multiplies each member's column by sigma_k, last, and
-sums over every member, sigma_k = 0 included; a profile of two mixtures
-reads each side alone, since one side's products never read the other's.
-For a pure member (an exact best response, a greedy network) sigma_k times
-1.0 is sigma_k, the product a walk that starts each member at sigma_k
-forms; with mixed rows the two orders may differ in the last bit.
+The canonical order of a value of plan x0 against plan x1 (`_value`):
+``y = np.bincount(r1, weights=w0 * x0[r0], minlength=rows1)``, which adds
+each terminal's chance x u0 x x0 at its last move r0, from 0.0 and in
+terminal row order, into the row r1 of player 1's last move; then one
+contiguous reduction of ``y * x1`` over player 1's rows. A new payoff row
+(player 1 listed) reduces each row of the C-contiguous (members x rows)
+product, and a new column (player 0 listed) makes one bincount per member,
+so every entry equals its own pair's `expected_value` bit for bit,
+whichever pass fills it; so does the profile value inside
+`exploitability`. No pass uses BLAS, so bits do not depend on its build or
+its threads.
 
-`_ascend` goes up: a node's value is 0.0 plus its children's, added in slot
-order. Each level gathers its children slot by slot into the prefix of its
-inner nodes that has that slot (`LevelPlan.kids`, most children first),
-and writes the sums into the level once; no parent is added into twice.
-`best_response` ascends once with one full value array and decides each
-responder infoset on the one level that holds its nodes, after the level
-below has its values, summing its nodes' children the same way, node by
-node into a prefix of that level's infosets (`FlatTree.choices`).
+A best response (Johanson et al., IJCAI 2011) adds the terminals into the
+responder's rows with the same bincount, the opponent's plan in place of
+x0, then goes up the responder's own infosets, deepest level first
+(`_best_moves`): each takes its best legal row, and that row's value is
+added into the row of its player's move before it. Its value is the
+no-move row's.
 
 Every value takes the same floating-point operations, in the same order,
-as a recursive walk that carries each member's own reach from 1.0, weighs
-it at the terminals and skips each branch no member of nonzero weight
-plays (the reference in tests/test_evaluate.py): the passes here skip
-nothing, but a skipped branch is worth +0.0 or -0.0, and adding either to
-a total that starts at +0.0, and so is never -0.0, leaves the total as it
-is. At a node that a member's own play does not reach, its reach is +0.0
-or -0.0 in every pass; its row there, whether read or an unread zero, only
-changes the sign of that zero, and so it too leaves every total as it
-is.
-
-`expected_value` also resolves one side by member: given a list of policies
-on that side, its reach keeps one column per listed policy and never sums
-them, so one ascent values one policy against a whole population (a new
-payoff row or column), each entry equal bit for bit to that pair's own
-value.
+as the references in tests/test_evaluate.py: recursive walks that carry
+each member's own reach from 1.0, weigh it at the terminals and skip each
+branch no member of nonzero weight plays, then add the terminals up in the
+order above. A skipped terminal is worth +0.0 or -0.0, and adding either
+to a sum that starts at +0.0, and so is never -0.0, leaves it as it is;
+a row that only skipped terminals reach holds +0.0, and its product with
+the other side's plan, +0.0 or -0.0, leaves the final sum as it is too.
 """
 
 from __future__ import annotations
@@ -77,70 +67,57 @@ def _as_members(policy_or_mixture):
 
 
 def _reach(flat: FlatTree, player: int, side, facing: bool = False):
-    """``side``'s reach at each terminal, in row order; ``side`` is a
-    policy, mixture or list of ``player``'s policies (see `_as_members`).
-    Reach has one column per listed policy, else one column summed over the
-    members. With ``facing``, returns ``(reach, reached)``: also whether the
-    side reaches each node of the other player, in that player's
-    `Infosets.nodes` order.
+    """``side``'s realization plan over ``player``'s plan rows
+    (`SequenceForm`); ``side`` is a policy, mixture or list of ``player``'s
+    policies (see `_as_members`). A listed side gives one plan per listed
+    policy, the rows of a C-contiguous (members x rows) matrix, any other
+    side one plan summed over its members. With ``facing``, returns
+    ``(plan, reached)``: also whether the side reaches each node of the
+    other player, in that player's `Infosets.nodes` order.
 
-    Every side reads its members' realization plans (`_plans`) through
-    `FlatTree.last_moves`. A side that is not listed weighs each member's
-    plan by its weight, last, and sums each row of plans over every
+    Every side reads its members' realization plans (`_plans`). A side
+    that is not listed weighs each member's plan by its weight, last, into
+    a C-contiguous (rows x members) matrix, and sums each row over every
     member, zero weights included, in numpy's order for a C-contiguous row
-    (``sum(axis=1)``) before the gather: a terminal's sum is its last
-    move's. It reaches a node where some member's weighed plan is nonzero.
+    (``sum(axis=1)``). It reaches a node where some member's weighed plan
+    is nonzero at the node's last move of ``player``
+    (`LastMoves.facing`).
     """
     members, weights = _as_members(side)
-    moves, listed = flat.last_moves[player], isinstance(side, list)
     plans = _plans(flat, player, members)
-    if not listed:
-        plans *= weights
+    if isinstance(side, list):
+        reach = plans.T
+    else:
+        plans = np.multiply(plans, weights, order="C")
+        reach = plans.sum(axis=1)
     if facing:
-        reached = plans.any(axis=1)[moves.facing]
-    if not listed:
-        plans = plans.sum(axis=1, keepdims=True)
-    reach = plans[moves.last]
-    return (reach, reached) if facing else reach
+        return reach, plans.any(axis=1)[flat.last_moves[player].facing]
+    return reach
 
 
 def _plans(flat: FlatTree, player: int, members):
     """The members' realization plans (`policies.Reading.own_reach`), one
-    column each, in a fresh C-contiguous matrix the caller may write. Each
-    row holds each member's own reach at every node whose last move of
-    ``player`` is that row's (`FlatTree.last_moves`): 1.0 times its
+    contiguous column each, in a fresh (rows x members) matrix the caller
+    may write. Row r holds each member's own reach at every node whose last
+    move of ``player`` is plan row r (`FlatTree.last_moves`): 1.0 times its
     entries along its own moves, in order."""
-    plans = np.zeros((len(flat.last_moves[player].legal), len(members)))
-    for j, member in enumerate(members):
+    plans = np.zeros((len(members), len(flat.last_moves[player].legal)))
+    for plan, member in zip(plans, members):
         entries, values = member.reading(flat, player).own_reach()
-        plans[entries, j] = 1.0 if values is None else values
-    return plans
+        plan[entries] = 1.0 if values is None else values
+    return plans.T
 
 
-def _prefix_sums(values, gathers):
-    """Per row, 0.0 plus the ``values`` it gathers, added in order:
-    ``gathers[s]`` holds the s-th gather of the first ``len(gathers[s])``
-    rows (`LevelPlan.kids`, `Choices.children`), so each is added into a
-    contiguous prefix of the sums and no row is written twice."""
-    sums = values[gathers[0]] + 0.0
-    for k in gathers[1:]:
-        sums[:len(k)] += values[k]
-    return sums
-
-
-def _ascend(flat: FlatTree, leaf_values):
-    """The root's values when each terminal is worth its row of
-    ``leaf_values`` and every other node the sum of its children's."""
-    levels, leaves = flat.levels, flat.leaves
-    below = None
-    for d in reversed(range(len(levels) - 1)):
-        level = flat.plan[d]
-        here = np.empty((levels[d + 1] - levels[d],) + leaf_values.shape[1:])
-        here[level.leaf] = leaf_values[leaves[d]:leaves[d + 1]]
-        if level.kids:
-            here[level.inner] = _prefix_sums(below, level.kids)
-        below = here
-    return below[0]
+def _value(flat: FlatTree, plan0, plan1):
+    """Player 0's value of plan ``plan0`` against ``plan1`` (or against
+    each row of a stack of plans): ``y``, 0.0 plus chance x u0 x plan0 of
+    each terminal in row order, added into its last move's row of player 1
+    by one `np.bincount`, then one contiguous reduction of ``y * plan1``
+    over player 1's rows (x0^T A x1)."""
+    first, second = flat.sequence_form
+    y = np.bincount(second.last, weights=first.weight * plan0[first.last],
+                    minlength=plan1.shape[-1])
+    return (plan1 * y).sum(axis=-1)
 
 
 def expected_value(game: Game, profile):
@@ -155,12 +132,12 @@ def expected_value(game: Game, profile):
         raise ValueError("expected_value resolves one side of a profile by "
                          "member, not both")
     flat = game.tree
-    reach0, reach1 = (_reach(flat, player, side)
-                      for player, side in enumerate(profile))
-    v0 = _ascend(flat, flat.chance[:, None] * reach0 * reach1
-                 * flat.utility[:, :1])
-    if not any(listed):
-        v0 = v0[0]
+    plan0, plan1 = (_reach(flat, player, side)
+                    for player, side in enumerate(profile))
+    if listed[0]:
+        v0 = np.array([_value(flat, plan, plan1) for plan in plan0])
+    else:
+        v0 = _value(flat, plan0, plan1)
     return (v0, -v0)
 
 
@@ -175,26 +152,27 @@ def best_response(game: Game, opponent_mixture, responder: int):
 
 
 def _respond(flat: FlatTree, opponent_mixture, responder: int):
-    """`best_response` on ``flat``, followed by the opponent's summed reach
-    at each terminal.
+    """`best_response` on ``flat``, followed by the opponent's summed
+    realization plan.
 
-    Johanson et al. (IJCAI 2011): the opponent's reach at each terminal
-    and each responder node (`_reach`); then one ascent over a full value
-    array in which each terminal is worth its chance and opponent reach
-    times the responder's utility, and each responder node its best
-    action's child.
+    Johanson et al. (IJCAI 2011): the opponent's plan (`_reach`), then
+    each of the responder's plan rows gets, by one `np.bincount` in
+    terminal row order from 0.0, chance x opponent plan x the responder's
+    utility of each terminal that the row's move ends at; `_best_moves`
+    goes up the responder's infosets from there.
     """
     from ..policies import Reading, TabularPolicy
 
     infosets = flat.infosets[responder]
-    fold, reached = _reach(flat, 1 - responder, opponent_mixture,
+    mine, theirs = (flat.sequence_form[responder],
+                    flat.sequence_form[1 - responder])
+    plan, reached = _reach(flat, 1 - responder, opponent_mixture,
                            facing=True)
-    fold = fold[:, 0]
     live = np.zeros(len(infosets.views), bool)
     live[flat.infoset[infosets.nodes[reached]]] = True
-    value = np.zeros(len(flat.owner))
-    value[flat.row >= 0] = flat.chance * fold * flat.utility[:, responder]
-    best = _decide(flat, value, live, responder)
+    value = np.bincount(mine.last, weights=mine.weight * plan[theirs.last],
+                        minlength=len(flat.last_moves[responder].legal))
+    best = _best_moves(mine, value, live)
     decided = np.flatnonzero(best >= 0)
     policy = TabularPolicy.greedy(
         [infosets.views[i].key for i in decided.tolist()],
@@ -206,52 +184,31 @@ def _respond(flat: FlatTree, opponent_mixture, responder: int):
     np.divide(1.0, width, out=rows, where=np.arange(rows.shape[1]) < width)
     rows[decided] = 0.0
     rows[decided, best[decided]] = 1.0
-    return policy, value[0], fold
+    return policy, value[-1], plan
 
 
-def _decide(flat: FlatTree, value, live, responder: int):
-    """Best action of each ``live`` responder infoset (-1 elsewhere),
-    filling ``value`` with every node's value under them.
+def _best_moves(form, value, live):
+    """Best action of each ``live`` infoset of ``form``'s player (-1
+    elsewhere), ``value`` holding each of its plan rows' own terminals'
+    worth; adds into ``value`` the worth of every infoset, so that the
+    no-move row ends with the value of the best response.
 
-    One ascent from the deepest level: on each level, every node with
-    children first sums them (`_prefix_sums`); then the live infosets on
-    that level (every node of an infoset lies on one level, see
-    `FlatTree`) are decided, and each responder node of a decided infoset
-    takes its best action's child's value instead.
+    Deepest level first (`SequenceForm.levels`), each infoset of a level
+    takes its legal row of largest value: the lowest such action, ignoring
+    NaN; action 0 if none beats -inf. That row's value is the infoset's,
+    and is added into the row of its player's move before it, in index
+    order (`np.add.at`); no row of a level is the parent of an infoset on
+    the same level.
     """
-    levels, plan = flat.levels, flat.plan
-    infosets = flat.infosets[responder]
-    best = np.full(len(infosets.views), -1)
-    for d in reversed(range(len(levels) - 2)):
-        a, b, c = levels[d], levels[d + 1], levels[d + 2]
-        level = plan[d]
-        mine = level.players[responder]
-        here = value[a:b]
-        here[level.inner] = _prefix_sums(value[b:c], level.kids)
-        due = mine.firsts[live[mine.firsts]]
-        best[due] = _best_actions(flat, value, responder, due)
-        choice = best[mine.infoset]
-        chosen = choice >= 0
-        nodes = mine.nodes[chosen]
-        here[nodes] = value[flat.first[a:b][nodes] + choice[chosen]]
+    best = np.full(len(live), -1)
+    for infosets, rows, wide in form.levels:
+        total = value[rows]
+        total[wide | np.isnan(total)] = -np.inf
+        choice = total.argmax(axis=1)
+        np.add.at(value, form.parent[infosets], value[rows[:, 0] + choice])
+        due = live[infosets]
+        best[infosets[due]] = choice[due]
     return best
-
-
-def _best_actions(flat: FlatTree, value, player: int, due):
-    """For each infoset in ``due``, all of ``player``'s and on one level,
-    the action whose children's values, summed over the infoset's nodes in
-    preorder from 0.0, is largest; the lowest such action, ignoring NaN;
-    action 0 if none beats -inf. The sums are made for every infoset on the
-    level, from the gathers of `FlatTree.choices`, and those of ``due``
-    picked out through `Choices.position`."""
-    if not len(due):
-        return np.zeros(0, np.intp)
-    d = flat.infosets[player].first_level[due[0]]
-    choices = flat.choices[d][player]
-    total = _prefix_sums(value, choices.children)
-    total[choices.wide | np.isnan(total)] = -np.inf
-    return total.argmax(axis=1)[choices.position[
-        np.searchsorted(flat.plan[d].players[player].firsts, due)]]
 
 
 def exploitability(game: Game, profile, with_responses: bool = False):
@@ -262,17 +219,17 @@ def exploitability(game: Game, profile, with_responses: bool = False):
     gain: `best_response` to ``profile[1 - player]``.
 
     The profile's own value comes from the two best responses' opponent
-    reaches, so policies are read only by those two passes.
+    plans, in `expected_value`'s order, so policies are read only by those
+    two passes.
     """
     flat = game.tree
-    responses, values, folds = [], [], [None, None]
+    responses, values, plans = [], [], [None, None]
     for player in (0, 1):
-        policy, value, folds[1 - player] = _respond(
+        policy, value, plans[1 - player] = _respond(
             flat, profile[1 - player], player)
         responses.append(policy)
         values.append(value)
-    v0 = _ascend(flat, (flat.chance * folds[0] * folds[1]
-                        * flat.utility[:, 0])[:, None])[0]
+    v0 = _value(flat, plans[0], plans[1])
     current = (v0, -v0)
     total = 0.0
     for player in (0, 1):

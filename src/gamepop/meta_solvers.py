@@ -85,9 +85,12 @@ def extend_payoff(meta: MetaGame, game, pops, episodes: int | None = None,
     (per-entry seeds drawn from `seed`), so any fill order produces the same
     matrix; existing entries are never recomputed.
 
-    Exact entries take one `expected_value` walk per new row, against the
+    Exact entries take one `expected_value` pass per new row, against the
     columns it lacks, and then one per column that still lacks entries,
-    against those rows; each entry equals its own walk's bit for bit.
+    against those rows. Each pass adds terminals up in sequence form: a
+    row sums one weighed vector of the column player's rows against each
+    column's plan, a column makes one such vector per row member; so each
+    entry equals its own pair's `expected_value` bit for bit.
     """
     if episodes is not None:
         return fill_payoff(meta, pops, lambda r, c: monte_carlo_value(

@@ -22,8 +22,9 @@ uniform and one-hot ones are shared, each with one shared CDF.
 Exact evaluation and sampled play read a tabular or network policy through
 its `Reading` of one player's infosets in a compiled tree, which asks
 `action_probs` once per infoset the policy's own play reaches, when it is
-made: exact passes stack its table, and sampled play draws from its CDFs
-what `sample_action` would draw, with the same generator use.
+made: exact passes read its realization plan, and sampled play draws
+from its CDFs what `sample_action` would draw, with the same generator
+use.
 `gamepop.games.base.draw` searches a CDF with `bisect`, probing as
 ``searchsorted`` does.
 """

@@ -346,11 +346,76 @@ class StateWalk:
             stack.extend(kids)
 
 
+def _plan_rows(game, player):
+    """Where each infoset's plan rows start, one per legal action, in the
+    compiled tree's infoset order; the last entry is the no-move row."""
+    return np.cumsum([0] + [len(view.legal_actions)
+                            for view in game.tree.infosets[player].views])
+
+
 def two_pass_best_response(game, opponent_mixture, responder: int):
-    """The earlier best response, kept as a reference: its second pass
-    re-reads the opponent's policies and recomputes every reach. It carries
-    each member's own reach from 1.0, weighs it last, at the terminals, and
-    skips every branch that no member of nonzero weight plays."""
+    """The best response in sequence-form order, kept as a reference bit
+    for bit. The first pass carries each opponent member's own reach from
+    1.0 down the states, weighs it last, at the terminals, and skips every
+    branch that no member of nonzero weight plays. The second adds the
+    terminals up in `FlatTree` row order (level by level, in preorder
+    within one), from 0.0, into the row of the responder's last move; then,
+    infoset by infoset, deepest first and in infoset order within a depth,
+    takes each reached infoset's best row (strictly larger: the lowest
+    action wins ties) and adds its value into the row of the responder's
+    move before it. The value is the no-move row's."""
+    members, weights = _as_members(opponent_mixture)
+    opponent = 1 - responder
+    tree = StateWalk(game)
+    start = _plan_rows(game, responder)
+    terminals, infosets = [], {}  # view -> (depth, row of the move before)
+
+    def walk(node, depth, chance, reach, last):
+        player = tree.owner(node)
+        if player == TERMINAL:
+            terminals.append((depth, chance * tree.returns(node)[responder]
+                              * (reach * weights).sum(), last))
+            return
+        kids = tree.children(node)
+        if player == CHANCE:
+            for _, child, p in kids:
+                walk(child, depth + 1, chance * p, reach, last)
+        elif player == opponent:
+            for j, r_next in _follow(members, tree.view(node), reach,
+                                     weights):
+                walk(kids[j][1], depth + 1, chance, r_next, last)
+        else:
+            view = tree.view(node)
+            infosets.setdefault(view, (depth, last))
+            for j, (_, child, _) in enumerate(kids):
+                walk(child, depth + 1, chance, reach, start[view.index] + j)
+
+    walk(tree.root, 0, 1.0, np.ones(len(members)), start[-1])
+    terminals.sort(key=lambda terminal: terminal[0])  # stable: row order
+    value = np.zeros(start[-1] + 1)
+    for _, worth, row in terminals:
+        value[row] += worth
+    table = {}
+    for view in sorted(infosets, key=lambda v: (-infosets[v][0], v.index)):
+        rows = start[view.index] + np.arange(len(view.legal_actions))
+        best, top = 0, -np.inf
+        for j, row in enumerate(rows.tolist()):
+            if value[row] > top:
+                best, top = j, value[row]
+        value[infosets[view][1]] += value[rows[best]]
+        table[view.key] = np.zeros(len(view.legal_actions))
+        table[view.key][best] = 1.0
+    return TabularPolicy(table), value[-1]
+
+
+def tree_order_best_response(game, opponent_mixture, responder: int):
+    """The best response in the earlier, tree order, kept as a reference to
+    1e-12: its second pass re-reads the opponent's policies and recomputes
+    every reach, and sums each node's children as it returns from them. It
+    carries each member's own reach from 1.0, weighs it last, at the
+    terminals, and skips every branch that no member of nonzero weight
+    plays. Also returns, per decided infoset key, each action's value with
+    the best response played below."""
     members, base_weights = _as_members(opponent_mixture)
     opponent = 1 - responder
     tree = StateWalk(game)
@@ -382,6 +447,7 @@ def two_pass_best_response(game, opponent_mixture, responder: int):
     collect(tree.root, 1.0, ones)
 
     br_actions: dict = {}  # view -> index of the best action
+    action_values: dict = {}  # key -> each action's value
 
     def weighted_value(node, chance: float, reach: np.ndarray) -> float:
         # Reach-weighted responder value assuming BR play at responder nodes.
@@ -413,9 +479,11 @@ def two_pass_best_response(game, opponent_mixture, responder: int):
             return best
         nodes = infosets[view]
         best, best_value = 0, -np.inf
+        values = action_values[view.key] = []
         for j in range(len(view.legal_actions)):
             v = sum(weighted_value(tree.children(node)[j][1], chance, reach)
                     for node, chance, reach in nodes)
+            values.append(v)
             if v > best_value:  # strict: lowest action id wins ties
                 best_value = v
                 best = j
@@ -431,7 +499,7 @@ def two_pass_best_response(game, opponent_mixture, responder: int):
         dist = np.zeros(len(view.legal_actions))
         dist[best] = 1.0
         table[view.key] = dist
-    return TabularPolicy(table), value
+    return TabularPolicy(table), value, action_values
 
 
 def _scratch_mixture(game, weights, seed):
@@ -608,7 +676,7 @@ def test_a_fresh_tree_replaces_the_kept_table():
 def test_members_keep_no_dropped_tree_alive():
     """A reading refers to its tree weakly: once a game is dropped, its
     views' features are freed, and so are the arrays the tree built for
-    exact passes (every array of a level's plan and best-action gathers,
+    exact passes (every array of a level's plan and of the sequence form,
     and the moves behind cached reach), though the members read on it
     live on, each with its own reach, which refers to no array of the
     tree."""
@@ -619,7 +687,7 @@ def test_members_keep_no_dropped_tree_alive():
     expected_value(game, (profile[0].members, profile[1].members[0]))
     tree = game.tree
     built = [tree.infosets[0].views[0].features, *tree.last_moves[1],
-             *base._arrays((tree.plan[2], tree.choices[2][0]))]
+             *base._arrays((tree.plan[2], tree.sequence_form))]
     freed = [weakref.ref(array) for array in built]
     reach = [member._readings[0].own_reach()
              for member in profile[0].members]
@@ -709,7 +777,7 @@ def test_cached_reach_equals_the_descent_bit_for_bit(name, params):
             columns.append(column)
             reached |= alone
             single, single_facing = _reach(flat, player, member, facing=True)
-            assert single.tobytes() == column.sum(
+            assert single[moves.last, None].tobytes() == column.sum(
                 axis=1, keepdims=True).tobytes()
             assert (single_facing == alone[other]).all()
         cached = plans[moves.last]
@@ -718,7 +786,8 @@ def test_cached_reach_equals_the_descent_bit_for_bit(name, params):
         facing = plans[moves.facing].any(axis=1)
         assert (facing == reached[other]).all()
         listed, listed_facing = _reach(flat, player, members, facing=True)
-        assert listed.tobytes() == cached.tobytes()
+        assert listed.flags.c_contiguous
+        assert listed.T[moves.last].tobytes() == cached.tobytes()
         assert (listed_facing == facing).all()
 
 
@@ -852,10 +921,71 @@ def _resolved(reach: np.ndarray) -> np.ndarray:
 
 
 def recursive_expected_value(game, profile):
-    """The earlier expected value, kept as a reference: a recursive walk
-    that skips every branch no member of positive weight plays. It carries
-    each member's own reach from 1.0 and weighs it last, at the
-    terminals."""
+    """The expected value in sequence-form order, kept as a reference bit
+    for bit: a recursive walk carries each member's own reach from 1.0,
+    skipping every branch no member of positive weight plays, and weighs it
+    last, at the terminals. Then, in `FlatTree` row order, each terminal's
+    chance x u0, times player 0's reach, is added from 0.0 into the row of
+    player 1's last move (a column per listed member of player 0), and
+    player 1's reach at the terminal is that row's plan; the value is the
+    sum of rows times plan, in one contiguous reduction per pair."""
+    members, weights = zip(*map(_as_members, profile))
+    listed = [isinstance(side, list) for side in profile]
+    if all(listed):
+        raise ValueError("expected_value resolves one side of a profile by "
+                         "member, not both")
+    # At a terminal a mixture's reach is summed; a listed side's is not.
+    fold0, fold1 = (_resolved if is_listed else np.ndarray.sum
+                    for is_listed in listed)
+    tree = StateWalk(game)
+    start = _plan_rows(game, 1)
+    terminals = []
+
+    def walk(node, depth, chance, r0, r1, last):
+        player = tree.owner(node)
+        if player == TERMINAL:
+            terminals.append((depth, chance * tree.returns(node)[0]
+                              * fold0(r0 * weights[0]),
+                              fold1(r1 * weights[1]), last))
+            return
+        kids = tree.children(node)
+        if player == CHANCE:
+            for _, child, p in kids:
+                walk(child, depth + 1, chance * p, r0, r1, last)
+            return
+        view = tree.view(node)
+        reach = r0 if player == 0 else r1
+        for j, r_next in _follow(members[player], view, reach,
+                                 weights[player]):
+            if player == 0:
+                walk(kids[j][1], depth + 1, chance, r_next, r1, last)
+            else:
+                walk(kids[j][1], depth + 1, chance, r0, r_next,
+                     start[view.index] + j)
+
+    walk(tree.root, 0, 1.0, *[np.ones(len(m)) for m in members], start[-1])
+    terminals.sort(key=lambda terminal: terminal[0])  # stable: row order
+    rows = (start[-1] + 1,)
+    y = np.zeros(rows + ((len(members[0]),) if listed[0] else ()))
+    plan = np.zeros(rows + ((len(members[1]),) if listed[1] else ()))
+    for _, worth, reach, row in terminals:
+        y[row] += worth
+        plan[row] = reach
+    if listed[0]:
+        v0 = np.array([(y[:, k] * plan).sum() for k in range(y.shape[1])])
+    elif listed[1]:
+        v0 = np.array([(y * plan[:, k]).sum() for k in range(plan.shape[1])])
+    else:
+        v0 = (y * plan).sum()
+    return (v0, -v0)
+
+
+def tree_order_expected_value(game, profile):
+    """The expected value in the earlier, tree order, kept as a reference
+    to 1e-12: a recursive walk that sums each node's children as it
+    returns from them, skipping every branch no member of positive weight
+    plays. It carries each member's own reach from 1.0 and weighs it last,
+    at the terminals."""
     members = [None, None]
     weights = [None, None]
     for i in (0, 1):
@@ -900,7 +1030,7 @@ def _assert_same_bits(value, reference):
 
 def _assorted_mixture(game, tree, size, rng):
     """`size` members cycling through pure, sparse and uniform tabular
-    policies and scratch networks, some of them weighing 0."""
+    policies and scratch networks, some of them weighing 0 or -0.0."""
     sig = ArchSignature(game.encoding_dim(), (8,),
                         game.num_distinct_actions())
     members = []
@@ -916,7 +1046,9 @@ def _assorted_mixture(game, tree, size, rng):
     if size > 1:
         weights[rng.random(size) < 0.25] = 0.0
         weights[0] += weights.sum() == 0.0
-    return PolicyMixture(members, weights / weights.sum())
+    weights /= weights.sum()
+    weights[(weights == 0.0) & (rng.random(size) < 0.5)] = -0.0
+    return PolicyMixture(members, weights)
 
 
 @pytest.mark.parametrize("name,params", TREE_GAMES + [
@@ -952,3 +1084,65 @@ def test_member_resolved_walk_takes_one_listed_side():
     game = make_game("kuhn_poker")
     with pytest.raises(ValueError, match="one side"):
         expected_value(game, ([TabularPolicy()], [TabularPolicy()]))
+
+
+# ---------------------------------------------------------------------------
+# Sequence-form order against the earlier tree order
+
+
+@pytest.mark.parametrize("name,params", TREE_GAMES + [
+    ("matrix_game", {"rows": [[0, -1, 2], [1, 0, 0]]})],
+    ids=TREE_GAME_IDS + ["matrix_game-params4"])
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(9, 12))
+def test_sequence_form_keeps_the_tree_order_values(name, params, seed, size):
+    """Adding terminals up in sequence form moves values in the last bits
+    only: expected values, payoff rows and columns, best-response values
+    and exploitability stay within 1e-12 of the tree order's, relative to
+    the value or, near zero, to the game's largest payoff. Each decided
+    action is worth, in the tree order, within that of its infoset's best;
+    the infosets the opponent does not reach keep the uniform default; and
+    the profile value inside `exploitability` is `expected_value`'s, bit
+    for bit."""
+    game = make_game(name, params)
+    tree, flat = StateWalk(game), game.tree
+    rng = np.random.default_rng(seed)
+    scale = 1e-12 * np.abs(flat.utility).max()
+
+    def close(got, want):
+        return np.allclose(got, want, rtol=1e-12, atol=scale)
+
+    profile = (_assorted_mixture(game, tree, size, rng),
+               _assorted_mixture(game, tree, size, rng))
+    value = expected_value(game, profile)
+    assert close(value, tree_order_expected_value(game, profile))
+    k = int(rng.integers(size))
+    for listed in ((profile[0].members[k], profile[1].members),
+                   (profile[0].members, profile[1].members[k])):
+        assert close(expected_value(game, listed),
+                     tree_order_expected_value(game, listed))
+    total, responses = exploitability(game, profile, with_responses=True)
+    old_total, values = 0.0, []
+    for player, response in enumerate(responses):
+        opponent = profile[1 - player]
+        policy, br_value = best_response(game, opponent, player)
+        _, old_value, action_values = tree_order_best_response(
+            game, opponent, player)
+        assert close(br_value, old_value)
+        old_total += old_value - tree_order_expected_value(game,
+                                                           profile)[player]
+        values.append(br_value)
+        assert policy.table.keys() == action_values.keys()
+        for key, dist in policy.table.items():
+            worth = action_values[key]
+            assert worth[int(dist.argmax())] >= max(worth) - scale
+        rows = response.reading(flat, player).rows
+        for view in flat.infosets[player].views:
+            if view.key not in action_values:
+                width = len(view.legal_actions)
+                assert (rows[view.index, :width] == 1.0 / width).all()
+    assert close(total, old_total)
+    profile_total = 0.0
+    for player in (0, 1):
+        profile_total += values[player] - value[player]
+    _assert_same_bits(total, profile_total)

@@ -342,9 +342,9 @@ def test_the_tree_is_read_only():
     arrays, nor a matrix game's rows, can be written into. The chance
     CDFs are computed afresh for each caller and kept by the tree in no
     array. What exact passes build on it (the plan, the terminals' chance
-    probabilities, the moves behind cached reach and the best-action
-    gathers) is read-only too, its node numbers, moves and infoset
-    positions as narrow as the plan's offsets."""
+    probabilities, the moves behind cached reach and the sequence form) is
+    read-only too, its node numbers, moves, plan rows and infoset indices
+    as narrow as the plan's offsets."""
     tree = make("leduc_poker").tree
     with pytest.raises(ValueError):
         tree.owner[0] = 0
@@ -355,23 +355,23 @@ def test_the_tree_is_read_only():
     assert not any(a.flags.writeable for a in arrays
                    if isinstance(a, np.ndarray))
     built = [*_arrays(tree.plan), tree.chance, *_arrays(tree.last_moves),
-             *_arrays(tree.choices)]
+             *_arrays(tree.sequence_form)]
     assert not any(a.flags.writeable for a in built)
     with pytest.raises(ValueError):
         tree.chance[0] = 0.0
     with pytest.raises(ValueError):
-        tree.choices[2][0].children[0][0, 0] = 0
+        tree.sequence_form[0].weight[0] = 0.0
     with pytest.raises(ValueError):
-        tree.plan[2].kids[0][0] = 0
-    for level, pair in zip(tree.plan, tree.choices):
+        tree.plan[2].up[0] = 0
+    for level in tree.plan:
         assert level.up.dtype == np.uint16
-        for offsets in (level.inner, *level.kids):
-            assert offsets.dtype == np.uint16
-        for mine, choices in zip(level.players, pair):
-            assert mine.move.dtype == np.uint16
-            assert choices.position.dtype == mine.firsts.dtype == np.uint16
-            for children in choices.children:
-                assert children.dtype == np.uint16
+        for mine in level.players:
+            assert mine.move.dtype == mine.firsts.dtype == np.uint16
+    for form in tree.sequence_form:
+        for rows in (form.last, form.start, form.parent,
+                     *(index for level in form.levels
+                       for index in level[:2])):
+            assert rows.dtype == np.uint16
     with pytest.raises(ValueError):
         make("matrix_game").rows[0, 0] = 1.0
 
@@ -416,10 +416,7 @@ def test_infoset_tables_hold_each_view(name, params):
 def test_the_plan_matches_the_tree(name, params):
     """Each level's plan holds what its arrays say of the tree, in node
     order, and none of it can be written into; ``prob`` is a view of the
-    tree's own array. ``inner`` holds every node with children once, most
-    children first and in preorder among equals; ``kids[s]`` holds child s
-    of the nodes in a prefix of ``inner``, those with more than s
-    children, so every child appears exactly once, under its own parent."""
+    tree's own array."""
     tree = make_game(name, dict(params)).tree
     levels, plan = tree.levels, tree.plan
     assert len(plan) == len(levels) - 1
@@ -432,21 +429,6 @@ def test_the_plan_matches_the_tree(name, params):
         assert level.up.tolist() == up.tolist()
         assert level.prob.base is tree.prob
         assert level.prob.tolist() == tree.prob[b:c].tolist()
-        count = np.diff(tree.first[a:b + 1])
-        assert np.flatnonzero(count).tolist() == np.flatnonzero(
-            own != TERMINAL).tolist()
-        assert level.inner.tolist() == sorted(np.flatnonzero(count).tolist(),
-                                              key=lambda n: -count[n])
-        children = []
-        for s, kids in enumerate(level.kids):
-            parents = level.inner[:len(kids)]
-            assert len(kids) == np.count_nonzero(count > s)
-            assert (count[parents] > s).all()
-            assert (slot[kids] == s).all()
-            assert tree.parent[b + kids].tolist() == (a + parents).tolist()
-            children += kids.tolist()
-        assert len(level.kids) == count.max(initial=0)
-        assert sorted(children) == list(range(c - b))
         for player, mine in enumerate(level.players):
             infosets = tree.infosets[player]
             nodes = np.flatnonzero(own == player)
@@ -464,6 +446,56 @@ def test_the_plan_matches_the_tree(name, params):
         assert not any(array.flags.writeable for array in _arrays(level))
     with pytest.raises(ValueError):
         plan[0].up[:1] = 0
+
+
+@pytest.mark.parametrize("name,params", ALL_GAMES, ids=ALL_GAME_IDS)
+def test_the_sequence_form_matches_the_tree(name, params):
+    """Per player, the sequence form holds each terminal's last-move row
+    and chance x own utility (bytes of the product), each infoset's first
+    plan row (its legal actions one after another, then the no-move row),
+    the row of its player's last move before it (found here by walking up
+    from its first node) and the infosets of each level, deepest first, in
+    index order, each with its legal rows, the last repeated to the level's
+    width; every infoset is on exactly one level."""
+    tree = make_game(name, dict(params)).tree
+    for player, form in enumerate(tree.sequence_form):
+        infosets = tree.infosets[player]
+        assert form.last is tree.last_moves[player].last
+        assert form.weight.tobytes() == (
+            tree.chance * tree.utility[:, player]).tobytes()
+        start = [0, *np.cumsum(infosets.num_actions).tolist()]
+        assert form.start.tolist() == start
+        assert start[-1] + 1 == len(tree.last_moves[player].legal)
+        for i in range(len(infosets.views)):
+            child, parent = infosets.nodes[infosets.start[i]], start[-1]
+            while tree.parent[child] >= 0:
+                up = tree.parent[child]
+                if tree.owner[up] == player:
+                    parent = start[tree.infoset[up]] + int(tree.slot[child])
+                    break
+                child = up
+            assert form.parent[i] == parent
+        depths = [infosets.first_level[level.infosets].tolist()
+                  for level in form.levels]
+        assert all(len(set(d)) == 1 for d in depths)
+        assert [d[0] for d in depths] == sorted(
+            set(infosets.first_level.tolist()), reverse=True)
+        found = []
+        for level in form.levels:
+            width = infosets.num_actions[level.infosets].max()
+            assert level.rows.shape == level.wide.shape == (
+                len(level.infosets), width)
+            for i, rows, wide in zip(level.infosets.tolist(),
+                                     level.rows.tolist(),
+                                     level.wide.tolist()):
+                count = infosets.num_actions[i]
+                assert rows == [start[i] + min(a, count - 1)
+                                for a in range(width)]
+                assert wide == [a >= count for a in range(width)]
+                found.append(i)
+        assert found == sorted(found, key=lambda i: (
+            -infosets.first_level[i], i))
+        assert sorted(found) == list(range(len(infosets.views)))
 
 
 def _sparse_policy(tree, rng):

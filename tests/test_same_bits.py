@@ -7,15 +7,21 @@ The `_ref_*` functions below are the implementations of `games.base.draw`,
 `policies.greedy_index` and `oracles.dqn_oracle` (with the
 `run_learner_episode` and `sample_member` it calls) as they were before
 episodes walked per-tree Python lists, draws used `bisect` and the networks
-wrote into reused buffers; and of the passes of `games.evaluate` as they
-were before members kept their tables and the passes read a per-tree plan.
-They call the current code only where that code kept its arithmetic: the
-tree's arrays and `chance_cdfs`, `nets.unpack`, `nets._slices`, the
-optimizers (checked in `tests/test_nets.py`), `checked_cdf`,
-`psd_intrinsic_reward`, `evaluate._as_members` and the policies'
-`action_probs`. `_ref_best_actions` is no earlier code but a per-infoset
-loop written for these tests, so that a rewrite of `_best_actions` is
-checked against something other than itself.
+wrote into reused buffers; and of the reach of `games.evaluate` as it
+was before members kept their tables and the passes read a per-tree plan
+(`_ref_descend`). They call the current code only where that code kept its
+arithmetic: the tree's arrays and `chance_cdfs`, `nets.unpack`,
+`nets._slices`, the optimizers (checked in `tests/test_nets.py`),
+`checked_cdf`, `psd_intrinsic_reward`, `evaluate._as_members` and the
+policies' `action_probs`.
+
+The exact passes add terminals up in sequence form (`FlatTree.sequence_form`).
+`_ref_value` and `_ref_infoset_pass` are no earlier code but loops written
+for these tests in that order, over terminals and infosets one at a time,
+so that the array passes are checked against something other than
+themselves; they read each terminal's last moves from
+`FlatTree.last_moves` and find each infoset's parent row by walking up the
+tree.
 
 The exact passes weigh each member's own reach last, times its weight,
 where the earlier descent started each member's products at its
@@ -37,8 +43,7 @@ from gamepop.games import (GAMES, best_response, expected_value,
                            exploitability, make_game)
 from gamepop.games.base import (CHANCE, TERMINAL, checked_cdf, draw,
                                 draw_index, sample_episode)
-from gamepop.games.evaluate import (_as_members, _ascend, _best_actions,
-                                    _reach)
+from gamepop.games.evaluate import _as_members, _best_moves, _reach
 from gamepop.nets import ArchSignature
 from gamepop.oracles import (DqnOracle, PsdBonus, Step, dqn_oracle,
                              psd_intrinsic_reward)
@@ -597,27 +602,6 @@ def _ref_read(table, read, members, views, rows):
     read[rows] = True
 
 
-def _ref_add_children(flat, d, here, below):
-    up = flat.parent[flat.levels[d + 1]:flat.levels[d + 2]] - flat.levels[d]
-    slot = flat.slot[flat.levels[d + 1]:flat.levels[d + 2]]
-    for s in range(int(slot.max()) + 1):
-        k = np.flatnonzero(slot == s)
-        here[up[k]] += below[k]
-
-
-def _ref_ascend(flat, leaf_values):
-    levels, leaves = flat.levels, flat.leaves
-    below = None
-    for d in reversed(range(len(levels) - 1)):
-        here = np.zeros((levels[d + 1] - levels[d],) + leaf_values.shape[1:])
-        here[flat.owner[levels[d]:levels[d + 1]] == TERMINAL] = (
-            leaf_values[leaves[d]:leaves[d + 1]])
-        if below is not None:
-            _ref_add_children(flat, d, here, below)
-        below = here
-    return below[0]
-
-
 def _ref_chance(flat):
     return _ref_descend(flat, [])[0]
 
@@ -648,6 +632,22 @@ def _old_reach(flat, player, members, weights, fold):
     return reach, reached
 
 
+def _ref_value(flat, reach0, reach1):
+    """Player 0's value of terminal reach ``reach0`` against ``reach1``
+    (one column each), in sequence-form order: per row of player 1's plan,
+    0.0 plus each terminal's chance x u0 x reach0, in row order, for the
+    terminals whose last move of player 1 is that row; then one sum of
+    those rows times player 1's reach there (any terminal of the row's)."""
+    rows = flat.last_moves[1].last.tolist()
+    chance = _ref_chance(flat)
+    y = np.zeros(len(flat.last_moves[1].legal))
+    plan = np.zeros_like(y)
+    for t, row in enumerate(rows):
+        y[row] += chance[t] * flat.utility[t, 0] * reach0[t]
+        plan[row] = reach1[t]
+    return (y * plan).sum()
+
+
 def _ref_expected_value(game, profile, reach=_ref_reach):
     flat = game.tree
     folds = []
@@ -655,95 +655,71 @@ def _ref_expected_value(game, profile, reach=_ref_reach):
         members, weights = _as_members(side)
         folds.append(reach(flat, player, members, weights,
                            not isinstance(side, list))[0])
-    v0 = _ref_ascend(flat, _ref_chance(flat)[:, None] * folds[0] * folds[1]
-                     * flat.utility[:, :1])
+    v0 = np.array([_ref_value(flat, a, b) for a in folds[0].T
+                   for b in folds[1].T])
     if not any(isinstance(side, list) for side in profile):
         v0 = v0[0]
     return (v0, -v0)
+
+
+def _ref_infoset_pass(flat, value, live, player):
+    """`two_pass_best_response`'s pass up ``player``'s infosets, on the
+    tree's arrays: per infoset, deepest first and in index order, its best
+    legal row (the lowest action of largest value, NaN never larger;
+    action 0 if none beats -inf) and that row's value added into the row
+    of its player's move before it, found by walking up from its first
+    node. Every infoset is valued; the ``live`` ones are decided (-1
+    elsewhere)."""
+    infosets = flat.infosets[player]
+    start = np.cumsum([0, *infosets.num_actions.tolist()])
+    best = np.full(len(infosets.views), -1)
+    order = sorted(range(len(infosets.views)),
+                   key=lambda i: (-infosets.first_level[i], i))
+    for i in order:
+        child = infosets.nodes[infosets.start[i]]
+        parent = start[-1]
+        while flat.parent[child] >= 0:
+            up = flat.parent[child]
+            if flat.owner[up] == player:
+                parent = start[flat.infoset[up]] + int(flat.slot[child])
+                break
+            child = up
+        top, pick = -math.inf, 0
+        for action in range(infosets.num_actions[i]):
+            if value[start[i] + action] > top:
+                top, pick = value[start[i] + action], action
+        value[parent] += value[start[i] + pick]
+        if live[i]:
+            best[i] = pick
+    return best
 
 
 def _ref_respond(flat, opponent_mixture, responder, reach=_ref_reach):
     members, weights = _as_members(opponent_mixture)
     chance = _ref_chance(flat)
     fold, reached = reach(flat, 1 - responder, members, weights, True)
-    value = np.zeros(len(flat.owner))
-    value[flat.owner == TERMINAL] = (chance * fold[:, 0]
-                                     * flat.utility[:, responder])
-    best = _ref_decide(flat, value, reached, responder)
     infosets = flat.infosets[responder]
+    live = np.zeros(len(infosets.views), bool)
+    live[flat.infoset[reached & (flat.owner == responder)]] = True
+    value = np.zeros(len(flat.last_moves[responder].legal))
+    for t, row in enumerate(flat.last_moves[responder].last.tolist()):
+        value[row] += chance[t] * flat.utility[t, responder] * fold[t, 0]
+    best = _ref_infoset_pass(flat, value, live, responder)
     table = {infosets.views[i].key: _one_hot(infosets.num_actions[i],
                                              best[i])
              for i in np.flatnonzero(best >= 0).tolist()}
-    return TabularPolicy(table), value[0], chance, fold[:, 0]
-
-
-def _ref_decide(flat, value, reached, responder):
-    levels, owner, infoset = flat.levels, flat.owner, flat.infoset
-    infosets = flat.infosets[responder]
-    mine = owner == responder
-    live = np.zeros(len(infosets.views), bool)
-    live[infoset[reached & mine]] = True
-    best = np.full(len(infosets.views), -1)
-    known = np.ones(len(owner), bool)
-    while True:
-        decided = best >= 0
-        waits = np.zeros(len(infosets.views), bool)
-        for d in reversed(range(len(levels) - 2)):
-            a, b, c = levels[d], levels[d + 1], levels[d + 2]
-            here = value[a:b]
-            inner = owner[a:b] != TERMINAL
-            here[inner] = 0.0
-            _ref_add_children(flat, d, here, value[b:c])
-            ready = np.ones(b - a, bool)
-            ready[flat.parent[b:c][~known[b:c]] - a] = False
-            nodes = a + np.flatnonzero(mine[a:b])
-            waits[infoset[nodes[reached[nodes] & ~ready[nodes - a]]]] = True
-            due = np.flatnonzero((infosets.first_level == d) & live
-                                 & (best < 0) & ~waits)
-            best[due] = _ref_best_actions(flat, value, responder, due)
-            choice = best[infoset[nodes]]
-            chosen = choice >= 0
-            value[nodes[chosen]] = value[flat.first[nodes[chosen]]
-                                         + choice[chosen]]
-            ready[nodes[~chosen] - a] = False
-            known[a:b] = ready | ~reached[a:b]
-        if known[0]:
-            return best
-        if np.array_equal(decided, best >= 0):
-            raise ValueError("best_response: responder infosets depend on "
-                             "each other in a cycle")
-
-
-def _ref_best_actions(flat, value, player, due):
-    """Per infoset in ``due``, the action whose children's values, summed
-    over its nodes in preorder from 0.0, is largest: the lowest such
-    action, ignoring NaN; action 0 if none beats -inf. Only legal actions
-    are summed, so one past them counts as -inf."""
-    infosets = flat.infosets[player]
-    best = []
-    for i in due.tolist():
-        nodes = infosets.nodes[infosets.start[i]:infosets.start[i + 1]]
-        top, pick = -math.inf, 0
-        for action in range(infosets.num_actions[i]):
-            total = np.float64(0.0)
-            for node in nodes.tolist():
-                total = total + value[flat.first[node] + action]
-            if total > top:
-                top, pick = total, action
-        best.append(pick)
-    return np.array(best, np.intp)
+    return TabularPolicy(table), value[-1], fold[:, 0]
 
 
 def _ref_exploitability(game, profile, reach=_ref_reach):
     flat = game.tree
     responses, values, folds = [], [], [None, None]
     for player in (0, 1):
-        policy, value, chance, folds[1 - player] = _ref_respond(
+        policy, value, folds[1 - player] = _ref_respond(
             flat, profile[1 - player], player, reach)
         responses.append(policy)
         values.append(value)
-    v0 = _ref_ascend(flat, (chance * folds[0] * folds[1]
-                            * flat.utility[:, 0])[:, None])[0]
+    v0 = _ref_value(flat, folds[0], folds[1])
     current = (v0, -v0)
     total = 0.0
     for player in (0, 1):
@@ -845,7 +821,7 @@ def test_exact_passes_match_reference(index, seed, passes):
             player = int(kind[-1])
             opponent = mixture(1 - player)
             policy, value = best_response(game, opponent, player)
-            ref_policy, ref_value, _, _ = _ref_respond(game.tree, opponent,
+            ref_policy, ref_value, _ = _ref_respond(game.tree, opponent,
                                                        player)
             assert _same_bits(value, ref_value)
             assert _same_tables(policy, ref_policy)
@@ -866,20 +842,23 @@ def _special_values(rng, shape):
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_best_actions_match_the_loop_reference(index, seed):
-    """`_best_actions` picks what the per-infoset loop picks, for a random
-    subset of each level's infosets of each player, when node values
-    include NaN, +-inf, -0.0 and ties."""
+    """`_best_moves` decides what the per-infoset loop decides, and leaves
+    the reference's bytes in every plan row (NaN where it has NaN, of
+    whichever sign), for a random set of live infosets of each player, when
+    the rows' own worth includes NaN, +-inf, -0.0 and ties."""
     flat = _game(index).tree
     rng = np.random.default_rng(seed)
-    value = _special_values(rng, len(flat.owner))
-    for player, infosets in enumerate(flat.infosets):
-        for d in sorted(set(infosets.first_level.tolist())):
-            firsts = np.flatnonzero(infosets.first_level == d)
-            due = firsts[rng.random(len(firsts)) < 0.7]
-            with np.errstate(invalid="ignore"):  # inf + -inf
-                got = _best_actions(flat, value, player, due)
-                want = _ref_best_actions(flat, value, player, due)
-            assert got.tolist() == want.tolist()
+    for player, form in enumerate(flat.sequence_form):
+        value = _special_values(rng, len(flat.last_moves[player].legal))
+        live = rng.random(len(flat.infosets[player].views)) < 0.7
+        want = value.copy()
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            got = _best_moves(form, value, live)
+            ref = _ref_infoset_pass(flat, want, live, player)
+        assert got.tolist() == ref.tolist()
+        nan = np.isnan(want)
+        assert (np.isnan(value) == nan).all()
+        assert _same_bits(value[~nan], want[~nan])
 
 
 def _zero_rows(tree, rng):
@@ -902,8 +881,8 @@ def test_descent_reaches_what_alive_tracking_reaches(index, seed):
     instead whether the node's parent is reached and, after a move, some
     member plays it. They agree for sparse simplex weights (some zero, some
     -0.0), members with all-zero rows and a member listed twice, and the
-    summed reach at the terminals has the bytes of the reference that
-    weighs each member's own reach last."""
+    summed plan, read at each terminal's last move, has the bytes of the
+    reference that weighs each member's own reach last."""
     game = _game(index)
     flat = game.tree
     rng = np.random.default_rng(seed)
@@ -911,8 +890,9 @@ def test_descent_reaches_what_alive_tracking_reaches(index, seed):
         pool = _exact_pool(game, rng) + [_zero_rows(flat, rng)]
         pool.append(pool[int(rng.integers(len(pool)))])
         weights = _exact_weights(len(pool), rng)
-        reach, reached = _reach(flat, player, PolicyMixture(pool, weights),
-                                facing=True)
+        plan, reached = _reach(flat, player, PolicyMixture(pool, weights),
+                               facing=True)
+        reach = plan[flat.last_moves[player].last, None]
         _, ref_reached = _old_reach(flat, player, pool, weights, True)
         ref_reach, alone = _ref_reach(flat, player, pool, weights, True)
         other = flat.infosets[1 - player].nodes
@@ -939,7 +919,8 @@ def _pure_pool(game, rng, size):
 def test_pure_members_keep_the_descents_bits(index, seed, size):
     """For a sigma mixture of pure members, a weight times a plan entry of
     1.0 is the product a descent from that weight forms, so `_reach`'s
-    reach and reached equal the earlier joint descent's byte for byte,
+    plan, read at each terminal's last move, and reached equal the earlier
+    joint descent's byte for byte,
     sign of zero included: sparse weights with zeros and -0.0, 9 to 17
     members (past numpy's pairwise block of 8) and one listed twice."""
     game = _game(index)
@@ -949,8 +930,9 @@ def test_pure_members_keep_the_descents_bits(index, seed, size):
         pool = _pure_pool(game, rng, size - 1)
         pool.append(pool[int(rng.integers(len(pool)))])
         weights = _exact_weights(len(pool), rng)
-        reach, reached = _reach(flat, player, PolicyMixture(pool, weights),
-                                facing=True)
+        plan, reached = _reach(flat, player, PolicyMixture(pool, weights),
+                               facing=True)
+        reach = plan[flat.last_moves[player].last, None]
         ref_reach, ref_reached = _old_reach(flat, player, pool, weights, True)
         assert _same_bits(reach, ref_reach)
         assert _same_bits(reached,
@@ -970,8 +952,9 @@ def test_cancelling_weights_still_reach(index):
         pool = _pure_pool(game, rng, 2)
         pool.insert(1, pool[0])
         weights = np.array([1e-9, -1e-9, 1.0])
-        reach, reached = _reach(flat, player, PolicyMixture(pool, weights),
-                                facing=True)
+        plan, reached = _reach(flat, player, PolicyMixture(pool, weights),
+                               facing=True)
+        reach = plan[flat.last_moves[player].last, None]
         ref_reach, ref_reached = _old_reach(flat, player, pool, weights, True)
         assert _same_bits(reach, ref_reach)
         assert _same_bits(reached,
@@ -1004,25 +987,8 @@ def test_weighing_own_reach_last_keeps_the_old_values(index, seed):
     assert all(map(close, got, want))
     for player in (0, 1):
         _, value = best_response(game, profile[1 - player], player)
-        _, ref_value, _, _ = _ref_respond(flat, profile[1 - player], player,
+        _, ref_value, _ = _ref_respond(flat, profile[1 - player], player,
                                           _old_reach)
         assert close(value, ref_value)
     total = exploitability(game, profile)
     assert close(total, _ref_exploitability(game, profile, _old_reach)[0])
-
-
-@pytest.mark.parametrize("index", range(len(TREE_GAMES)), ids=TREE_GAME_IDS)
-@settings(derandomize=True, max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 4))
-def test_ascent_matches_reference_on_special_values(index, seed, columns):
-    """`_ascend` gives the reference's bytes on leaf values with several
-    columns that include -0.0, NaN and +-inf. The last column is all
-    -0.0, which sums that start at +0.0 make +0.0 at the root."""
-    flat = _game(index).tree
-    rng = np.random.default_rng(seed)
-    values = rng.normal(size=(len(flat.utility), columns + 1))
-    chosen = rng.random(values.shape) < 0.5
-    values[chosen] = _special_values(rng, chosen.sum())
-    values[:, -1] = -0.0
-    with np.errstate(invalid="ignore"):  # inf + -inf
-        assert _same_bits(_ascend(flat, values), _ref_ascend(flat, values))
